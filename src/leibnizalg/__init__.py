@@ -15,7 +15,6 @@ from .core import (
     direct_sum,
     derived_series,
     embed_subspace,
-    embed_vector,
     ideal_closure,
     is_ideal,
     is_lie,
@@ -48,16 +47,10 @@ from .exactlin import (
     Matrix,
     QQ,
     Subspace,
-    complement_basis,
-    contains,
     rref,
-    subspace_intersect,
-    subspace_leq,
-    subspace_sum,
 )
 from .radicals import (
-    NilradicalResult,
-    RadicalResult,
+    CertifiedIdeal,
     Theorem2Report,
     find_complement_B,
     frattini_ideal,

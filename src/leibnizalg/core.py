@@ -22,6 +22,8 @@ from .exactlin import (
     Field,
     Matrix,
     Subspace,
+    lin_comb,
+    nullspace,
     unit_vec,
     vec_add,
     vec_scale,
@@ -130,14 +132,19 @@ def check_leibniz(L: LeibnizAlgebra) -> VerificationReport:
 
 
 def right_mult(L: LeibnizAlgebra, x: Sequence) -> Matrix:
-    """Matrix of R_x : y -> [y, x] in the fixed basis (columns are [e_i, x])."""
-    cols = [L.bracket(L.basis_vector(i), x) for i in range(L.dim)]
-    return Matrix.from_columns(L.field, cols) if L.dim else Matrix(L.field, [])
+    """Matrix of R_x : y -> [y, x]; column i is [e_i, x] = sum_j x_j table[i][j]."""
+    return _mult_matrix(L, x, L.table)
 
 
 def left_mult(L: LeibnizAlgebra, x: Sequence) -> Matrix:
-    """Matrix of y -> [x, y]."""
-    cols = [L.bracket(x, L.basis_vector(i)) for i in range(L.dim)]
+    """Matrix of y -> [x, y]; column i is [x, e_i] = sum_j x_j table[j][i]."""
+    return _mult_matrix(L, x, tuple(zip(*L.table)))
+
+
+def _mult_matrix(L: LeibnizAlgebra, x: Sequence, rows) -> Matrix:
+    if len(x) != L.dim:
+        raise AmbientMismatch("vector length != algebra dim")
+    cols = [lin_comb(L.field, L.dim, x, row) for row in rows]
     return Matrix.from_columns(L.field, cols) if L.dim else Matrix(L.field, [])
 
 
@@ -226,11 +233,7 @@ class QuotientPresentation:
                              [self.project_vector(r) for r in S.rows])
 
     def lift_vector(self, w: Sequence):
-        F = self.parent.field
-        v = zero_vec(F, self.parent.dim)
-        for c, rep in zip(w, self.section):
-            v = vec_add(F, v, vec_scale(F, c, rep))
-        return v
+        return lin_comb(self.parent.field, self.parent.dim, w, self.section)
 
     def pull_back(self, S: Subspace) -> Subspace:
         """Preimage under the projection of a subspace of the quotient."""
@@ -250,13 +253,9 @@ def quotient(L: LeibnizAlgebra, J: Subspace) -> QuotientPresentation:
     nonpiv = [c for c in range(L.dim) if c not in piv]
 
     def reduce_coords(v):
-        # kill pivot coordinates with J's RREF rows; what remains at the
+        # J's residual is zero at the pivot columns; its entries at the
         # non-pivot columns are the quotient coordinates
-        res = list(v)
-        for row, pc in zip(J.rows, piv):
-            c = res[pc]
-            if c != F.zero:
-                res = [F.sub(a, F.mul(c, b)) for a, b in zip(res, row)]
+        res = J.reduce(v)
         return tuple(res[c] for c in nonpiv)
 
     projection = Matrix.from_columns(F, [reduce_coords(L.basis_vector(i)) for i in range(L.dim)]) \
@@ -358,20 +357,11 @@ def restrict(L: LeibnizAlgebra, A: Subspace) -> LeibnizAlgebra:
     return LeibnizAlgebra(L.field, A.dim, table, labels)
 
 
-def embed_vector(A: Subspace, w: Sequence):
-    """Map restricted coordinates (w.r.t. A's canonical basis) back into L."""
-    F = A.field
-    v = zero_vec(F, A.ambient_dim)
-    for c, row in zip(w, A.rows):
-        v = vec_add(F, v, vec_scale(F, c, row))
-    return v
-
-
 def embed_subspace(A: Subspace, S: Subspace) -> Subspace:
     """Embed a subspace of restrict(L, A) as a subspace of L."""
     if S.ambient_dim != A.dim:
         raise AmbientMismatch("subspace does not live in the restricted coordinates")
-    return Subspace.span(A.field, A.ambient_dim, [embed_vector(A, r) for r in S.rows])
+    return Subspace.span(A.field, A.ambient_dim, [A.combine(r) for r in S.rows])
 
 
 def subspace_is_nilpotent(L: LeibnizAlgebra, A: Subspace) -> bool:
@@ -393,8 +383,6 @@ def center(L: LeibnizAlgebra) -> Subspace:
         rows.extend(left_mult(L, ej).rows)
     if not rows:
         return L.full_space()
-    from .exactlin import nullspace
-
     return Subspace.span(F, L.dim, nullspace(Matrix(F, rows)))
 
 
@@ -402,24 +390,12 @@ def largest_contained_ideal(L: LeibnizAlgebra, K: Subspace) -> Subspace:
     """Largest ideal of L inside K: fixed point of
     K -> { x in K : [x, e_j], [e_j, x] in K for all j }, a linear computation.
     """
-    from .exactlin import nullspace
-
     _check_ambient(L, K)
     F = L.field
     V = K
     while True:
         if V.dim == 0:
             return V
-        piv = V.pivots
-
-        def residual(v):
-            res = list(v)
-            for row, pc in zip(V.rows, piv):
-                c = res[pc]
-                if c != F.zero:
-                    res = [F.sub(a, F.mul(c, b)) for a, b in zip(res, row)]
-            return res
-
         # rows of the condition matrix: residuals of products of V's basis,
         # as linear functionals of the coefficient vector
         cond_cols = []
@@ -427,11 +403,11 @@ def largest_contained_ideal(L: LeibnizAlgebra, K: Subspace) -> Subspace:
             col = []
             for j in range(L.dim):
                 ej = L.basis_vector(j)
-                col.extend(residual(L.bracket(u, ej)))
-                col.extend(residual(L.bracket(ej, u)))
+                col.extend(V.reduce(L.bracket(u, ej)))
+                col.extend(V.reduce(L.bracket(ej, u)))
             cond_cols.append(col)
         ker = nullspace(Matrix.from_columns(F, cond_cols))
-        W = Subspace.span(F, L.dim, [embed_vector(V, k) for k in ker])
+        W = Subspace.span(F, L.dim, [V.combine(k) for k in ker])
         if W.dim == V.dim:
             return W
         V = W

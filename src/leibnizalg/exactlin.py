@@ -110,6 +110,15 @@ def zero_vec(field: Field, n: int) -> Vector:
 def unit_vec(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
+def lin_comb(field: Field, n: int, coeffs: Iterable, vectors: Iterable[Sequence]) -> Vector:
+    """sum_i coeffs[i] * vectors[i] in F^n; zero coefficients are skipped."""
+    z = field.zero
+    out = zero_vec(field, n)
+    for c, v in zip(coeffs, vectors):
+        if c != z:
+            out = tuple(field.add(a, field.mul(c, b)) for a, b in zip(out, v))
+    return out
+
 
 class Matrix:
     """Dense exact matrix; all entries share one field."""
@@ -178,9 +187,6 @@ class Matrix:
                 out_row.append(s)
             out.append(out_row)
         return Matrix(F, out)
-
-    def __mul__(self, other):
-        return self.matmul(other)
 
     def power(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -277,23 +283,6 @@ def nullspace(m: Matrix) -> list:
     return basis
 
 
-def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
-    """One solution of M x = b, or None if inconsistent."""
-    F = m.field
-    aug = Matrix(F, [list(r) + [bb] for r, bb in zip(m.rows, b)])
-    r = rref(aug)
-    ncols = m.ncols
-    x = [F.zero] * ncols
-    for row in r.rows:
-        pc = next((c for c, a in enumerate(row) if a != F.zero), None)
-        if pc is None:
-            continue
-        if pc == ncols:
-            return None
-        x[pc] = row[ncols]
-    return tuple(x)
-
-
 class Subspace:
     """A subspace of F^n held as its canonical RREF row basis (no zero rows)."""
 
@@ -340,27 +329,36 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("ambient dimension mismatch")
 
-    def contains(self, v: Sequence) -> bool:
+    def reduce(self, v: Sequence) -> Vector:
+        """Residual of v against the RREF rows: zero at every pivot column,
+        and zero everywhere exactly when v lies in the subspace."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length != ambient dim")
-        return self.coords(v) is not None
+        F = self.field
+        z = F.zero
+        res = list(v)
+        for row, pc in zip(self.rows, self.pivots):
+            c = res[pc]
+            if c != z:
+                res = [F.sub(a, F.mul(c, b)) for a, b in zip(res, row)]
+        return tuple(res)
+
+    def combine(self, w: Sequence) -> Vector:
+        """sum_i w[i] * rows[i]: the vector with coordinates w in the RREF basis."""
+        return lin_comb(self.field, self.ambient_dim, w, self.rows)
+
+    def contains(self, v: Sequence) -> bool:
+        return not any(self.reduce(v))
 
     def coords(self, v: Sequence) -> Optional[Vector]:
         """Coefficients of v in the RREF basis, or None if v is outside.
 
-        Read off pivot columns, then check the residual vanishes.
+        Every other row is zero at a row's pivot column, so the coefficients
+        are v's own entries at the pivot columns.
         """
-        F = self.field
-        res = list(v)
-        cs = []
-        for row, pc in zip(self.rows, self.pivots):
-            c = res[pc]
-            cs.append(c)
-            if c != F.zero:
-                res = [F.sub(a, F.mul(c, b)) for a, b in zip(res, row)]
-        if any(a != F.zero for a in res):
+        if any(self.reduce(v)):
             return None
-        return tuple(cs)
+        return tuple(v[pc] for pc in self.pivots)
 
     def leq(self, other: "Subspace") -> bool:
         self._check_compat(other)
@@ -384,13 +382,7 @@ class Subspace:
             return Subspace.zero(F, self.ambient_dim)
         cols = [list(r) for r in self.rows] + [[F.neg(a) for a in r] for r in other.rows]
         ker = nullspace(Matrix.from_columns(F, cols))
-        vecs = []
-        for k in ker:
-            v = zero_vec(F, self.ambient_dim)
-            for c, row in zip(k[: self.dim], self.rows):
-                v = vec_add(F, v, vec_scale(F, c, row))
-            vecs.append(v)
-        return Subspace.span(F, self.ambient_dim, vecs)
+        return Subspace.span(F, self.ambient_dim, [self.combine(k[: self.dim]) for k in ker])
 
     def __and__(self, other):
         return self.intersect(other)
@@ -416,26 +408,6 @@ class Subspace:
         body = ", ".join("(" + ", ".join(self.field.format(a) for a in r) + ")"
                          for r in self.rows)
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim}: {body})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def contains(a: Subspace, v: Sequence) -> bool:
-    return a.contains(v)
-
-
-def subspace_leq(a: Subspace, b: Subspace) -> bool:
-    return a.leq(b)
-
-
-def complement_basis(a: Subspace) -> list:
-    return a.complement_basis()
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

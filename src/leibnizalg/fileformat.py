@@ -70,32 +70,45 @@ def dumps_algebra(L: LeibnizAlgebra) -> str:
 def algebra_from_dict(d: dict) -> LeibnizAlgebra:
     try:
         F = field_from_str(d["field"])
-        dim = int(d["dim"])
+        dim = d["dim"]
         basis = list(d["basis"])
         raw = d["table"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"missing or malformed field: {e}") from None
+    if not _is_int(dim):
+        raise ParseError(f"dim must be an integer, got {dim!r}")
     if len(basis) != dim:
         raise ParseError(f"basis has {len(basis)} labels, dim is {dim}")
+    if not isinstance(raw, list):
+        raise ParseError(f"table must be a list, got {raw!r}")
     products = {}
     for entry in raw:
-        if len(entry) < 3:
-            raise ParseError(f"table entry too short: {entry}")
+        if not isinstance(entry, list) or len(entry) < 3:
+            raise ParseError(f"table entry must be a list [i, j, [k, num, den], ...]: {entry!r}")
         i, j = entry[0], entry[1]
-        if not (0 <= i < dim and 0 <= j < dim):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"table entry indices out of range: {entry}")
         comps = {}
         for item in entry[2:]:
-            if len(item) != 3:
-                raise ParseError(f"component must be [k, num, den]: {item}")
+            if not isinstance(item, list) or len(item) != 3 or not all(map(_is_int, item)):
+                raise ParseError(f"component must be [k, num, den] of integers: {item!r} "
+                                 f"in table entry {entry}")
             k, num, den = item
             if not 0 <= k < dim:
                 raise ParseError(f"component index out of range: {item}")
-            comps[k] = F.scalar(num, den)
+            try:
+                comps[k] = F.scalar(num, den)
+            except ZeroDivisionError:
+                raise ParseError(f"denominator {den} is not invertible over {F}: "
+                                 f"component {item} of table entry {entry}") from None
         if (i, j) in products:
             raise ParseError(f"duplicate table entry for ({i}, {j})")
         products[(i, j)] = comps
     return LeibnizAlgebra.from_products(F, dim, products, basis)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def loads_algebra(text: str) -> LeibnizAlgebra:

@@ -113,16 +113,21 @@ def scan(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> LatticeScan:
     return result
 
 
-def nilradical_from_scan(s: LatticeScan) -> Subspace:
-    L = s.algebra
+def _asserted_sum(L: LeibnizAlgebra, ideals: list, holds, adjective: str) -> Subspace:
+    """Sum of the ideals, asserted to be an ideal on which `holds` is true."""
     total = L.zero_space()
-    for J in s.nilpotent_ideals:
+    for J in ideals:
         total = total + J
-    # Theorem-1 / maximal-nilpotent-ideal assertions, on concrete data
     if not is_ideal(L, total):
-        raise TheoremViolation("sum of nilpotent ideals is not an ideal")
-    if total.dim and not subspace_is_nilpotent(L, total):
-        raise TheoremViolation("sum of nilpotent ideals is not nilpotent")
+        raise TheoremViolation(f"sum of {adjective} ideals is not an ideal")
+    if total.dim and not holds(L, total):
+        raise TheoremViolation(f"sum of {adjective} ideals is not {adjective}")
+    return total
+
+
+def nilradical_from_scan(s: LatticeScan) -> Subspace:
+    # Theorem-1 / maximal-nilpotent-ideal assertions, on concrete data
+    total = _asserted_sum(s.algebra, s.nilpotent_ideals, subspace_is_nilpotent, "nilpotent")
     for J in s.nilpotent_ideals:
         if not J.leq(total):
             raise TheoremViolation("nilpotent ideal not contained in the sum")
@@ -137,14 +142,7 @@ def nilradical_oracle(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspa
 def radical_oracle(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
     """Sum of all solvable ideals, asserted to be a solvable ideal."""
     s = scan(L, budget)
-    total = L.zero_space()
-    for J in s.solvable_ideals:
-        total = total + J
-    if not is_ideal(L, total):
-        raise TheoremViolation("sum of solvable ideals is not an ideal")
-    if total.dim and not subspace_is_solvable(L, total):
-        raise TheoremViolation("sum of solvable ideals is not solvable")
-    return total
+    return _asserted_sum(L, s.solvable_ideals, subspace_is_solvable, "solvable")
 
 
 def frattini_oracle(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:

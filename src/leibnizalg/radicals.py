@@ -18,7 +18,6 @@ from .core import (
     bracket_span,
     derived_series,
     embed_subspace,
-    embed_vector,
     is_ideal,
     is_nilpotent,
     is_subalgebra,
@@ -44,16 +43,11 @@ from .reports import VerificationReport
 
 
 @dataclass
-class RadicalResult:
-    subspace: Subspace
-    method: str                      # "cartan-pullback" or "oracle-exhaustive"
-    certificates: dict = field(default_factory=dict)
+class CertifiedIdeal:
+    """A radical or nilradical with the certificates that were checked on it."""
 
-
-@dataclass
-class NilradicalResult:
     subspace: Subspace
-    method: str                      # "trace-form-char0" or "oracle-exhaustive"
+    method: str      # "cartan-pullback", "trace-form-char0" or "oracle-exhaustive"
     certificates: dict = field(default_factory=dict)
 
 
@@ -67,6 +61,11 @@ class Theorem2Report:
     kernel_quotient_equal: bool      # N(L/I) == N(L)/I
     details: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        """The formula holds, and the condition holds iff N(L/I) = N(L)/I."""
+        return self.formula_equal and self.nilpotency_condition == self.kernel_quotient_equal
 
     def to_dict(self) -> dict:
         from .reports import _jsonable
@@ -83,20 +82,7 @@ class Theorem2Report:
         }
 
 
-def _right_mult_family(L: LeibnizAlgebra):
-    return [right_mult(L, L.basis_vector(i)) for i in range(L.dim)]
-
-
-def _right_mult_of(L: LeibnizAlgebra, family, x) -> Matrix:
-    F = L.field
-    M = Matrix.zeros(F, L.dim, L.dim)
-    for c, Mi in zip(x, family):
-        if c != F.zero:
-            M = M.add(Mi.scale(c))
-    return M
-
-
-def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> RadicalResult:
+def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> CertifiedIdeal:
     """Largest solvable ideal.
 
     Char 0: the quotient by the span of squares is a Lie algebra with the same
@@ -107,12 +93,12 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> RadicalRe
     """
     if L.field.modulus is not None:
         R = oracle.radical_oracle(L, budget)
-        return _certify_radical(L, R, "oracle-exhaustive")
+        return _certify(L, R, "oracle-exhaustive", derived_series)
     qp = liesation(L)
     lam = qp.quotient
     rad_lam = _lie_radical_killing(lam)
     R = qp.pull_back(rad_lam)
-    return _certify_radical(L, R, "cartan-pullback")
+    return _certify(L, R, "cartan-pullback", derived_series)
 
 
 def _lie_radical_killing(lam: LeibnizAlgebra) -> Subspace:
@@ -126,30 +112,26 @@ def _lie_radical_killing(lam: LeibnizAlgebra) -> Subspace:
     D = bracket_span(lam, lam.full_space(), lam.full_space())
     if D.dim == 0:
         return lam.full_space()
-    rows = []
-    for d in D.rows:
-        row = []
-        for i in range(m):
-            s = F.zero
-            for j, dj in enumerate(d):
-                s = F.add(s, F.mul(gram[i][j], dj))
-            row.append(s)
-        rows.append(row)
+    G = Matrix(F, gram)
+    rows = [G.matvec(d) for d in D.rows]
     return Subspace.span(F, m, nullspace(Matrix(F, rows)))
 
 
-def _certify_radical(L: LeibnizAlgebra, R: Subspace, method: str) -> RadicalResult:
-    certs = {"is_ideal": is_ideal(L, R)}
+def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedIdeal:
+    """Certify that S is an ideal on which `series` (derived_series for the
+    radical, lower_central_series for the nilradical) reaches zero; the
+    series certificate is named after the series function."""
+    certs = {"is_ideal": is_ideal(L, S)}
     if not certs["is_ideal"]:
-        raise InternalInconsistency("computed radical is not an ideal")
-    series = derived_series(restrict(L, R)) if R.dim else []
-    certs["derived_series_reaches_zero"] = (not series) or series[-1].dim == 0
-    if not certs["derived_series_reaches_zero"]:
-        raise InternalInconsistency("computed radical is not solvable")
-    return RadicalResult(R, method, certs)
+        raise InternalInconsistency(f"{method}: the computed subspace is not an ideal")
+    key = f"{series.__name__}_reaches_zero"
+    certs[key] = S.dim == 0 or series(restrict(L, S))[-1].dim == 0
+    if not certs[key]:
+        raise InternalInconsistency(f"{method}: certificate {key} failed")
+    return CertifiedIdeal(S, method, certs)
 
 
-def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> NilradicalResult:
+def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> CertifiedIdeal:
     """Largest nilpotent ideal.
 
     Char 0: within the radical R, the nilradical is exactly the set of x whose
@@ -163,16 +145,26 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Nilrad
     per-basis-vector nilpotent right multiplications.
     """
     if L.field.modulus is not None:
-        N = oracle.nilradical_oracle(L, budget)
-        return _certify_nilradical(L, N, "oracle-exhaustive")
+        N, method = oracle.nilradical_oracle(L, budget), "oracle-exhaustive"
+    else:
+        N, method = _nilradical_char0(L), "trace-form-char0"
+    res = _certify(L, N, method, lower_central_series)
+    key = "right_mult_nilpotent_per_basis_vector"
+    res.certificates[key] = all(right_mult(L, v).is_nilpotent() for v in N.rows)
+    if not res.certificates[key]:
+        raise InternalInconsistency(
+            "computed nilradical has a basis vector with non-nilpotent right multiplication")
+    return res
 
+
+def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
+    """The trace-form refinement described in nilradical(), uncertified."""
     F = L.field
     n = L.dim
     R = radical(L).subspace
-    family = _right_mult_family(L)
 
     def op(x) -> Matrix:
-        return _right_mult_of(L, family, x)
+        return right_mult(L, x)
 
     def cut(space: Subspace, cond_rows) -> Subspace:
         # restrict a subspace by linear conditions given as functionals on L
@@ -182,7 +174,7 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Nilrad
         for u in space.rows:
             cols.append([row(u) for row in cond_rows])
         ker = nullspace(Matrix.from_columns(F, cols))
-        return Subspace.span(F, n, [embed_vector(space, k) for k in ker])
+        return Subspace.span(F, n, [space.combine(k) for k in ker])
 
     base_conditions = [lambda u: op(u).trace()]
     for y in R.rows:
@@ -211,27 +203,7 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Nilrad
             raise InternalInconsistency(
                 "trace-form refinement failed to shrink the candidate nilradical")
         C = shrunk
-
-    return _certify_nilradical(L, C, "trace-form-char0")
-
-
-def _certify_nilradical(L: LeibnizAlgebra, N: Subspace, method: str) -> NilradicalResult:
-    certs = {"is_ideal": is_ideal(L, N)}
-    if not certs["is_ideal"]:
-        raise InternalInconsistency("computed nilradical is not an ideal")
-    if N.dim:
-        series = lower_central_series(restrict(L, N))
-        certs["lower_central_series_reaches_zero"] = series[-1].dim == 0
-    else:
-        certs["lower_central_series_reaches_zero"] = True
-    if not certs["lower_central_series_reaches_zero"]:
-        raise InternalInconsistency("computed nilradical is not nilpotent")
-    certs["right_mult_nilpotent_per_basis_vector"] = all(
-        right_mult(L, v).is_nilpotent() for v in N.rows)
-    if not certs["right_mult_nilpotent_per_basis_vector"]:
-        raise InternalInconsistency(
-            "computed nilradical has a basis vector with non-nilpotent right multiplication")
-    return NilradicalResult(N, method, certs)
+    return C
 
 
 def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Subspace:

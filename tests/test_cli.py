@@ -136,3 +136,25 @@ def test_json_and_text_verdicts_identical(capsys, ex1_file):
     # subspace bases agree between formats
     assert "span{(0, 1)}" in out_t  # the kernel, as exact fractions
     assert rep["theorem2"]["details"]["kernel"]["basis"] == [[[0, 1], [1, 1]]]
+
+
+GOOD = {"field": "Q", "dim": 2, "basis": ["e1", "e2"], "table": [[0, 0, [1, 1, 1]]]}
+
+
+@pytest.mark.parametrize("args", [
+    ["info", {**GOOD, "table": [[0, 0, [1, 1, 0]]]}],          # den = 0
+    ["info", {**GOOD, "dim": "x"}],                            # non-integer dim
+    ["info", {**GOOD, "dim": 2.5}],                            # was truncated to 2
+    ["info", {**GOOD, "table": [[0, 0, [1, 0.5, 1]]]}],        # float num
+    ["info", {**GOOD, "table": [5]}],                          # entry not a list
+    ["quotient", "example1", "--by", "1,x"],                   # bad vector component
+], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector"])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
+    if isinstance(args[1], dict):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(args[1]))
+        args = [args[0], str(path)] + args[2:]
+    assert cli.run(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith("error: ")

@@ -18,6 +18,7 @@ from leibnizalg.core import (
     is_nilpotent,
     is_solvable,
     is_subalgebra,
+    left_mult,
     leibniz_kernel,
     liesation,
     lower_central_series,
@@ -29,6 +30,7 @@ from leibnizalg.core import (
 )
 from leibnizalg.errors import NotAnIdeal, NotASubalgebra
 from leibnizalg.exactlin import QQ, Subspace, unit_vec, vec_add, vec_scale, zero_vec
+from leibnizalg.oracle import reduce_mod_p
 
 
 def ex1():
@@ -91,6 +93,28 @@ def test_right_mult_linear_in_x():
         .add(right_mult(L, L.basis_vector(1)).scale(Fraction(-1))) \
         .add(right_mult(L, L.basis_vector(2)).scale(Fraction(3)))
     assert right_mult(L, x) == expect
+
+
+def _corpus_over_q_and_small_primes():
+    for e in corpus.standard_entries():
+        yield e.name, e.algebra
+        for p in (2, 3):
+            Lp = reduce_mod_p(e.algebra, p)
+            if Lp is not None:
+                yield f"{e.name} mod {p}", Lp
+
+
+def test_mult_operators_match_bracket_columns():
+    rng = random.Random(7)
+    for name, L in _corpus_over_q_and_small_primes():
+        F = L.field
+        for _ in range(4):
+            x = tuple(F.scalar(rng.randint(-3, 3), rng.randint(1, 3) if F.modulus is None else 1)
+                      for _ in range(L.dim))
+            cols_r = [L.bracket(L.basis_vector(i), x) for i in range(L.dim)]
+            cols_l = [L.bracket(x, L.basis_vector(i)) for i in range(L.dim)]
+            assert [right_mult(L, x).column(i) for i in range(L.dim)] == cols_r, name
+            assert [left_mult(L, x).column(i) for i in range(L.dim)] == cols_l, name
 
 
 # ---------------------------------------------------------------- spans

@@ -10,15 +10,14 @@ from leibnizalg.exactlin import (
     Field,
     Matrix,
     Subspace,
-    complement_basis,
     gaussian_binomial,
     nullspace,
     rref,
     subspace_count,
-    subspace_intersect,
-    subspace_leq,
-    subspace_sum,
     unit_vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
 
 F5 = Field(5)
@@ -53,31 +52,31 @@ def test_rref_over_prime_field():
 def test_sum_of_axes_is_full():
     a = Subspace.span(QQ, 2, [unit_vec(QQ, 2, 0)])
     b = Subspace.span(QQ, 2, [unit_vec(QQ, 2, 1)])
-    assert subspace_sum(a, b) == Subspace.full(QQ, 2)
+    assert a.sum(b) == Subspace.full(QQ, 2)
 
 
 def test_sum_idempotent():
     v = Subspace.span(QQ, 3, [(Fraction(1), Fraction(2), Fraction(0))])
-    assert subspace_sum(v, v) == v
+    assert v.sum(v) == v
 
 
 def test_sum_with_skew_line():
     a = Subspace.span(QQ, 2, [(Fraction(1), Fraction(0))])
     b = Subspace.span(QQ, 2, [(Fraction(1), Fraction(1))])
-    assert subspace_sum(a, b) == Subspace.full(QQ, 2)
+    assert a.sum(b) == Subspace.full(QQ, 2)
 
 
 def test_intersection_of_planes():
     e = [unit_vec(QQ, 3, i) for i in range(3)]
     a = Subspace.span(QQ, 3, [e[0], e[1]])
     b = Subspace.span(QQ, 3, [e[1], e[2]])
-    assert subspace_intersect(a, b) == Subspace.span(QQ, 3, [e[1]])
+    assert a.intersect(b) == Subspace.span(QQ, 3, [e[1]])
 
 
 def test_intersection_with_zero():
     v = Subspace.full(QQ, 3)
     z = Subspace.zero(QQ, 3)
-    assert subspace_intersect(v, z) == z
+    assert v.intersect(z) == z
 
 
 def test_membership():
@@ -85,37 +84,37 @@ def test_membership():
     a = Subspace.span(QQ, 3, [e[0], e[1]])
     assert a.contains((Fraction(1), Fraction(1), Fraction(0)))
     assert not a.contains(e[2])
-    assert subspace_leq(Subspace.zero(QQ, 3), a)
+    assert Subspace.zero(QQ, 3).leq(a)
 
 
 def test_ambient_mismatch_raises():
     a = Subspace.full(QQ, 2)
     b = Subspace.full(QQ, 3)
     with pytest.raises(AmbientMismatch):
-        subspace_sum(a, b)
+        a.sum(b)
     with pytest.raises(AmbientMismatch):
         a.contains((QQ.zero,) * 3)
 
 
 def test_complement_of_axis():
     a = Subspace.span(QQ, 2, [unit_vec(QQ, 2, 0)])
-    assert complement_basis(a) == [unit_vec(QQ, 2, 1)]
+    assert a.complement_basis() == [unit_vec(QQ, 2, 1)]
 
 
 def test_complement_of_full_space_empty():
-    assert complement_basis(Subspace.full(QQ, 4)) == []
+    assert Subspace.full(QQ, 4).complement_basis() == []
 
 
 def test_complement_of_diagonal_line():
     # pivot of span{e1+e2} is column 0, so the complement is e2
     a = Subspace.span(QQ, 2, [(Fraction(1), Fraction(1))])
-    assert complement_basis(a) == [unit_vec(QQ, 2, 1)]
+    assert a.complement_basis() == [unit_vec(QQ, 2, 1)]
 
 
 def test_complement_always_completes_basis():
     a = Subspace.span(QQ, 4, [(Fraction(1), Fraction(2), Fraction(0), Fraction(1)),
                               (Fraction(0), Fraction(0), Fraction(1), Fraction(3))])
-    total = Subspace.span(QQ, 4, list(a.rows) + complement_basis(a))
+    total = Subspace.span(QQ, 4, list(a.rows) + a.complement_basis())
     assert total == Subspace.full(QQ, 4)
 
 
@@ -179,6 +178,46 @@ def test_dimension_formula(ma, mb):
     a = Subspace.span(QQ, n, pad(ma.rows))
     b = Subspace.span(QQ, n, pad(mb.rows))
     assert (a + b).dim + (a & b).dim == a.dim + b.dim
+
+
+def _scalars(F):
+    return fractions_st if F.modulus is None else st.integers(0, F.modulus - 1)
+
+
+@st.composite
+def subspace_case(draw, n=4):
+    """(S, gens, v): S spanned by the random generators gens, v a random vector."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3), F5]))
+    vec = st.tuples(*[_scalars(F)] * n)
+    gens = draw(st.lists(vec, max_size=n))
+    return Subspace.span(F, n, gens), gens, draw(vec)
+
+
+def _in_span(S, v):
+    # membership without reduce: adding v to the rows keeps the rank
+    return Subspace.span(S.field, S.ambient_dim, list(S.rows) + [v]).dim == S.dim
+
+
+@given(subspace_case())
+def test_reduce_residual(case):
+    S, _, v = case
+    F = S.field
+    r = S.reduce(v)
+    assert _in_span(S, vec_sub(F, v, r))
+    assert all(r[pc] == F.zero for pc in S.pivots)
+    assert all(a == F.zero for a in r) == _in_span(S, v) == S.contains(v)
+
+
+@given(subspace_case(), st.data())
+def test_combine_inverts_coords(case, data):
+    S, gens, _ = case
+    F = S.field
+    v = tuple(F.zero for _ in range(S.ambient_dim))
+    for g in gens:
+        v = vec_add(F, v, vec_scale(F, data.draw(_scalars(F)), g))
+    w = S.coords(v)
+    assert w is not None
+    assert S.combine(w) == v
 
 
 @given(fractions_st, fractions_st, fractions_st)

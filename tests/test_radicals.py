@@ -17,6 +17,7 @@ from leibnizalg.core import (
 from leibnizalg.errors import InternalInconsistency, PremiseViolation, Unsupported
 from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, unit_vec
 from leibnizalg.radicals import (
+    Theorem2Report,
     find_complement_B,
     frattini_ideal,
     nilradical,
@@ -291,3 +292,21 @@ def test_prop3_and_corollary_across_corpus():
     for e in corpus.standard_entries():
         assert verify_prop3(e.algebra).passed, e.name
         assert verify_corollary(e.algebra).passed, e.name
+
+
+# ---------------------------------------------------------------- theorem-2 verdict
+
+@pytest.mark.parametrize("formula_equal,condition,kernel_quotient_equal,passed", [
+    (True, True, True, True),       # condition holds and N(L/I) = N(L)/I
+    (True, False, False, True),     # condition fails and N(L/I) != N(L)/I
+    (False, True, True, False),     # formula fails
+    (True, True, False, False),     # condition holds but the quotients differ
+    (True, False, True, False),     # condition fails but the quotients agree
+])
+def test_theorem2_report_verdict(formula_equal, condition, kernel_quotient_equal, passed):
+    z = Subspace.zero(QQ, 1)
+    rep = Theorem2Report(premises_ok={}, lhs=z, rhs=z, formula_equal=formula_equal,
+                         nilpotency_condition=condition,
+                         kernel_quotient_equal=kernel_quotient_equal)
+    assert rep.passed is passed
+    assert "passed" not in rep.to_dict()
