@@ -9,6 +9,7 @@ i.e. every y -> [y,x] is a derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -26,7 +27,6 @@ from .exactlin import (
     nullspace,
     unit_vec,
     vec_add,
-    vec_scale,
     zero_vec,
 )
 from .reports import VerificationReport
@@ -63,26 +63,30 @@ class LeibnizAlgebra:
         table = [[list(zero_vec(field, dim)) for _ in range(dim)] for _ in range(dim)]
         for (i, j), comps in products.items():
             for k, c in comps.items():
-                table[i][j][k] = field.scalar(c) if isinstance(c, int) else c
+                if isinstance(c, int):
+                    c = field.scalar(c)
+                elif field.modulus is not None or not isinstance(c, Fraction):
+                    raise TypeError(f"coefficient {c!r} of [e{i+1}, e{j+1}] is not "
+                                    f"an int or, over Q, a Fraction")
+                table[i][j][k] = c
         return cls(field, dim, table, labels)
 
     def basis_vector(self, i: int):
         return unit_vec(self.field, self.dim, i)
 
     def bracket(self, u: Sequence, v: Sequence):
-        """Bilinear extension of the table: [u, v]."""
-        F = self.field
+        """Bilinear extension of the table: [u, v] = sum_ijk u_i v_j c[i][j][k] e_k,
+        over the nonzero u_i, v_j and c[i][j][k] only."""
         if len(u) != self.dim or len(v) != self.dim:
             raise AmbientMismatch("vector length != algebra dim")
-        out = zero_vec(F, self.dim)
-        for i, a in enumerate(u):
-            if a == F.zero:
-                continue
-            for j, b in enumerate(v):
-                if b == F.zero:
-                    continue
-                out = vec_add(F, out, vec_scale(F, F.mul(a, b), self.table[i][j]))
-        return out
+        v_nz = [(j, b) for j, b in enumerate(v) if b]
+        coeffs, products = [], []
+        for a, row in zip(u, self.table):
+            if a:
+                for j, b in v_nz:
+                    coeffs.append(a * b)
+                    products.append(row[j])
+        return lin_comb(self.field, self.dim, coeffs, products)
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.field, self.dim)

@@ -15,16 +15,33 @@ from typing import Iterable, Optional, Sequence
 from .errors import AmbientMismatch, FieldMismatch
 
 
+# Miller-Rabin with the prime bases 2..41 is exact for every n below this
+# bound (Sorenson and Webster, 2015); larger moduli are refused.
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -35,6 +52,9 @@ class Field:
     modulus: Optional[int] = None
 
     def __post_init__(self):
+        if self.modulus is not None and self.modulus >= PRIME_BOUND:
+            raise ValueError(f"modulus must be below {PRIME_BOUND}, where the primality "
+                             f"test is exact; got {self.modulus}")
         if self.modulus is not None and not _is_prime(self.modulus):
             raise ValueError(f"modulus must be prime, got {self.modulus}")
 
@@ -48,6 +68,8 @@ class Field:
 
     def scalar(self, num: int, den: int = 1):
         """Exact field element num/den; den must be a unit mod p."""
+        if not isinstance(num, int) or not isinstance(den, int):
+            raise TypeError(f"scalar needs integer num and den, got {num!r}/{den!r}")
         if self.modulus is None:
             return Fraction(num, den)
         p = self.modulus
@@ -111,13 +133,15 @@ def unit_vec(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
 def lin_comb(field: Field, n: int, coeffs: Iterable, vectors: Iterable[Sequence]) -> Vector:
-    """sum_i coeffs[i] * vectors[i] in F^n; zero coefficients are skipped."""
-    z = field.zero
-    out = zero_vec(field, n)
+    """sum_i coeffs[i] * vectors[i] in F^n; zero coefficients and entries are skipped."""
+    out = [field.zero] * n
     for c, v in zip(coeffs, vectors):
-        if c != z:
-            out = tuple(field.add(a, field.mul(c, b)) for a, b in zip(out, v))
-    return out
+        if c:
+            for k, b in enumerate(v):
+                if b:
+                    out[k] += c * b
+    p = field.modulus
+    return tuple(out) if p is None else tuple(a % p for a in out)
 
 
 class Matrix:
@@ -159,42 +183,32 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def matvec(self, v: Sequence) -> Vector:
-        F = self.field
         if len(v) != self.ncols:
             raise AmbientMismatch(f"matvec: {self.ncols} cols vs vector of length {len(v)}")
-        out = []
-        for row in self.rows:
-            s = F.zero
-            for a, x in zip(row, v):
-                s = F.add(s, F.mul(a, x))
-            out.append(s)
-        return tuple(out)
+        return lin_comb(self.field, self.nrows, v, self.transpose().rows)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatch("matmul over different fields")
         if self.ncols != other.nrows:
             raise AmbientMismatch("matmul shape mismatch")
-        F = self.field
-        ot = list(zip(*other.rows)) if other.rows else []
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in ot:
-                s = F.zero
-                for a, b in zip(row, col):
-                    s = F.add(s, F.mul(a, b))
-                out_row.append(s)
-            out.append(out_row)
-        return Matrix(F, out)
+        # row i of AB is sum_k A[i][k] * (row k of B), over the nonzero A[i][k]
+        return Matrix(self.field, [lin_comb(self.field, other.ncols, row, other.rows)
+                                   for row in self.rows])
 
-    def power(self, k: int) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ValueError("power of non-square matrix")
-        result = Matrix.identity(self.field, self.nrows)
-        for _ in range(k):
-            result = result.matmul(self)
-        return result
+    def trace_of_product(self, other: "Matrix"):
+        """tr(AB) = sum_ij A[i][j] * B[j][i], without forming AB."""
+        if self.field != other.field:
+            raise FieldMismatch("trace_of_product over different fields")
+        if self.ncols != other.nrows or self.nrows != other.ncols:
+            raise AmbientMismatch("trace_of_product shape mismatch")
+        s = self.field.zero
+        for row, col in zip(self.rows, other.transpose().rows):
+            for a, b in zip(row, col):
+                if a and b:
+                    s += a * b
+        p = self.field.modulus
+        return s if p is None else s % p
 
     def add(self, other: "Matrix") -> "Matrix":
         F = self.field
@@ -216,12 +230,19 @@ class Matrix:
         return Matrix(self.field, zip(*self.rows)) if self.rows else Matrix(self.field, [])
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for r in self.rows for a in r)
+        return not any(any(r) for r in self.rows)
 
     def is_nilpotent(self) -> bool:
-        """Exact over any field: M nilpotent iff M^n = 0 for n = dim."""
-        return self.power(self.nrows).is_zero()
+        """Exact over any field: M is nilpotent iff M^n = 0 for n = dim, and
+        M^n = 0 iff M^(2^k) = 0 for 2^k >= n; square until zero or 2^k >= n."""
+        if self.nrows != self.ncols:
+            raise ValueError("nilpotency of a non-square matrix")
+        P, k = self, 1
+        while not P.is_zero():
+            if k >= self.nrows:
+                return False
+            P, k = P.matmul(P), 2 * k
+        return True
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -236,13 +257,14 @@ class Matrix:
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row echelon form; Gauss-Jordan with exact division."""
     F = m.field
+    p = F.modulus
     rows = [list(r) for r in m.rows]
     nrows, ncols = len(rows), m.ncols
     piv_r = 0
     for piv_c in range(ncols):
         pr = None
         for r in range(piv_r, nrows):
-            if rows[r][piv_c] != F.zero:
+            if rows[r][piv_c]:
                 pr = r
                 break
         if pr is None:
@@ -250,14 +272,23 @@ def rref(m: Matrix) -> Matrix:
         rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
         inv = F.inv(rows[piv_r][piv_c])
         rows[piv_r] = [F.mul(inv, a) for a in rows[piv_r]]
+        # only the pivot row's nonzero entries change the other rows
+        nz = [(j, b) for j, b in enumerate(rows[piv_r]) if b]
         for r in range(nrows):
-            if r != piv_r and rows[r][piv_c] != F.zero:
-                c0 = rows[r][piv_c]
-                rows[r] = [F.sub(a, F.mul(c0, b)) for a, b in zip(rows[r], rows[piv_r])]
+            row = rows[r]
+            c0 = row[piv_c]
+            if r == piv_r or not c0:
+                continue
+            if p is None:
+                for j, b in nz:
+                    row[j] -= c0 * b
+            else:
+                for j, b in nz:
+                    row[j] = (row[j] - c0 * b) % p
         piv_r += 1
         if piv_r == nrows:
             break
-    kept = [r for r in rows if any(a != F.zero for a in r)]
+    kept = [r for r in rows if any(r)]
     return Matrix(F, kept) if kept else Matrix.zeros(F, 0, ncols)
 
 
@@ -266,12 +297,7 @@ def nullspace(m: Matrix) -> list:
     F = m.field
     r = rref(m)
     ncols = m.ncols
-    pivots = []
-    for row in r.rows:
-        for c, a in enumerate(row):
-            if a != F.zero:
-                pivots.append(c)
-                break
+    pivots = [next(c for c, a in enumerate(row) if a) for row in r.rows]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -317,8 +343,7 @@ class Subspace:
 
     @property
     def pivots(self) -> tuple:
-        z = self.field.zero
-        return tuple(next(c for c, a in enumerate(row) if a != z) for row in self.rows)
+        return tuple(next(c for c, a in enumerate(row) if a) for row in self.rows)
 
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.rows) if self.rows else Matrix.zeros(self.field, 0, self.ambient_dim)
@@ -334,13 +359,14 @@ class Subspace:
         and zero everywhere exactly when v lies in the subspace."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length != ambient dim")
-        F = self.field
-        z = F.zero
+        p = self.field.modulus
         res = list(v)
         for row, pc in zip(self.rows, self.pivots):
             c = res[pc]
-            if c != z:
-                res = [F.sub(a, F.mul(c, b)) for a, b in zip(res, row)]
+            if c:
+                for j, b in enumerate(row):
+                    if b:
+                        res[j] = res[j] - c * b if p is None else (res[j] - c * b) % p
         return tuple(res)
 
     def combine(self, w: Sequence) -> Vector:

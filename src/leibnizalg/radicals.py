@@ -108,7 +108,7 @@ def _lie_radical_killing(lam: LeibnizAlgebra) -> Subspace:
     if m == 0:
         return lam.zero_space()
     ads = [left_mult(lam, lam.basis_vector(i)) for i in range(m)]
-    gram = [[ads[i].matmul(ads[j]).trace() for j in range(m)] for i in range(m)]
+    gram = [[ads[i].trace_of_product(ads[j]) for j in range(m)] for i in range(m)]
     D = bracket_span(lam, lam.full_space(), lam.full_space())
     if D.dim == 0:
         return lam.full_space()
@@ -163,42 +163,35 @@ def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
     n = L.dim
     R = radical(L).subspace
 
-    def op(x) -> Matrix:
-        return right_mult(L, x)
-
-    def cut(space: Subspace, cond_rows) -> Subspace:
-        # restrict a subspace by linear conditions given as functionals on L
-        if space.dim == 0 or not cond_rows:
+    def cut(space: Subspace, conds) -> Subspace:
+        # restrict a subspace by linear conditions, each a functional of R_u;
+        # R_u is built once per basis vector u
+        if space.dim == 0 or not conds:
             return space
         cols = []
         for u in space.rows:
-            cols.append([row(u) for row in cond_rows])
+            Ru = right_mult(L, u)
+            cols.append([cond(Ru) for cond in conds])
         ker = nullspace(Matrix.from_columns(F, cols))
         return Subspace.span(F, n, [space.combine(k) for k in ker])
 
-    base_conditions = [lambda u: op(u).trace()]
-    for y in R.rows:
-        Ry = op(y)
-        base_conditions.append(lambda u, Ry=Ry: op(u).matmul(Ry).trace())
-    C = cut(R, base_conditions)
+    # tr(R_u) and tr(R_u R_y) = tr(R_y R_u) for the basis y of R
+    C = cut(R, [Matrix.trace] + [right_mult(L, y).trace_of_product for y in R.rows])
 
     while True:
         bad = None
         for v in C.rows:
-            if not op(v).is_nilpotent():
+            if not right_mult(L, v).is_nilpotent():
                 bad = v
                 break
         if bad is None:
             break
-        # R_v^k for k = 1..n
-        Rv = op(bad)
-        powers = []
-        P = Rv
-        for _ in range(n):
-            powers.append(P)
-            P = P.matmul(Rv)
-        conds = [lambda u, Pk=Pk: op(u).matmul(Pk).trace() for Pk in powers]
-        shrunk = cut(C, conds)
+        # tr(R_u R_v^k) for k = 1..n
+        Rv = right_mult(L, bad)
+        powers = [Rv]
+        while len(powers) < n:
+            powers.append(powers[-1].matmul(Rv))
+        shrunk = cut(C, [Pk.trace_of_product for Pk in powers])
         if shrunk.dim >= C.dim:
             raise InternalInconsistency(
                 "trace-form refinement failed to shrink the candidate nilradical")

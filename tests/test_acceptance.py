@@ -191,3 +191,13 @@ def test_criterion_9_lemma1_instance():
     rep = verify_lemma1(L)
     ok = I <= phi and rep.applicable and rep.passed
     report("9 lemma1-instance", ok)
+
+
+def test_criterion_10_nilradical_at_dim17():
+    t0 = time.time()
+    entry = corpus.example2(16, 8)
+    res = nilradical(entry.algebra)
+    ok = res.subspace == entry.expected["nilradical"]["value"]
+    ok &= res.method == "trace-form-char0" and all(res.certificates.values())
+    elapsed = time.time() - t0
+    report("10 nilradical-at-dim17", ok and elapsed < 10.0, elapsed)

@@ -148,7 +148,9 @@ GOOD = {"field": "Q", "dim": 2, "basis": ["e1", "e2"], "table": [[0, 0, [1, 1, 1
     ["info", {**GOOD, "table": [[0, 0, [1, 0.5, 1]]]}],        # float num
     ["info", {**GOOD, "table": [5]}],                          # entry not a list
     ["quotient", "example1", "--by", "1,x"],                   # bad vector component
-], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector"])
+    ["info", {**GOOD, "field": f"F{2**89 - 1}"}],              # prime above the bound
+], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector",
+        "modulus-above-bound"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
     if isinstance(args[1], dict):
         path = tmp_path / "bad.json"

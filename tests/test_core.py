@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leibnizalg import corpus
 from leibnizalg.core import (
@@ -29,7 +31,7 @@ from leibnizalg.core import (
     two_sided_span,
 )
 from leibnizalg.errors import NotAnIdeal, NotASubalgebra
-from leibnizalg.exactlin import QQ, Subspace, unit_vec, vec_add, vec_scale, zero_vec
+from leibnizalg.exactlin import QQ, Field, Subspace, unit_vec, vec_add, vec_scale, zero_vec
 from leibnizalg.oracle import reduce_mod_p
 
 
@@ -64,6 +66,38 @@ def test_broken_table_reported_with_both_sides():
     bad = [w for w in rep.witnesses if w["indices"] == (0, 0, 0)]
     assert bad and bad[0]["lhs"] == unit_vec(QQ, 2, 0)
     assert bad[0]["rhs"] == zero_vec(QQ, 2)
+
+
+def test_from_products_rejects_non_field_coefficients():
+    with pytest.raises(TypeError):
+        LeibnizAlgebra.from_products(QQ, 2, {(0, 0): {1: 1.5}})
+    with pytest.raises(TypeError):
+        LeibnizAlgebra.from_products(Field(3), 2, {(0, 0): {1: Fraction(1, 2)}})
+    L = LeibnizAlgebra.from_products(QQ, 2, {(0, 0): {1: Fraction(1, 2)}, (1, 0): {1: 2}})
+    assert L.table[0][0] == (0, Fraction(1, 2)) and L.table[1][0] == (0, 2)
+
+
+@st.composite
+def table_and_vectors(draw, n_max=4):
+    """A random bilinear table (not necessarily Leibniz) and two vectors."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+    n = draw(st.integers(1, n_max))
+    scal = (st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+            if F.modulus is None else st.integers(0, F.modulus - 1))
+    vec = st.lists(scal, min_size=n, max_size=n)
+    table = [[draw(vec) for _ in range(n)] for _ in range(n)]
+    return LeibnizAlgebra(F, n, table), tuple(draw(vec)), tuple(draw(vec))
+
+
+@given(table_and_vectors())
+def test_bracket_is_bilinear_extension_of_table(case):
+    L, u, v = case
+    F = L.field
+    expect = zero_vec(F, L.dim)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            expect = vec_add(F, expect, vec_scale(F, F.mul(u[i], v[j]), L.table[i][j]))
+    assert L.bracket(u, v) == expect
 
 
 # ---------------------------------------------------------------- operators

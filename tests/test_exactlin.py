@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizalg.errors import AmbientMismatch
 from leibnizalg.exactlin import (
+    PRIME_BOUND,
     QQ,
     Field,
     Matrix,
@@ -220,6 +223,83 @@ def test_combine_inverts_coords(case, data):
     assert S.combine(w) == v
 
 
+def _ref_matmul(A, B):
+    # the textbook triple loop, kept independent of Matrix.matmul
+    F = A.field
+    out = []
+    for row in A.rows:
+        out_row = []
+        for j in range(B.ncols):
+            s = F.zero
+            for k, a in enumerate(row):
+                s = F.add(s, F.mul(a, B.rows[k][j]))
+            out_row.append(s)
+        out.append(out_row)
+    return Matrix(F, out)
+
+
+def _ref_is_nilpotent(M):
+    # M^n = 0 by n successive products
+    P = Matrix.identity(M.field, M.nrows)
+    for _ in range(M.nrows):
+        P = _ref_matmul(P, M)
+    return all(a == M.field.zero for r in P.rows for a in r)
+
+
+@st.composite
+def square_pair(draw, max_dim=5):
+    """(A, B): two random n x n matrices over one of Q, F_2, F_3, F_5."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3), F5]))
+    n = draw(st.integers(1, max_dim))
+    mat = st.lists(st.lists(_scalars(F), min_size=n, max_size=n), min_size=n, max_size=n)
+    return Matrix(F, draw(mat)), Matrix(F, draw(mat))
+
+
+@st.composite
+def nilpotent_conjugate(draw, max_dim=6):
+    """P N P^-1 for strictly upper-triangular N; P is a product of elementary
+    matrices E = I + c e_ij, whose inverses are I - c e_ij."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3), F5]))
+    n = draw(st.integers(1, max_dim))
+    M = Matrix(F, [[draw(_scalars(F)) if j > i else F.zero for j in range(n)]
+                   for i in range(n)])
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(_scalars(F))
+        if i == j:
+            continue
+        E, E_inv = Matrix.identity(F, n), Matrix.identity(F, n)
+        E.rows[i][j], E_inv.rows[i][j] = c, F.neg(c)
+        M = _ref_matmul(_ref_matmul(E, M), E_inv)
+    return M
+
+
+@given(square_pair())
+def test_matmul_matches_reference(pair):
+    A, B = pair
+    assert A.matmul(B) == _ref_matmul(A, B)
+
+
+@given(square_pair())
+def test_trace_of_product(pair):
+    A, B = pair
+    assert A.trace_of_product(B) == A.matmul(B).trace()
+
+
+@given(square_pair())
+def test_is_nilpotent_random(pair):
+    A, _ = pair
+    assert A.is_nilpotent() == _ref_is_nilpotent(A)
+
+
+@given(nilpotent_conjugate())
+def test_is_nilpotent_conjugate_of_strictly_upper(M):
+    assert _ref_is_nilpotent(M)
+    assert M.is_nilpotent()
+    # adding the identity makes it invertible, hence not nilpotent
+    assert not M.add(Matrix.identity(M.field, M.nrows)).is_nilpotent()
+
+
 @given(fractions_st, fractions_st, fractions_st)
 def test_field_axioms_q(a, b, c):
     F = QQ
@@ -249,6 +329,34 @@ def test_field_requires_prime_modulus():
         Field(6)
     with pytest.raises(ValueError):
         Field(1)
+
+
+def test_field_accepts_large_mersenne_prime_quickly():
+    t0 = time.perf_counter()
+    assert Field(2**61 - 1).char == 2**61 - 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("n", [561, 41041, 56052361, 3215031751, 318665857834031151167461])
+def test_field_rejects_pseudoprimes(n):
+    # Carmichael numbers (56052361 = 211 * 421 * 631 has no factor the bases
+    # divide), a strong pseudoprime to the bases 2, 3, 5, 7, and the least
+    # strong pseudoprime to every prime base up to 37, which only 41 exposes
+    with pytest.raises(ValueError):
+        Field(n)
+
+
+def test_field_rejects_modulus_beyond_exact_primality_bound():
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        Field(2**89 - 1)      # prime, but above the bound
+
+
+def test_scalar_rejects_non_integers():
+    with pytest.raises(TypeError):
+        Field(3).scalar(1.5)
+    with pytest.raises(TypeError):
+        QQ.scalar(1, 2.0)
+    assert Field(3).scalar(5, 2) == 1
 
 
 # ---------------------------------------------------------------- counting

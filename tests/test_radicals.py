@@ -108,6 +108,21 @@ def test_nilradical_sl2_zero_and_abelian_full():
     assert nilradical(L).subspace == L.full_space()
 
 
+@pytest.mark.parametrize("lie", [False, True])
+def test_nilradical_refinement_cuts_what_trace_forms_miss(lie):
+    # V = Q^4 with x acting by the 4-cycle permutation A: [v, x] = Av, and
+    # [x, v] = -Av in the Lie case.  tr(A) = tr(A^2) = 0 although A is
+    # invertible, so the base trace-form cut keeps x; only tr(R_u R_x^3)
+    # = tr(A^4) = 4 removes it.  The nilradical is V.
+    products = {(i, 4): {(i + 1) % 4: 1} for i in range(4)}
+    if lie:
+        products.update({(4, i): {(i + 1) % 4: -1} for i in range(4)})
+    L = LeibnizAlgebra.from_products(QQ, 5, products)
+    res = nilradical(L)
+    assert res.subspace == span_of(L, *[L.basis_vector(i) for i in range(4)])
+    assert res.method == "trace-form-char0" and all(res.certificates.values())
+
+
 def test_nilradical_certificates_always_pass():
     for e in corpus.standard_entries():
         res = nilradical(e.algebra)
