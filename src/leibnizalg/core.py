@@ -9,7 +9,6 @@ i.e. every y -> [y,x] is a derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -35,9 +34,10 @@ from .reports import VerificationReport
 class LeibnizAlgebra:
     """Finite-dimensional algebra with bracket [e_i, e_j] = sum_k c[i][j][k] e_k.
 
-    The table is stored as table[i][j] = component vector of [e_i, e_j].
-    Whether the Leibniz identity actually holds is checked by check_leibniz,
-    not assumed at construction.
+    The table is stored as table[i][j] = component vector of [e_i, e_j]; every
+    entry must pass Field.is_element.  Whether the Leibniz identity actually
+    holds is checked by check_leibniz, not assumed at construction.  Equality
+    and hashing look at the field and the table, not at the labels.
     """
 
     __slots__ = ("field", "dim", "labels", "table")
@@ -48,10 +48,14 @@ class LeibnizAlgebra:
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
         if len(self.table) != dim or any(len(row) != dim for row in self.table):
             raise ValueError("table must be dim x dim")
-        for row in self.table:
-            for v in row:
+        for i, row in enumerate(self.table):
+            for j, v in enumerate(row):
                 if len(v) != dim:
                     raise ValueError("product vectors must have length dim")
+                for c in v:
+                    if not field.is_element(c):
+                        raise TypeError(f"coefficient {c!r} of [e{i+1}, e{j+1}] is not an "
+                                        f"element of {field}")
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i+1}" for i in range(dim))
         if len(self.labels) != dim:
             raise ValueError("need one label per basis vector")
@@ -59,16 +63,12 @@ class LeibnizAlgebra:
     @classmethod
     def from_products(cls, field: Field, dim: int, products: dict,
                       labels: Optional[Sequence[str]] = None) -> "LeibnizAlgebra":
-        """Build from a sparse {(i, j): {k: scalar}} map; omitted products are 0."""
+        """Build from a sparse {(i, j): {k: scalar}} map; omitted products are 0.
+        An int scalar is mapped into the field; any other must be an element."""
         table = [[list(zero_vec(field, dim)) for _ in range(dim)] for _ in range(dim)]
         for (i, j), comps in products.items():
             for k, c in comps.items():
-                if isinstance(c, int):
-                    c = field.scalar(c)
-                elif field.modulus is not None or not isinstance(c, Fraction):
-                    raise TypeError(f"coefficient {c!r} of [e{i+1}, e{j+1}] is not "
-                                    f"an int or, over Q, a Fraction")
-                table[i][j][k] = c
+                table[i][j][k] = field.scalar(c) if isinstance(c, int) else c
         return cls(field, dim, table, labels)
 
     def basis_vector(self, i: int):
@@ -97,6 +97,9 @@ class LeibnizAlgebra:
     def __eq__(self, other):
         return (isinstance(other, LeibnizAlgebra) and self.field == other.field
                 and self.dim == other.dim and self.table == other.table)
+
+    def __hash__(self):
+        return hash((self.field, self.dim, self.table))
 
     def __repr__(self):
         return f"LeibnizAlgebra(dim {self.dim} over {self.field}, basis {list(self.labels)})"
@@ -166,11 +169,21 @@ def two_sided_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
 
 
 def is_subalgebra(L: LeibnizAlgebra, A: Subspace) -> bool:
-    return bracket_span(L, A, A) <= A
+    """[a, b] in A for all basis rows a, b; stops at the first product outside A."""
+    _check_ambient(L, A)
+    return all(A.contains(L.bracket(a, b)) for a in A.rows for b in A.rows)
 
 
 def is_ideal(L: LeibnizAlgebra, A: Subspace) -> bool:
-    return two_sided_span(L, A, L.full_space()) <= A
+    """[a, e_j] and [e_j, a] in A for all basis rows a and all j; stops at the
+    first product outside A.  [a, e_j] = sum_i a_i table[i][j] and
+    [e_j, a] = sum_i a_i table[j][i] are read from the table."""
+    _check_ambient(L, A)
+    F, n = L.field, L.dim
+    columns = tuple(zip(*L.table))
+    return all(A.contains(lin_comb(F, n, a, columns[j]))
+               and A.contains(lin_comb(F, n, a, L.table[j]))
+               for a in A.rows for j in range(n))
 
 
 def ideal_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:

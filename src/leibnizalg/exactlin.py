@@ -77,6 +77,14 @@ class Field:
             raise ZeroDivisionError(f"denominator {den} is not a unit mod {p}")
         return num * pow(den, -1, p) % p
 
+    def is_element(self, a) -> bool:
+        """An int or a Fraction over Q; an int in [0, p) over F_p.  Bools are not."""
+        if type(a) is bool:
+            return False
+        if self.modulus is None:
+            return isinstance(a, (int, Fraction))
+        return isinstance(a, int) and 0 <= a < self.modulus
+
     @property
     def zero(self):
         return Fraction(0) if self.modulus is None else 0
@@ -99,7 +107,7 @@ class Field:
 
     def inv(self, a):
         if self.modulus is None:
-            return 1 / a
+            return Fraction(1, a) if isinstance(a, int) else 1 / a
         return pow(a, -1, self.modulus)
 
     def div(self, a, b):
@@ -310,14 +318,16 @@ def nullspace(m: Matrix) -> list:
 
 
 class Subspace:
-    """A subspace of F^n held as its canonical RREF row basis (no zero rows)."""
+    """A subspace of F^n held as its canonical RREF row basis (no zero rows),
+    with the pivot column of each row."""
 
-    __slots__ = ("field", "ambient_dim", "rows")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
 
     def __init__(self, field: Field, ambient_dim: int, rref_rows: Iterable[Iterable]):
         self.field = field
         self.ambient_dim = ambient_dim
         self.rows = tuple(tuple(r) for r in rref_rows)
+        self.pivots = tuple(next(c for c, a in enumerate(row) if a) for row in self.rows)
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -340,10 +350,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def pivots(self) -> tuple:
-        return tuple(next(c for c, a in enumerate(row) if a) for row in self.rows)
 
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.rows) if self.rows else Matrix.zeros(self.field, 0, self.ambient_dim)

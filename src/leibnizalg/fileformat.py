@@ -1,7 +1,7 @@
 """Algebra file format: a JSON text document with fields
 
     field : "Q" or "F<p>"
-    dim   : integer
+    dim   : integer, at most MAX_DIM
     basis : list of labels
     table : sparse list of entries [i, j, [k, num, den], [k, num, den], ...]
 
@@ -17,6 +17,10 @@ from fractions import Fraction
 
 from .core import LeibnizAlgebra
 from .exactlin import Field
+
+
+# Largest dim a file may declare; the dense table has dim^3 entries.
+MAX_DIM = 64
 
 
 class ParseError(ValueError):
@@ -77,6 +81,8 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
         raise ParseError(f"missing or malformed field: {e}") from None
     if not _is_int(dim):
         raise ParseError(f"dim must be an integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise ParseError(f"dim {dim} is above the cap of {MAX_DIM}")
     if len(basis) != dim:
         raise ParseError(f"basis has {len(basis)} labels, dim is {dim}")
     if not isinstance(raw, list):

@@ -10,7 +10,8 @@ aborts because it could only be an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
@@ -18,8 +19,11 @@ from .core import (
     LeibnizAlgebra,
     check_leibniz,
     is_ideal,
+    is_nilpotent,
+    is_solvable,
     is_subalgebra,
     largest_contained_ideal,
+    restrict,
     subspace_is_nilpotent,
     subspace_is_solvable,
 )
@@ -65,16 +69,21 @@ def enumerate_subspaces(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterato
                 yield Subspace(F, n, rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeScan:
-    """Full subspace scan of an F_p algebra."""
+    """Full subspace scan of an F_p algebra.
+
+    One scan is shared by every call on an equal algebra, so the fields are
+    tuples, each in enumeration order.
+    """
 
     algebra: LeibnizAlgebra
     subspaces: int
-    ideals: list = field(default_factory=list)
-    nilpotent_ideals: list = field(default_factory=list)
-    solvable_ideals: list = field(default_factory=list)
-    maximal_subalgebras: list = field(default_factory=list)
+    subalgebras: tuple = ()
+    ideals: tuple = ()
+    nilpotent_ideals: tuple = ()
+    solvable_ideals: tuple = ()
+    maximal_subalgebras: tuple = ()
 
     def to_dict(self) -> dict:
         from .reports import subspace_to_json
@@ -92,25 +101,49 @@ class LatticeScan:
 
 
 def scan(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> LatticeScan:
+    """The lattice scan of L.  The budget is checked on every call; the scan
+    itself runs once per algebra while it stays in a small LRU cache keyed by
+    field and table."""
     _require_prime_field(L)
+    check_budget(L.dim, L.field.modulus, budget)
+    return _scan_cached(L)
+
+
+# one command scans a few algebras (L, L/I, restrictions to subalgebras);
+# 16 entries keep them all with room to spare
+@lru_cache(maxsize=16)
+def _scan_cached(L: LeibnizAlgebra) -> LatticeScan:
     p = L.field.modulus
-    result = LatticeScan(L, subspaces=check_budget(L.dim, p, budget))
-    subalgebras = []
-    for S in enumerate_subspaces(L.dim, p, budget):
-        if is_subalgebra(L, S):
-            subalgebras.append(S)
-        if is_ideal(L, S):
-            result.ideals.append(S)
-            if subspace_is_nilpotent(L, S):
-                result.nilpotent_ideals.append(S)
-            if subspace_is_solvable(L, S):
-                result.solvable_ideals.append(S)
+    total = subspace_count(L.dim, p)
+    subalgebras, ideals, nilpotent, solvable = [], [], [], []
+    for S in enumerate_subspaces(L.dim, p, total):
+        if not is_subalgebra(L, S):
+            continue
+        subalgebras.append(S)
+        if is_ideal(L, S):          # every ideal is a subalgebra
+            ideals.append(S)
+            LS = restrict(L, S)
+            if is_nilpotent(LS):
+                nilpotent.append(S)
+            if is_solvable(LS):
+                solvable.append(S)
+    return LatticeScan(L, total, tuple(subalgebras), tuple(ideals), tuple(nilpotent),
+                       tuple(solvable), _maximal(L, subalgebras))
+
+
+def _maximal(L: LeibnizAlgebra, subalgebras: list) -> tuple:
+    """The maximal proper subalgebras, in enumeration order.
+
+    Every proper subalgebra lies in a maximal one, so in descending dimension
+    a subalgebra is maximal exactly when no maximum found so far contains it.
+    """
     proper = [S for S in subalgebras if S.dim < L.dim]
-    result.maximal_subalgebras = [
-        S for S in proper
-        if not any(S.leq(T) and S.dim < T.dim for T in proper)
-    ]
-    return result
+    maxima = []
+    for S in sorted(proper, key=lambda S: -S.dim):
+        if not any(S.leq(M) for M in maxima):
+            maxima.append(S)
+    found = set(maxima)
+    return tuple(S for S in proper if S in found)
 
 
 def _asserted_sum(L: LeibnizAlgebra, ideals: list, holds, adjective: str) -> Subspace:

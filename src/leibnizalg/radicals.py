@@ -225,18 +225,16 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     """A subalgebra B with L = I + B and I cap B inside the Frattini ideal of B.
 
     Over a prime field under the oracle budget the search is exhaustive over
-    subalgebras, smallest dimension first; candidates whose Frattini ideal is
-    not computable are skipped.  Over Q a bounded deterministic heuristic is
-    used (subalgebras generated by the standard complement of I and by its
-    single-vector perturbations by +-1 multiples of the kernel generators);
-    None means the heuristic was exhausted, never that no B exists.
+    the subalgebras of the lattice scan of L, smallest dimension first;
+    candidates whose Frattini ideal is not computable are skipped.  Over Q a
+    bounded deterministic heuristic is used (subalgebras generated by the
+    standard complement of I and by its single-vector perturbations by +-1
+    multiples of the kernel generators); None means the heuristic was
+    exhausted, never that no B exists.
     """
     I = leibniz_kernel(L)
     if L.field.modulus is not None:
-        oracle.check_budget(L.dim, L.field.modulus, budget)
-        candidates = [S for S in oracle.enumerate_subspaces(L.dim, L.field.modulus, budget)
-                      if is_subalgebra(L, S)]
-        candidates.sort(key=lambda S: (S.dim, S.rows))
+        candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
         for B in candidates:
             if _complement_conditions_hold(L, I, B, budget):
                 return B

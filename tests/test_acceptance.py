@@ -3,6 +3,7 @@
 pass/fail line; run with `pytest tests/test_acceptance.py -s` to see them.
 """
 
+import json
 import time
 from fractions import Fraction
 
@@ -201,3 +202,26 @@ def test_criterion_10_nilradical_at_dim17():
     ok &= res.method == "trace-form-char0" and all(res.certificates.values())
     elapsed = time.time() - t0
     report("10 nilradical-at-dim17", ok and elapsed < 10.0, elapsed)
+
+
+def test_criterion_11_fp_verify_on_2825_subspaces(tmp_path, capsys):
+    # example2-2-1+sl2 mod 2: dim 6, 2,825 subspaces; `verify` needs the
+    # scans of L and L/I, each made once
+    from leibnizalg import cli, oracle
+    from leibnizalg.fileformat import save_algebra
+
+    oracle._scan_cached.cache_clear()
+    Lp = reduce_mod_p(corpus.build("example2-2-1+sl2").algebra, 2)
+    path = tmp_path / "example2-2-1+sl2-F2.json"
+    save_algebra(Lp, path)
+    t0 = time.time()
+    ok = cli.run(["--format", "json", "verify", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    res = nilradical(Lp)
+    elapsed = time.time() - t0
+    N = nilradical_oracle(Lp)
+    ok &= rep["verdict"] == "pass"
+    ok &= rep["theorem2"]["details"]["N_of_L"]["basis"] == [list(r) for r in N.rows]
+    ok &= res.method == "oracle-exhaustive" and all(res.certificates.values())
+    ok &= res.subspace == N
+    report("11 fp-verify-on-2825-subspaces", ok and elapsed < 5.0, elapsed)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from leibnizalg import cli, corpus
-from leibnizalg.fileformat import dumps_algebra
+from leibnizalg.fileformat import MAX_DIM, dumps_algebra
 
 
 @pytest.fixture
@@ -139,6 +139,7 @@ def test_json_and_text_verdicts_identical(capsys, ex1_file):
 
 
 GOOD = {"field": "Q", "dim": 2, "basis": ["e1", "e2"], "table": [[0, 0, [1, 1, 1]]]}
+ABOVE_CAP = MAX_DIM + 1
 
 
 @pytest.mark.parametrize("args", [
@@ -149,8 +150,10 @@ GOOD = {"field": "Q", "dim": 2, "basis": ["e1", "e2"], "table": [[0, 0, [1, 1, 1
     ["info", {**GOOD, "table": [5]}],                          # entry not a list
     ["quotient", "example1", "--by", "1,x"],                   # bad vector component
     ["info", {**GOOD, "field": f"F{2**89 - 1}"}],              # prime above the bound
+    ["info", {**GOOD, "dim": ABOVE_CAP,                        # rejected before the table
+              "basis": [f"e{i + 1}" for i in range(ABOVE_CAP)], "table": []}],
 ], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector",
-        "modulus-above-bound"])
+        "modulus-above-bound", "dim-above-cap"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
     if isinstance(args[1], dict):
         path = tmp_path / "bad.json"

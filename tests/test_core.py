@@ -77,6 +77,21 @@ def test_from_products_rejects_non_field_coefficients():
     assert L.table[0][0] == (0, Fraction(1, 2)) and L.table[1][0] == (0, 2)
 
 
+def test_constructor_rejects_entries_outside_the_field():
+    with pytest.raises(TypeError):
+        LeibnizAlgebra(QQ, 1, [[[0.5]]])
+    with pytest.raises(TypeError):
+        LeibnizAlgebra(QQ, 1, [[[True]]])
+    with pytest.raises(TypeError):
+        LeibnizAlgebra(Field(3), 1, [[[Fraction(1)]]])
+    for out_of_range in (3, -1):
+        with pytest.raises(TypeError):
+            LeibnizAlgebra(Field(3), 1, [[[out_of_range]]])
+    assert LeibnizAlgebra(QQ, 1, [[[Fraction(1, 2)]]]).table == (((Fraction(1, 2),),),)
+    assert LeibnizAlgebra(QQ, 1, [[[2]]]).table == (((2,),),)
+    assert LeibnizAlgebra(Field(3), 1, [[[2]]]).table == (((2,),),)
+
+
 @st.composite
 def table_and_vectors(draw, n_max=4):
     """A random bilinear table (not necessarily Leibniz) and two vectors."""
@@ -98,6 +113,38 @@ def test_bracket_is_bilinear_extension_of_table(case):
         for j in range(L.dim):
             expect = vec_add(F, expect, vec_scale(F, F.mul(u[i], v[j]), L.table[i][j]))
     assert L.bracket(u, v) == expect
+
+
+@st.composite
+def table_and_subspace(draw, n_max=4):
+    """A random table (not necessarily Leibniz) over Q, F_2 or F_3 and a proper
+    subspace A.  Half the time A = span(e_1..e_k) and the table is made to keep
+    [A, L], [L, A], both or neither inside A, so that one-sided and two-sided
+    ideals occur about as often as subspaces that are not closed."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3)]))
+    n = draw(st.integers(2, n_max))
+    nonzero = (st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+               if F.modulus is None else st.integers(1, F.modulus - 1))
+    vec = st.lists(st.one_of(st.just(F.zero), nonzero), min_size=n, max_size=n)
+    table = [[draw(vec) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        keep_AL, keep_LA = draw(st.booleans()), draw(st.booleans())
+        for i in range(n):
+            for j in range(n):
+                if (keep_AL and i < k) or (keep_LA and j < k):
+                    table[i][j][k:] = [F.zero] * (n - k)
+        A = Subspace.span(F, n, [unit_vec(F, n, i) for i in range(k)])
+    else:
+        A = Subspace.span(F, n, draw(st.lists(vec, min_size=1, max_size=n - 1)))
+    return LeibnizAlgebra(F, n, table), A
+
+
+@given(table_and_subspace())
+def test_closure_tests_match_product_spans(case):
+    L, A = case
+    assert is_subalgebra(L, A) == (bracket_span(L, A, A) <= A)
+    assert is_ideal(L, A) == (two_sided_span(L, A, L.full_space()) <= A)
 
 
 # ---------------------------------------------------------------- operators

@@ -44,6 +44,15 @@ def test_rref_pivot_normalization():
     assert rref(qmat([[2, 4]])).rows == [[1, 2]]
 
 
+def test_rref_of_int_entries_stays_exact():
+    # Field.inv over Q returns a Fraction for an int, never a float
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    r = rref(Matrix(QQ, [[2, 4], [3, 1]]))
+    assert r.rows == [[1, 0], [0, 1]] and all(type(a) is Fraction for row in r.rows for a in row)
+    r = rref(Matrix(QQ, [[2, 4]]))
+    assert r.rows == [[1, 2]] and all(type(a) is Fraction for a in r.rows[0])
+
+
 def test_rref_over_prime_field():
     m = Matrix(F5, [[2, 4], [1, 3]])
     r = rref(m)

@@ -1,9 +1,18 @@
 import pytest
 
-from leibnizalg import corpus
-from leibnizalg.core import check_leibniz, is_ideal, subspace_is_nilpotent
-from leibnizalg.errors import BudgetExceeded, UnsupportedField
-from leibnizalg.exactlin import Field, Subspace, subspace_count
+from leibnizalg import corpus, oracle
+from leibnizalg.core import (
+    LeibnizAlgebra,
+    bracket_span,
+    check_leibniz,
+    embed_subspace,
+    is_ideal,
+    leibniz_kernel,
+    restrict,
+    subspace_is_nilpotent,
+)
+from leibnizalg.errors import BudgetExceeded, Unsupported, UnsupportedField
+from leibnizalg.exactlin import QQ, Field, Subspace, subspace_count
 from leibnizalg.oracle import (
     enumerate_subspaces,
     frattini_oracle,
@@ -12,7 +21,7 @@ from leibnizalg.oracle import (
     reduce_mod_p,
     scan,
 )
-from leibnizalg.radicals import frattini_ideal, nilradical, radical
+from leibnizalg.radicals import find_complement_B, frattini_ideal, nilradical, radical
 
 
 def reducible_corpus(p, cap):
@@ -48,6 +57,66 @@ def test_budget_enforced():
 def test_oracle_rejects_rational_algebras():
     with pytest.raises(UnsupportedField):
         nilradical_oracle(corpus.example1().algebra)
+
+
+def _subalgebras_by_span(Lp):
+    """Every subalgebra, in enumeration order, tested by the product span."""
+    return [S for S in enumerate_subspaces(Lp.dim, Lp.field.modulus)
+            if bracket_span(Lp, S, S) <= S]
+
+
+def test_maximal_subalgebras_match_pairwise_reference():
+    for p, cap in [(2, 5), (3, 4)]:
+        for name, Lp in reducible_corpus(p, cap):
+            proper = [S for S in _subalgebras_by_span(Lp) if S.dim < Lp.dim]
+            reference = [S for S in proper
+                         if not any(S.leq(T) and S.dim < T.dim for T in proper)]
+            assert list(scan(Lp).maximal_subalgebras) == reference, (name, p)
+
+
+def test_scan_runs_once_per_algebra(monkeypatch):
+    oracle._scan_cached.cache_clear()
+    enumerations = []
+    real = oracle.enumerate_subspaces
+    monkeypatch.setattr(oracle, "enumerate_subspaces",
+                        lambda *a: enumerations.append(a) or real(*a))
+    L = reduce_mod_p(corpus.heisenberg().algebra, 2)
+    relabelled = LeibnizAlgebra(L.field, L.dim, L.table, ["x", "y", "z"])
+    assert relabelled == L and hash(relabelled) == hash(L)
+    first = scan(L)
+    assert scan(relabelled) is first and len(enumerations) == 1
+    assert isinstance(first.ideals, tuple) and isinstance(first.subalgebras, tuple)
+    # the budget is checked on every call, cached or not
+    with pytest.raises(BudgetExceeded):
+        scan(L, budget=subspace_count(L.dim, 2) - 1)
+    assert len(enumerations) == 1
+
+
+def test_find_complement_b_matches_enumeration_reference():
+    def conditions_hold(Lp, I, B):
+        if I + B != Lp.full_space():
+            return False
+        IB = I & B
+        if IB.dim == 0:
+            return True
+        try:
+            phi = frattini_ideal(restrict(Lp, B))
+        except Unsupported:
+            return False
+        return IB <= embed_subspace(B, phi)
+
+    # g = span(E11, E12) in gl_2 acting on the right of M = F^2, as g + M with
+    # [x + m, y + n] = [x, y] + m y: I = M, and over F_2 and F_3 several
+    # 2-dim subalgebras complement it, so the search order decides B
+    hemisemidirect = LeibnizAlgebra.from_products(QQ, 4, {
+        (0, 1): {1: 1}, (1, 0): {1: -1}, (2, 0): {2: 1}, (2, 1): {3: 1}})
+    for p, cap in [(2, 5), (3, 4)]:
+        extra = [("hemisemidirect", reduce_mod_p(hemisemidirect, p))]
+        for name, Lp in reducible_corpus(p, cap) + extra:
+            I = leibniz_kernel(Lp)
+            candidates = sorted(_subalgebras_by_span(Lp), key=lambda S: (S.dim, S.rows))
+            reference = next((B for B in candidates if conditions_hold(Lp, I, B)), None)
+            assert find_complement_B(Lp) == reference, (name, p)
 
 
 # ---------------------------------------------------------------- reduction
