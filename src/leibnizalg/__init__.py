@@ -56,6 +56,7 @@ from .radicals import (
     frattini_ideal,
     nilradical,
     radical,
+    verify,
     verify_corollary,
     verify_lemma1,
     verify_prop3,

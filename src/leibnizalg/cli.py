@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every verb builds one report dictionary and renders it as text or JSON, so the
-two formats always carry identical verdicts and subspace bases.
+Every verb builds one report (a dictionary or a report dataclass) and renders
+it as text or JSON, so the two formats always carry identical verdicts and
+subspace bases.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 unsupported field or budget.
@@ -30,23 +31,15 @@ from .core import (
 )
 from .errors import (
     BudgetExceeded,
+    InternalInconsistency,
     NotAnIdeal,
     PremiseViolation,
+    TheoremViolation,
     Unsupported,
-    UnsupportedField,
 )
 from .exactlin import Subspace
 from .fileformat import ParseError, dumps_algebra, load_algebra
-from .radicals import (
-    find_complement_B,
-    frattini_ideal,
-    nilradical,
-    radical,
-    verify_corollary,
-    verify_lemma1,
-    verify_prop3,
-    verify_theorem2,
-)
+from .radicals import find_complement_B, frattini_ideal, nilradical, radical, verify
 from .reports import _jsonable
 
 EXIT_OK = 0
@@ -115,7 +108,8 @@ def _load_source(source: str):
         raise ParseError(f"{source!r} is neither a corpus name nor a readable file")
 
 
-def _parse_vectors(L, text: str):
+def _parse_span(L, text: str) -> Subspace:
+    """The span of the rows of fractions in text, e.g. '0,1;1,0'."""
     vecs = []
     for row in text.split(";"):
         comps = row.split(",")
@@ -129,7 +123,114 @@ def _parse_vectors(L, text: str):
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad component {c.strip()!r} in vector {row!r}") from None
         vecs.append(tuple(vec))
-    return vecs
+    return Subspace.span(L.field, L.dim, vecs)
+
+
+def _validate(L, args):
+    rep = check_leibniz(L)
+    return rep, EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
+
+
+def _info(L, args):
+    return {
+        "field": str(L.field),
+        "dim": L.dim,
+        "basis": list(L.labels),
+        "is_lie": is_lie(L),
+        "is_solvable": is_solvable(L),
+        "is_nilpotent": is_nilpotent(L),
+        "kernel_dim": leibniz_kernel(L).dim,
+        "center": center(L),
+    }
+
+
+def _liesation(L, args):
+    qp = liesation(L)
+    return {
+        "kernel": qp.ideal,
+        "quotient_dim": qp.quotient.dim,
+        "quotient_basis": list(qp.quotient.labels),
+        "quotient_table": qp.quotient.table,
+    }
+
+
+def _certified(name, res):
+    return {name: res.subspace, "method": res.method, "certificates": res.certificates}
+
+
+def _quotient(L, args):
+    qp = quotient(L, _parse_span(L, args.by) if args.by else leibniz_kernel(L))
+    return {
+        "ideal": qp.ideal,
+        "quotient_dim": qp.quotient.dim,
+        "quotient_table": qp.quotient.table,
+        "projection": qp.projection,
+    }
+
+
+def _find_b(L, args):
+    B = find_complement_B(L, args.budget)
+    return {"found": B is not None, "B": B,
+            "note": None if B is not None else
+            "heuristic exhausted; a complement still exists in theory"}
+
+
+def _verify(L, args):
+    report = verify(L, _parse_span(L, args.b) if args.b else None, args.budget)
+    return report, EXIT_VERIFY_FAIL if report["verdict"] == "fail" else EXIT_OK
+
+
+def _corpus(args) -> int:
+    if args.name is None:
+        _emit({"builders": sorted(corpus_mod.BUILDERS)}, args.format)
+        return EXIT_OK
+    entry = corpus_mod.build(args.name)
+    if entry is None:
+        print(f"error: unknown corpus name {args.name!r}", file=sys.stderr)
+        return EXIT_USAGE
+    text = dumps_algebra(entry.algebra)
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text)
+    else:
+        print(text, end="")
+    return EXIT_OK
+
+
+# verb -> (help, extra arguments as (*flags, kwargs), handler).  A handler takes
+# the loaded algebra and the parsed arguments and returns the payload, or the
+# payload and an exit code.  Handlers name library functions only in their
+# bodies, so the lookup happens at call time.  `corpus` has no handler: it
+# takes no source and runs _corpus instead.
+VERBS = {
+    "validate": ("check the Leibniz identity on all basis triples", (), _validate),
+    "info": ("dimensions, Lie/solvable/nilpotent flags, center", (), _info),
+    "kernel": ("span of squares (the ideal I)", (),
+               lambda L, args: {"kernel": leibniz_kernel(L)}),
+    "liesation": ("quotient by the kernel of squares", (), _liesation),
+    "series": ("lower central and derived series", (),
+               lambda L, args: {"lower_central": lower_central_series(L),
+                                "derived": derived_series(L)}),
+    "nilradical": ("largest nilpotent ideal, with certificates", (),
+                   lambda L, args: _certified("nilradical", nilradical(L, args.budget))),
+    "radical": ("largest solvable ideal, with certificates", (),
+                lambda L, args: _certified("radical", radical(L, args.budget))),
+    "frattini": ("Frattini ideal (nilpotent algebras, or F_p under budget)", (),
+                 lambda L, args: {"frattini": frattini_ideal(L, args.budget)}),
+    "quotient": ("quotient algebra by an ideal (default: the kernel)",
+                 [("--by", {"help": "ideal generators, e.g. '0,1;1,0' (rows of fractions)"})],
+                 _quotient),
+    "find-b": ("search for a complement subalgebra B with L = I + B", (), _find_b),
+    "verify": ("run all theorem verifications and print a consolidated report",
+               [("--b", {"help": "complement subalgebra generators (rows of fractions)"})],
+               _verify),
+    "corpus": ("list corpus builders or emit one as an algebra file",
+               [("name", {"nargs": "?", "help": "builder to emit (omit to list)"}),
+                ("-o", "--out", {"help": "write to this path instead of stdout"})],
+               None),
+    "oracle-scan": ("exhaustive subspace/ideal lattice scan over F_p", (),
+                    lambda L, args: oracle_mod.scan(L, args.budget).to_dict()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,30 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
                    help="subspace budget for exhaustive scans over F_p")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def verb(name, help_, source=True):
+    for name, (help_, arguments, handler) in VERBS.items():
         sp = sub.add_parser(name, help=help_)
-        if source:
+        if handler is not None:
             sp.add_argument("source", help="algebra file path or corpus name")
-        return sp
-
-    verb("validate", "check the Leibniz identity on all basis triples")
-    verb("info", "dimensions, Lie/solvable/nilpotent flags, center")
-    verb("kernel", "span of squares (the ideal I)")
-    verb("liesation", "quotient by the kernel of squares")
-    verb("series", "lower central and derived series")
-    verb("nilradical", "largest nilpotent ideal, with certificates")
-    verb("radical", "largest solvable ideal, with certificates")
-    verb("frattini", "Frattini ideal (nilpotent algebras, or F_p under budget)")
-    q = verb("quotient", "quotient algebra by an ideal (default: the kernel)")
-    q.add_argument("--by", help="ideal generators, e.g. '0,1;1,0' (rows of fractions)")
-    verb("find-b", "search for a complement subalgebra B with L = I + B")
-    v = verb("verify", "run all theorem verifications and print a consolidated report")
-    v.add_argument("--b", help="complement subalgebra generators (rows of fractions)")
-    c = verb("corpus", "list corpus builders or emit one as an algebra file", source=False)
-    c.add_argument("name", nargs="?", help="builder to emit (omit to list)")
-    c.add_argument("-o", "--out", help="write to this path instead of stdout")
-    verb("oracle-scan", "exhaustive subspace/ideal lattice scan over F_p")
+        for *flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
     return p
 
 
@@ -178,164 +261,32 @@ def run(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except ParseError as e:
+    except (ParseError, NotAnIdeal, PremiseViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnsupportedField, Unsupported, BudgetExceeded) as e:
+    except (Unsupported, BudgetExceeded) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (NotAnIdeal, PremiseViolation) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def _dispatch(args) -> int:
-    fmt = args.format
-
-    if args.verb == "corpus":
-        if args.name is None:
-            _emit({"builders": sorted(corpus_mod.BUILDERS)}, fmt)
-            return EXIT_OK
-        entry = corpus_mod.build(args.name)
-        if entry is None:
-            print(f"error: unknown corpus name {args.name!r}", file=sys.stderr)
-            return EXIT_USAGE
-        text = dumps_algebra(entry.algebra)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            print(text, end="")
-        return EXIT_OK
-
+    handler = VERBS[args.verb][2]
+    if handler is None:
+        return _corpus(args)
     L = _load_source(args.source)
-
-    if args.verb == "validate":
-        rep = check_leibniz(L)
-        _emit(rep.to_dict(), fmt)
-        return EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
-
-    if args.verb == "info":
-        _emit({
-            "field": str(L.field),
-            "dim": L.dim,
-            "basis": list(L.labels),
-            "is_lie": is_lie(L),
-            "is_solvable": is_solvable(L),
-            "is_nilpotent": is_nilpotent(L),
-            "kernel_dim": leibniz_kernel(L).dim,
-            "center": center(L),
-        }, fmt)
-        return EXIT_OK
-
-    if args.verb == "kernel":
-        _emit({"kernel": leibniz_kernel(L)}, fmt)
-        return EXIT_OK
-
-    if args.verb == "liesation":
-        qp = liesation(L)
-        _emit({
-            "kernel": qp.ideal,
-            "quotient_dim": qp.quotient.dim,
-            "quotient_basis": list(qp.quotient.labels),
-            "quotient_table": qp.quotient.table,
-        }, fmt)
-        return EXIT_OK
-
-    if args.verb == "series":
-        _emit({
-            "lower_central": lower_central_series(L),
-            "derived": derived_series(L),
-        }, fmt)
-        return EXIT_OK
-
-    if args.verb == "nilradical":
-        res = nilradical(L, args.budget)
-        _emit({"nilradical": res.subspace, "method": res.method,
-               "certificates": res.certificates}, fmt)
-        return EXIT_OK
-
-    if args.verb == "radical":
-        res = radical(L, args.budget)
-        _emit({"radical": res.subspace, "method": res.method,
-               "certificates": res.certificates}, fmt)
-        return EXIT_OK
-
-    if args.verb == "frattini":
-        _emit({"frattini": frattini_ideal(L, args.budget)}, fmt)
-        return EXIT_OK
-
-    if args.verb == "quotient":
-        if args.by:
-            J = Subspace.span(L.field, L.dim, _parse_vectors(L, args.by))
-        else:
-            J = leibniz_kernel(L)
-        qp = quotient(L, J)
-        _emit({
-            "ideal": qp.ideal,
-            "quotient_dim": qp.quotient.dim,
-            "quotient_table": qp.quotient.table,
-            "projection": qp.projection,
-        }, fmt)
-        return EXIT_OK
-
-    if args.verb == "find-b":
-        B = find_complement_B(L, args.budget)
-        _emit({"found": B is not None, "B": B if B is not None else None,
-               "note": None if B is not None else
-               "heuristic exhausted; a complement still exists in theory"}, fmt)
-        return EXIT_OK
-
-    if args.verb == "oracle-scan":
-        _emit(oracle_mod.scan(L, args.budget).to_dict(), fmt)
-        return EXIT_OK
-
-    if args.verb == "verify":
-        return _verify(L, args, fmt)
-
-    raise AssertionError(f"unhandled verb {args.verb}")
-
-
-def _verify(L, args, fmt) -> int:
-    report = {}
-    failed = False
-
     try:
-        lem1 = verify_lemma1(L, args.budget)
-        report["lemma1"] = lem1.to_dict()
-        if lem1.applicable and not lem1.passed:
-            failed = True
-    except Unsupported as e:
-        report["lemma1"] = {"skipped": str(e)}
-
-    if args.b:
-        B = Subspace.span(L.field, L.dim, _parse_vectors(L, args.b))
-    else:
-        B = find_complement_B(L, args.budget)
-    if B is None:
-        report["theorem2"] = {"skipped": "no complement subalgebra B found"}
-    else:
-        try:
-            t2 = verify_theorem2(L, B, args.budget)
-            report["theorem2"] = t2.to_dict()
-            failed = failed or not t2.passed
-        except (Unsupported, PremiseViolation) as e:
-            report["theorem2"] = {"skipped": str(e)}
-
-    if L.field.modulus is None:
-        p3 = verify_prop3(L)
-        report["prop3"] = p3.to_dict()
-        failed = failed or not p3.passed
-        cor = verify_corollary(L)
-        report["corollary"] = cor.to_dict()
-        failed = failed or not cor.passed
-    else:
-        report["prop3"] = {"skipped": "stated for characteristic zero"}
-        report["corollary"] = {"skipped": "stated for characteristic zero"}
-
-    report["verdict"] = "fail" if failed else "pass"
-    _emit(report, fmt)
-    return EXIT_VERIFY_FAIL if failed else EXIT_OK
+        result = handler(L, args)
+    except (InternalInconsistency, TheoremViolation):
+        # a table that is not Leibniz is a usage error; on a Leibniz table
+        # these exceptions mean a bug and propagate
+        failures = check_leibniz(L).witnesses
+        if not failures:
+            raise
+        raise ParseError("not a Leibniz algebra: [x,[y,z]] = [[x,y],z] - [[x,z],y] fails "
+                         "at ({}, {}, {})".format(*failures[0]["triple"])) from None
+    payload, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+    _emit(payload, args.format)
+    return code
 
 
 def main():

@@ -151,8 +151,7 @@ def left_mult(L: LeibnizAlgebra, x: Sequence) -> Matrix:
 def _mult_matrix(L: LeibnizAlgebra, x: Sequence, rows) -> Matrix:
     if len(x) != L.dim:
         raise AmbientMismatch("vector length != algebra dim")
-    cols = [lin_comb(L.field, L.dim, x, row) for row in rows]
-    return Matrix.from_columns(L.field, cols) if L.dim else Matrix(L.field, [])
+    return Matrix.from_columns(L.field, [lin_comb(L.field, L.dim, x, row) for row in rows])
 
 
 def bracket_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
@@ -275,8 +274,7 @@ def quotient(L: LeibnizAlgebra, J: Subspace) -> QuotientPresentation:
         res = J.reduce(v)
         return tuple(res[c] for c in nonpiv)
 
-    projection = Matrix.from_columns(F, [reduce_coords(L.basis_vector(i)) for i in range(L.dim)]) \
-        if m else Matrix.zeros(F, 0, L.dim)
+    projection = Matrix.from_columns(F, [reduce_coords(L.basis_vector(i)) for i in range(L.dim)])
     table = [[reduce_coords(L.bracket(section[s], section[t])) for t in range(m)]
              for s in range(m)]
     labels = [L.labels[c] + "~" for c in nonpiv]

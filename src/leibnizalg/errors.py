@@ -17,13 +17,13 @@ class NotASubalgebra(ValueError):
     """Restriction requested to a subspace that is not closed under the bracket."""
 
 
-class UnsupportedField(Exception):
-    """The operation has no algorithm for this field (e.g. F_p above the oracle cap)."""
-
-
 class Unsupported(Exception):
     """The operation is outside the supported cases (e.g. Frattini of a
     non-nilpotent algebra over Q)."""
+
+
+class UnsupportedField(Unsupported):
+    """The operation has no algorithm for this field (e.g. the oracle over Q)."""
 
 
 class InternalInconsistency(RuntimeError):

@@ -59,10 +59,6 @@ class Field:
             raise ValueError(f"modulus must be prime, got {self.modulus}")
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.modulus is None else "prime-field"
-
-    @property
     def char(self) -> int:
         return 0 if self.modulus is None else self.modulus
 
@@ -110,12 +106,6 @@ class Field:
             return Fraction(1, a) if isinstance(a, int) else 1 / a
         return pow(a, -1, self.modulus)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def format(self, a) -> str:
-        return str(a)
-
     def __str__(self):
         return "Q" if self.modulus is None else f"F{self.modulus}"
 
@@ -153,25 +143,24 @@ def lin_comb(field: Field, n: int, coeffs: Iterable, vectors: Iterable[Sequence]
 
 
 class Matrix:
-    """Dense exact matrix; all entries share one field."""
+    """Dense exact matrix; all entries share one field.  The column count is
+    stored, so a matrix with no rows keeps it; it defaults to the length of
+    the first row."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "ncols")
 
-    def __init__(self, field: Field, rows: Iterable[Iterable]):
+    def __init__(self, field: Field, rows: Iterable[Iterable], ncols: Optional[int] = None):
         self.field = field
         self.rows = [list(r) for r in rows]
-        if self.rows:
-            ncols = len(self.rows[0])
-            if any(len(r) != ncols for r in self.rows):
-                raise ValueError("ragged rows")
+        if ncols is None:
+            ncols = len(self.rows[0]) if self.rows else 0
+        if any(len(r) != ncols for r in self.rows):
+            raise ValueError("ragged rows")
+        self.ncols = ncols
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -180,12 +169,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)])
+        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def from_columns(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
         n = len(cols[0]) if cols else 0
-        return cls(field, [[c[i] for c in cols] for i in range(n)])
+        return cls(field, [[c[i] for c in cols] for i in range(n)], len(cols))
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
@@ -202,7 +191,7 @@ class Matrix:
             raise AmbientMismatch("matmul shape mismatch")
         # row i of AB is sum_k A[i][k] * (row k of B), over the nonzero A[i][k]
         return Matrix(self.field, [lin_comb(self.field, other.ncols, row, other.rows)
-                                   for row in self.rows])
+                                   for row in self.rows], other.ncols)
 
     def trace_of_product(self, other: "Matrix"):
         """tr(AB) = sum_ij A[i][j] * B[j][i], without forming AB."""
@@ -221,11 +210,11 @@ class Matrix:
     def add(self, other: "Matrix") -> "Matrix":
         F = self.field
         return Matrix(F, [[F.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
+                          for r1, r2 in zip(self.rows, other.rows)], self.ncols)
 
     def scale(self, c) -> "Matrix":
         F = self.field
-        return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows])
+        return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows], self.ncols)
 
     def trace(self):
         F = self.field
@@ -235,7 +224,8 @@ class Matrix:
         return s
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows)) if self.rows else Matrix(self.field, [])
+        return Matrix(self.field, zip(*self.rows) if self.rows else [()] * self.ncols,
+                      self.nrows)
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
@@ -254,10 +244,10 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows)
+                and self.ncols == other.ncols and self.rows == other.rows)
 
     def __repr__(self):
-        body = "; ".join("[" + ", ".join(self.field.format(a) for a in r) + "]"
+        body = "; ".join("[" + ", ".join(str(a) for a in r) + "]"
                          for r in self.rows)
         return f"Matrix({self.field}, {body})"
 
@@ -296,8 +286,7 @@ def rref(m: Matrix) -> Matrix:
         piv_r += 1
         if piv_r == nrows:
             break
-    kept = [r for r in rows if any(r)]
-    return Matrix(F, kept) if kept else Matrix.zeros(F, 0, ncols)
+    return Matrix(F, [r for r in rows if any(r)], ncols)
 
 
 def nullspace(m: Matrix) -> list:
@@ -350,9 +339,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.rows) if self.rows else Matrix.zeros(self.field, 0, self.ambient_dim)
 
     def _check_compat(self, other: "Subspace"):
         if self.field != other.field:
@@ -437,7 +423,7 @@ class Subspace:
         return hash((self.field, self.ambient_dim, self.rows))
 
     def __repr__(self):
-        body = ", ".join("(" + ", ".join(self.field.format(a) for a in r) + ")"
+        body = ", ".join("(" + ", ".join(str(a) for a in r) + ")"
                          for r in self.rows)
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim}: {body})"
 

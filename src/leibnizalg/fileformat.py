@@ -27,10 +27,6 @@ class ParseError(ValueError):
     pass
 
 
-def field_to_str(F: Field) -> str:
-    return "Q" if F.modulus is None else f"F{F.modulus}"
-
-
 def field_from_str(s: str) -> Field:
     if s == "Q":
         return Field()
@@ -60,7 +56,7 @@ def algebra_to_dict(L: LeibnizAlgebra) -> dict:
             if comps:
                 table.append([i, j] + comps)
     return {
-        "field": field_to_str(L.field),
+        "field": str(L.field),
         "dim": L.dim,
         "basis": list(L.labels),
         "table": table,

@@ -67,20 +67,6 @@ class Theorem2Report:
         """The formula holds, and the condition holds iff N(L/I) = N(L)/I."""
         return self.formula_equal and self.nilpotency_condition == self.kernel_quotient_equal
 
-    def to_dict(self) -> dict:
-        from .reports import _jsonable
-
-        return {
-            "premises_ok": self.premises_ok,
-            "lhs": _jsonable(self.lhs),
-            "rhs": _jsonable(self.rhs),
-            "formula_equal": self.formula_equal,
-            "nilpotency_condition": self.nilpotency_condition,
-            "kernel_quotient_equal": self.kernel_quotient_equal,
-            "details": _jsonable(self.details),
-            "witnesses": _jsonable(self.witnesses),
-        }
-
 
 def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> CertifiedIdeal:
     """Largest solvable ideal.
@@ -236,11 +222,10 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     if L.field.modulus is not None:
         candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
         for B in candidates:
-            if _complement_conditions_hold(L, I, B, budget):
+            if all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
                 return B
         return None
 
-    full = L.full_space()
     comp = I.complement_basis()
     F = L.field
     perturbations = [None]
@@ -265,21 +250,24 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
         if B.rows in seen:
             continue
         seen.add(B.rows)
-        if (I + B) == full and _complement_conditions_hold(L, I, B, budget):
+        if all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
             return B
     return None
 
 
-def _complement_conditions_hold(L, I, B, budget) -> bool:
-    if not (I + B) == L.full_space():
-        return False
+def _theorem2_premises(L, I, B, budget):
+    """Theorem 2's premises on a subalgebra B, in order and lazily, as
+    (name, holds, message if it fails).  holds is None when I cap B is nonzero
+    and the Frattini ideal of B is not computable."""
+    yield "I_plus_B_is_L", (I + B) == L.full_space(), "I + B is not all of L"
     IB = I & B
     if IB.dim == 0:
-        return True          # 0 is inside any Frattini ideal
-    phiB = _frattini_of_subalgebra(L, B, budget)
-    if phiB is None:
-        return False         # not computable; skip this candidate
-    return IB <= phiB
+        holds = True             # 0 is inside any Frattini ideal
+    else:
+        phiB = _frattini_of_subalgebra(L, B, budget)
+        holds = None if phiB is None else IB <= phiB
+    yield ("I_cap_B_in_frattini_of_B", holds,
+           "I cap B is not inside the Frattini ideal of B")
 
 
 def _frattini_of_subalgebra(L, B, budget):
@@ -300,20 +288,13 @@ def verify_theorem2(L: LeibnizAlgebra, B: Subspace,
     premises = {"B_is_subalgebra": is_subalgebra(L, B)}
     if not premises["B_is_subalgebra"]:
         raise PremiseViolation("B is not a subalgebra")
-    premises["I_plus_B_is_L"] = (I + B) == L.full_space()
-    if not premises["I_plus_B_is_L"]:
-        raise PremiseViolation("I + B is not all of L")
-    IB = I & B
-    if IB.dim == 0:
-        premises["I_cap_B_in_frattini_of_B"] = True
-    else:
-        phiB = _frattini_of_subalgebra(L, B, budget)
-        if phiB is None:
+    for name, holds, failure in _theorem2_premises(L, I, B, budget):
+        if holds is None:
             raise Unsupported(
                 "cannot verify I cap B <= phi(B): Frattini ideal of B not computable")
-        premises["I_cap_B_in_frattini_of_B"] = IB <= phiB
-        if not premises["I_cap_B_in_frattini_of_B"]:
-            raise PremiseViolation("I cap B is not inside the Frattini ideal of B")
+        premises[name] = holds
+        if not holds:
+            raise PremiseViolation(failure)
 
     qp = quotient(L, I)
     lhs = nilradical(qp.quotient, budget).subspace
@@ -430,3 +411,31 @@ def verify_corollary(L: LeibnizAlgebra) -> VerificationReport:
         details={"RR_inside_N": contained, "RR_nilpotent": rr_nilpotent,
                  "solvable_iff_derived_nilpotent": equivalence},
     )
+
+
+def verify(L: LeibnizAlgebra, B: Subspace | None = None,
+           budget: int = oracle.DEFAULT_BUDGET) -> dict:
+    """The paper's checks on L combined into one verdict.
+
+    Lemma 1, theorem 2 (for B, or else for the B that find_complement_B
+    finds), proposition 3 and the corollary run in that order.  A check that
+    raises Unsupported or PremiseViolation is reported as {"skipped": message};
+    the others as their reports.  The verdict is "fail" when a check that ran
+    did not pass, else "pass".
+    """
+    def attempt(check, *args):
+        try:
+            return check(*args)
+        except (Unsupported, PremiseViolation) as e:
+            return {"skipped": str(e)}
+
+    report = {"lemma1": attempt(verify_lemma1, L, budget)}
+    if B is None:
+        B = find_complement_B(L, budget)
+    report["theorem2"] = ({"skipped": "no complement subalgebra B found"} if B is None
+                          else attempt(verify_theorem2, L, B, budget))
+    report["prop3"] = attempt(verify_prop3, L)
+    report["corollary"] = attempt(verify_corollary, L)
+    failed = any(not r.passed for r in report.values() if not isinstance(r, dict))
+    report["verdict"] = "fail" if failed else "pass"
+    return report

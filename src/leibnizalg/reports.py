@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 
@@ -17,6 +17,8 @@ def subspace_to_json(s):
 
 
 def _jsonable(x):
+    """JSON-ready copy of a payload.  A dataclass instance becomes its fields in
+    declaration order, so a property (such as Theorem2Report.passed) stays out."""
     from .exactlin import Matrix, Subspace
 
     if isinstance(x, Subspace):
@@ -29,6 +31,8 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
+    if is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     return x
 
 
@@ -45,12 +49,3 @@ class VerificationReport:
     applicable: bool = True
     details: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "applicable": self.applicable,
-            "details": _jsonable(self.details),
-            "witnesses": _jsonable(self.witnesses),
-        }

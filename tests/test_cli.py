@@ -163,3 +163,11 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("verb", ["nilradical", "radical", "verify"])
+def test_non_leibniz_table_over_q_exits_2_with_one_line(capsys, broken_file, verb):
+    assert cli.run([verb, broken_file]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith("error: ") and "e1" in err

@@ -313,6 +313,13 @@ def test_quotient_by_full_space():
     assert qp.quotient.dim == 0
 
 
+def test_quotient_by_full_space_projects_onto_zero():
+    L = corpus.heisenberg().algebra
+    qp = quotient(L, L.full_space())
+    assert (qp.projection.nrows, qp.projection.ncols) == (0, 3)
+    assert qp.project_subspace(L.full_space()) == Subspace.zero(QQ, 0)
+
+
 def test_quotient_requires_ideal():
     L = ex1()
     with pytest.raises(NotAnIdeal):

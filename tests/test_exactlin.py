@@ -376,3 +376,12 @@ def test_gaussian_binomials():
     assert subspace_count(2, 2) == 5
     assert subspace_count(3, 2) == 16
     assert subspace_count(1, 5) == 2
+
+
+def test_matrix_without_rows_keeps_its_columns():
+    assert Matrix.zeros(QQ, 0, 3).ncols == 3
+    M = Matrix.from_columns(QQ, [(), (), ()])
+    assert (M.nrows, M.ncols) == (0, 3)
+    assert (M.transpose().nrows, M.transpose().ncols) == (3, 0)
+    assert rref(M).ncols == 3
+    assert M.matvec((1, 2, 3)) == ()

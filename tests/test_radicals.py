@@ -22,15 +22,34 @@ from leibnizalg.radicals import (
     frattini_ideal,
     nilradical,
     radical,
+    verify,
     verify_corollary,
     verify_lemma1,
     verify_prop3,
     verify_theorem2,
 )
+from leibnizalg.reports import VerificationReport, _jsonable
 
 
 def span_of(L, *vecs):
     return Subspace.span(L.field, L.dim, vecs)
+
+
+def small_reductions():
+    """(name, algebra) for every admissible F_2 and F_3 reduction of the corpus
+    with at most 374 subspaces (F_2^5)."""
+    from leibnizalg.exactlin import subspace_count
+    from leibnizalg.oracle import reduce_mod_p
+
+    out = []
+    for e in corpus.standard_entries():
+        for p in (2, 3):
+            if subspace_count(e.algebra.dim, p) > 374:
+                continue
+            Lp = reduce_mod_p(e.algebra, p)
+            if Lp is not None:
+                out.append((f"{e.name} mod {p}", Lp))
+    return out
 
 
 # ---------------------------------------------------------------- radical
@@ -245,13 +264,14 @@ def test_theorem2_premise_violation():
 
 
 def test_theorem2_condition_matches_quotient_equality_everywhere():
-    for e in corpus.standard_entries():
-        L = e.algebra
+    # over F_p, verify_theorem2 raises PremiseViolation unless the B that the
+    # exhaustive search returns satisfies every premise
+    for name, L in [(e.name, e.algebra) for e in corpus.standard_entries()] + small_reductions():
         B = find_complement_B(L)
         assert B is not None
         rep = verify_theorem2(L, B)
-        assert rep.formula_equal, e.name
-        assert rep.nilpotency_condition == rep.kernel_quotient_equal, e.name
+        assert rep.formula_equal, name
+        assert rep.nilpotency_condition == rep.kernel_quotient_equal, name
 
 
 # ---------------------------------------------------------------- frattini premise case
@@ -324,4 +344,48 @@ def test_theorem2_report_verdict(formula_equal, condition, kernel_quotient_equal
                          nilpotency_condition=condition,
                          kernel_quotient_equal=kernel_quotient_equal)
     assert rep.passed is passed
-    assert "passed" not in rep.to_dict()
+    assert "passed" not in _jsonable(rep)
+
+
+# ---------------------------------------------------------------- the verify verdict
+
+def test_reports_render_their_fields_in_order():
+    z = Subspace.zero(QQ, 1)
+    rep = VerificationReport(name="n", passed=True)
+    assert list(_jsonable(rep)) == ["name", "passed", "applicable", "details", "witnesses"]
+    t2 = Theorem2Report(premises_ok={}, lhs=z, rhs=z, formula_equal=True,
+                        nilpotency_condition=True, kernel_quotient_equal=True)
+    assert list(_jsonable(t2)) == ["premises_ok", "lhs", "rhs", "formula_equal",
+                                   "nilpotency_condition", "kernel_quotient_equal",
+                                   "details", "witnesses"]
+    assert _jsonable(t2)["lhs"] == {"ambient_dim": 1, "basis": []}
+
+
+def test_verify_passes_on_corpus_and_small_reductions():
+    cases = [(e.name, e.algebra) for e in corpus.standard_entries()] + small_reductions()
+    assert sum(L.field.modulus is not None for _, L in cases) >= 10
+    for name, L in cases:
+        rep = verify(L)
+        assert list(rep) == ["lemma1", "theorem2", "prop3", "corollary", "verdict"], name
+        assert rep["verdict"] == "pass", name
+        if L.field.modulus is not None:
+            skipped = {"skipped": "stated for characteristic zero"}
+            assert rep["prop3"] == rep["corollary"] == skipped, name
+
+
+def test_verify_passes_when_lemma1_premise_fails():
+    from leibnizalg.oracle import reduce_mod_p
+
+    rep = verify(reduce_mod_p(corpus.example1().algebra, 3))
+    assert not rep["lemma1"].applicable
+    assert rep["verdict"] == "pass"
+
+
+def test_verify_verdict_is_the_one_the_cli_reports(monkeypatch, capsys):
+    from leibnizalg import cli, radicals
+
+    failing = VerificationReport(name="bracket-of-radical-inside-nilradical", passed=False)
+    monkeypatch.setattr(radicals, "verify_prop3", lambda L: failing)
+    assert verify(corpus.example1().algebra)["verdict"] == "fail"
+    assert cli.run(["verify", "example1"]) == 1
+    assert "verdict: fail" in capsys.readouterr().out
