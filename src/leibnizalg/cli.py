@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -29,14 +30,7 @@ from .core import (
     lower_central_series,
     quotient,
 )
-from .errors import (
-    BudgetExceeded,
-    InternalInconsistency,
-    NotAnIdeal,
-    PremiseViolation,
-    TheoremViolation,
-    Unsupported,
-)
+from .errors import BudgetExceeded, NotAnIdeal, PremiseViolation, Unsupported
 from .exactlin import Subspace
 from .fileformat import ParseError, dumps_algebra, load_algebra
 from .radicals import find_complement_B, frattini_ideal, nilradical, radical, verify
@@ -51,16 +45,15 @@ EXIT_UNSUPPORTED = 3
 def _render_text(obj, indent=0):
     pad = "  " * indent
     lines = []
-    if isinstance(obj, dict):
-        if set(obj) == {"ambient_dim", "basis"}:
-            return [pad + _fmt_serialized_subspace(obj)]
+    if _is_serialized_subspace(obj):
+        lines.append(pad + _fmt_serialized_subspace(obj))
+    elif isinstance(obj, dict):
         for k, v in obj.items():
             if isinstance(v, (dict, list)) and v:
                 lines.append(f"{pad}{k}:")
                 lines.extend(_render_text(v, indent + 1))
             else:
-                vv = _fmt_serialized_subspace(v) if _is_serialized_subspace(v) else v
-                lines.append(f"{pad}{k}: {vv}")
+                lines.append(f"{pad}{k}: {v}")
     elif isinstance(obj, list):
         for v in obj:
             if isinstance(v, (dict, list)):
@@ -233,6 +226,7 @@ VERBS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="leibnizalg",
@@ -274,16 +268,14 @@ def _dispatch(args) -> int:
     if handler is None:
         return _corpus(args)
     L = _load_source(args.source)
-    try:
-        result = handler(L, args)
-    except (InternalInconsistency, TheoremViolation):
-        # a table that is not Leibniz is a usage error; on a Leibniz table
-        # these exceptions mean a bug and propagate
+    # every verb but validate computes objects defined only for Leibniz
+    # algebras, so any other table is a usage error before work starts
+    if args.verb != "validate":
         failures = check_leibniz(L).witnesses
-        if not failures:
-            raise
-        raise ParseError("not a Leibniz algebra: [x,[y,z]] = [[x,y],z] - [[x,z],y] fails "
-                         "at ({}, {}, {})".format(*failures[0]["triple"])) from None
+        if failures:
+            raise ParseError("not a Leibniz algebra: [x,[y,z]] = [[x,y],z] - [[x,z],y] "
+                             "fails at ({}, {}, {})".format(*failures[0]["triple"]))
+    result = handler(L, args)
     payload, code = result if isinstance(result, tuple) else (result, EXIT_OK)
     _emit(payload, args.format)
     return code

@@ -10,6 +10,7 @@ InternalInconsistency: no result is ever returned uncertified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from itertools import product as iproduct
 
 from . import oracle
@@ -20,6 +21,7 @@ from .core import (
     embed_subspace,
     is_ideal,
     is_nilpotent,
+    is_solvable,
     is_subalgebra,
     left_mult,
     leibniz_kernel,
@@ -38,7 +40,7 @@ from .errors import (
     Unsupported,
     UnsupportedField,
 )
-from .exactlin import Matrix, Subspace, nullspace, vec_add, vec_scale
+from .exactlin import Matrix, Subspace, nullspace, vec_add, vec_scale, zero_vec
 from .reports import VerificationReport
 
 
@@ -228,24 +230,12 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
 
     comp = I.complement_basis()
     F = L.field
-    perturbations = [None]
+    perturbations = [zero_vec(F, L.dim)]
     for g in I.rows:
-        perturbations.append((g, F.one))
-        perturbations.append((g, F.neg(F.one)))
+        perturbations += [g, vec_scale(F, F.neg(F.one), g)]
     seen = set()
-    tried = 0
-    for choice in iproduct(range(len(perturbations)), repeat=len(comp)):
-        tried += 1
-        if tried > 5000:
-            break
-        vecs = []
-        for c, pi in zip(comp, choice):
-            pert = perturbations[pi]
-            if pert is None:
-                vecs.append(c)
-            else:
-                g, s = pert
-                vecs.append(vec_add(F, c, vec_scale(F, s, g)))
+    for choice in islice(iproduct(perturbations, repeat=len(comp)), 5000):
+        vecs = [vec_add(F, c, pert) for c, pert in zip(comp, choice)]
         B = subalgebra_closure(L, Subspace.span(F, L.dim, vecs))
         if B.rows in seen:
             continue
@@ -395,8 +385,6 @@ def verify_corollary(L: LeibnizAlgebra) -> VerificationReport:
     """[R,R] inside N and nilpotent; L solvable iff [L,L] nilpotent (char 0)."""
     if L.field.modulus is not None:
         raise UnsupportedField("stated for characteristic zero")
-    from .core import is_solvable
-
     R = radical(L).subspace
     N = nilradical(L).subspace
     RR = bracket_span(L, R, R)

@@ -4,6 +4,7 @@ pass/fail line; run with `pytest tests/test_acceptance.py -s` to see them.
 """
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from leibnizalg.core import (
     two_sided_span,
 )
 from leibnizalg.errors import InternalInconsistency
-from leibnizalg.exactlin import QQ, Field, Subspace, unit_vec
+from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, rref, unit_vec
 from leibnizalg.oracle import nilradical_oracle, reduce_mod_p, scan
 from leibnizalg.radicals import (
     find_complement_B,
@@ -225,3 +226,37 @@ def test_criterion_11_fp_verify_on_2825_subspaces(tmp_path, capsys):
     ok &= res.method == "oracle-exhaustive" and all(res.certificates.values())
     ok &= res.subspace == N
     report("11 fp-verify-on-2825-subspaces", ok and elapsed < 5.0, elapsed)
+
+
+def _dense_basis(L, rng):
+    """L in the basis f_a = sum_i P[a][i] e_i, where P = lower * upper
+    unitriangular with entries in {-1, 0, 1}: det P = 1, so the table stays
+    integral, and most of its entries are nonzero."""
+    n = L.dim
+
+    def unitriangular():
+        return [[1 if i == j else rng.choice((-1, 0, 1)) if j < i else 0 for j in range(n)]
+                for i in range(n)]
+
+    lo, up = unitriangular(), unitriangular()
+    P = [[sum(lo[i][k] * up[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    Pinv = [r[n:] for r in rref(Matrix(QQ, [P[a] + [int(a == b) for b in range(n)]
+                                            for a in range(n)])).rows]
+    table = [[[sum(v[k] * Pinv[k][c] for k in range(n)) for c in range(n)]
+              for v in (L.bracket(P[a], P[b]) for b in range(n))] for a in range(n)]
+    return LeibnizAlgebra(QQ, n, table)
+
+
+def test_criterion_12_validate_dense_dim17(tmp_path, capsys):
+    from leibnizalg import cli
+    from leibnizalg.fileformat import save_algebra
+
+    L = _dense_basis(corpus.example2(16, 8).algebra, random.Random(17))
+    assert sum(1 for row in L.table for v in row for c in v if c) > L.dim ** 3 // 2
+    path = tmp_path / "example2-16-8-dense.json"
+    save_algebra(L, path)
+    t0 = time.time()
+    code = cli.run(["validate", str(path)])
+    elapsed = time.time() - t0
+    ok = code == 0 and "passed: True" in capsys.readouterr().out
+    report("12 validate-dense-dim17", ok and elapsed < 2.0, elapsed)

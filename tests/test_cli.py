@@ -14,14 +14,16 @@ def ex1_file(tmp_path):
 
 
 @pytest.fixture
-def broken_file(tmp_path):
-    # [e1,e1] = e2, [e1,e2] = e1 fails the identity at (e1,e1,e1)
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps({
-        "field": "Q", "dim": 2, "basis": ["e1", "e2"],
-        "table": [[0, 0, [1, 1, 1]], [0, 1, [0, 1, 1]]],
-    }))
-    return str(path)
+def broken_files(tmp_path):
+    """[e1,e1] = e2, [e1,e2] = e1 over Q, F_2 and F_3; the identity fails at
+    (e1,e1,e1) over each."""
+    paths = []
+    for field in ("Q", "F2", "F3"):
+        path = tmp_path / f"broken-{field}.json"
+        path.write_text(json.dumps({"field": field, "dim": 2, "basis": ["e1", "e2"],
+                                    "table": [[0, 0, [1, 1, 1]], [0, 1, [0, 1, 1]]]}))
+        paths.append(str(path))
+    return paths
 
 
 def run_cli(capsys, *args):
@@ -36,10 +38,11 @@ def test_validate_passes(capsys, ex1_file):
     assert "passed: True" in out
 
 
-def test_validate_broken_exits_1_and_names_triple(capsys, broken_file):
-    code, out = run_cli(capsys, "validate", broken_file)
-    assert code == 1
-    assert "e1" in out
+def test_validate_broken_exits_1_and_names_triple(capsys, broken_files):
+    for path in broken_files:
+        code, out = run_cli(capsys, "validate", path)
+        assert code == 1, path
+        assert "triple:\n    - e1\n    - e1\n    - e1\n" in out, path
 
 
 def test_verify_example1_reproduces_counterexample(capsys, ex1_file):
@@ -165,9 +168,27 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("verb", ["nilradical", "radical", "verify"])
-def test_non_leibniz_table_over_q_exits_2_with_one_line(capsys, broken_file, verb):
-    assert cli.run([verb, broken_file]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1, err
-    assert err.startswith("error: ") and "e1" in err
+@pytest.mark.parametrize("verb", ["nilradical", "radical", "verify", "info", "kernel", "liesation",
+                                  "series", "frattini", "quotient", "find-b", "oracle-scan"])
+def test_non_leibniz_table_over_q_exits_2_with_one_line(capsys, broken_files, verb):
+    # rejected before the verb runs, over Q and over F_p alike
+    for path in broken_files:
+        assert cli.run([verb, path]) == 2, path
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert err.startswith("error: ") and "(e1, e1, e1)" in err
+
+
+def test_parser_is_built_once_and_each_run_sees_its_own_arguments(capsys, tmp_path):
+    from leibnizalg.oracle import reduce_mod_p
+
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "ex1_f3.json"
+    path.write_text(dumps_algebra(reduce_mod_p(corpus.example1().algebra, 3)))
+    assert run_cli(capsys, "--budget", "3", "nilradical", str(path))[0] == 3   # 6 subspaces
+    assert run_cli(capsys, "nilradical", str(path))[0] == 0                    # default budget
+    assert run_cli(capsys, "kernel", "example1") == (0, "kernel:\n  span{(0, 1)}\n")
+    code, out = run_cli(capsys, "--format", "json", "info", "example1")
+    assert code == 0 and json.loads(out)["kernel_dim"] == 1
+    assert cli.run(["validate", "example1", "--bogus"]) == 2
+    assert cli.run(["validate", "example1"]) == 0

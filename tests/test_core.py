@@ -33,6 +33,7 @@ from leibnizalg.core import (
 from leibnizalg.errors import NotAnIdeal, NotASubalgebra
 from leibnizalg.exactlin import QQ, Field, Subspace, unit_vec, vec_add, vec_scale, zero_vec
 from leibnizalg.oracle import reduce_mod_p
+from leibnizalg.reports import VerificationReport
 
 
 def ex1():
@@ -66,6 +67,60 @@ def test_broken_table_reported_with_both_sides():
     bad = [w for w in rep.witnesses if w["indices"] == (0, 0, 0)]
     assert bad and bad[0]["lhs"] == unit_vec(QQ, 2, 0)
     assert bad[0]["rhs"] == zero_vec(QQ, 2)
+
+
+def _check_leibniz_reference(L):
+    """check_leibniz as four bracket calls per basis triple, in the field."""
+    F = L.field
+    failures = []
+    for i in range(L.dim):
+        ei = L.basis_vector(i)
+        for j in range(L.dim):
+            ej = L.basis_vector(j)
+            for k in range(L.dim):
+                ek = L.basis_vector(k)
+                lhs = L.bracket(ei, L.bracket(ej, ek))
+                rhs = tuple(F.sub(a, b) for a, b in
+                            zip(L.bracket(L.bracket(ei, ej), ek),
+                                L.bracket(L.bracket(ei, ek), ej)))
+                if lhs != rhs:
+                    failures.append({
+                        "triple": (L.labels[i], L.labels[j], L.labels[k]),
+                        "indices": (i, j, k),
+                        "lhs": lhs,
+                        "rhs": rhs,
+                    })
+    return VerificationReport(
+        name="leibniz-identity",
+        passed=not failures,
+        details={"triples_checked": L.dim ** 3, "failures": len(failures)},
+        witnesses=failures,
+    )
+
+
+@st.composite
+def sparse_table(draw, n_max=4):
+    """A random table, mostly zeros so that some are Leibniz; over Q with
+    denominators 1..4 and negative numerators."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+    n = draw(st.integers(0, n_max))
+    nonzero = (st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+               if F.modulus is None else st.integers(1, F.modulus - 1))
+    entry = st.one_of(st.just(F.zero), st.just(F.zero), nonzero)
+    return LeibnizAlgebra(F, n, [[draw(st.lists(entry, min_size=n, max_size=n))
+                                  for _ in range(n)] for _ in range(n)])
+
+
+@given(sparse_table())
+def test_check_leibniz_matches_reference_on_random_tables(L):
+    assert check_leibniz(L) == _check_leibniz_reference(L)
+
+
+def test_check_leibniz_matches_reference_on_corpus():
+    for e in corpus.standard_entries():
+        algebras = [e.algebra] + [reduce_mod_p(e.algebra, p) for p in (2, 3)]
+        for L in filter(None, algebras):
+            assert check_leibniz(L) == _check_leibniz_reference(L), (e.name, L.field)
 
 
 def test_from_products_rejects_non_field_coefficients():
