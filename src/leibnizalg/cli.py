@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import corpus as corpus_mod
 from . import oracle as oracle_mod
 from .core import (
+    _leibniz_failures,
     center,
     check_leibniz,
     derived_series,
@@ -165,7 +166,8 @@ def _find_b(L, args):
     B = find_complement_B(L, args.budget)
     return {"found": B is not None, "B": B,
             "note": None if B is not None else
-            "heuristic exhausted; a complement still exists in theory"}
+            "no complement subalgebra of the kernel exists, and B = L "
+            "could not be certified"}
 
 
 def _verify(L, args):
@@ -271,10 +273,10 @@ def _dispatch(args) -> int:
     # every verb but validate computes objects defined only for Leibniz
     # algebras, so any other table is a usage error before work starts
     if args.verb != "validate":
-        failures = check_leibniz(L).witnesses
-        if failures:
+        failure = next(_leibniz_failures(L), None)
+        if failure is not None:
             raise ParseError("not a Leibniz algebra: [x,[y,z]] = [[x,y],z] - [[x,z],y] "
-                             "fails at ({}, {}, {})".format(*failures[0]["triple"]))
+                             "fails at ({}, {}, {})".format(*failure["triple"]))
     result = handler(L, args)
     payload, code = result if isinstance(result, tuple) else (result, EXIT_OK)
     _emit(payload, args.format)

@@ -110,16 +110,29 @@ def check_leibniz(L: LeibnizAlgebra) -> VerificationReport:
     """Verify [x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples.
 
     Sufficient by trilinearity.  Every failing triple is reported with both
-    sides, not just the first.  The test runs in ints over the nonzero table
-    entries: over F_p on the residues, over Q on the table times the lcm d of
-    its denominators (the identity is homogeneous of degree 2, so the same
-    triples fail).  Both sides are bracketed for failing triples only.
+    sides, not just the first, in the order _leibniz_failures finds them.
+    """
+    failures = list(_leibniz_failures(L))
+    return VerificationReport(
+        name="leibniz-identity",
+        passed=not failures,
+        details={"triples_checked": L.dim ** 3, "failures": len(failures)},
+        witnesses=failures,
+    )
+
+
+def _leibniz_failures(L: LeibnizAlgebra):
+    """The triples where the identity fails, lazily, each with both sides.
+
+    The test runs in ints over the nonzero table entries: over F_p on the
+    residues, over Q on the table times the lcm d of its denominators (the
+    identity is homogeneous of degree 2, so the same triples fail).  Both
+    sides are bracketed for failing triples only.
     """
     F, n, p = L.field, L.dim, L.field.modulus
     d = lcm(*(c.denominator for row in L.table for v in row for c in v))
     nz = [[[(m, c.numerator * (d // c.denominator)) for m, c in enumerate(v) if c]
            for v in row] for row in L.table]
-    failures = []
     for i, Ti in enumerate(nz):
         for j, Tj in enumerate(nz):
             for k in range(n):
@@ -136,20 +149,14 @@ def check_leibniz(L: LeibnizAlgebra) -> VerificationReport:
                         acc[l] += c * b
                 if any(acc) if p is None else any(a % p for a in acc):
                     ei, ej, ek = L.basis_vector(i), L.basis_vector(j), L.basis_vector(k)
-                    failures.append({
+                    yield {
                         "triple": (L.labels[i], L.labels[j], L.labels[k]),
                         "indices": (i, j, k),
                         "lhs": L.bracket(ei, L.bracket(ej, ek)),
                         "rhs": tuple(F.sub(a, b) for a, b in
                                      zip(L.bracket(L.bracket(ei, ej), ek),
                                          L.bracket(L.bracket(ei, ek), ej))),
-                    })
-    return VerificationReport(
-        name="leibniz-identity",
-        passed=not failures,
-        details={"triples_checked": n ** 3, "failures": len(failures)},
-        witnesses=failures,
-    )
+                    }
 
 
 def right_mult(L: LeibnizAlgebra, x: Sequence) -> Matrix:

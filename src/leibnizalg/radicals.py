@@ -10,8 +10,6 @@ InternalInconsistency: no result is ever returned uncertified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from itertools import product as iproduct
 
 from . import oracle
 from .core import (
@@ -30,7 +28,6 @@ from .core import (
     quotient,
     restrict,
     right_mult,
-    subalgebra_closure,
     subspace_is_nilpotent,
     two_sided_span,
 )
@@ -40,7 +37,7 @@ from .errors import (
     Unsupported,
     UnsupportedField,
 )
-from .exactlin import Matrix, Subspace, nullspace, vec_add, vec_scale, zero_vec
+from .exactlin import Matrix, Subspace, nullspace, vec_add, vec_sub
 from .reports import VerificationReport
 
 
@@ -214,35 +211,63 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
 
     Over a prime field under the oracle budget the search is exhaustive over
     the subalgebras of the lattice scan of L, smallest dimension first;
-    candidates whose Frattini ideal is not computable are skipped.  Over Q a
-    bounded deterministic heuristic is used (subalgebras generated by the
-    standard complement of I and by its single-vector perturbations by +-1
-    multiples of the kernel generators); None means the heuristic was
-    exhausted, never that no B exists.
+    candidates whose Frattini ideal is not computable are skipped.  Over Q, B
+    is the complement subalgebra (B cap I = 0) found by one linear solve when
+    one exists, else L itself when L meets the premises (every nilpotent L
+    does, since I is inside [L,L] = phi(L)).  None over Q means that no
+    complement subalgebra exists and B = L cannot be certified.
     """
     I = leibniz_kernel(L)
     if L.field.modulus is not None:
         candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
-        for B in candidates:
-            if all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
-                return B
-        return None
-
-    comp = I.complement_basis()
-    F = L.field
-    perturbations = [zero_vec(F, L.dim)]
-    for g in I.rows:
-        perturbations += [g, vec_scale(F, F.neg(F.one), g)]
-    seen = set()
-    for choice in islice(iproduct(perturbations, repeat=len(comp)), 5000):
-        vecs = [vec_add(F, c, pert) for c, pert in zip(comp, choice)]
-        B = subalgebra_closure(L, Subspace.span(F, L.dim, vecs))
-        if B.rows in seen:
-            continue
-        seen.add(B.rows)
+    else:
+        candidates = [B for B in (_complement_subalgebra(L, I), L.full_space()) if B is not None]
+    for B in candidates:
         if all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
             return B
     return None
+
+
+def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
+    """A subalgebra B with B cap I = 0 and B + I = L, or None if there is none.
+
+    Putting y = z in the identity gives [x, y^2] = 0, so [L, I] = 0.  Let
+    c_1..c_m be I.complement_basis(), g_1..g_d the rows of I, and
+    b_s = c_s + phi_s with phi_s = sum_r a_sr g_r; then
+    [b_s, b_t] = [c_s, c_t] + sum_r a_sr [g_r, c_t].  With
+    [c_s, c_t] = sum_u lam_stu c_u + i_st, i_st in I (lam is the table of
+    L/I), span(b) is a subalgebra iff for all s, t
+        i_st + sum_r a_sr [g_r, c_t] - sum_u lam_stu phi_u = 0,
+    m^2 d linear equations in I-coordinates for the m d unknowns a_sr.
+    """
+    F = L.field
+    qp = quotient(L, I)
+    comp, lam = qp.section, qp.quotient.table
+    m, d = len(comp), I.dim
+    acts = [[I.coords(L.bracket(g, c)) for c in comp] for g in I.rows]  # [g_r, c_t]
+    rows = []
+    for s in range(m):
+        for t in range(m):
+            i_st = I.coords(vec_sub(F, L.bracket(comp[s], comp[t]),
+                                    qp.lift_vector(lam[s][t])))
+            for k in range(d):
+                row = [F.zero] * (m * d) + [i_st[k]]
+                for r in range(d):
+                    row[s * d + r] = F.add(row[s * d + r], acts[r][t][k])
+                for u in range(m):
+                    row[u * d + k] = F.sub(row[u * d + k], lam[s][t][u])
+                rows.append(row)
+    # the constant column is last: a solution exists iff it is a free column,
+    # and its kernel vector sets every other free unknown to 0
+    ker = nullspace(Matrix(F, rows, m * d + 1))
+    if not ker or not ker[-1][-1]:
+        return None
+    a = ker[-1]
+    B = Subspace.span(F, L.dim, [vec_add(F, comp[s], I.combine(a[s * d:(s + 1) * d]))
+                                 for s in range(m)])
+    if not is_subalgebra(L, B):
+        raise InternalInconsistency("the solved complement of the kernel is not a subalgebra")
+    return B
 
 
 def _theorem2_premises(L, I, B, budget):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense import dense_basis
 from leibnizalg import corpus
 from leibnizalg.core import (
     LeibnizAlgebra,
@@ -23,13 +24,15 @@ from leibnizalg.core import (
     two_sided_span,
 )
 from leibnizalg.errors import InternalInconsistency
-from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, rref, unit_vec
+from leibnizalg.exactlin import QQ, Subspace
 from leibnizalg.oracle import nilradical_oracle, reduce_mod_p, scan
 from leibnizalg.radicals import (
+    Theorem2Report,
     find_complement_B,
     frattini_ideal,
     nilradical,
     radical,
+    verify,
     verify_lemma1,
     verify_theorem2,
 )
@@ -228,30 +231,11 @@ def test_criterion_11_fp_verify_on_2825_subspaces(tmp_path, capsys):
     report("11 fp-verify-on-2825-subspaces", ok and elapsed < 5.0, elapsed)
 
 
-def _dense_basis(L, rng):
-    """L in the basis f_a = sum_i P[a][i] e_i, where P = lower * upper
-    unitriangular with entries in {-1, 0, 1}: det P = 1, so the table stays
-    integral, and most of its entries are nonzero."""
-    n = L.dim
-
-    def unitriangular():
-        return [[1 if i == j else rng.choice((-1, 0, 1)) if j < i else 0 for j in range(n)]
-                for i in range(n)]
-
-    lo, up = unitriangular(), unitriangular()
-    P = [[sum(lo[i][k] * up[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
-    Pinv = [r[n:] for r in rref(Matrix(QQ, [P[a] + [int(a == b) for b in range(n)]
-                                            for a in range(n)])).rows]
-    table = [[[sum(v[k] * Pinv[k][c] for k in range(n)) for c in range(n)]
-              for v in (L.bracket(P[a], P[b]) for b in range(n))] for a in range(n)]
-    return LeibnizAlgebra(QQ, n, table)
-
-
 def test_criterion_12_validate_dense_dim17(tmp_path, capsys):
     from leibnizalg import cli
     from leibnizalg.fileformat import save_algebra
 
-    L = _dense_basis(corpus.example2(16, 8).algebra, random.Random(17))
+    L = dense_basis(corpus.example2(16, 8).algebra, random.Random(17))
     assert sum(1 for row in L.table for v in row for c in v if c) > L.dim ** 3 // 2
     path = tmp_path / "example2-16-8-dense.json"
     save_algebra(L, path)
@@ -260,3 +244,18 @@ def test_criterion_12_validate_dense_dim17(tmp_path, capsys):
     elapsed = time.time() - t0
     ok = code == 0 and "passed: True" in capsys.readouterr().out
     report("12 validate-dense-dim17", ok and elapsed < 2.0, elapsed)
+
+
+def test_criterion_13_verify_runs_theorem2_off_the_standard_complement():
+    # in neither basis is the standard complement of I a subalgebra, so
+    # theorem 2 runs only if a complement B is found off it
+    sl2 = corpus.sl2().algebra
+    cases = [("example1+2sl2", direct_sum(direct_sum(corpus.example1().algebra, sl2), sl2)),
+             ("example2-6-3 dense", dense_basis(corpus.example2(6, 3).algebra,
+                                                 random.Random(13)))]
+    for name, L in cases:
+        t0 = time.time()
+        rep = verify(L)
+        elapsed = time.time() - t0
+        ok = isinstance(rep["theorem2"], Theorem2Report) and rep["verdict"] == "pass"
+        report(f"13 verify-runs-theorem2 {name}", ok and elapsed < 5.0, elapsed)

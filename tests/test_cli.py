@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 
@@ -177,6 +179,26 @@ def test_non_leibniz_table_over_q_exits_2_with_one_line(capsys, broken_files, ve
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err
         assert err.startswith("error: ") and "(e1, e1, e1)" in err
+
+
+def test_non_leibniz_gate_stops_at_the_first_failing_triple(capsys, tmp_path):
+    # dense dim-17 example2(16,8) with [f1,f1] component 1 raised by 1 fails
+    # 677 triples; the gate needs only the first of them
+    from dense import dense_basis
+    from leibnizalg.core import LeibnizAlgebra, check_leibniz
+
+    L = dense_basis(corpus.example2(16, 8).algebra, random.Random(17))
+    table = [[list(v) for v in row] for row in L.table]
+    table[0][0][0] += 1
+    L = LeibnizAlgebra(L.field, L.dim, table)
+    path = tmp_path / "example2-16-8-dense-broken.json"
+    path.write_text(dumps_algebra(L))
+    t0 = time.time()
+    code = cli.run(["kernel", str(path)])
+    elapsed = time.time() - t0
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 1.0, elapsed
+    assert "fails at ({}, {}, {})".format(*check_leibniz(L).witnesses[0]["triple"]) in err
 
 
 def test_parser_is_built_once_and_each_run_sees_its_own_arguments(capsys, tmp_path):

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from dense import dense_basis
 from leibnizalg import corpus
 from leibnizalg.core import (
     LeibnizAlgebra,
     bracket_span,
     direct_sum,
     is_ideal,
+    is_subalgebra,
     leibniz_kernel,
     liesation,
     quotient,
@@ -226,6 +229,50 @@ def test_find_b_conditions_hold_across_corpus():
         assert B is not None, e.name
         I = leibniz_kernel(L)
         assert (I + B) == L.full_space(), e.name
+
+
+def dense_cases():
+    """Every Q corpus entry and example2(4,2), each in three seeded dense bases."""
+    entries = corpus.standard_entries() + [corpus.example2(4, 2)]
+    return [(f"{e.name} seed {seed}", dense_basis(e.algebra, random.Random(seed)))
+            for e in entries for seed in range(3)]
+
+
+def test_find_b_is_a_certified_complement_in_dense_bases():
+    for name, L in dense_cases():
+        B = find_complement_B(L)
+        assert B is not None, name
+        I = leibniz_kernel(L)
+        assert is_subalgebra(L, B) and (I + B) == L.full_space(), name
+        if B != L.full_space():
+            assert (I & B).dim == 0, name
+        assert verify_theorem2(L, B).passed, name
+
+
+def test_find_b_falls_back_to_L_only_when_it_is_certified():
+    # no complement subalgebra: x + a x2 squares to x2.  nilcyclic2 is
+    # nilpotent, so I <= phi(L) and B = L; with an sl2 summand phi(L) is not
+    # computable over Q and there is no B
+    L = corpus.nilcyclic2().algebra
+    assert find_complement_B(L) == L.full_space()
+    assert find_complement_B(direct_sum(L, corpus.sl2().algebra)) is None
+
+
+def test_find_b_hemisemidirect_product_over_q():
+    # span(E11, E12) in gl_2 acting on the right of M = F^2 (see test_oracle):
+    # I = M, complemented by the subalgebra span(E11, E12)
+    L = LeibnizAlgebra.from_products(QQ, 4, {
+        (0, 1): {1: 1}, (1, 0): {1: -1}, (2, 0): {2: 1}, (2, 1): {3: 1}})
+    I = leibniz_kernel(L)
+    B = find_complement_B(L)
+    assert B is not None and is_subalgebra(L, B)
+    assert (I + B) == L.full_space() and (I & B).dim == 0
+
+
+def test_find_b_is_deterministic():
+    for name, L in dense_cases()[::4]:
+        twin = LeibnizAlgebra(L.field, L.dim, [[list(v) for v in row] for row in L.table])
+        assert find_complement_B(L) == find_complement_B(twin), name
 
 
 # ---------------------------------------------------------------- quotient nilradical formula
