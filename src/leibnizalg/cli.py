@@ -166,8 +166,8 @@ def _find_b(L, args):
     B = find_complement_B(L, args.budget)
     return {"found": B is not None, "B": B,
             "note": None if B is not None else
-            "no complement subalgebra of the kernel exists, and B = L "
-            "could not be certified"}
+            "no complement subalgebra of the kernel I exists, nor a nilpotent "
+            "subalgebra B with L = I + B and I cap B inside [B,B]"}
 
 
 def _verify(L, args):

@@ -211,25 +211,66 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
 
     Over a prime field under the oracle budget the search is exhaustive over
     the subalgebras of the lattice scan of L, smallest dimension first;
-    candidates whose Frattini ideal is not computable are skipped.  Over Q, B
-    is the complement subalgebra (B cap I = 0) found by one linear solve when
-    one exists, else L itself when L meets the premises (every nilpotent L
-    does, since I is inside [L,L] = phi(L)).  None over Q means that no
-    complement subalgebra exists and B = L cannot be certified.
+    candidates whose Frattini ideal is not computable are skipped.  Over Q the
+    candidates come from _q_candidates, and None means that L has neither a
+    complement subalgebra of I nor a nilpotent subalgebra B with L = I + B
+    and I cap B inside [B,B] = phi(B): no B whose Frattini ideal is
+    computable over Q meets the premises.
     """
     I = leibniz_kernel(L)
     if L.field.modulus is not None:
         candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
     else:
-        candidates = [B for B in (_complement_subalgebra(L, I), L.full_space()) if B is not None]
+        candidates = _q_candidates(L, I)
     for B in candidates:
-        if all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
+        if B is not None and all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
             return B
     return None
 
 
+def _q_candidates(L: LeibnizAlgebra, I: Subspace):
+    """Theorem 2's candidates over Q, lazily; None for a system without solution.
+
+    First the complement subalgebra of I (B cap I = 0), which always
+    qualifies.  Then, if Q = L/I is nilpotent, the complement subalgebra of
+    the Fitting one component I_1 of I (_fitting_one); for a nilpotent L,
+    I_1 = 0 and this is L.  Nothing else can qualify.  A B meeting I
+    qualifies over Q only if B is nilpotent; then Q = B/(I cap B) is
+    nilpotent, I = I_0 + I_1 into the Fitting components of its right
+    action, I cap B lies in I_0, and I = span{[v,v]} = (I cap B) + [I,B]
+    forces I cap B = I_0, since the action on I_0 is nilpotent: B is a
+    complement of I_1.  Conversely a complement B of I_1 is nilpotent with
+    I cap B = I_0, and the I_0-parts [b,b] of the squares
+    [b+w, b+w] = [b,b] + [w,b] (w in I_1) span I_0 inside [B,B].  This
+    complement is unique: two differ by a linear psi: L/I_1 -> I_1 with
+    [psi(s), t] = psi([s,t]), so long products of right multiplications
+    kill psi(s) (long brackets vanish in the nilpotent L/I_1), and psi(s)
+    lies in I_0 cap I_1 = 0.
+    """
+    yield _complement_subalgebra(L, I)
+    if is_nilpotent(quotient(L, I).quotient):
+        yield _complement_subalgebra(L, _fitting_one(L, I))
+
+
+def _fitting_one(L: LeibnizAlgebra, I: Subspace) -> Subspace:
+    """The sum over the basis y of L of R_y^d(I), d = dim I.  When L/I is
+    nilpotent this is the Fitting one component I_1 of I under the right
+    multiplications (the sum of the nonzero generalized weight spaces), an
+    ideal with I = I_0 + I_1, where I_0 is the part on which every R_y is
+    nilpotent."""
+    I1 = L.zero_space()
+    for j in range(L.dim):
+        y = Subspace.span(L.field, L.dim, [L.basis_vector(j)])
+        V = I
+        for _ in range(I.dim):
+            V = bracket_span(L, V, y)
+        I1 = I1 + V
+    return I1
+
+
 def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
     """A subalgebra B with B cap I = 0 and B + I = L, or None if there is none.
+    I is the kernel or an ideal of L inside it.
 
     Putting y = z in the identity gives [x, y^2] = 0, so [L, I] = 0.  Let
     c_1..c_m be I.complement_basis(), g_1..g_d the rows of I, and
