@@ -57,10 +57,6 @@ from .radicals import (
     nilradical,
     radical,
     verify,
-    verify_corollary,
-    verify_lemma1,
-    verify_prop3,
-    verify_theorem2,
 )
 from .reports import VerificationReport
 

@@ -100,6 +100,10 @@ def _load_source(source: str):
         return load_algebra(source)
     except FileNotFoundError:
         raise ParseError(f"{source!r} is neither a corpus name nor a readable file")
+    except OSError as e:
+        raise ParseError(f"cannot read {source!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {source!r}: not UTF-8 ({e.reason})") from None
 
 
 def _parse_span(L, text: str) -> Subspace:
@@ -185,8 +189,11 @@ def _corpus(args) -> int:
         return EXIT_USAGE
     text = dumps_algebra(entry.algebra)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise ParseError(f"cannot write {args.out!r}: {e.strerror}") from None
     else:
         print(text, end="")
     return EXIT_OK

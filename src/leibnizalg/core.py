@@ -217,17 +217,6 @@ def ideal_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:
         V = W
 
 
-def subalgebra_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:
-    """Smallest subalgebra containing S: fixed point of V -> V + [V,V]."""
-    _check_ambient(L, S)
-    V = S
-    while True:
-        W = V + bracket_span(L, V, V)
-        if W.dim == V.dim:
-            return V
-        V = W
-
-
 def leibniz_kernel(L: LeibnizAlgebra) -> Subspace:
     """span{x^2 : x in L}, computed by polarization.
 

@@ -2,7 +2,7 @@
 
     field : "Q" or "F<p>"
     dim   : integer, at most MAX_DIM
-    basis : list of labels
+    basis : list of dim strings, the labels
     table : sparse list of entries [i, j, [k, num, den], [k, num, den], ...]
 
 Indices are 0-based; omitted products are zero; num/den are exact integers
@@ -71,7 +71,7 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
     try:
         F = field_from_str(d["field"])
         dim = d["dim"]
-        basis = list(d["basis"])
+        basis = d["basis"]
         raw = d["table"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"missing or malformed field: {e}") from None
@@ -79,6 +79,8 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
         raise ParseError(f"dim must be an integer, got {dim!r}")
     if dim > MAX_DIM:
         raise ParseError(f"dim {dim} is above the cap of {MAX_DIM}")
+    if not (isinstance(basis, list) and all(isinstance(b, str) for b in basis)):
+        raise ParseError(f"basis must be a list of strings, got {basis!r}")
     if len(basis) != dim:
         raise ParseError(f"basis has {len(basis)} labels, dim is {dim}")
     if not isinstance(raw, list):
@@ -124,7 +126,7 @@ def loads_algebra(text: str) -> LeibnizAlgebra:
 
 
 def load_algebra(path) -> LeibnizAlgebra:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return loads_algebra(f.read())
 
 

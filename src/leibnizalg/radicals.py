@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from . import oracle
 from .core import (
     LeibnizAlgebra,
+    QuotientPresentation,
     bracket_span,
     derived_series,
     embed_subspace,
@@ -31,12 +32,7 @@ from .core import (
     subspace_is_nilpotent,
     two_sided_span,
 )
-from .errors import (
-    InternalInconsistency,
-    PremiseViolation,
-    Unsupported,
-    UnsupportedField,
-)
+from .errors import InternalInconsistency, PremiseViolation, Unsupported
 from .exactlin import Matrix, Subspace, nullspace, vec_add, vec_sub
 from .reports import VerificationReport
 
@@ -335,12 +331,13 @@ def _frattini_of_subalgebra(L, B, budget):
     return embed_subspace(B, phi)
 
 
-def verify_theorem2(L: LeibnizAlgebra, B: Subspace,
-                    budget: int = oracle.DEFAULT_BUDGET) -> Theorem2Report:
+def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
+                    NQ: Subspace, B: Subspace, budget: int) -> Theorem2Report:
     """Check N(L/I) = (I + N(B))/I, and that it equals N(L)/I exactly when
     every basis element n of N(B) has nilpotent right multiplication on I.
+    qp is the quotient by I, NL is N(L) and NQ is N(L/I).
     """
-    I = leibniz_kernel(L)
+    I = qp.ideal
     premises = {"B_is_subalgebra": is_subalgebra(L, B)}
     if not premises["B_is_subalgebra"]:
         raise PremiseViolation("B is not a subalgebra")
@@ -352,17 +349,9 @@ def verify_theorem2(L: LeibnizAlgebra, B: Subspace,
         if not holds:
             raise PremiseViolation(failure)
 
-    qp = quotient(L, I)
-    lhs = nilradical(qp.quotient, budget).subspace
-    NB = nilradical(restrict(L, B), budget).subspace
-    NB_in_L = embed_subspace(B, NB)
+    NB_in_L = embed_subspace(B, nilradical(restrict(L, B), budget).subspace)
     rhs = qp.project_subspace(I + NB_in_L)
-    formula_equal = lhs == rhs
-
     condition, condition_witnesses = _right_action_on_kernel_nilpotent(L, I, NB_in_L)
-    NL = nilradical(L, budget).subspace
-    kernel_quotient_equal = lhs == qp.project_subspace(NL)
-
     details = {
         "kernel": I,
         "N_of_L": NL,
@@ -371,11 +360,11 @@ def verify_theorem2(L: LeibnizAlgebra, B: Subspace,
     }
     return Theorem2Report(
         premises_ok=premises,
-        lhs=lhs,
+        lhs=NQ,
         rhs=rhs,
-        formula_equal=formula_equal,
+        formula_equal=NQ == rhs,
         nilpotency_condition=condition,
-        kernel_quotient_equal=kernel_quotient_equal,
+        kernel_quotient_equal=NQ == qp.project_subspace(NL),
         details=details,
         witnesses=condition_witnesses,
     )
@@ -404,9 +393,11 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
     return (not witnesses), witnesses
 
 
-def verify_lemma1(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> VerificationReport:
-    """If I is inside the Frattini ideal, then N(L/I) = N(L)/I."""
-    I = leibniz_kernel(L)
+def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace, NQ: Subspace,
+                  budget: int) -> VerificationReport:
+    """If I is inside the Frattini ideal, then N(L/I) = N(L)/I.  qp is the
+    quotient by I, NL is N(L) and NQ is N(L/I)."""
+    I = qp.ideal
     phi = _frattini_or_none(L, budget)
     if phi is None:
         raise Unsupported("Frattini ideal of L not computable")
@@ -418,25 +409,20 @@ def verify_lemma1(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Ver
             details={"kernel": I, "frattini": phi,
                      "notice": "premise I <= phi(L) fails; statement not applicable"},
         )
-    qp = quotient(L, I)
-    lhs = nilradical(qp.quotient, budget).subspace
-    rhs = qp.project_subspace(nilradical(L, budget).subspace)
+    rhs = qp.project_subspace(NL)
     return VerificationReport(
         name="nilradical-of-quotient-under-frattini-premise",
-        passed=lhs == rhs,
-        details={"kernel": I, "frattini": phi, "lhs": lhs, "rhs": rhs},
-        witnesses=[] if lhs == rhs else [{"lhs": lhs, "rhs": rhs}],
+        passed=NQ == rhs,
+        details={"kernel": I, "frattini": phi, "lhs": NQ, "rhs": rhs},
+        witnesses=[] if NQ == rhs else [{"lhs": NQ, "rhs": rhs}],
     )
 
 
-def verify_prop3(L: LeibnizAlgebra) -> VerificationReport:
-    """[L, R] is inside N, in char 0; both product orientations are checked
-    and reported separately since the one-sided/two-sided reading is ambiguous.
+def verify_prop3(L: LeibnizAlgebra, R: Subspace, N: Subspace) -> VerificationReport:
+    """[L, R] is inside N, for the radical R and the nilradical N in char 0;
+    both product orientations are checked and reported separately since the
+    one-sided/two-sided reading is ambiguous.
     """
-    if L.field.modulus is not None:
-        raise UnsupportedField("stated for characteristic zero")
-    R = radical(L).subspace
-    N = nilradical(L).subspace
     one_sided = bracket_span(L, L.full_space(), R) <= N
     two_sided = two_sided_span(L, L.full_space(), R) <= N
     return VerificationReport(
@@ -447,12 +433,8 @@ def verify_prop3(L: LeibnizAlgebra) -> VerificationReport:
     )
 
 
-def verify_corollary(L: LeibnizAlgebra) -> VerificationReport:
+def verify_corollary(L: LeibnizAlgebra, R: Subspace, N: Subspace) -> VerificationReport:
     """[R,R] inside N and nilpotent; L solvable iff [L,L] nilpotent (char 0)."""
-    if L.field.modulus is not None:
-        raise UnsupportedField("stated for characteristic zero")
-    R = radical(L).subspace
-    N = nilradical(L).subspace
     RR = bracket_span(L, R, R)
     LL = bracket_span(L, L.full_space(), L.full_space())
     # spans of all products of a subalgebra are closed under the bracket
@@ -471,25 +453,34 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
            budget: int = oracle.DEFAULT_BUDGET) -> dict:
     """The paper's checks on L combined into one verdict.
 
+    I, L/I, N(L) and N(L/I), and over Q the radical R(L), are computed once.
     Lemma 1, theorem 2 (for B, or else for the B that find_complement_B
-    finds), proposition 3 and the corollary run in that order.  A check that
-    raises Unsupported or PremiseViolation is reported as {"skipped": message};
-    the others as their reports.  The verdict is "fail" when a check that ran
-    did not pass, else "pass".
+    finds), proposition 3 and the corollary then run in that order as steps
+    that read them.  A step that raises Unsupported or PremiseViolation is
+    reported as {"skipped": message}, and so are proposition 3 and the
+    corollary over F_p; the others as their reports.  The verdict is "fail"
+    when a check that ran did not pass, else "pass".
     """
-    def attempt(check, *args):
+    def attempt(step, *args):
         try:
-            return check(*args)
+            return step(*args)
         except (Unsupported, PremiseViolation) as e:
             return {"skipped": str(e)}
 
-    report = {"lemma1": attempt(verify_lemma1, L, budget)}
+    qp = quotient(L, leibniz_kernel(L))
+    NL = nilradical(L, budget).subspace       # over F_p the first scan is of L
+    NQ = nilradical(qp.quotient, budget).subspace
+    report = {"lemma1": attempt(verify_lemma1, L, qp, NL, NQ, budget)}
     if B is None:
         B = find_complement_B(L, budget)
     report["theorem2"] = ({"skipped": "no complement subalgebra B found"} if B is None
-                          else attempt(verify_theorem2, L, B, budget))
-    report["prop3"] = attempt(verify_prop3, L)
-    report["corollary"] = attempt(verify_corollary, L)
+                          else attempt(verify_theorem2, L, qp, NL, NQ, B, budget))
+    if L.field.modulus is None:
+        R = radical(L).subspace
+        report["prop3"] = verify_prop3(L, R, NL)
+        report["corollary"] = verify_corollary(L, R, NL)
+    else:
+        report["prop3"] = report["corollary"] = {"skipped": "stated for characteristic zero"}
     failed = any(not r.passed for r in report.values() if not isinstance(r, dict))
     report["verdict"] = "fail" if failed else "pass"
     return report

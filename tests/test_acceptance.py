@@ -33,8 +33,6 @@ from leibnizalg.radicals import (
     nilradical,
     radical,
     verify,
-    verify_lemma1,
-    verify_theorem2,
 )
 
 
@@ -85,17 +83,17 @@ def test_criterion_3_theorem2_formula():
     # the stated complements for the two counterexample families
     L1 = corpus.example1().algebra
     B1 = Subspace.span(QQ, 2, [(Fraction(1), Fraction(-1))])
-    rep1 = verify_theorem2(L1, B1)
+    rep1 = verify(L1, B1)["theorem2"]
     ok &= rep1.formula_equal
     L2 = corpus.example2(2, 1).algebra
     B2 = Subspace.span(QQ, 3, [L2.basis_vector(0), L2.basis_vector(2)])
-    rep2 = verify_theorem2(L2, B2)
+    rep2 = verify(L2, B2)["theorem2"]
     ok &= rep2.formula_equal
     for e in char0_entries():
         B = find_complement_B(e.algebra)
         if B is None:
             continue
-        rep = verify_theorem2(e.algebra, B)
+        rep = verify(e.algebra, B)["theorem2"]
         ok &= rep.formula_equal
         ok &= rep.nilpotency_condition == rep.kernel_quotient_equal
     elapsed = time.time() - t0
@@ -193,7 +191,7 @@ def test_criterion_9_lemma1_instance():
     L = corpus.nilcyclic2().algebra
     I = leibniz_kernel(L)
     phi = frattini_ideal(L)
-    rep = verify_lemma1(L)
+    rep = verify(L)["lemma1"]
     ok = I <= phi and rep.applicable and rep.passed
     report("9 lemma1-instance", ok)
 

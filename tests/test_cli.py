@@ -157,13 +157,21 @@ ABOVE_CAP = MAX_DIM + 1
     ["info", {**GOOD, "field": f"F{2**89 - 1}"}],              # prime above the bound
     ["info", {**GOOD, "dim": ABOVE_CAP,                        # rejected before the table
               "basis": [f"e{i + 1}" for i in range(ABOVE_CAP)], "table": []}],
+    ["liesation", {**GOOD, "basis": [1, 2]}],                  # labels not strings
+    ["info", {**GOOD, "basis": "xy"}],                         # was read as labels x, y
+    ["info", "{tmp}"],                                         # a directory
+    ["info", b'{"field": "Q", "dim": 1, "basis": ["\xff"], "table": []}'],  # not UTF-8
+    ["corpus", "example1", "-o", "{tmp}/missing/x.json"],      # unwritable output
 ], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector",
-        "modulus-above-bound", "dim-above-cap"])
+        "modulus-above-bound", "dim-above-cap", "int-labels", "string-basis", "directory",
+        "not-utf8", "corpus-out-missing-dir"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
-    if isinstance(args[1], dict):
+    # a dict or bytes argument is written to a file first; "{tmp}" is tmp_path
+    if isinstance(args[1], (dict, bytes)):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(args[1]))
+        path.write_bytes(args[1] if isinstance(args[1], bytes) else json.dumps(args[1]).encode())
         args = [args[0], str(path)] + args[2:]
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     assert cli.run(args) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err

@@ -27,7 +27,6 @@ from leibnizalg.core import (
     quotient,
     restrict,
     right_mult,
-    subalgebra_closure,
     two_sided_span,
 )
 from leibnizalg.errors import NotAnIdeal, NotASubalgebra
@@ -539,11 +538,6 @@ def test_embed_roundtrip():
     S = Subspace.span(QQ, 2, [(Fraction(1), Fraction(2))])
     back = embed_subspace(B, S)
     assert back.dim == 1 and back <= B
-
-
-def test_subalgebra_closure():
-    L = ex1()
-    assert subalgebra_closure(L, span_of(L, L.basis_vector(0))) == L.full_space()
 
 
 # ---------------------------------------------------------------- center

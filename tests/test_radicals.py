@@ -18,7 +18,7 @@ from leibnizalg.core import (
     restrict,
     subspace_is_solvable,
 )
-from leibnizalg.errors import InternalInconsistency, PremiseViolation, Unsupported
+from leibnizalg.errors import InternalInconsistency, Unsupported
 from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, unit_vec
 from leibnizalg.radicals import (
     Theorem2Report,
@@ -27,10 +27,6 @@ from leibnizalg.radicals import (
     nilradical,
     radical,
     verify,
-    verify_corollary,
-    verify_lemma1,
-    verify_prop3,
-    verify_theorem2,
 )
 from leibnizalg.reports import VerificationReport, _jsonable
 
@@ -247,7 +243,7 @@ def test_find_b_is_a_certified_complement_in_dense_bases():
         assert is_subalgebra(L, B) and (I + B) == L.full_space(), name
         if B != L.full_space():
             assert (I & B).dim == 0, name
-        assert verify_theorem2(L, B).passed, name
+        assert verify(L, B)["theorem2"].passed, name
 
 
 def test_find_b_falls_back_to_L_only_when_it_is_certified():
@@ -277,14 +273,14 @@ def test_find_b_meets_the_kernel_in_its_fitting_null_component():
     L = LeibnizAlgebra.from_products(QQ, 3, {(0, 0): {1: 1}, (2, 0): {2: 1}})
     B = find_complement_B(L)
     assert B == span_of(L, L.basis_vector(0), L.basis_vector(1))
-    assert verify_theorem2(L, B).passed
+    assert verify(L, B)["theorem2"].passed
     for seed in range(3):
         D = dense_basis(L, random.Random(seed))
         I = leibniz_kernel(D)
         B = find_complement_B(D)
         assert B is not None and is_subalgebra(D, B), seed
         assert (I + B) == D.full_space() and (I & B).dim == 1, seed
-        assert verify_theorem2(D, B).passed, seed
+        assert verify(D, B)["theorem2"].passed, seed
 
 
 def test_find_b_tries_the_fitting_component_only_over_a_nilpotent_quotient():
@@ -313,7 +309,7 @@ def test_find_b_keeps_a_standard_complement_that_is_a_subalgebra():
 def test_theorem2_example1():
     L = corpus.example1().algebra
     B = span_of(L, (Fraction(1), Fraction(-1)))
-    rep = verify_theorem2(L, B)
+    rep = verify(L, B)["theorem2"]
     assert all(rep.premises_ok.values())
     assert rep.formula_equal
     assert rep.lhs.dim == 1  # both sides are all of L/I
@@ -324,7 +320,7 @@ def test_theorem2_example1():
 def test_theorem2_example2():
     L = corpus.example2(2, 1).algebra
     B = span_of(L, L.basis_vector(0), L.basis_vector(2))
-    rep = verify_theorem2(L, B)
+    rep = verify(L, B)["theorem2"]
     assert rep.formula_equal
     assert rep.lhs == Subspace.full(QQ, 2)  # N(L/I) = L/I
     assert not rep.nilpotency_condition
@@ -333,23 +329,24 @@ def test_theorem2_example2():
 
 def test_theorem2_lie_algebra_all_true():
     L = corpus.sl2().algebra
-    rep = verify_theorem2(L, L.full_space())
+    rep = verify(L, L.full_space())["theorem2"]
     assert rep.formula_equal and rep.nilpotency_condition and rep.kernel_quotient_equal
 
 
 def test_theorem2_premise_violation():
     L = corpus.example1().algebra
-    with pytest.raises(PremiseViolation):
-        verify_theorem2(L, span_of(L, L.basis_vector(1)))  # I + B != L
+    # I + B != L
+    assert verify(L, span_of(L, L.basis_vector(1)))["theorem2"] == {
+        "skipped": "I + B is not all of L"}
 
 
 def test_theorem2_condition_matches_quotient_equality_everywhere():
-    # over F_p, verify_theorem2 raises PremiseViolation unless the B that the
-    # exhaustive search returns satisfies every premise
+    # over F_p, theorem 2 is skipped unless the B that the exhaustive search
+    # returns satisfies every premise
     for name, L in [(e.name, e.algebra) for e in corpus.standard_entries()] + small_reductions():
         B = find_complement_B(L)
         assert B is not None
-        rep = verify_theorem2(L, B)
+        rep = verify(L, B)["theorem2"]
         assert rep.formula_equal, name
         assert rep.nilpotency_condition == rep.kernel_quotient_equal, name
 
@@ -357,56 +354,57 @@ def test_theorem2_condition_matches_quotient_equality_everywhere():
 # ---------------------------------------------------------------- frattini premise case
 
 def test_lemma1_nilcyclic2():
-    rep = verify_lemma1(corpus.nilcyclic2().algebra)
+    rep = verify(corpus.nilcyclic2().algebra)["lemma1"]
     assert rep.applicable and rep.passed
 
 
 def test_lemma1_abelian_trivially_passes():
-    rep = verify_lemma1(corpus.abelian(3).algebra)
+    rep = verify(corpus.abelian(3).algebra)["lemma1"]
     assert rep.applicable and rep.passed
 
 
 def test_lemma1_example1_unsupported_over_q():
     # example1 is not nilpotent, so phi(L) is not computable over Q
-    with pytest.raises(Unsupported):
-        verify_lemma1(corpus.example1().algebra)
+    assert verify(corpus.example1().algebra)["lemma1"] == {
+        "skipped": "Frattini ideal of L not computable"}
 
 
 def test_lemma1_example1_premise_fails_over_fp():
     from leibnizalg.oracle import reduce_mod_p
 
     Lp = reduce_mod_p(corpus.example1().algebra, 3)
-    rep = verify_lemma1(Lp)
+    rep = verify(Lp)["lemma1"]
     assert not rep.applicable and rep.passed
 
 
 # ---------------------------------------------------------------- prop 3 / corollary
 
 def test_prop3_example2():
-    rep = verify_prop3(corpus.example2(2, 1).algebra)
+    rep = verify(corpus.example2(2, 1).algebra)["prop3"]
     assert rep.passed
     assert rep.details["one_sided"] and rep.details["two_sided"]
 
 
 def test_prop3_sl2_trivial():
-    assert verify_prop3(corpus.sl2().algebra).passed
+    assert verify(corpus.sl2().algebra)["prop3"].passed
 
 
 def test_prop3_direct_sum():
     L = direct_sum(corpus.example1().algebra, corpus.sl2().algebra)
-    assert verify_prop3(L).passed
+    assert verify(L)["prop3"].passed
 
 
 def test_corollary_examples():
     for name in ("example1", "sl2", "abelian-3", "affine2", "example2-2-1"):
-        rep = verify_corollary(corpus.build(name).algebra)
+        rep = verify(corpus.build(name).algebra)["corollary"]
         assert rep.passed, name
 
 
 def test_prop3_and_corollary_across_corpus():
     for e in corpus.standard_entries():
-        assert verify_prop3(e.algebra).passed, e.name
-        assert verify_corollary(e.algebra).passed, e.name
+        rep = verify(e.algebra)
+        assert rep["prop3"].passed, e.name
+        assert rep["corollary"].passed, e.name
 
 
 # ---------------------------------------------------------------- theorem-2 verdict
@@ -465,7 +463,26 @@ def test_verify_verdict_is_the_one_the_cli_reports(monkeypatch, capsys):
     from leibnizalg import cli, radicals
 
     failing = VerificationReport(name="bracket-of-radical-inside-nilradical", passed=False)
-    monkeypatch.setattr(radicals, "verify_prop3", lambda L: failing)
+    monkeypatch.setattr(radicals, "verify_prop3", lambda L, R, N: failing)
     assert verify(corpus.example1().algebra)["verdict"] == "fail"
     assert cli.run(["verify", "example1"]) == 1
     assert "verdict: fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg"])
+def test_verify_computes_each_nilradical_once(monkeypatch, name):
+    # one call each for L, L/I and B
+    from leibnizalg import radicals
+
+    L = (corpus.heisenberg().algebra if name == "heisenberg" else
+         dense_basis(corpus.example2(6, 3).algebra, random.Random(13)))
+    calls = []
+
+    def counted(M, *args):
+        calls.append(M.dim)
+        return nilradical(M, *args)
+
+    monkeypatch.setattr(radicals, "nilradical", counted)
+    assert verify(L)["verdict"] == "pass"
+    I, B = leibniz_kernel(L), find_complement_B(L)
+    assert calls == [L.dim, L.dim - I.dim, B.dim]
