@@ -58,10 +58,6 @@ class Field:
         if self.modulus is not None and not _is_prime(self.modulus):
             raise ValueError(f"modulus must be prime, got {self.modulus}")
 
-    @property
-    def char(self) -> int:
-        return 0 if self.modulus is None else self.modulus
-
     def scalar(self, num: int, den: int = 1):
         """Exact field element num/den; den must be a unit mod p."""
         if not isinstance(num, int) or not isinstance(den, int):
@@ -168,16 +164,9 @@ class Matrix:
                            for i in range(n)])
 
     @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def from_columns(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
         n = len(cols[0]) if cols else 0
         return cls(field, [[c[i] for c in cols] for i in range(n)], len(cols))
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
 
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.ncols:
@@ -206,15 +195,6 @@ class Matrix:
                     s += a * b
         p = self.field.modulus
         return s if p is None else s % p
-
-    def add(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        return Matrix(F, [[F.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def scale(self, c) -> "Matrix":
-        F = self.field
-        return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows], self.ncols)
 
     def trace(self):
         F = self.field

@@ -115,15 +115,22 @@ def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedId
 def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> CertifiedIdeal:
     """Largest nilpotent ideal.
 
-    Char 0: within the radical R, the nilradical is exactly the set of x whose
-    right multiplication (on all of L) is nilpotent.  That set is carved out
-    with exact trace forms: start from
-        C = { x in R : tr(R_x) = 0 and tr(R_x R_y) = 0 for all basis y of R },
+    Char 0: the nilradical is carved out of L with exact trace forms: start
+    from
+        C = { x in L : tr(R_x) = 0 and tr(R_x R_y) = 0 for all basis y of L },
     then, while some canonical basis vector v of C has non-nilpotent R_v, cut
     C with the linear conditions tr(R_x R_v^k) = 0 (k = 1..dim L) and repeat.
     Each cut removes v, so the dimension strictly decreases and the loop
-    terminates.  Certificates then confirm C is a nilpotent ideal with
-    per-basis-vector nilpotent right multiplications.
+    terminates.  The first cut lies in the radical R: with
+    beta(x, y) = tr(R_x R_y), R_[y,z] = R_z R_y - R_y R_z makes the
+    orthogonal L^perp of L under beta a two-sided ideal.  The right
+    multiplications of L^perp form a linear Lie algebra with tr(XY) = 0, so it
+    is solvable by Cartan's criterion; the kernel of x -> R_x is abelian, so
+    L^perp is a solvable ideal.  N lies in every cut (R_x R_y and R_x R_v^k
+    shift the flag L > N > N^2 > ... for x in N), so the loop runs inside R,
+    where the nilradical is exactly the set of x whose right multiplication
+    (on all of L) is nilpotent, and ends at N.  Certificates then confirm C is
+    a nilpotent ideal with per-basis-vector nilpotent right multiplications.
     """
     if L.field.modulus is not None:
         N, method = oracle.nilradical_oracle(L, budget), "oracle-exhaustive"
@@ -142,7 +149,6 @@ def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
     """The trace-form refinement described in nilradical(), uncertified."""
     F = L.field
     n = L.dim
-    R = radical(L).subspace
 
     def cut(space: Subspace, conds) -> Subspace:
         # restrict a subspace by linear conditions, each a functional of R_u;
@@ -156,8 +162,9 @@ def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
         ker = nullspace(Matrix.from_columns(F, cols))
         return Subspace.span(F, n, [space.combine(k) for k in ker])
 
-    # tr(R_u) and tr(R_u R_y) = tr(R_y R_u) for the basis y of R
-    C = cut(R, [Matrix.trace] + [right_mult(L, y).trace_of_product for y in R.rows])
+    # tr(R_u) and tr(R_u R_y) = tr(R_y R_u) for the basis y of L
+    full = L.full_space()
+    C = cut(full, [Matrix.trace] + [right_mult(L, y).trace_of_product for y in full.rows])
 
     while True:
         bad = None
@@ -195,22 +202,14 @@ def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Su
     raise Unsupported("Frattini ideal over Q is only computed for nilpotent algebras")
 
 
-def _frattini_or_none(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
-    try:
-        return frattini_ideal(L, budget)
-    except Unsupported:
-        return None
-
-
 def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     """A subalgebra B with L = I + B and I cap B inside the Frattini ideal of B.
 
     Over a prime field under the oracle budget the search is exhaustive over
-    the subalgebras of the lattice scan of L, smallest dimension first;
-    candidates whose Frattini ideal is not computable are skipped.  Over Q the
-    candidates come from _q_candidates, and None means that L has neither a
-    complement subalgebra of I nor a nilpotent subalgebra B with L = I + B
-    and I cap B inside [B,B] = phi(B): no B whose Frattini ideal is
+    the subalgebras of the lattice scan of L, smallest dimension first.  Over
+    Q the candidates come from _q_candidates, and None means that L has
+    neither a complement subalgebra of I nor a nilpotent subalgebra B with
+    L = I + B and I cap B inside [B,B] = phi(B): no B whose Frattini ideal is
     computable over Q meets the premises.
     """
     I = leibniz_kernel(L)
@@ -309,25 +308,21 @@ def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
 
 def _theorem2_premises(L, I, B, budget):
     """Theorem 2's premises on a subalgebra B, in order and lazily, as
-    (name, holds, message if it fails).  holds is None when I cap B is nonzero
-    and the Frattini ideal of B is not computable."""
+    (name, holds, message if it fails)."""
     yield "I_plus_B_is_L", (I + B) == L.full_space(), "I + B is not all of L"
     IB = I & B
-    if IB.dim == 0:
-        holds = True             # 0 is inside any Frattini ideal
-    else:
-        phiB = _frattini_of_subalgebra(L, B, budget)
-        holds = None if phiB is None else IB <= phiB
-    yield ("I_cap_B_in_frattini_of_B", holds,
-           "I cap B is not inside the Frattini ideal of B")
+    holds = IB.dim == 0 or IB <= _frattini_of_subalgebra(L, B, budget)   # 0 is in any phi(B)
+    yield "I_cap_B_in_frattini_of_B", holds, "I cap B is not inside the Frattini ideal of B"
 
 
 def _frattini_of_subalgebra(L, B, budget):
-    """Frattini ideal of restrict(L, B), embedded back into L; None if not computable."""
+    """Frattini ideal of restrict(L, B), embedded back into L."""
     LB = restrict(L, B)
-    phi = _frattini_or_none(LB, budget)
-    if phi is None:
-        return None
+    try:
+        phi = frattini_ideal(LB, budget)
+    except Unsupported:
+        raise Unsupported(
+            "cannot verify I cap B <= phi(B): Frattini ideal of B not computable") from None
     return embed_subspace(B, phi)
 
 
@@ -342,9 +337,6 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
     if not premises["B_is_subalgebra"]:
         raise PremiseViolation("B is not a subalgebra")
     for name, holds, failure in _theorem2_premises(L, I, B, budget):
-        if holds is None:
-            raise Unsupported(
-                "cannot verify I cap B <= phi(B): Frattini ideal of B not computable")
         premises[name] = holds
         if not holds:
             raise PremiseViolation(failure)
@@ -398,9 +390,10 @@ def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace, NQ:
     """If I is inside the Frattini ideal, then N(L/I) = N(L)/I.  qp is the
     quotient by I, NL is N(L) and NQ is N(L/I)."""
     I = qp.ideal
-    phi = _frattini_or_none(L, budget)
-    if phi is None:
-        raise Unsupported("Frattini ideal of L not computable")
+    try:
+        phi = frattini_ideal(L, budget)
+    except Unsupported:
+        raise Unsupported("Frattini ideal of L not computable") from None
     if not I <= phi:
         return VerificationReport(
             name="nilradical-of-quotient-under-frattini-premise",

@@ -16,10 +16,11 @@ from leibnizalg.core import (
     liesation,
     quotient,
     restrict,
+    right_mult,
     subspace_is_solvable,
 )
 from leibnizalg.errors import InternalInconsistency, Unsupported
-from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, unit_vec
+from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, nullspace, unit_vec
 from leibnizalg.radicals import (
     Theorem2Report,
     find_complement_B,
@@ -127,19 +128,88 @@ def test_nilradical_sl2_zero_and_abelian_full():
     assert nilradical(L).subspace == L.full_space()
 
 
-@pytest.mark.parametrize("lie", [False, True])
-def test_nilradical_refinement_cuts_what_trace_forms_miss(lie):
-    # V = Q^4 with x acting by the 4-cycle permutation A: [v, x] = Av, and
-    # [x, v] = -Av in the Lie case.  tr(A) = tr(A^2) = 0 although A is
-    # invertible, so the base trace-form cut keeps x; only tr(R_u R_x^3)
-    # = tr(A^4) = 4 removes it.  The nilradical is V.
+def four_cycle(lie):
+    """V = Q^4 with x acting by the 4-cycle permutation A: [v, x] = Av, and
+    [x, v] = -Av in the Lie case."""
     products = {(i, 4): {(i + 1) % 4: 1} for i in range(4)}
     if lie:
         products.update({(4, i): {(i + 1) % 4: -1} for i in range(4)})
-    L = LeibnizAlgebra.from_products(QQ, 5, products)
+    return LeibnizAlgebra.from_products(QQ, 5, products)
+
+
+def hemisemidirect():
+    """span(E11, E12) in gl_2 acting on the right of M = F^2 (see test_oracle)."""
+    return LeibnizAlgebra.from_products(QQ, 4, {
+        (0, 1): {1: 1}, (1, 0): {1: -1}, (2, 0): {2: 1}, (2, 1): {3: 1}})
+
+
+@pytest.mark.parametrize("lie", [False, True])
+def test_nilradical_refinement_cuts_what_trace_forms_miss(lie):
+    # tr(A) = tr(A^2) = 0 although A is invertible, so the base trace-form
+    # cut keeps x; only tr(R_u R_x^3) = tr(A^4) = 4 removes it.  The
+    # nilradical is V.
+    L = four_cycle(lie)
     res = nilradical(L)
     assert res.subspace == span_of(L, *[L.basis_vector(i) for i in range(4)])
     assert res.method == "trace-form-char0" and all(res.certificates.values())
+
+
+def _nilradical_reference(L):
+    """The radical-first trace-form cut, uncertified: the candidate starts as
+    { x in R(L) : tr(R_x) = 0 and tr(R_x R_y) = 0 for the basis y of R(L) }
+    and is cut by tr(R_x R_v^k) = 0 (k = 1..dim L) while some basis vector v
+    of it has non-nilpotent R_v."""
+    F, n = L.field, L.dim
+
+    def cut(space, conds):
+        if space.dim == 0:
+            return space
+        cols = [[cond(right_mult(L, u)) for cond in conds] for u in space.rows]
+        ker = nullspace(Matrix.from_columns(F, cols))
+        return Subspace.span(F, n, [space.combine(k) for k in ker])
+
+    R = radical(L).subspace
+    C = cut(R, [Matrix.trace] + [right_mult(L, y).trace_of_product for y in R.rows])
+    while True:
+        bad = next((v for v in C.rows if not right_mult(L, v).is_nilpotent()), None)
+        if bad is None:
+            return C
+        powers = [right_mult(L, bad)]
+        while len(powers) < n:
+            powers.append(powers[-1].matmul(powers[0]))
+        shrunk = cut(C, [Pk.trace_of_product for Pk in powers])
+        assert shrunk.dim < C.dim
+        C = shrunk
+
+
+def nilradical_reference_cases():
+    """Every Q corpus entry, also in three seeded dense bases, both 4-cycle
+    algebras, the hemisemidirect product and its direct sum with sl2."""
+    cases = []
+    for e in corpus.standard_entries():
+        cases.append((e.name, e.algebra))
+        cases += [(f"{e.name} seed {seed}", dense_basis(e.algebra, random.Random(seed)))
+                  for seed in range(3)]
+    cases += [(f"4-cycle lie={lie}", four_cycle(lie)) for lie in (False, True)]
+    H = hemisemidirect()
+    return cases + [("hemisemidirect", H),
+                    ("hemisemidirect+sl2", direct_sum(H, corpus.sl2().algebra))]
+
+
+def test_nilradical_equals_the_radical_first_reference_without_the_radical(monkeypatch):
+    from leibnizalg import radicals
+
+    cases = [(name, L, _nilradical_reference(L)) for name, L in nilradical_reference_cases()]
+    assert len(cases) == 48 and all(L.field == QQ for _, L, _ in cases)
+
+    def unreachable(*args):
+        raise AssertionError("nilradical over Q must not compute the radical")
+
+    monkeypatch.setattr(radicals, "radical", unreachable)
+    monkeypatch.setattr(radicals, "liesation", unreachable)
+    for name, L, expect in cases:
+        res = nilradical(L)
+        assert res.subspace == expect and all(res.certificates.values()), name
 
 
 def test_nilradical_certificates_always_pass():
@@ -165,8 +235,9 @@ def test_nilradical_distributes_over_direct_sums():
 
 def test_injected_fault_raises_internal_inconsistency():
     # corrupt one structure constant of example1 post-construction:
-    # [x2, x] becomes x instead of x2.  The pulled-back radical is then not
-    # solvable and the certificate must abort, never return silently.
+    # [x2, x] becomes x instead of x2.  The trace-form cut is then not an
+    # ideal and the pulled-back radical is not solvable: each certificate
+    # must abort, never return silently.
     L = LeibnizAlgebra.from_products(QQ, 2, {(0, 0): {1: 1}, (1, 0): {0: 1}},
                                      labels=["x", "x2"])
     with pytest.raises(InternalInconsistency):
@@ -256,10 +327,8 @@ def test_find_b_falls_back_to_L_only_when_it_is_certified():
 
 
 def test_find_b_hemisemidirect_product_over_q():
-    # span(E11, E12) in gl_2 acting on the right of M = F^2 (see test_oracle):
     # I = M, complemented by the subalgebra span(E11, E12)
-    L = LeibnizAlgebra.from_products(QQ, 4, {
-        (0, 1): {1: 1}, (1, 0): {1: -1}, (2, 0): {2: 1}, (2, 1): {3: 1}})
+    L = hemisemidirect()
     I = leibniz_kernel(L)
     B = find_complement_B(L)
     assert B is not None and is_subalgebra(L, B)
@@ -369,6 +438,13 @@ def test_lemma1_example1_unsupported_over_q():
         "skipped": "Frattini ideal of L not computable"}
 
 
+def test_theorem2_skipped_when_frattini_of_B_not_computable_over_q():
+    # B = L meets I = span{x2}, and example1 + sl2 is not nilpotent
+    L = corpus.with_simple_summand(corpus.example1()).algebra
+    assert verify(L, L.full_space())["theorem2"] == {
+        "skipped": "cannot verify I cap B <= phi(B): Frattini ideal of B not computable"}
+
+
 def test_lemma1_example1_premise_fails_over_fp():
     from leibnizalg.oracle import reduce_mod_p
 
@@ -469,13 +545,17 @@ def test_verify_verdict_is_the_one_the_cli_reports(monkeypatch, capsys):
     assert "verdict: fail" in capsys.readouterr().out
 
 
+def counting_case(name):
+    return (corpus.heisenberg().algebra if name == "heisenberg" else
+            dense_basis(corpus.example2(6, 3).algebra, random.Random(13)))
+
+
 @pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg"])
 def test_verify_computes_each_nilradical_once(monkeypatch, name):
     # one call each for L, L/I and B
     from leibnizalg import radicals
 
-    L = (corpus.heisenberg().algebra if name == "heisenberg" else
-         dense_basis(corpus.example2(6, 3).algebra, random.Random(13)))
+    L = counting_case(name)
     calls = []
 
     def counted(M, *args):
@@ -486,3 +566,20 @@ def test_verify_computes_each_nilradical_once(monkeypatch, name):
     assert verify(L)["verdict"] == "pass"
     I, B = leibniz_kernel(L), find_complement_B(L)
     assert calls == [L.dim, L.dim - I.dim, B.dim]
+
+
+@pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg"])
+def test_verify_computes_the_radical_once(monkeypatch, name):
+    # for prop 3 and the corollary; the nilradicals do not need it
+    from leibnizalg import radicals
+
+    L = counting_case(name)
+    calls = []
+
+    def counted(M, *args):
+        calls.append(M.dim)
+        return radical(M, *args)
+
+    monkeypatch.setattr(radicals, "radical", counted)
+    assert verify(L)["verdict"] == "pass"
+    assert calls == [L.dim]
