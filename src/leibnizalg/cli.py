@@ -47,7 +47,8 @@ def _render_text(obj, indent=0):
     pad = "  " * indent
     lines = []
     if _is_serialized_subspace(obj):
-        lines.append(pad + _fmt_serialized_subspace(obj))
+        basis = obj["basis"]
+        lines.append(pad + ("span{" + ", ".join(basis) + "}" if basis else "0"))
     elif isinstance(obj, dict):
         for k, v in obj.items():
             if isinstance(v, (dict, list)) and v:
@@ -58,7 +59,11 @@ def _render_text(obj, indent=0):
     elif isinstance(obj, list):
         for v in obj:
             if isinstance(v, (dict, list)):
-                lines.extend(_render_text(v, indent))
+                item = _render_text(v, indent)
+                if isinstance(v, dict) and not _is_serialized_subspace(v):
+                    # mark where each dict starts, so consecutive ones stay apart
+                    item[0] = pad[:-2] + "- " + item[0][len(pad):]
+                lines.extend(item)
             else:
                 lines.append(f"{pad}- {v}")
     else:
@@ -70,26 +75,15 @@ def _is_serialized_subspace(v):
     return isinstance(v, dict) and set(v) == {"ambient_dim", "basis"}
 
 
-def _fmt_serialized_subspace(d) -> str:
-    basis = d["basis"]
-    if not basis:
-        return "0"
-
-    def fmt(c):
-        if isinstance(c, list):
-            num, den = c
-            return str(Fraction(num, den))
-        return str(c)
-
-    return "span{" + ", ".join("(" + ", ".join(fmt(a) for a in row) + ")"
-                               for row in basis) + "}"
+def _fmt_vector(v) -> str:
+    return "(" + ", ".join(map(str, v)) + ")"
 
 
 def _emit(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(_jsonable(report), indent=2))
     else:
-        print("\n".join(_render_text(_jsonable(report))))
+        print("\n".join(_render_text(_jsonable(report, _fmt_vector))))
 
 
 def _load_source(source: str):

@@ -22,9 +22,7 @@ from .core import (
     is_nilpotent,
     is_solvable,
     is_subalgebra,
-    left_mult,
     leibniz_kernel,
-    liesation,
     lower_central_series,
     quotient,
     restrict,
@@ -42,7 +40,7 @@ class CertifiedIdeal:
     """A radical or nilradical with the certificates that were checked on it."""
 
     subspace: Subspace
-    method: str      # "cartan-pullback", "trace-form-char0" or "oracle-exhaustive"
+    method: str      # "trace-form-char0" over Q, "oracle-exhaustive" over F_p
     certificates: dict = field(default_factory=dict)
 
 
@@ -66,36 +64,50 @@ class Theorem2Report:
 def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> CertifiedIdeal:
     """Largest solvable ideal.
 
-    Char 0: the quotient by the span of squares is a Lie algebra with the same
-    radical image, so compute the Lie radical there as the orthogonal
-    complement of the derived algebra under the Killing form (Cartan's
-    criterion) and pull it back.  Over F_p the exhaustive oracle is used,
-    subject to its budget.
+    Char 0: R(L) = { x in L : beta(x, d) = 0 for every d in [L,L] }, with the
+    trace form beta(x, y) = tr(R_x R_y) of the right multiplications on L.
+    The kernel I satisfies [L, I] = 0, so R_i = 0 for i in I, and
+    R_[y,z] = R_z R_y - R_y R_z makes x -> -R_x a representation of the Lie
+    algebra g = L/I on L; its kernel is central in g, since [y, x] = 0 for
+    every y puts [x, y] in I.  beta is the trace form of this representation,
+    so it is invariant and the orthogonal A of [g,g] is an ideal.  By
+    Cartan's criterion the image of A is solvable, and the kernel is
+    abelian, so A is solvable: A lies in rad g.  Conversely [g, rad g] acts
+    as zero on every composition factor of L, so for r in rad g
+    beta(r, [a,b]) = beta([r,a], b) = 0: rad g lies in A.  I is abelian, so
+    R(L) is the preimage of rad g = A.  Over F_p the exhaustive oracle is
+    used, subject to its budget.
     """
     if L.field.modulus is not None:
         R = oracle.radical_oracle(L, budget)
         return _certify(L, R, "oracle-exhaustive", derived_series)
-    qp = liesation(L)
-    lam = qp.quotient
-    rad_lam = _lie_radical_killing(lam)
-    R = qp.pull_back(rad_lam)
-    return _certify(L, R, "cartan-pullback", derived_series)
+    full = L.full_space()
+    _, G = _trace_form(L)
+    R = _cut(L, full, [G.matvec(d) for d in bracket_span(L, full, full).rows])
+    return _certify(L, R, "trace-form-char0", derived_series)
 
 
-def _lie_radical_killing(lam: LeibnizAlgebra) -> Subspace:
-    """rad = { x : kappa(x, [lam,lam]) = 0 } for a char-0 Lie algebra."""
-    F = lam.field
-    m = lam.dim
-    if m == 0:
-        return lam.zero_space()
-    ads = [left_mult(lam, lam.basis_vector(i)) for i in range(m)]
-    gram = [[ads[i].trace_of_product(ads[j]) for j in range(m)] for i in range(m)]
-    D = bracket_span(lam, lam.full_space(), lam.full_space())
-    if D.dim == 0:
-        return lam.full_space()
-    G = Matrix(F, gram)
-    rows = [G.matvec(d) for d in D.rows]
-    return Subspace.span(F, m, nullspace(Matrix(F, rows)))
+def _trace_form(L: LeibnizAlgebra):
+    """The right multiplications R_{e_j} of the basis of L, and the Gram
+    matrix G_ij = tr(R_{e_i} R_{e_j}) of beta, symmetric, so only its upper
+    half is computed."""
+    n = L.dim
+    Rs = [right_mult(L, L.basis_vector(j)) for j in range(n)]
+    G = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = Rs[i].trace_of_product(Rs[j])
+    return Rs, Matrix(L.field, G, n)
+
+
+def _cut(L: LeibnizAlgebra, C: Subspace, functionals) -> Subspace:
+    """{ x in C : f . x = 0 for every functional f }, each f a vector of
+    coefficients on the basis of L, by one nullspace in C's coordinates."""
+    if C.dim == 0 or not functionals:
+        return C
+    F = L.field
+    A = Matrix(F, functionals, L.dim).matmul(Matrix.from_columns(F, C.rows))
+    return Subspace.span(F, L.dim, [C.combine(k) for k in nullspace(A)])
 
 
 def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedIdeal:
@@ -115,22 +127,19 @@ def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedId
 def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> CertifiedIdeal:
     """Largest nilpotent ideal.
 
-    Char 0: the nilradical is carved out of L with exact trace forms: start
-    from
-        C = { x in L : tr(R_x) = 0 and tr(R_x R_y) = 0 for all basis y of L },
+    Char 0: the nilradical is carved out of L with the trace form
+    beta(x, y) = tr(R_x R_y) of radical() and its refinements: start from
+        C = { x in L : tr(R_x) = 0 and beta(x, y) = 0 for all basis y of L },
     then, while some canonical basis vector v of C has non-nilpotent R_v, cut
     C with the linear conditions tr(R_x R_v^k) = 0 (k = 1..dim L) and repeat.
     Each cut removes v, so the dimension strictly decreases and the loop
-    terminates.  The first cut lies in the radical R: with
-    beta(x, y) = tr(R_x R_y), R_[y,z] = R_z R_y - R_y R_z makes the
-    orthogonal L^perp of L under beta a two-sided ideal.  The right
-    multiplications of L^perp form a linear Lie algebra with tr(XY) = 0, so it
-    is solvable by Cartan's criterion; the kernel of x -> R_x is abelian, so
-    L^perp is a solvable ideal.  N lies in every cut (R_x R_y and R_x R_v^k
-    shift the flag L > N > N^2 > ... for x in N), so the loop runs inside R,
-    where the nilradical is exactly the set of x whose right multiplication
-    (on all of L) is nilpotent, and ends at N.  Certificates then confirm C is
-    a nilpotent ideal with per-basis-vector nilpotent right multiplications.
+    terminates.  The first cut lies in the beta-orthogonal of L, so in that
+    of [L,L], which is the radical R.  N lies in every cut (R_x R_y and
+    R_x R_v^k shift the flag L > N > N^2 > ... for x in N), so the loop runs
+    inside R, where the nilradical is exactly the set of x whose right
+    multiplication (on all of L) is nilpotent, and ends at N.  Certificates
+    then confirm C is a nilpotent ideal with per-basis-vector nilpotent right
+    multiplications.
     """
     if L.field.modulus is not None:
         N, method = oracle.nilradical_oracle(L, budget), "oracle-exhaustive"
@@ -147,24 +156,10 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
 
 def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
     """The trace-form refinement described in nilradical(), uncertified."""
-    F = L.field
     n = L.dim
-
-    def cut(space: Subspace, conds) -> Subspace:
-        # restrict a subspace by linear conditions, each a functional of R_u;
-        # R_u is built once per basis vector u
-        if space.dim == 0 or not conds:
-            return space
-        cols = []
-        for u in space.rows:
-            Ru = right_mult(L, u)
-            cols.append([cond(Ru) for cond in conds])
-        ker = nullspace(Matrix.from_columns(F, cols))
-        return Subspace.span(F, n, [space.combine(k) for k in ker])
-
-    # tr(R_u) and tr(R_u R_y) = tr(R_y R_u) for the basis y of L
-    full = L.full_space()
-    C = cut(full, [Matrix.trace] + [right_mult(L, y).trace_of_product for y in full.rows])
+    Rs, G = _trace_form(L)
+    # tr(R_x) and tr(R_x R_y) for the basis y of L
+    C = _cut(L, L.full_space(), [[R.trace() for R in Rs]] + G.rows)
 
     while True:
         bad = None
@@ -179,7 +174,7 @@ def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
         powers = [Rv]
         while len(powers) < n:
             powers.append(powers[-1].matmul(Rv))
-        shrunk = cut(C, [Pk.trace_of_product for Pk in powers])
+        shrunk = _cut(L, C, [[R.trace_of_product(Pk) for R in Rs] for Pk in powers])
         if shrunk.dim >= C.dim:
             raise InternalInconsistency(
                 "trace-form refinement failed to shrink the candidate nilradical")
@@ -216,15 +211,16 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     if L.field.modulus is not None:
         candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
     else:
-        candidates = _q_candidates(L, I)
+        candidates = _q_candidates(L, quotient(L, I))
     for B in candidates:
         if B is not None and all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
             return B
     return None
 
 
-def _q_candidates(L: LeibnizAlgebra, I: Subspace):
+def _q_candidates(L: LeibnizAlgebra, qp: QuotientPresentation):
     """Theorem 2's candidates over Q, lazily; None for a system without solution.
+    qp is the quotient by the kernel I.
 
     First the complement subalgebra of I (B cap I = 0), which always
     qualifies.  Then, if Q = L/I is nilpotent, the complement subalgebra of
@@ -242,9 +238,9 @@ def _q_candidates(L: LeibnizAlgebra, I: Subspace):
     kill psi(s) (long brackets vanish in the nilpotent L/I_1), and psi(s)
     lies in I_0 cap I_1 = 0.
     """
-    yield _complement_subalgebra(L, I)
-    if is_nilpotent(quotient(L, I).quotient):
-        yield _complement_subalgebra(L, _fitting_one(L, I))
+    yield _complement_subalgebra(L, qp)
+    if is_nilpotent(qp.quotient):
+        yield _complement_subalgebra(L, quotient(L, _fitting_one(L, qp.ideal)))
 
 
 def _fitting_one(L: LeibnizAlgebra, I: Subspace) -> Subspace:
@@ -263,9 +259,9 @@ def _fitting_one(L: LeibnizAlgebra, I: Subspace) -> Subspace:
     return I1
 
 
-def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
+def _complement_subalgebra(L: LeibnizAlgebra, qp: QuotientPresentation):
     """A subalgebra B with B cap I = 0 and B + I = L, or None if there is none.
-    I is the kernel or an ideal of L inside it.
+    qp is the quotient by I, the kernel or an ideal of L inside it.
 
     Putting y = z in the identity gives [x, y^2] = 0, so [L, I] = 0.  Let
     c_1..c_m be I.complement_basis(), g_1..g_d the rows of I, and
@@ -276,8 +272,7 @@ def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
         i_st + sum_r a_sr [g_r, c_t] - sum_u lam_stu phi_u = 0,
     m^2 d linear equations in I-coordinates for the m d unknowns a_sr.
     """
-    F = L.field
-    qp = quotient(L, I)
+    F, I = L.field, qp.ideal
     comp, lam = qp.section, qp.quotient.table
     m, d = len(comp), I.dim
     acts = [[I.coords(L.bracket(g, c)) for c in comp] for g in I.rows]  # [g_r, c_t]

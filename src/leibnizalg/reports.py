@@ -16,23 +16,28 @@ def subspace_to_json(s):
     return [[scalar_to_json(a) for a in row] for row in s.rows]
 
 
-def _jsonable(x):
+def _jsonable(x, vector=None):
     """JSON-ready copy of a payload.  A dataclass instance becomes its fields in
-    declaration order, so a property (such as Theorem2Report.passed) stays out."""
+    declaration order, so a property (such as Theorem2Report.passed) stays out.
+    With `vector` (the text rendering), each vector, that is a tuple of
+    scalars, and each row of a matrix or subspace becomes vector(row)."""
     from .exactlin import Matrix, Subspace
 
+    if vector and isinstance(x, tuple) and x and all(type(a) in (int, Fraction) for a in x):
+        return vector(x)
     if isinstance(x, Subspace):
-        return {"ambient_dim": x.ambient_dim, "basis": subspace_to_json(x)}
+        return {"ambient_dim": x.ambient_dim,
+                "basis": [vector(r) for r in x.rows] if vector else subspace_to_json(x)}
     if isinstance(x, Matrix):
-        return [[scalar_to_json(a) for a in r] for r in x.rows]
+        return [vector(r) if vector else [scalar_to_json(a) for a in r] for r in x.rows]
     if isinstance(x, Fraction):
         return scalar_to_json(x)
     if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
+        return {k: _jsonable(v, vector) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [_jsonable(v, vector) for v in x]
     if is_dataclass(x):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
+        return {f.name: _jsonable(getattr(x, f.name), vector) for f in fields(x)}
     return x
 
 

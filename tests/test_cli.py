@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -145,6 +146,49 @@ def test_json_and_text_verdicts_identical(capsys, ex1_file):
 
 GOOD = {"field": "Q", "dim": 2, "basis": ["e1", "e2"], "table": [[0, 0, [1, 1, 1]]]}
 ABOVE_CAP = MAX_DIM + 1
+
+
+# text output prints each vector, and each row of a matrix, on one line; a Q
+# scalar used to print as two list items, its numerator and its denominator
+
+def test_validate_text_prints_each_witness_vector_on_one_line(capsys, tmp_path):
+    # [e1,e1] = 1/2 e1 fails at (e1,e1,e1): [e1,[e1,e1]] = 1/4 e1, the rest is 0
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({**GOOD, "table": [[0, 0, [0, 1, 2]]]}))
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out.endswith("witnesses:\n- triple:\n    - e1\n    - e1\n    - e1\n"
+                        "  indices: (0, 0, 0)\n  lhs: (1/4, 0)\n  rhs: (0, 0)\n")
+    code, out = run_cli(capsys, "--format", "json", "validate", str(path))
+    assert json.loads(out)["witnesses"][0]["lhs"] == [[1, 4], [0, 1]]
+
+
+def test_validate_text_marks_where_each_witness_starts(capsys, broken_files):
+    for path in broken_files:
+        code, out = run_cli(capsys, "validate", path)
+        failures = int(re.search(r"failures: (\d+)", out).group(1))
+        assert code == 1 and failures > 1, path
+        assert out.count("\n- triple:\n") == failures, path
+
+
+def test_quotient_text_prints_each_matrix_row_on_one_line(capsys):
+    code, out = run_cli(capsys, "quotient", "example1")
+    assert code == 0
+    assert out.endswith("quotient_table:\n  - (0)\nprojection:\n  - (1, 0)\n")
+
+
+def test_liesation_text_prints_each_table_entry_on_one_line(capsys):
+    # L/I = span(x, e, f, h) with [e, f] = h, the entry at (1, 2)
+    code, out = run_cli(capsys, "liesation", "example1+sl2")
+    assert code == 0
+    table = out.split("quotient_table:\n")[1].splitlines()
+    assert len(table) == 16 and table[6] == "  - (0, 0, 0, 1)"
+
+
+def test_verify_text_prints_the_theorem2_witness_matrix_by_rows(capsys):
+    code, out = run_cli(capsys, "verify", "example1")
+    assert code == 0
+    assert "  witnesses:\n  - n: (1, -1)\n    restricted_matrix:\n      - (1)\n" in out
 
 
 @pytest.mark.parametrize("args", [

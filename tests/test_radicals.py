@@ -12,6 +12,7 @@ from leibnizalg.core import (
     direct_sum,
     is_ideal,
     is_subalgebra,
+    left_mult,
     leibniz_kernel,
     liesation,
     quotient,
@@ -59,7 +60,7 @@ def test_radical_example1_is_whole_algebra():
     L = corpus.example1().algebra
     res = radical(L)
     assert res.subspace == L.full_space()
-    assert res.method == "cartan-pullback"
+    assert res.method == "trace-form-char0"
     assert all(res.certificates.values())
 
 
@@ -206,10 +207,59 @@ def test_nilradical_equals_the_radical_first_reference_without_the_radical(monke
         raise AssertionError("nilradical over Q must not compute the radical")
 
     monkeypatch.setattr(radicals, "radical", unreachable)
-    monkeypatch.setattr(radicals, "liesation", unreachable)
+    assert not hasattr(radicals, "liesation")
     for name, L, expect in cases:
         res = nilradical(L)
         assert res.subspace == expect and all(res.certificates.values()), name
+
+
+def _radical_reference(L):
+    """The Killing-form radical, uncertified: the preimage in L of
+    { x in L/I : kappa(x, d) = 0 for every d in [L/I, L/I] }, where L/I is
+    the Lie quotient and kappa(x, y) = tr(ad_x ad_y) its Killing form."""
+    qp = liesation(L)
+    lam = qp.quotient
+    D = bracket_span(lam, lam.full_space(), lam.full_space())
+    if D.dim == 0:
+        return L.full_space()
+    ads = [left_mult(lam, lam.basis_vector(i)) for i in range(lam.dim)]
+    G = Matrix(QQ, [[a.trace_of_product(b) for b in ads] for a in ads])
+    rad = nullspace(Matrix(QQ, [G.matvec(d) for d in D.rows]))
+    return qp.pull_back(Subspace.span(QQ, lam.dim, rad))
+
+
+def test_radical_equals_the_killing_pullback_reference(monkeypatch):
+    from leibnizalg import radicals
+
+    cases = [(name, L, _radical_reference(L)) for name, L in nilradical_reference_cases()]
+    assert len(cases) == 48
+
+    def unreachable(*args):
+        raise AssertionError("radical over Q must not compute the kernel or a quotient")
+
+    monkeypatch.setattr(radicals, "leibniz_kernel", unreachable)
+    monkeypatch.setattr(radicals, "quotient", unreachable)
+    for name, L, expect in cases:
+        res = radical(L)
+        assert res.subspace == expect and all(res.certificates.values()), name
+
+
+def test_nilradical_builds_each_basis_right_multiplication_once(monkeypatch):
+    # R_{e_j} once for each of the 7 basis vectors, then 6 in the refinement
+    # loop; building each R_{e_j} again for the first cut would make 20
+    from leibnizalg import radicals
+
+    L = counting_case("example2-6-3 dense")
+    calls = []
+
+    def counted(M, x):
+        calls.append(x)
+        return right_mult(M, x)
+
+    monkeypatch.setattr(radicals, "right_mult", counted)
+    radicals._nilradical_char0(L)
+    assert len(calls) == 13
+    assert calls[:7] == [L.basis_vector(j) for j in range(7)]
 
 
 def test_nilradical_certificates_always_pass():
@@ -350,6 +400,23 @@ def test_find_b_meets_the_kernel_in_its_fitting_null_component():
         assert B is not None and is_subalgebra(D, B), seed
         assert (I + B) == D.full_space() and (I & B).dim == 1, seed
         assert verify(D, B)["theorem2"].passed, seed
+
+
+def test_find_b_builds_the_quotient_by_the_kernel_once(monkeypatch):
+    # the L of the test above: one quotient by I = span(i1, i2) for the
+    # complement of I and the nilpotency of L/I, one by I_1 = span(i2)
+    from leibnizalg import radicals
+
+    L = LeibnizAlgebra.from_products(QQ, 3, {(0, 0): {1: 1}, (2, 0): {2: 1}})
+    calls = []
+
+    def counted(M, J):
+        calls.append(J)
+        return quotient(M, J)
+
+    monkeypatch.setattr(radicals, "quotient", counted)
+    assert find_complement_B(L) == span_of(L, L.basis_vector(0), L.basis_vector(1))
+    assert calls == [leibniz_kernel(L), span_of(L, L.basis_vector(2))]
 
 
 def test_find_b_tries_the_fitting_component_only_over_a_nilpotent_quotient():
