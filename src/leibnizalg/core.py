@@ -261,11 +261,6 @@ class QuotientPresentation:
     def lift_vector(self, w: Sequence):
         return lin_comb(self.parent.field, self.parent.dim, w, self.section)
 
-    def pull_back(self, S: Subspace) -> Subspace:
-        """Preimage under the projection of a subspace of the quotient."""
-        vecs = list(self.ideal.rows) + [self.lift_vector(r) for r in S.rows]
-        return Subspace.span(self.parent.field, self.parent.dim, vecs)
-
 
 def quotient(L: LeibnizAlgebra, J: Subspace) -> QuotientPresentation:
     """Quotient algebra L/J on deterministic coset representatives."""
@@ -313,34 +308,39 @@ def is_lie(L: LeibnizAlgebra) -> bool:
     return True
 
 
-def _series(L: LeibnizAlgebra, step) -> list:
-    full = L.full_space()
-    if full.dim == 0:
-        return [full]
-    terms = [full]
-    while True:
-        nxt = step(terms[-1])
-        terms.append(nxt)
-        if nxt.dim == 0 or nxt == terms[-2]:
-            return terms
+def _series(L: LeibnizAlgebra, A: Optional[Subspace], step) -> list:
+    """A, step(A, A), step(step(A, A), A), ... as subspaces of L; ends at 0 or
+    at the first repeated term."""
+    if A is None:
+        A = L.full_space()
+    elif not is_subalgebra(L, A):
+        raise NotASubalgebra("series of a subspace that is not a subalgebra")
+    terms = [A]
+    while terms[-1].dim and (len(terms) == 1 or terms[-1] != terms[-2]):
+        terms.append(step(terms[-1], A))
+    return terms
 
 
-def lower_central_series(L: LeibnizAlgebra) -> list:
-    """L^1 = L, L^{k+1} = [L^k, L]; ends at 0 or at the first repeated term."""
-    return _series(L, lambda V: bracket_span(L, V, L.full_space()))
+def lower_central_series(L: LeibnizAlgebra, A: Optional[Subspace] = None) -> list:
+    """A^1 = A, A^{k+1} = [A^k, A] for a subalgebra A of L (default L), each
+    term a subspace of L; ends at 0 or at the first repeated term."""
+    return _series(L, A, lambda V, A: bracket_span(L, V, A))
 
 
-def derived_series(L: LeibnizAlgebra) -> list:
-    """L^(1) = L, L^(k+1) = [L^(k), L^(k)]."""
-    return _series(L, lambda V: bracket_span(L, V, V))
+def derived_series(L: LeibnizAlgebra, A: Optional[Subspace] = None) -> list:
+    """A^(1) = A, A^(k+1) = [A^(k), A^(k)] for a subalgebra A of L (default L),
+    each term a subspace of L."""
+    return _series(L, A, lambda V, _: bracket_span(L, V, V))
 
 
-def is_nilpotent(L: LeibnizAlgebra) -> bool:
-    return lower_central_series(L)[-1].dim == 0
+def is_nilpotent(L: LeibnizAlgebra, A: Optional[Subspace] = None) -> bool:
+    """Is the subalgebra A of L (default L) nilpotent?"""
+    return lower_central_series(L, A)[-1].dim == 0
 
 
-def is_solvable(L: LeibnizAlgebra) -> bool:
-    return derived_series(L)[-1].dim == 0
+def is_solvable(L: LeibnizAlgebra, A: Optional[Subspace] = None) -> bool:
+    """Is the subalgebra A of L (default L) solvable?"""
+    return derived_series(L, A)[-1].dim == 0
 
 
 def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
@@ -365,7 +365,9 @@ def restrict(L: LeibnizAlgebra, A: Subspace) -> LeibnizAlgebra:
     """The bracket of a subalgebra in A's canonical basis.
 
     Subspaces of the restricted algebra live in restricted coordinates; use
-    embed_subspace / A.rows to map them back into L.
+    embed_subspace / A.rows to map them back into L.  Only needed where an
+    algebra is the answer, as for N(B) in theorem 2 and the Frattini ideal
+    of B; the series of a subalgebra are taken inside L.
     """
     _check_ambient(L, A)
     if not is_subalgebra(L, A):
@@ -383,19 +385,11 @@ def restrict(L: LeibnizAlgebra, A: Subspace) -> LeibnizAlgebra:
 
 
 def embed_subspace(A: Subspace, S: Subspace) -> Subspace:
-    """Embed a subspace of restrict(L, A) as a subspace of L."""
+    """Embed a subspace of the restricted algebra on A, given in A's
+    coordinates, as a subspace of L."""
     if S.ambient_dim != A.dim:
         raise AmbientMismatch("subspace does not live in the restricted coordinates")
     return Subspace.span(A.field, A.ambient_dim, [A.combine(r) for r in S.rows])
-
-
-def subspace_is_nilpotent(L: LeibnizAlgebra, A: Subspace) -> bool:
-    """Nilpotency of a subalgebra, via the restricted lower central series."""
-    return is_nilpotent(restrict(L, A))
-
-
-def subspace_is_solvable(L: LeibnizAlgebra, A: Subspace) -> bool:
-    return is_solvable(restrict(L, A))
 
 
 def center(L: LeibnizAlgebra) -> Subspace:

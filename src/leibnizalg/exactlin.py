@@ -117,9 +117,6 @@ def vec_add(field: Field, u: Sequence, v: Sequence) -> Vector:
 def vec_sub(field: Field, u: Sequence, v: Sequence) -> Vector:
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
-def vec_scale(field: Field, c, u: Sequence) -> Vector:
-    return tuple(field.mul(c, a) for a in u)
-
 def zero_vec(field: Field, n: int) -> Vector:
     return (field.zero,) * n
 

@@ -23,9 +23,6 @@ from .core import (
     is_solvable,
     is_subalgebra,
     largest_contained_ideal,
-    restrict,
-    subspace_is_nilpotent,
-    subspace_is_solvable,
 )
 from .errors import BudgetExceeded, TheoremViolation, UnsupportedField
 from .exactlin import Field, Subspace, subspace_count
@@ -122,10 +119,9 @@ def _scan_cached(L: LeibnizAlgebra) -> LatticeScan:
         subalgebras.append(S)
         if is_ideal(L, S):          # every ideal is a subalgebra
             ideals.append(S)
-            LS = restrict(L, S)
-            if is_nilpotent(LS):
+            if is_nilpotent(L, S):
                 nilpotent.append(S)
-            if is_solvable(LS):
+            if is_solvable(L, S):
                 solvable.append(S)
     return LatticeScan(L, total, tuple(subalgebras), tuple(ideals), tuple(nilpotent),
                        tuple(solvable), _maximal(L, subalgebras))
@@ -153,14 +149,14 @@ def _asserted_sum(L: LeibnizAlgebra, ideals: list, holds, adjective: str) -> Sub
         total = total + J
     if not is_ideal(L, total):
         raise TheoremViolation(f"sum of {adjective} ideals is not an ideal")
-    if total.dim and not holds(L, total):
+    if not holds(L, total):
         raise TheoremViolation(f"sum of {adjective} ideals is not {adjective}")
     return total
 
 
 def nilradical_from_scan(s: LatticeScan) -> Subspace:
     # Theorem-1 / maximal-nilpotent-ideal assertions, on concrete data
-    total = _asserted_sum(s.algebra, s.nilpotent_ideals, subspace_is_nilpotent, "nilpotent")
+    total = _asserted_sum(s.algebra, s.nilpotent_ideals, is_nilpotent, "nilpotent")
     for J in s.nilpotent_ideals:
         if not J.leq(total):
             raise TheoremViolation("nilpotent ideal not contained in the sum")
@@ -175,7 +171,7 @@ def nilradical_oracle(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspa
 def radical_oracle(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
     """Sum of all solvable ideals, asserted to be a solvable ideal."""
     s = scan(L, budget)
-    return _asserted_sum(L, s.solvable_ideals, subspace_is_solvable, "solvable")
+    return _asserted_sum(L, s.solvable_ideals, is_solvable, "solvable")
 
 
 def frattini_oracle(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:

@@ -27,7 +27,6 @@ from .core import (
     quotient,
     restrict,
     right_mult,
-    subspace_is_nilpotent,
     two_sided_span,
 )
 from .errors import InternalInconsistency, PremiseViolation, Unsupported
@@ -112,13 +111,13 @@ def _cut(L: LeibnizAlgebra, C: Subspace, functionals) -> Subspace:
 
 def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedIdeal:
     """Certify that S is an ideal on which `series` (derived_series for the
-    radical, lower_central_series for the nilradical) reaches zero; the
-    series certificate is named after the series function."""
+    radical, lower_central_series for the nilradical), taken inside L,
+    reaches zero; the series certificate is named after the series function."""
     certs = {"is_ideal": is_ideal(L, S)}
     if not certs["is_ideal"]:
         raise InternalInconsistency(f"{method}: the computed subspace is not an ideal")
     key = f"{series.__name__}_reaches_zero"
-    certs[key] = S.dim == 0 or series(restrict(L, S))[-1].dim == 0
+    certs[key] = series(L, S)[-1].dim == 0
     if not certs[key]:
         raise InternalInconsistency(f"{method}: certificate {key} failed")
     return CertifiedIdeal(S, method, certs)
@@ -207,11 +206,16 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     L = I + B and I cap B inside [B,B] = phi(B): no B whose Frattini ideal is
     computable over Q meets the premises.
     """
-    I = leibniz_kernel(L)
+    return _complement_B(quotient(L, leibniz_kernel(L)), budget)
+
+
+def _complement_B(qp: QuotientPresentation, budget: int):
+    """find_complement_B on qp.parent, with qp the quotient by the kernel."""
+    L, I = qp.parent, qp.ideal
     if L.field.modulus is not None:
         candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
     else:
-        candidates = _q_candidates(L, quotient(L, I))
+        candidates = _q_candidates(L, qp)
     for B in candidates:
         if B is not None and all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
             return B
@@ -427,8 +431,8 @@ def verify_corollary(L: LeibnizAlgebra, R: Subspace, N: Subspace) -> Verificatio
     LL = bracket_span(L, L.full_space(), L.full_space())
     # spans of all products of a subalgebra are closed under the bracket
     contained = RR <= N
-    rr_nilpotent = RR.dim == 0 or subspace_is_nilpotent(L, RR)
-    equivalence = is_solvable(L) == (LL.dim == 0 or subspace_is_nilpotent(L, LL))
+    rr_nilpotent = is_nilpotent(L, RR)
+    equivalence = is_solvable(L) == is_nilpotent(L, LL)
     return VerificationReport(
         name="derived-radical-nilpotency-corollary",
         passed=contained and rr_nilpotent and equivalence,
@@ -460,7 +464,7 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
     NQ = nilradical(qp.quotient, budget).subspace
     report = {"lemma1": attempt(verify_lemma1, L, qp, NL, NQ, budget)}
     if B is None:
-        B = find_complement_B(L, budget)
+        B = _complement_B(qp, budget)
     report["theorem2"] = ({"skipped": "no complement subalgebra B found"} if B is None
                           else attempt(verify_theorem2, L, qp, NL, NQ, B, budget))
     if L.field.modulus is None:

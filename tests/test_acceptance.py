@@ -17,10 +17,10 @@ from leibnizalg.core import (
     bracket_span,
     direct_sum,
     is_ideal,
+    is_nilpotent,
     leibniz_kernel,
     liesation,
     quotient,
-    subspace_is_nilpotent,
     two_sided_span,
 )
 from leibnizalg.errors import InternalInconsistency
@@ -127,9 +127,9 @@ def test_criterion_5_prop3_corollary_suite():
         ok &= two_sided_span(L, full, R) <= N
         RR = bracket_span(L, R, R)
         ok &= RR <= N
-        ok &= RR.dim == 0 or subspace_is_nilpotent(L, RR)
+        ok &= RR.dim == 0 or is_nilpotent(L, RR)
         LL = bracket_span(L, full, full)
-        derived_nilpotent = LL.dim == 0 or subspace_is_nilpotent(L, LL)
+        derived_nilpotent = LL.dim == 0 or is_nilpotent(L, LL)
         from leibnizalg.core import is_solvable
         ok &= is_solvable(L) == derived_nilpotent
     report("5 prop3-corollary-suite", ok)
@@ -165,7 +165,7 @@ def test_criterion_7_oracle_equivalence():
                 for j in range(i, len(s.nilpotent_ideals)):
                     total = s.nilpotent_ideals[i] + s.nilpotent_ideals[j]
                     ok &= is_ideal(Lp, total)
-                    ok &= total.dim == 0 or subspace_is_nilpotent(Lp, total)
+                    ok &= total.dim == 0 or is_nilpotent(Lp, total)
     elapsed = time.time() - t0
     report("7 oracle-equivalence", ok and elapsed < 60.0, elapsed)
 

@@ -30,9 +30,13 @@ from leibnizalg.core import (
     two_sided_span,
 )
 from leibnizalg.errors import NotAnIdeal, NotASubalgebra
-from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, unit_vec, vec_add, vec_scale, zero_vec
+from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, unit_vec, vec_add, zero_vec
 from leibnizalg.oracle import reduce_mod_p
 from leibnizalg.reports import VerificationReport
+
+
+def vec_scale(F, c, u):
+    return tuple(F.mul(c, a) for a in u)
 
 
 def ex1():
@@ -526,9 +530,12 @@ def test_restrict_borel_of_sl2():
 
 
 def test_restrict_requires_subalgebra():
+    # and so do the series of a subspace of L
     L = ex1()
-    with pytest.raises(NotASubalgebra):
-        restrict(L, span_of(L, L.basis_vector(0)))
+    A = span_of(L, L.basis_vector(0))
+    for f in (restrict, lower_central_series, derived_series, is_nilpotent, is_solvable):
+        with pytest.raises(NotASubalgebra):
+            f(L, A)
 
 
 def test_embed_roundtrip():

@@ -19,9 +19,13 @@ from leibnizalg.exactlin import (
     subspace_count,
     unit_vec,
     vec_add,
-    vec_scale,
     vec_sub,
 )
+
+
+def vec_scale(F, c, u):
+    return tuple(F.mul(c, a) for a in u)
+
 
 F5 = Field(5)
 

@@ -7,9 +7,9 @@ from leibnizalg.core import (
     check_leibniz,
     embed_subspace,
     is_ideal,
+    is_nilpotent,
     leibniz_kernel,
     restrict,
-    subspace_is_nilpotent,
 )
 from leibnizalg.errors import BudgetExceeded, Unsupported, UnsupportedField
 from leibnizalg.exactlin import QQ, Field, Subspace, subspace_count
@@ -162,7 +162,7 @@ def test_theorem1_pairwise_sums_nilpotent():
                 for j in range(i, len(nil)):
                     total = nil[i] + nil[j]
                     assert is_ideal(Lp, total), name
-                    assert total.dim == 0 or subspace_is_nilpotent(Lp, total), name
+                    assert total.dim == 0 or is_nilpotent(Lp, total), name
 
 
 def test_nilpotent_ideal_poset_has_unique_maximum():

@@ -9,16 +9,20 @@ from leibnizalg.core import (
     LeibnizAlgebra,
     bracket_span,
     check_leibniz,
+    derived_series,
     direct_sum,
+    embed_subspace,
     is_ideal,
+    is_nilpotent,
+    is_solvable,
     is_subalgebra,
     left_mult,
     leibniz_kernel,
     liesation,
+    lower_central_series,
     quotient,
     restrict,
     right_mult,
-    subspace_is_solvable,
 )
 from leibnizalg.errors import InternalInconsistency, Unsupported
 from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, nullspace, unit_vec
@@ -225,7 +229,8 @@ def _radical_reference(L):
     ads = [left_mult(lam, lam.basis_vector(i)) for i in range(lam.dim)]
     G = Matrix(QQ, [[a.trace_of_product(b) for b in ads] for a in ads])
     rad = nullspace(Matrix(QQ, [G.matvec(d) for d in D.rows]))
-    return qp.pull_back(Subspace.span(QQ, lam.dim, rad))
+    # the preimage of span(rad): I plus the section lifts of its rows
+    return Subspace.span(QQ, L.dim, list(qp.ideal.rows) + [qp.lift_vector(r) for r in rad])
 
 
 def test_radical_equals_the_killing_pullback_reference(monkeypatch):
@@ -260,6 +265,60 @@ def test_nilradical_builds_each_basis_right_multiplication_once(monkeypatch):
     radicals._nilradical_char0(L)
     assert len(calls) == 13
     assert calls[:7] == [L.basis_vector(j) for j in range(7)]
+
+
+def series_cases():
+    """(name, L, A), lazily: every subalgebra A of the F_2 and F_3
+    reductions with at most 374 subspaces, then I, N(L), R(L), [L,L] and L
+    of the 48 Q reference cases."""
+    from leibnizalg import oracle
+
+    for name, Lp in small_reductions():
+        for S in oracle.scan(Lp).subalgebras:
+            yield name, Lp, S
+    for name, L in nilradical_reference_cases():
+        full = L.full_space()
+        for A in (leibniz_kernel(L), nilradical(L).subspace, radical(L).subspace,
+                  bracket_span(L, full, full), full):
+            yield name, L, A
+
+
+def _restricted_series(L, A, derived):
+    """The series of A by the restricted route: the lower central (or, if
+    derived, the derived) series of restrict(L, A), computed there, each
+    term embedded back into L."""
+    LA = restrict(L, A)
+    full = LA.full_space()
+    terms = [full]
+    while terms[-1].dim and (len(terms) == 1 or terms[-1] != terms[-2]):
+        V = terms[-1]
+        terms.append(bracket_span(LA, V, V if derived else full))
+    return [embed_subspace(A, T) for T in terms]
+
+
+def test_series_inside_L_match_the_restricted_reference():
+    cases = 0
+    for name, L, A in series_cases():
+        cases += 1
+        for series, holds, derived in ((lower_central_series, is_nilpotent, False),
+                                       (derived_series, is_solvable, True)):
+            expect = _restricted_series(L, A, derived)
+            assert series(L, A) == expect, (name, A, series.__name__)
+            assert holds(L, A) == (expect[-1].dim == 0), (name, A, holds.__name__)
+    assert cases == 592
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_certificate_keys_in_order(p):
+    from leibnizalg.oracle import reduce_mod_p
+
+    L = corpus.example1().algebra
+    if p is not None:
+        L = reduce_mod_p(L, p)
+    assert list(nilradical(L).certificates) == [
+        "is_ideal", "lower_central_series_reaches_zero",
+        "right_mult_nilpotent_per_basis_vector"]
+    assert list(radical(L).certificates) == ["is_ideal", "derived_series_reaches_zero"]
 
 
 def test_nilradical_certificates_always_pass():
@@ -613,8 +672,9 @@ def test_verify_verdict_is_the_one_the_cli_reports(monkeypatch, capsys):
 
 
 def counting_case(name):
-    return (corpus.heisenberg().algebra if name == "heisenberg" else
-            dense_basis(corpus.example2(6, 3).algebra, random.Random(13)))
+    if name == "example2-6-3 dense":
+        return dense_basis(corpus.example2(6, 3).algebra, random.Random(13))
+    return corpus.build(name).algebra
 
 
 @pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg"])
@@ -633,6 +693,26 @@ def test_verify_computes_each_nilradical_once(monkeypatch, name):
     assert verify(L)["verdict"] == "pass"
     I, B = leibniz_kernel(L), find_complement_B(L)
     assert calls == [L.dim, L.dim - I.dim, B.dim]
+
+
+@pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg", "example1+sl2"])
+def test_verify_computes_the_kernel_and_its_quotient_once(monkeypatch, name):
+    # the search for B reads verify's quotient by I
+    from leibnizalg import radicals
+
+    L = counting_case(name)
+    calls = []
+
+    def counting(f):
+        def counted(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(radicals, "leibniz_kernel", counting(leibniz_kernel))
+    monkeypatch.setattr(radicals, "quotient", counting(quotient))
+    assert verify(L)["verdict"] == "pass"
+    assert calls == ["leibniz_kernel", "quotient"]
 
 
 @pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg"])
