@@ -47,7 +47,6 @@ from .exactlin import (
     Matrix,
     QQ,
     Subspace,
-    rref,
 )
 from .radicals import (
     CertifiedIdeal,

@@ -267,6 +267,8 @@ def run(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.budget < 1:
+        raise ParseError(f"--budget must be at least 1, got {args.budget}")
     handler = VERBS[args.verb][2]
     if handler is None:
         return _corpus(args)

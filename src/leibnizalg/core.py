@@ -9,6 +9,7 @@ i.e. every y -> [y,x] is a derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
@@ -24,7 +25,6 @@ from .exactlin import (
     Matrix,
     Subspace,
     lin_comb,
-    nullspace,
     unit_vec,
     vec_add,
     zero_vec,
@@ -393,16 +393,11 @@ def embed_subspace(A: Subspace, S: Subspace) -> Subspace:
 
 
 def center(L: LeibnizAlgebra) -> Subspace:
-    """{ x : [x, L] = [L, x] = 0 }, via the kernel of stacked multiplications."""
-    F = L.field
-    rows = []
-    for j in range(L.dim):
-        ej = L.basis_vector(j)
-        rows.extend(right_mult(L, ej).rows)
-        rows.extend(left_mult(L, ej).rows)
-    if not rows:
-        return L.full_space()
-    return Subspace.span(F, L.dim, nullspace(Matrix(F, rows)))
+    """{ x : [x, L] = [L, x] = 0 }: where e_i -> ([e_i, e_j], [e_j, e_i])_j
+    vanishes, with the products read from the table rows and columns."""
+    columns = tuple(zip(*L.table))
+    return L.full_space().where_zero([tuple(chain(*L.table[i], *columns[i]))
+                                      for i in range(L.dim)])
 
 
 def largest_contained_ideal(L: LeibnizAlgebra, K: Subspace) -> Subspace:
@@ -410,23 +405,18 @@ def largest_contained_ideal(L: LeibnizAlgebra, K: Subspace) -> Subspace:
     K -> { x in K : [x, e_j], [e_j, x] in K for all j }, a linear computation.
     """
     _check_ambient(L, K)
-    F = L.field
+    basis = [L.basis_vector(j) for j in range(L.dim)]
     V = K
     while True:
-        if V.dim == 0:
-            return V
-        # rows of the condition matrix: residuals of products of V's basis,
-        # as linear functionals of the coefficient vector
-        cond_cols = []
+        # each basis row u maps to the residuals against V of [u, e_j] and [e_j, u]
+        images = []
         for u in V.rows:
-            col = []
-            for j in range(L.dim):
-                ej = L.basis_vector(j)
-                col.extend(V.reduce(L.bracket(u, ej)))
-                col.extend(V.reduce(L.bracket(ej, u)))
-            cond_cols.append(col)
-        ker = nullspace(Matrix.from_columns(F, cond_cols))
-        W = Subspace.span(F, L.dim, [V.combine(k) for k in ker])
+            image = []
+            for e in basis:
+                image.extend(V.reduce(L.bracket(u, e)))
+                image.extend(V.reduce(L.bracket(e, u)))
+            images.append(image)
+        W = V.where_zero(images)
         if W.dim == V.dim:
             return W
         V = W

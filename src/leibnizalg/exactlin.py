@@ -4,10 +4,17 @@ Scalars are `fractions.Fraction` over the rationals and plain residues in
 [0, p) over a prime field; arithmetic is always exact.  Subspaces are kept in
 reduced row echelon form, which makes equality testing a tuple comparison and
 gives deterministic output everywhere downstream.
+
+All elimination is one routine, Subspace._insert: it inserts vectors one at a
+time into an RREF basis.  A span starts it from the zero space, a sum S + T
+extends S's basis by T's rows, and it stops reducing once the span is full.
+Nullspaces, intersections and every other cut of a subspace by a linear map
+(Subspace.where_zero) are spans of this kind.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -229,58 +236,15 @@ class Matrix:
         return f"Matrix({self.field}, {body})"
 
 
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row echelon form; Gauss-Jordan with exact division."""
-    F = m.field
-    p = F.modulus
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), m.ncols
-    piv_r = 0
-    for piv_c in range(ncols):
-        pr = None
-        for r in range(piv_r, nrows):
-            if rows[r][piv_c]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-        inv = F.inv(rows[piv_r][piv_c])
-        rows[piv_r] = [F.mul(inv, a) for a in rows[piv_r]]
-        # only the pivot row's nonzero entries change the other rows
-        nz = [(j, b) for j, b in enumerate(rows[piv_r]) if b]
-        for r in range(nrows):
-            row = rows[r]
-            c0 = row[piv_c]
-            if r == piv_r or not c0:
-                continue
-            if p is None:
-                for j, b in nz:
-                    row[j] -= c0 * b
-            else:
-                for j, b in nz:
-                    row[j] = (row[j] - c0 * b) % p
-        piv_r += 1
-        if piv_r == nrows:
-            break
-    return Matrix(F, [r for r in rows if any(r)], ncols)
-
-
-def nullspace(m: Matrix) -> list:
-    """Basis of { x : M x = 0 }, one vector per free column of rref(M)."""
-    F = m.field
-    r = rref(m)
-    ncols = m.ncols
-    pivots = [next(c for c, a in enumerate(row) if a) for row in r.rows]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [F.zero] * ncols
-        v[fc] = F.one
-        for prow, pc in zip(r.rows, pivots):
-            v[pc] = F.neg(prow[fc])
-        basis.append(tuple(v))
-    return basis
+def _eliminate(res: list, rows, pivots, p: Optional[int]) -> None:
+    """Subtract from res, in place, the multiple of each RREF row (pivot
+    column in pivots) that clears res at that row's pivot column."""
+    for row, pc in zip(rows, pivots):
+        c = res[pc]
+        if c:
+            for j, b in enumerate(row):
+                if b:
+                    res[j] = res[j] - c * b if p is None else (res[j] - c * b) % p
 
 
 class Subspace:
@@ -297,13 +261,7 @@ class Subspace:
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vectors = [list(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch("vector length != ambient dim")
-        if not vectors:
-            return cls(field, ambient_dim, [])
-        return cls(field, ambient_dim, rref(Matrix(field, vectors)).rows)
+        return cls.zero(field, ambient_dim)._insert(vectors)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -328,15 +286,39 @@ class Subspace:
         and zero everywhere exactly when v lies in the subspace."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length != ambient dim")
-        p = self.field.modulus
         res = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            c = res[pc]
-            if c:
-                for j, b in enumerate(row):
-                    if b:
-                        res[j] = res[j] - c * b if p is None else (res[j] - c * b) % p
+        _eliminate(res, self.rows, self.pivots, self.field.modulus)
         return tuple(res)
+
+    def _insert(self, vectors: Iterable[Sequence]) -> "Subspace":
+        """The span of these rows and the vectors, the only elimination here.
+
+        Each vector is reduced against the rows so far; a nonzero residual is
+        normalised, its pivot column is cleared from the other rows, and it
+        is inserted in pivot order, so the rows stay in RREF throughout.
+        Once the span is full, the remaining vectors are only length-checked.
+        """
+        F, n, p = self.field, self.ambient_dim, self.field.modulus
+        rows, pivots = [list(r) for r in self.rows], list(self.pivots)
+        for v in vectors:
+            if len(v) != n:
+                raise AmbientMismatch("vector length != ambient dim")
+            if len(rows) == n:
+                continue
+            res = list(v)
+            _eliminate(res, rows, pivots, p)
+            pc = next((j for j, a in enumerate(res) if a), None)
+            if pc is None:
+                continue
+            inv = F.inv(res[pc])
+            res = [F.mul(inv, a) for a in res]     # over Q every entry is now a Fraction
+            for row in rows:
+                if row[pc]:
+                    _eliminate(row, (res,), (pc,), p)
+            k = bisect(pivots, pc)
+            rows.insert(k, res)
+            pivots.insert(k, pc)
+        return Subspace(F, n, rows)
 
     def combine(self, w: Sequence) -> Vector:
         """sum_i w[i] * rows[i]: the vector with coordinates w in the RREF basis."""
@@ -363,21 +345,25 @@ class Subspace:
         return self.leq(other)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """Extends this RREF basis by the rows of other."""
         self._check_compat(other)
-        return Subspace.span(self.field, self.ambient_dim, list(self.rows) + list(other.rows))
+        return self._insert(other.rows)
 
     def __add__(self, other):
         return self.sum(other)
 
+    def where_zero(self, images: Sequence[Sequence]) -> "Subspace":
+        """{ sum_i c_i rows[i] : sum_i c_i images[i] = 0 }: the subspace on
+        which the linear map sending rows[i] to images[i] vanishes."""
+        if len(images) != self.dim:
+            raise AmbientMismatch("need one image per basis row")
+        ker = nullspace(Matrix.from_columns(self.field, images))
+        return Subspace.span(self.field, self.ambient_dim, [self.combine(k) for k in ker])
+
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel method: x = U^T a = V^T b; solve [U^T | -V^T] (a;b) = 0."""
+        """x in self lies in other iff other.reduce(x) = 0, and reduce is linear."""
         self._check_compat(other)
-        F = self.field
-        if not self.rows or not other.rows:
-            return Subspace.zero(F, self.ambient_dim)
-        cols = [list(r) for r in self.rows] + [[F.neg(a) for a in r] for r in other.rows]
-        ker = nullspace(Matrix.from_columns(F, cols))
-        return Subspace.span(F, self.ambient_dim, [self.combine(k[: self.dim]) for k in ker])
+        return self.where_zero([other.reduce(u) for u in self.rows])
 
     def __and__(self, other):
         return self.intersect(other)
@@ -403,6 +389,22 @@ class Subspace:
         body = ", ".join("(" + ", ".join(str(a) for a in r) + ")"
                          for r in self.rows)
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim}: {body})"
+
+
+def nullspace(m: Matrix) -> list:
+    """Basis of { x : M x = 0 }, one vector per free column of the RREF of M."""
+    F = m.field
+    ncols = m.ncols
+    r = Subspace.span(F, ncols, m.rows)
+    free = [c for c in range(ncols) if c not in r.pivots]
+    basis = []
+    for fc in free:
+        v = [F.zero] * ncols
+        v[fc] = F.one
+        for prow, pc in zip(r.rows, r.pivots):
+            v[pc] = F.neg(prow[fc])
+        basis.append(tuple(v))
+    return basis
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

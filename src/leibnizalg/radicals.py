@@ -82,7 +82,7 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
         return _certify(L, R, "oracle-exhaustive", derived_series)
     full = L.full_space()
     _, G = _trace_form(L)
-    R = _cut(L, full, [G.matvec(d) for d in bracket_span(L, full, full).rows])
+    R = _cut(full, [G.matvec(d) for d in bracket_span(L, full, full).rows])
     return _certify(L, R, "trace-form-char0", derived_series)
 
 
@@ -99,14 +99,11 @@ def _trace_form(L: LeibnizAlgebra):
     return Rs, Matrix(L.field, G, n)
 
 
-def _cut(L: LeibnizAlgebra, C: Subspace, functionals) -> Subspace:
+def _cut(C: Subspace, functionals) -> Subspace:
     """{ x in C : f . x = 0 for every functional f }, each f a vector of
-    coefficients on the basis of L, by one nullspace in C's coordinates."""
-    if C.dim == 0 or not functionals:
-        return C
-    F = L.field
-    A = Matrix(F, functionals, L.dim).matmul(Matrix.from_columns(F, C.rows))
-    return Subspace.span(F, L.dim, [C.combine(k) for k in nullspace(A)])
+    coefficients on the basis of L."""
+    F, n = C.field, C.ambient_dim
+    return C.where_zero(Matrix(F, C.rows, n).matmul(Matrix(F, functionals, n).transpose()).rows)
 
 
 def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedIdeal:
@@ -158,7 +155,7 @@ def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
     n = L.dim
     Rs, G = _trace_form(L)
     # tr(R_x) and tr(R_x R_y) for the basis y of L
-    C = _cut(L, L.full_space(), [[R.trace() for R in Rs]] + G.rows)
+    C = _cut(L.full_space(), [[R.trace() for R in Rs]] + G.rows)
 
     while True:
         bad = None
@@ -173,7 +170,7 @@ def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
         powers = [Rv]
         while len(powers) < n:
             powers.append(powers[-1].matmul(Rv))
-        shrunk = _cut(L, C, [[R.trace_of_product(Pk) for R in Rs] for Pk in powers])
+        shrunk = _cut(C, [[R.trace_of_product(Pk) for R in Rs] for Pk in powers])
         if shrunk.dim >= C.dim:
             raise InternalInconsistency(
                 "trace-form refinement failed to shrink the candidate nilradical")

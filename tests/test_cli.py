@@ -146,6 +146,9 @@ def test_json_and_text_verdicts_identical(capsys, ex1_file):
 
 GOOD = {"field": "Q", "dim": 2, "basis": ["e1", "e2"], "table": [[0, 0, [1, 1, 1]]]}
 ABOVE_CAP = MAX_DIM + 1
+# example1 mod 3: [x, x] = [x2, x] = x2
+EX1_F3 = {"field": "F3", "dim": 2, "basis": ["x", "x2"],
+          "table": [[0, 0, [1, 1, 1]], [1, 0, [1, 1, 1]]]}
 
 
 # text output prints each vector, and each row of a matrix, on one line; a Q
@@ -206,17 +209,21 @@ def test_verify_text_prints_the_theorem2_witness_matrix_by_rows(capsys):
     ["info", "{tmp}"],                                         # a directory
     ["info", b'{"field": "Q", "dim": 1, "basis": ["\xff"], "table": []}'],  # not UTF-8
     ["corpus", "example1", "-o", "{tmp}/missing/x.json"],      # unwritable output
+    ["--budget", "0", "nilradical", EX1_F3],                   # was "above the budget of 0"
+    ["--budget", "-3", "verify", "example1"],                  # was accepted
 ], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector",
         "modulus-above-bound", "dim-above-cap", "int-labels", "string-basis", "directory",
-        "not-utf8", "corpus-out-missing-dir"])
+        "not-utf8", "corpus-out-missing-dir", "budget-zero", "budget-negative"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
     # a dict or bytes argument is written to a file first; "{tmp}" is tmp_path
-    if isinstance(args[1], (dict, bytes)):
-        path = tmp_path / "bad.json"
-        path.write_bytes(args[1] if isinstance(args[1], bytes) else json.dumps(args[1]).encode())
-        args = [args[0], str(path)] + args[2:]
-    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
-    assert cli.run(args) == 2
+    def as_arg(a):
+        if isinstance(a, (dict, bytes)):
+            path = tmp_path / "bad.json"
+            path.write_bytes(a if isinstance(a, bytes) else json.dumps(a).encode())
+            return str(path)
+        return a.replace("{tmp}", str(tmp_path))
+
+    assert cli.run([as_arg(a) for a in args]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith("error: ")

@@ -15,7 +15,6 @@ from leibnizalg.exactlin import (
     Subspace,
     gaussian_binomial,
     nullspace,
-    rref,
     subspace_count,
     unit_vec,
     vec_add,
@@ -36,31 +35,71 @@ def qmat(rows):
 
 # ---------------------------------------------------------------- rref
 
+def _ref_rref(m: Matrix) -> Matrix:
+    """Reduced row echelon form by Gauss-Jordan with exact division, kept
+    here as the reference for Subspace's insertion routine."""
+    F = m.field
+    p = F.modulus
+    rows = [list(r) for r in m.rows]
+    nrows, ncols = len(rows), m.ncols
+    piv_r = 0
+    for piv_c in range(ncols):
+        pr = None
+        for r in range(piv_r, nrows):
+            if rows[r][piv_c]:
+                pr = r
+                break
+        if pr is None:
+            continue
+        rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
+        inv = F.inv(rows[piv_r][piv_c])
+        rows[piv_r] = [F.mul(inv, a) for a in rows[piv_r]]
+        nz = [(j, b) for j, b in enumerate(rows[piv_r]) if b]
+        for r in range(nrows):
+            row = rows[r]
+            c0 = row[piv_c]
+            if r == piv_r or not c0:
+                continue
+            if p is None:
+                for j, b in nz:
+                    row[j] -= c0 * b
+            else:
+                for j, b in nz:
+                    row[j] = (row[j] - c0 * b) % p
+        piv_r += 1
+        if piv_r == nrows:
+            break
+    return Matrix(F, [r for r in rows if any(r)], ncols)
+
+
+def rref_rows(F, n, vectors):
+    """The RREF rows of a span, as Subspace.span computes them."""
+    return [list(r) for r in Subspace.span(F, n, vectors).rows]
+
+
 def test_rref_dependent_rows_collapse():
-    assert rref(qmat([[0, 1], [0, 2]])).rows == [[0, 1]]
+    assert rref_rows(QQ, 2, qmat([[0, 1], [0, 2]]).rows) == [[0, 1]]
 
 
 def test_rref_identity_fixed():
-    assert rref(Matrix.identity(QQ, 3)) == Matrix.identity(QQ, 3)
+    assert Subspace.span(QQ, 3, Matrix.identity(QQ, 3).rows) == Subspace.full(QQ, 3)
 
 
 def test_rref_pivot_normalization():
-    assert rref(qmat([[2, 4]])).rows == [[1, 2]]
+    assert rref_rows(QQ, 2, qmat([[2, 4]]).rows) == [[1, 2]]
 
 
 def test_rref_of_int_entries_stays_exact():
     # Field.inv over Q returns a Fraction for an int, never a float
     assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
-    r = rref(Matrix(QQ, [[2, 4], [3, 1]]))
-    assert r.rows == [[1, 0], [0, 1]] and all(type(a) is Fraction for row in r.rows for a in row)
-    r = rref(Matrix(QQ, [[2, 4]]))
-    assert r.rows == [[1, 2]] and all(type(a) is Fraction for a in r.rows[0])
+    r = rref_rows(QQ, 2, [[2, 4], [3, 1]])
+    assert r == [[1, 0], [0, 1]] and all(type(a) is Fraction for row in r for a in row)
+    r = rref_rows(QQ, 2, [[2, 4]])
+    assert r == [[1, 2]] and all(type(a) is Fraction for a in r[0])
 
 
 def test_rref_over_prime_field():
-    m = Matrix(F5, [[2, 4], [1, 3]])
-    r = rref(m)
-    assert r.rows == [[1, 0], [0, 1]]
+    assert rref_rows(F5, 2, [[2, 4], [1, 3]]) == [[1, 0], [0, 1]]
 
 
 # ---------------------------------------------------------------- subspaces
@@ -168,22 +207,19 @@ def fp_matrices(draw, p=5, max_dim=4):
 
 @given(q_matrices())
 def test_rref_idempotent_q(m):
-    r = rref(m)
-    assert rref(r) == r
+    r = Subspace.span(QQ, m.ncols, m.rows)
+    assert Subspace.span(QQ, m.ncols, r.rows) == r
 
 
 @given(fp_matrices())
 def test_rref_idempotent_fp(m):
-    r = rref(m)
-    assert rref(r) == r
+    r = Subspace.span(m.field, m.ncols, m.rows)
+    assert Subspace.span(m.field, m.ncols, r.rows) == r
 
 
 @given(q_matrices())
 def test_rref_preserves_row_space(m):
-    r = rref(m)
-    s1 = Subspace.span(QQ, m.ncols, m.rows)
-    s2 = Subspace.span(QQ, m.ncols, r.rows)
-    assert s1 == s2
+    assert rref_rows(QQ, m.ncols, m.rows) == _ref_rref(m).rows
 
 
 @given(q_matrices(max_dim=4), q_matrices(max_dim=4))
@@ -389,5 +425,195 @@ def test_matrix_without_rows_keeps_its_columns():
     M = Matrix.from_columns(QQ, [(), (), ()])
     assert (M.nrows, M.ncols) == (0, 3)
     assert (M.transpose().nrows, M.transpose().ncols) == (3, 0)
-    assert rref(M).ncols == 3
+    assert nullspace(M) == [unit_vec(QQ, 3, i) for i in range(3)]
     assert M.matvec((1, 2, 3)) == ()
+
+
+# ---------------------------------------------------------------- the insertion routine
+
+def _ref_span(F, n, vectors):
+    """RREF rows of a span by the reference Gauss-Jordan, as Subspace.rows."""
+    return tuple(tuple(r) for r in _ref_rref(Matrix(F, vectors, n)).rows)
+
+
+def _ref_nullspace(m):
+    """nullspace on the reference Gauss-Jordan: one vector per free column."""
+    F, r = m.field, _ref_rref(m)
+    pivots = [next(c for c, a in enumerate(row) if a) for row in r.rows]
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [F.zero] * m.ncols
+        v[fc] = F.one
+        for prow, pc in zip(r.rows, pivots):
+            v[pc] = F.neg(prow[fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_intersect(S, T):
+    # x = U^T a = V^T b: solve [U^T | -V^T] (a; b) = 0
+    F = S.field
+    if not S.rows or not T.rows:
+        return _ref_span(F, S.ambient_dim, [])
+    cols = [list(r) for r in S.rows] + [[F.neg(a) for a in r] for r in T.rows]
+    ker = _ref_nullspace(Matrix.from_columns(F, cols))
+    return _ref_span(F, S.ambient_dim, [S.combine(k[:S.dim]) for k in ker])
+
+
+def _ref_center(L):
+    # the kernel of the 2n stacked multiplication matrices
+    from leibnizalg.core import left_mult, right_mult
+
+    rows = []
+    for j in range(L.dim):
+        rows.extend(right_mult(L, L.basis_vector(j)).rows)
+        rows.extend(left_mult(L, L.basis_vector(j)).rows)
+    if not rows:
+        return L.full_space().rows
+    return _ref_span(L.field, L.dim, _ref_nullspace(Matrix(L.field, rows)))
+
+
+def _ref_largest_contained_ideal(L, K):
+    V = K
+    while V.dim:
+        cond_cols = []
+        for u in V.rows:
+            col = []
+            for j in range(L.dim):
+                ej = L.basis_vector(j)
+                col.extend(V.reduce(L.bracket(u, ej)))
+                col.extend(V.reduce(L.bracket(ej, u)))
+            cond_cols.append(col)
+        ker = _ref_nullspace(Matrix.from_columns(L.field, cond_cols))
+        W = Subspace(L.field, L.dim, _ref_span(L.field, L.dim, [V.combine(k) for k in ker]))
+        if W.dim == V.dim:
+            break
+        V = W
+    return _ref_span(L.field, L.dim, V.rows)
+
+
+def _types(rows):
+    return [[type(a) for a in r] for r in rows]
+
+
+def _scalars_mixed(F):
+    # over Q, ints as well as Fractions: the RREF must still be all Fractions
+    return st.one_of(st.integers(-4, 4), fractions_st) if F.modulus is None else _scalars(F)
+
+
+@st.composite
+def vector_lists(draw, F, n, max_size=7):
+    """Vectors in F^n, with zero rows, duplicate rows and combinations of
+    earlier rows mixed in; possibly empty, possibly more rows than columns."""
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        kind = draw(st.sampled_from(["random", "zero", "copy", "combination"]))
+        if kind == "zero" or (kind != "random" and not out):
+            v = [0 if F.modulus is not None or draw(st.booleans()) else Fraction(0)] * n
+        elif kind == "copy":
+            v = list(draw(st.sampled_from(out)))
+        elif kind == "combination":
+            u, w = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            a, b = draw(_scalars(F)), draw(_scalars(F))
+            v = [F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(u, w)]
+        else:
+            v = [draw(_scalars_mixed(F)) for _ in range(n)]
+        out.append(v)
+    return out
+
+
+fields_st = st.sampled_from([QQ, Field(2), Field(3), F5])
+
+
+@st.composite
+def span_case(draw, max_n=5):
+    F = draw(fields_st)
+    n = draw(st.integers(0, max_n))
+    return F, n, draw(vector_lists(F, n))
+
+
+@given(span_case())
+def test_span_matches_gauss_jordan(case):
+    F, n, vecs = case
+    S = Subspace.span(F, n, vecs)
+    ref = _ref_span(F, n, vecs)
+    assert S.rows == ref and _types(S.rows) == _types(ref)
+    assert all(F.is_element(a) and (F.modulus is not None or type(a) is Fraction)
+               for r in S.rows for a in r)
+    assert S.pivots == tuple(next(c for c, a in enumerate(r) if a) for r in ref)
+
+
+@given(span_case(), st.data())
+def test_sum_extends_the_left_basis(case, data):
+    F, n, vecs = case
+    left = data.draw(st.sampled_from(["span", "zero", "full"]))
+    if left == "span":
+        more = data.draw(vector_lists(F, n))
+        S = Subspace.span(F, n, more)
+    else:
+        S = Subspace.zero(F, n) if left == "zero" else Subspace.full(F, n)
+        more = list(S.rows)
+    T = Subspace.span(F, n, vecs)
+    total = S + T
+    ref = _ref_span(F, n, list(more) + vecs)
+    assert total == Subspace.span(F, n, list(more) + vecs)
+    assert total.rows == ref and _types(total.rows) == _types(ref)
+
+
+@given(span_case(), st.data())
+def test_where_zero_matches_the_old_cut(case, data):
+    F, n, vecs = case
+    S = Subspace.span(F, n, vecs)
+    m = data.draw(st.integers(0, 4))
+    images = [data.draw(st.lists(_scalars(F), min_size=m, max_size=m)) for _ in S.rows]
+    W = S.where_zero(images)
+    if S.dim:
+        ker = _ref_nullspace(Matrix.from_columns(F, images))
+        ref = _ref_span(F, n, [S.combine(k) for k in ker])
+    else:
+        ref = ()
+    assert W.rows == ref and _types(W.rows) == _types(ref)
+
+
+@given(span_case(), st.data())
+def test_intersect_matches_the_kernel_method(case, data):
+    F, n, vecs = case
+    S = Subspace.span(F, n, vecs)
+    T = Subspace.span(F, n, data.draw(vector_lists(F, n)))
+    ref = _ref_intersect(S, T)
+    assert (S & T).rows == ref and _types((S & T).rows) == _types(ref)
+
+
+@st.composite
+def sparse_algebras(draw, max_n=4):
+    """A random bilinear table, mostly zero, over Q or F_2, F_3, F_5; the
+    centre and the contained ideals need no Leibniz identity."""
+    from leibnizalg.core import LeibnizAlgebra
+
+    F = draw(fields_st)
+    n = draw(st.integers(0, max_n))
+    entry = st.one_of(st.just(F.zero), st.just(F.zero), _scalars(F))
+    table = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return LeibnizAlgebra(F, n, table)
+
+
+@given(sparse_algebras())
+@settings(max_examples=60)
+def test_center_matches_the_stacked_multiplications(L):
+    from leibnizalg.core import center
+
+    Z = center(L)
+    ref = _ref_center(L)
+    assert Z.rows == ref and _types(Z.rows) == _types(ref)
+
+
+@given(sparse_algebras(), st.data())
+@settings(max_examples=60)
+def test_largest_contained_ideal_matches_the_condition_columns(L, data):
+    from leibnizalg.core import is_ideal, largest_contained_ideal
+
+    K = Subspace.span(L.field, L.dim, data.draw(vector_lists(L.field, L.dim)))
+    J = largest_contained_ideal(L, K)
+    ref = _ref_largest_contained_ideal(L, K)
+    assert J.rows == ref and _types(J.rows) == _types(ref)
+    assert J <= K and is_ideal(L, J)

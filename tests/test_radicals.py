@@ -87,7 +87,6 @@ def test_radical_contains_nilradical_everywhere():
 
 def test_semisimple_quotient_has_nondegenerate_killing_form():
     from leibnizalg.core import left_mult
-    from leibnizalg.exactlin import rref
 
     for e in corpus.standard_entries():
         L = e.algebra
@@ -98,9 +97,8 @@ def test_semisimple_quotient_has_nondegenerate_killing_form():
         if m == 0:
             continue
         ads = [left_mult(lam, lam.basis_vector(i)) for i in range(m)]
-        gram = Matrix(QQ, [[ads[i].matmul(ads[j]).trace() for j in range(m)]
-                           for i in range(m)])
-        assert len(rref(gram).rows) == m, e.name
+        gram = [[ads[i].matmul(ads[j]).trace() for j in range(m)] for i in range(m)]
+        assert len(Subspace.span(QQ, m, gram).rows) == m, e.name
 
 
 def test_radical_pullback_property():
@@ -651,6 +649,26 @@ def test_verify_passes_on_corpus_and_small_reductions():
         if L.field.modulus is not None:
             skipped = {"skipped": "stated for characteristic zero"}
             assert rep["prop3"] == rep["corollary"] == skipped, name
+
+
+def test_small_reductions_keep_their_invariants_in_dense_bases():
+    # the dense basis stays over F_p and keeps every basis-invariant number
+    from leibnizalg import oracle
+    from leibnizalg.core import center
+
+    def invariants(L):
+        s = oracle.scan(L)
+        return (leibniz_kernel(L).dim, center(L).dim, nilradical(L).subspace.dim,
+                radical(L).subspace.dim, frattini_ideal(L).dim,
+                len(s.subalgebras), len(s.ideals), len(s.nilpotent_ideals),
+                len(s.solvable_ideals), len(s.maximal_subalgebras), verify(L)["verdict"])
+
+    for name, L in small_reductions():
+        expect = invariants(L)
+        for seed in (1, 2):
+            D = dense_basis(L, random.Random(seed))
+            assert D.field == L.field and check_leibniz(D).passed, (name, seed)
+            assert invariants(D) == expect, (name, seed)
 
 
 def test_verify_passes_when_lemma1_premise_fails():
