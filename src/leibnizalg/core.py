@@ -309,14 +309,15 @@ def is_lie(L: LeibnizAlgebra) -> bool:
 
 
 def _series(L: LeibnizAlgebra, A: Optional[Subspace], step) -> list:
-    """A, step(A, A), step(step(A, A), A), ... as subspaces of L; ends at 0 or
-    at the first repeated term."""
+    """A, [A, A] = step(A, A), step([A, A], A), ... as subspaces of L, ending at
+    0 or at the first repeated term; NotASubalgebra if [A, A] is not in A."""
     if A is None:
         A = L.full_space()
-    elif not is_subalgebra(L, A):
+    _check_ambient(L, A)
+    terms = [A, step(A, A)] if A.dim else [A]
+    if not terms[-1] <= A:
         raise NotASubalgebra("series of a subspace that is not a subalgebra")
-    terms = [A]
-    while terms[-1].dim and (len(terms) == 1 or terms[-1] != terms[-2]):
+    while terms[-1].dim and terms[-1] != terms[-2]:
         terms.append(step(terms[-1], A))
     return terms
 
@@ -362,24 +363,17 @@ def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
 
 
 def restrict(L: LeibnizAlgebra, A: Subspace) -> LeibnizAlgebra:
-    """The bracket of a subalgebra in A's canonical basis.
+    """The bracket of a subalgebra in A's canonical basis, from the coordinates
+    in A of each product of basis rows; one outside A raises NotASubalgebra.
 
     Subspaces of the restricted algebra live in restricted coordinates; use
     embed_subspace / A.rows to map them back into L.  Only needed where an
-    algebra is the answer, as for N(B) in theorem 2 and the Frattini ideal
-    of B; the series of a subalgebra are taken inside L.
+    algebra is the answer: N(B) in theorem 2 and the Frattini ideal of B.
     """
     _check_ambient(L, A)
-    if not is_subalgebra(L, A):
+    table = [[A.coords(L.bracket(u, v)) for v in A.rows] for u in A.rows]
+    if any(c is None for row in table for c in row):
         raise NotASubalgebra("restriction to a non-subalgebra")
-    table = []
-    for u in A.rows:
-        row = []
-        for v in A.rows:
-            c = A.coords(L.bracket(u, v))
-            assert c is not None  # guaranteed: A is a subalgebra
-            row.append(c)
-        table.append(row)
     labels = [f"b{i+1}" for i in range(A.dim)]
     return LeibnizAlgebra(L.field, A.dim, table, labels)
 

@@ -14,7 +14,8 @@ class NotAnIdeal(ValueError):
 
 
 class NotASubalgebra(ValueError):
-    """Restriction requested to a subspace that is not closed under the bracket."""
+    """A subalgebra was required (restrict, or a series of a subspace of L) and
+    the subspace is not closed under the bracket."""
 
 
 class Unsupported(Exception):

@@ -20,16 +20,14 @@ from .core import (
     embed_subspace,
     is_ideal,
     is_nilpotent,
-    is_solvable,
     is_subalgebra,
     leibniz_kernel,
     lower_central_series,
     quotient,
     restrict,
     right_mult,
-    two_sided_span,
 )
-from .errors import InternalInconsistency, PremiseViolation, Unsupported
+from .errors import InternalInconsistency, NotASubalgebra, PremiseViolation, Unsupported
 from .exactlin import Matrix, Subspace, nullspace, vec_add, vec_sub
 from .reports import VerificationReport
 
@@ -181,13 +179,14 @@ def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
 def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Subspace:
     """Largest ideal contained in every maximal subalgebra.
 
-    Nilpotent algebras: every maximal subalgebra contains [L,L], so the
-    Frattini ideal is [L,L] (cross-validated against the exhaustive scan on
-    nilpotent F_p instances by the test suite).  Otherwise only prime fields
-    under the oracle budget are supported.
+    Nilpotent algebras: every maximal subalgebra contains [L,L], the second
+    term of the lower central series, so it is the Frattini ideal (checked
+    against the exhaustive scan on nilpotent F_p instances by the tests).
+    Otherwise only prime fields under the oracle budget are supported.
     """
-    if is_nilpotent(L):
-        return bracket_span(L, L.full_space(), L.full_space())
+    series = lower_central_series(L)
+    if series[-1].dim == 0:
+        return series[:2][-1]       # [L,L] is series[1], or 0 = series[0] when L = 0
     if L.field.modulus is not None:
         return oracle.frattini_oracle(L, budget)
     raise Unsupported("Frattini ideal over Q is only computed for nilpotent algebras")
@@ -329,15 +328,17 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
     qp is the quotient by I, NL is N(L) and NQ is N(L/I).
     """
     I = qp.ideal
-    premises = {"B_is_subalgebra": is_subalgebra(L, B)}
-    if not premises["B_is_subalgebra"]:
-        raise PremiseViolation("B is not a subalgebra")
+    try:
+        LB = restrict(L, B)
+    except NotASubalgebra:
+        raise PremiseViolation("B is not a subalgebra") from None
+    premises = {"B_is_subalgebra": True}
     for name, holds, failure in _theorem2_premises(L, I, B, budget):
         premises[name] = holds
         if not holds:
             raise PremiseViolation(failure)
 
-    NB_in_L = embed_subspace(B, nilradical(restrict(L, B), budget).subspace)
+    NB_in_L = embed_subspace(B, nilradical(LB, budget).subspace)
     rhs = qp.project_subspace(I + NB_in_L)
     condition, condition_witnesses = _right_action_on_kernel_nilpotent(L, I, NB_in_L)
     details = {
@@ -413,7 +414,7 @@ def verify_prop3(L: LeibnizAlgebra, R: Subspace, N: Subspace) -> VerificationRep
     one-sided/two-sided reading is ambiguous.
     """
     one_sided = bracket_span(L, L.full_space(), R) <= N
-    two_sided = two_sided_span(L, L.full_space(), R) <= N
+    two_sided = one_sided and bracket_span(L, R, L.full_space()) <= N
     return VerificationReport(
         name="bracket-of-radical-inside-nilradical",
         passed=one_sided and two_sided,
@@ -425,11 +426,11 @@ def verify_prop3(L: LeibnizAlgebra, R: Subspace, N: Subspace) -> VerificationRep
 def verify_corollary(L: LeibnizAlgebra, R: Subspace, N: Subspace) -> VerificationReport:
     """[R,R] inside N and nilpotent; L solvable iff [L,L] nilpotent (char 0)."""
     RR = bracket_span(L, R, R)
-    LL = bracket_span(L, L.full_space(), L.full_space())
+    derived = derived_series(L)       # [L,L] is derived[1], or 0 = derived[0] when L = 0
     # spans of all products of a subalgebra are closed under the bracket
     contained = RR <= N
     rr_nilpotent = is_nilpotent(L, RR)
-    equivalence = is_solvable(L) == is_nilpotent(L, LL)
+    equivalence = (derived[-1].dim == 0) == is_nilpotent(L, derived[:2][-1])
     return VerificationReport(
         name="derived-radical-nilpotency-corollary",
         passed=contained and rr_nilpotent and equivalence,

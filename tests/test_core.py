@@ -29,7 +29,7 @@ from leibnizalg.core import (
     right_mult,
     two_sided_span,
 )
-from leibnizalg.errors import NotAnIdeal, NotASubalgebra
+from leibnizalg.errors import AmbientMismatch, FieldMismatch, NotAnIdeal, NotASubalgebra
 from leibnizalg.exactlin import QQ, Field, Matrix, Subspace, unit_vec, vec_add, zero_vec
 from leibnizalg.oracle import reduce_mod_p
 from leibnizalg.reports import VerificationReport
@@ -203,6 +203,14 @@ def test_closure_tests_match_product_spans(case):
     L, A = case
     assert is_subalgebra(L, A) == (bracket_span(L, A, A) <= A)
     assert is_ideal(L, A) == (two_sided_span(L, A, L.full_space()) <= A)
+    # the series and restrict test closure on the products they form
+    for f in (restrict, lower_central_series, derived_series, is_nilpotent, is_solvable):
+        try:
+            f(L, A)
+            closed = True
+        except NotASubalgebra:
+            closed = False
+        assert closed == is_subalgebra(L, A), f.__name__
 
 
 # ---------------------------------------------------------------- operators
@@ -536,6 +544,16 @@ def test_restrict_requires_subalgebra():
     for f in (restrict, lower_central_series, derived_series, is_nilpotent, is_solvable):
         with pytest.raises(NotASubalgebra):
             f(L, A)
+
+
+def test_restrict_and_series_check_the_ambient_of_a_zero_subspace():
+    # a zero subspace has no products to test, so only the ambient check rejects it
+    L = corpus.heisenberg().algebra
+    for f in (restrict, lower_central_series, derived_series, is_nilpotent, is_solvable):
+        with pytest.raises(AmbientMismatch):
+            f(L, Subspace.zero(QQ, L.dim + 1))
+        with pytest.raises(FieldMismatch):
+            f(L, Subspace.zero(Field(3), L.dim))
 
 
 def test_embed_roundtrip():

@@ -562,6 +562,14 @@ def test_lemma1_example1_unsupported_over_q():
         "skipped": "Frattini ideal of L not computable"}
 
 
+def test_theorem2_skipped_when_B_is_not_a_subalgebra():
+    # [x, x] = x2 lies outside span(x); the other checks still run
+    L = corpus.example1().algebra
+    rep = verify(L, span_of(L, L.basis_vector(0)))
+    assert rep["theorem2"] == {"skipped": "B is not a subalgebra"}
+    assert rep["verdict"] == "pass"
+
+
 def test_theorem2_skipped_when_frattini_of_B_not_computable_over_q():
     # B = L meets I = span{x2}, and example1 + sl2 is not nilpotent
     L = corpus.with_simple_summand(corpus.example1()).algebra
@@ -695,6 +703,14 @@ def counting_case(name):
     return corpus.build(name).algebra
 
 
+def counting(calls, f):
+    """f, appending its name to calls on every call."""
+    def counted(*args):
+        calls.append(f.__name__)
+        return f(*args)
+    return counted
+
+
 @pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg"])
 def test_verify_computes_each_nilradical_once(monkeypatch, name):
     # one call each for L, L/I and B
@@ -720,17 +736,27 @@ def test_verify_computes_the_kernel_and_its_quotient_once(monkeypatch, name):
 
     L = counting_case(name)
     calls = []
-
-    def counting(f):
-        def counted(*args):
-            calls.append(f.__name__)
-            return f(*args)
-        return counted
-
-    monkeypatch.setattr(radicals, "leibniz_kernel", counting(leibniz_kernel))
-    monkeypatch.setattr(radicals, "quotient", counting(quotient))
+    monkeypatch.setattr(radicals, "leibniz_kernel", counting(calls, leibniz_kernel))
+    monkeypatch.setattr(radicals, "quotient", counting(calls, quotient))
     assert verify(L)["verdict"] == "pass"
     assert calls == ["leibniz_kernel", "quotient"]
+
+
+@pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg", "example1+sl2"])
+def test_verify_tests_closure_with_the_products_it_forms(monkeypatch, name):
+    # the series and restrict(L, B) read closure from [A, A] and from the
+    # coordinates of the products; only the certificate of the solved
+    # complement of I tests it separately
+    from leibnizalg import core, radicals
+
+    L = counting_case(name)
+    calls = []
+    for module in (core, radicals):
+        monkeypatch.setattr(module, "is_subalgebra", counting(calls, is_subalgebra))
+        monkeypatch.setattr(module, "restrict", counting(calls, restrict))
+    assert verify(L)["verdict"] == "pass"
+    assert calls.count("is_subalgebra") <= 1
+    assert calls.count("restrict") == 1
 
 
 @pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg"])
