@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -24,7 +23,9 @@ from .exactlin import (
     Field,
     Matrix,
     Subspace,
+    from_scaled,
     lin_comb,
+    to_scaled,
     unit_vec,
     vec_add,
     zero_vec,
@@ -41,7 +42,7 @@ class LeibnizAlgebra:
     and hashing look at the field and the table, not at the labels.
     """
 
-    __slots__ = ("field", "dim", "labels", "table")
+    __slots__ = ("field", "dim", "labels", "table", "_scaled")
 
     def __init__(self, field: Field, dim: int, table, labels: Optional[Sequence[str]] = None):
         self.field = field
@@ -60,6 +61,7 @@ class LeibnizAlgebra:
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i+1}" for i in range(dim))
         if len(self.labels) != dim:
             raise ValueError("need one label per basis vector")
+        self._scaled = None
 
     @classmethod
     def from_products(cls, field: Field, dim: int, products: dict,
@@ -75,19 +77,40 @@ class LeibnizAlgebra:
     def basis_vector(self, i: int):
         return unit_vec(self.field, self.dim, i)
 
+    def scaled_table(self) -> tuple:
+        """(d, T): the table times the lcm d of its denominators (1 over F_p),
+        with T[i][j] the nonzero entries (k, c) of d [e_i, e_j]."""
+        if self._scaled is None:
+            n = self.dim
+            ints, d = to_scaled(self.field, [c for row in self.table for v in row for c in v])
+            T = [[[(k, c) for k, c in enumerate(ints[(i * n + j) * n:(i * n + j + 1) * n]) if c]
+                  for j in range(n)] for i in range(n)]
+            self._scaled = d, T
+        return self._scaled
+
     def bracket(self, u: Sequence, v: Sequence):
-        """Bilinear extension of the table: [u, v] = sum_ijk u_i v_j c[i][j][k] e_k,
-        over the nonzero u_i, v_j and c[i][j][k] only."""
+        """Bilinear extension of the table: [u, v] = sum_ijk u_i v_j c[i][j][k] e_k."""
         if len(u) != self.dim or len(v) != self.dim:
             raise AmbientMismatch("vector length != algebra dim")
-        v_nz = [(j, b) for j, b in enumerate(v) if b]
-        coeffs, products = [], []
-        for a, row in zip(u, self.table):
+        U, du = to_scaled(self.field, u)
+        V, dv = to_scaled(self.field, v)
+        return from_scaled(self.field, self.scaled_bracket(U, V),
+                           du * dv * self.scaled_table()[0])
+
+    def scaled_bracket(self, U: Sequence[int], V: Sequence[int]) -> list:
+        """d [U, V] for integer vectors U, V (residues over F_p), with d as in
+        scaled_table, over the nonzero U_i, V_j and table entries only."""
+        T = self.scaled_table()[1]
+        V_nz = [(j, b) for j, b in enumerate(V) if b]
+        out = [0] * self.dim
+        for a, row in zip(U, T):
             if a:
-                for j, b in v_nz:
-                    coeffs.append(a * b)
-                    products.append(row[j])
-        return lin_comb(self.field, self.dim, coeffs, products)
+                for j, b in V_nz:
+                    c = a * b
+                    for k, t in row[j]:
+                        out[k] += c * t
+        p = self.field.modulus
+        return out if p is None else [a % p for a in out]
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.field, self.dim)
@@ -124,15 +147,13 @@ def check_leibniz(L: LeibnizAlgebra) -> VerificationReport:
 def _leibniz_failures(L: LeibnizAlgebra):
     """The triples where the identity fails, lazily, each with both sides.
 
-    The test runs in ints over the nonzero table entries: over F_p on the
-    residues, over Q on the table times the lcm d of its denominators (the
-    identity is homogeneous of degree 2, so the same triples fail).  Both
-    sides are bracketed for failing triples only.
+    The test runs in ints over the nonzero entries of L.scaled_table: over
+    F_p on the residues, over Q on the table times the lcm d of its
+    denominators (the identity is homogeneous of degree 2, so the same
+    triples fail).  Both sides are bracketed for failing triples only.
     """
     F, n, p = L.field, L.dim, L.field.modulus
-    d = lcm(*(c.denominator for row in L.table for v in row for c in v))
-    nz = [[[(m, c.numerator * (d // c.denominator)) for m, c in enumerate(v) if c]
-           for v in row] for row in L.table]
+    nz = L.scaled_table()[1]
     for i, Ti in enumerate(nz):
         for j, Tj in enumerate(nz):
             for k in range(n):
@@ -179,8 +200,9 @@ def bracket_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """span{ [a,b] : a in basis(A), b in basis(B) } -- one-sided product."""
     _check_ambient(L, A)
     _check_ambient(L, B)
-    return Subspace.span(L.field, L.dim,
-                         [L.bracket(a, b) for a in A.rows for b in B.rows])
+    # scaled rows and products: a vector's scale does not change the span
+    return Subspace.span(L.field, L.dim, [L.scaled_bracket(a, b)
+                                          for a in A.scaled_rows for b in B.scaled_rows])
 
 
 def two_sided_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
@@ -191,19 +213,17 @@ def two_sided_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
 def is_subalgebra(L: LeibnizAlgebra, A: Subspace) -> bool:
     """[a, b] in A for all basis rows a, b; stops at the first product outside A."""
     _check_ambient(L, A)
-    return all(A.contains(L.bracket(a, b)) for a in A.rows for b in A.rows)
+    rows = A.scaled_rows
+    return all(A.contains(L.scaled_bracket(a, b)) for a in rows for b in rows)
 
 
 def is_ideal(L: LeibnizAlgebra, A: Subspace) -> bool:
     """[a, e_j] and [e_j, a] in A for all basis rows a and all j; stops at the
-    first product outside A.  [a, e_j] = sum_i a_i table[i][j] and
-    [e_j, a] = sum_i a_i table[j][i] are read from the table."""
+    first product outside A.  Rows and products are in scaled form."""
     _check_ambient(L, A)
-    F, n = L.field, L.dim
-    columns = tuple(zip(*L.table))
-    return all(A.contains(lin_comb(F, n, a, columns[j]))
-               and A.contains(lin_comb(F, n, a, L.table[j]))
-               for a in A.rows for j in range(n))
+    units = L.full_space().scaled_rows
+    return all(A.contains(L.scaled_bracket(a, e)) and A.contains(L.scaled_bracket(e, a))
+               for a in A.scaled_rows for e in units)
 
 
 def ideal_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:
@@ -224,13 +244,14 @@ def leibniz_kernel(L: LeibnizAlgebra) -> Subspace:
     square, since [x+y,x+y] = x^2 + y^2 + [x,y] + [y,x].  The result is
     verified to be an ideal; a failure can only mean the table is not Leibniz.
     """
-    F = L.field
-    gens = [L.bracket(L.basis_vector(i), L.basis_vector(i)) for i in range(L.dim)]
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            v = vec_add(F, L.basis_vector(i), L.basis_vector(j))
-            gens.append(L.bracket(v, v))
-    I = Subspace.span(F, L.dim, gens)
+    n = L.dim
+    units = L.full_space().scaled_rows
+    gens = [L.scaled_bracket(e, e) for e in units]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = [a + b for a, b in zip(units[i], units[j])]
+            gens.append(L.scaled_bracket(v, v))
+    I = Subspace.span(L.field, n, gens)
     if not is_ideal(L, I):
         raise InternalInconsistency(
             "span of squares is not an ideal; the table violates the Leibniz identity")

@@ -10,6 +10,20 @@ time into an RREF basis.  A span starts it from the zero space, a sum S + T
 extends S's basis by T's rows, and it stops reducing once the span is full.
 Nullspaces, intersections and every other cut of a subspace by a linear map
 (Subspace.where_zero) are spans of this kind.
+
+Over Q the elimination runs on scaled integers, not on Fractions.  A vector
+v in scaled form is (ints, den) with v = ints / den (to_scaled and
+from_scaled convert, and no other module does).  A subspace holds each RREF
+row as a primitive integer row over its pivot entry (scaled_rows); reducing
+an integer vector against such rows takes one integer pass over the lcm of
+the pivot entries, and a zero test needs no denominator at all.  Spans and
+membership do not depend on a vector's scale, so integer vectors, such as
+the products LeibnizAlgebra.scaled_bracket forms from the scaled table, go
+in as they are.  Fractions are built only where vectors go back to a
+caller: the rows of a subspace on first use of Subspace.rows, the residual
+that Subspace.reduce returns, and the product that LeibnizAlgebra.bracket
+returns.  Over F_p the scaled form of a vector is its residues, so the same
+routine runs on residues mod p.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import AmbientMismatch, FieldMismatch
@@ -236,28 +251,115 @@ class Matrix:
         return f"Matrix({self.field}, {body})"
 
 
-def _eliminate(res: list, rows, pivots, p: Optional[int]) -> None:
-    """Subtract from res, in place, the multiple of each RREF row (pivot
-    column in pivots) that clears res at that row's pivot column."""
+def to_scaled(field: Field, v: Sequence) -> tuple:
+    """The scaled form (ints, den) of v, with v = ints / den and den > 0.
+
+    Over Q, den is the lcm of the entries' denominators; for an RREF row
+    this makes ints primitive with den at the pivot.  Over F_p the residues
+    stand for themselves and den is 1."""
+    if field.modulus is not None:
+        return v, 1
+    den = lcm(*[a.denominator for a in v])
+    if den == 1:
+        return [a.numerator for a in v], 1
+    return [a.numerator * (den // a.denominator) for a in v], den
+
+
+_Q_ZERO = Fraction(0)
+
+
+def from_scaled(field: Field, ints: Sequence[int], den: int = 1) -> Vector:
+    """The vector ints / den, with every zero entry field.zero."""
+    p = field.modulus
+    if p is None:
+        return tuple(Fraction(a, den) if a else _Q_ZERO for a in ints)
+    if den != 1:
+        inv = pow(den, -1, p)
+        return tuple(a * inv % p for a in ints)
+    return tuple(a % p for a in ints)
+
+
+def _eliminate(w: Sequence[int], rows, pivots, p: Optional[int]) -> tuple:
+    """(r, D) with r / D = w - sum_i w[pc_i] * rows[i] / rows[i][pc_i]: the
+    residual of the integer vector w against scaled RREF rows (pivot columns
+    in pivots), zero at every pivot column.  Over Q, D is the lcm of the
+    pivot entries; over F_p it is 1, and w must hold residues.  Every other row
+    is zero at a row's pivot column, so w's own entries there are the
+    multipliers and one pass suffices."""
+    r = list(w)
+    if p is not None:
+        for row, pc in zip(rows, pivots):
+            c = w[pc]
+            if c:
+                for j, b in enumerate(row):
+                    if b:
+                        r[j] = (r[j] - c * b) % p
+        return r, 1
+    D = lcm(*[row[pc] for row, pc in zip(rows, pivots)])
+    if D != 1:
+        r = [D * a for a in r]
     for row, pc in zip(rows, pivots):
-        c = res[pc]
+        c = w[pc]
         if c:
+            c *= D // row[pc]
             for j, b in enumerate(row):
                 if b:
-                    res[j] = res[j] - c * b if p is None else (res[j] - c * b) % p
+                    r[j] -= c * b
+    return r, D
+
+
+def _normalize(r: list, pc: int, p: Optional[int]) -> tuple:
+    """The scaled RREF row through r, whose leading entry is at pc: over Q
+    primitive with a positive pivot entry, over F_p monic."""
+    if p is None:
+        g = gcd(*r)
+        return tuple(a // (g if r[pc] > 0 else -g) for a in r)
+    inv = pow(r[pc], -1, p)
+    return tuple(a * inv % p for a in r) if inv != 1 else tuple(r)
 
 
 class Subspace:
     """A subspace of F^n held as its canonical RREF row basis (no zero rows),
-    with the pivot column of each row."""
+    with the pivot column of each row.
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    Row i is also held in scaled form, scaled_rows[i] / scaled_rows[i][pivots[i]]:
+    over Q a primitive integer row, over F_p the row itself.  The elimination
+    runs on the scaled form; each form is built from the other on first use.
+    """
+
+    __slots__ = ("field", "ambient_dim", "pivots", "_rows", "_scaled")
 
     def __init__(self, field: Field, ambient_dim: int, rref_rows: Iterable[Iterable]):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows = tuple(tuple(r) for r in rref_rows)
-        self.pivots = tuple(next(c for c, a in enumerate(row) if a) for row in self.rows)
+        self._rows = tuple(tuple(r) for r in rref_rows)
+        self.pivots = tuple(next(c for c, a in enumerate(row) if a) for row in self._rows)
+        self._scaled = self._rows if field.modulus is not None else None
+
+    @classmethod
+    def _from_scaled(cls, field: Field, ambient_dim: int, scaled, pivots) -> "Subspace":
+        S = cls.__new__(cls)
+        S.field, S.ambient_dim = field, ambient_dim
+        S._scaled, S.pivots = tuple(scaled), tuple(pivots)
+        S._rows = S._scaled if field.modulus is not None else None
+        return S
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            F = self.field
+            self._rows = tuple(from_scaled(F, r, r[pc])
+                               for r, pc in zip(self._scaled, self.pivots))
+        return self._rows
+
+    @property
+    def scaled_rows(self) -> tuple:
+        """The rows as integer vectors with the same span: primitive over Q,
+        the residues over F_p."""
+        if self._scaled is None:
+            F = self.field
+            self._scaled = tuple(tuple(to_scaled(F, r)[0]) for r in self._rows)
+        return self._scaled
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -265,15 +367,17 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, [])
+        return cls._from_scaled(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).rows)
+        n = ambient_dim
+        return cls._from_scaled(field, n, [tuple(int(i == j) for j in range(n)) for i in range(n)],
+                                range(n))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def _check_compat(self, other: "Subspace"):
         if self.field != other.field:
@@ -281,14 +385,17 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("ambient dimension mismatch")
 
+    def _residual(self, v: Sequence) -> tuple:
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch("vector length != ambient dim")
+        w, den = to_scaled(self.field, v)
+        r, D = _eliminate(w, self.scaled_rows, self.pivots, self.field.modulus)
+        return r, den * D
+
     def reduce(self, v: Sequence) -> Vector:
         """Residual of v against the RREF rows: zero at every pivot column,
         and zero everywhere exactly when v lies in the subspace."""
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length != ambient dim")
-        res = list(v)
-        _eliminate(res, self.rows, self.pivots, self.field.modulus)
-        return tuple(res)
+        return from_scaled(self.field, *self._residual(v))
 
     def _insert(self, vectors: Iterable[Sequence]) -> "Subspace":
         """The span of these rows and the vectors, the only elimination here.
@@ -297,35 +404,35 @@ class Subspace:
         normalised, its pivot column is cleared from the other rows, and it
         is inserted in pivot order, so the rows stay in RREF throughout.
         Once the span is full, the remaining vectors are only length-checked.
+        All of it runs on the scaled form: a vector's scale does not change
+        its span.
         """
         F, n, p = self.field, self.ambient_dim, self.field.modulus
-        rows, pivots = [list(r) for r in self.rows], list(self.pivots)
+        rows, pivots = list(self.scaled_rows), list(self.pivots)
         for v in vectors:
             if len(v) != n:
                 raise AmbientMismatch("vector length != ambient dim")
             if len(rows) == n:
                 continue
-            res = list(v)
-            _eliminate(res, rows, pivots, p)
+            res = _eliminate(to_scaled(F, v)[0], rows, pivots, p)[0]
             pc = next((j for j, a in enumerate(res) if a), None)
             if pc is None:
                 continue
-            inv = F.inv(res[pc])
-            res = [F.mul(inv, a) for a in res]     # over Q every entry is now a Fraction
-            for row in rows:
+            res = _normalize(res, pc, p)
+            for i, row in enumerate(rows):
                 if row[pc]:
-                    _eliminate(row, (res,), (pc,), p)
+                    rows[i] = _normalize(_eliminate(row, (res,), (pc,), p)[0], pivots[i], p)
             k = bisect(pivots, pc)
             rows.insert(k, res)
             pivots.insert(k, pc)
-        return Subspace(F, n, rows)
+        return Subspace._from_scaled(F, n, rows, pivots)
 
     def combine(self, w: Sequence) -> Vector:
         """sum_i w[i] * rows[i]: the vector with coordinates w in the RREF basis."""
         return lin_comb(self.field, self.ambient_dim, w, self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        return not any(self._residual(v)[0])
 
     def coords(self, v: Sequence) -> Optional[Vector]:
         """Coefficients of v in the RREF basis, or None if v is outside.
@@ -333,13 +440,13 @@ class Subspace:
         Every other row is zero at a row's pivot column, so the coefficients
         are v's own entries at the pivot columns.
         """
-        if any(self.reduce(v)):
+        if not self.contains(v):
             return None
         return tuple(v[pc] for pc in self.pivots)
 
     def leq(self, other: "Subspace") -> bool:
         self._check_compat(other)
-        return all(other.contains(r) for r in self.rows)
+        return all(other.contains(r) for r in self.scaled_rows)
 
     def __le__(self, other):
         return self.leq(other)
@@ -347,7 +454,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         """Extends this RREF basis by the rows of other."""
         self._check_compat(other)
-        return self._insert(other.rows)
+        return self._insert(other.scaled_rows)
 
     def __add__(self, other):
         return self.sum(other)
@@ -380,7 +487,8 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient_dim == other.ambient_dim and self.rows == other.rows)
+                and self.ambient_dim == other.ambient_dim
+                and self.pivots == other.pivots and self.scaled_rows == other.scaled_rows)
 
     def __hash__(self):
         return hash((self.field, self.ambient_dim, self.rows))

@@ -83,7 +83,7 @@ class LatticeScan:
     maximal_subalgebras: tuple = ()
 
     def to_dict(self) -> dict:
-        from .reports import subspace_to_json
+        from .reports import RowsInJson
 
         return {
             "field": str(self.algebra.field),
@@ -92,8 +92,8 @@ class LatticeScan:
             "ideals": len(self.ideals),
             "nilpotent_ideals": len(self.nilpotent_ideals),
             "solvable_ideals": len(self.solvable_ideals),
-            "maximal_subalgebras": [subspace_to_json(s) for s in self.maximal_subalgebras],
-            "nilradical": subspace_to_json(nilradical_from_scan(self)),
+            "maximal_subalgebras": [RowsInJson(s) for s in self.maximal_subalgebras],
+            "nilradical": RowsInJson(nilradical_from_scan(self)),
         }
 
 

@@ -213,7 +213,7 @@ def _complement_B(qp: QuotientPresentation, budget: int):
     else:
         candidates = _q_candidates(L, qp)
     for B in candidates:
-        if B is not None and all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
+        if B is not None and all(holds for _, holds, _ in _theorem2_premises(L, I, B, None, budget)):
             return B
     return None
 
@@ -301,18 +301,19 @@ def _complement_subalgebra(L: LeibnizAlgebra, qp: QuotientPresentation):
     return B
 
 
-def _theorem2_premises(L, I, B, budget):
+def _theorem2_premises(L, I, B, LB, budget):
     """Theorem 2's premises on a subalgebra B, in order and lazily, as
-    (name, holds, message if it fails)."""
+    (name, holds, message if it fails).  LB is restrict(L, B), or None to
+    restrict only if the Frattini ideal of B is needed."""
     yield "I_plus_B_is_L", (I + B) == L.full_space(), "I + B is not all of L"
     IB = I & B
-    holds = IB.dim == 0 or IB <= _frattini_of_subalgebra(L, B, budget)   # 0 is in any phi(B)
+    holds = IB.dim == 0 or IB <= _frattini_of_subalgebra(   # 0 is in any phi(B)
+        LB if LB is not None else restrict(L, B), B, budget)
     yield "I_cap_B_in_frattini_of_B", holds, "I cap B is not inside the Frattini ideal of B"
 
 
-def _frattini_of_subalgebra(L, B, budget):
-    """Frattini ideal of restrict(L, B), embedded back into L."""
-    LB = restrict(L, B)
+def _frattini_of_subalgebra(LB, B, budget):
+    """Frattini ideal of LB = restrict(L, B), embedded back into L."""
     try:
         phi = frattini_ideal(LB, budget)
     except Unsupported:
@@ -333,7 +334,7 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
     except NotASubalgebra:
         raise PremiseViolation("B is not a subalgebra") from None
     premises = {"B_is_subalgebra": True}
-    for name, holds, failure in _theorem2_premises(L, I, B, budget):
+    for name, holds, failure in _theorem2_premises(L, I, B, LB, budget):
         premises[name] = holds
         if not holds:
             raise PremiseViolation(failure)

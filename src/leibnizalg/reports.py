@@ -16,6 +16,15 @@ def subspace_to_json(s):
     return [[scalar_to_json(a) for a in row] for row in s.rows]
 
 
+@dataclass(frozen=True)
+class RowsInJson:
+    """A subspace whose JSON form is its list of rows (subspace_to_json),
+    not the {"ambient_dim", "basis"} object; text prints it as a span like
+    any subspace."""
+
+    subspace: object
+
+
 def _jsonable(x, vector=None):
     """JSON-ready copy of a payload.  A dataclass instance becomes its fields in
     declaration order, so a property (such as Theorem2Report.passed) stays out.
@@ -25,6 +34,8 @@ def _jsonable(x, vector=None):
 
     if vector and isinstance(x, tuple) and x and all(type(a) in (int, Fraction) for a in x):
         return vector(x)
+    if isinstance(x, RowsInJson):
+        return _jsonable(x.subspace, vector) if vector else subspace_to_json(x.subspace)
     if isinstance(x, Subspace):
         return {"ambient_dim": x.ambient_dim,
                 "basis": [vector(r) for r in x.rows] if vector else subspace_to_json(x)}

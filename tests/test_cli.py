@@ -121,6 +121,30 @@ def test_oracle_scan(capsys, tmp_path):
     assert rep["nilradical"] == [[0, 1]]
 
 
+def test_oracle_scan_text_prints_each_subspace_as_one_span(capsys, tmp_path):
+    # example1 mod 3 has two maximal subalgebras, the lines span{(1, 2)} and
+    # span{(0, 1)}; [x, x] = x2 over F_3 is nilpotent, with nilradical L.
+    # JSON keeps the plain lists of rows.
+    from leibnizalg.oracle import reduce_mod_p
+
+    ex1 = tmp_path / "ex1_f3.json"
+    ex1.write_text(dumps_algebra(reduce_mod_p(corpus.example1().algebra, 3)))
+    cyclic = tmp_path / "cyclic_f3.json"
+    cyclic.write_text(json.dumps({"field": "F3", "dim": 2, "basis": ["x", "x2"],
+                                  "table": [[0, 0, [1, 1, 1]]]}))
+    code, out = run_cli(capsys, "oracle-scan", str(ex1))
+    assert code == 0
+    assert out.endswith("maximal_subalgebras:\n  span{(1, 2)}\n  span{(0, 1)}\n"
+                        "nilradical:\n  span{(0, 1)}\n")
+    code, out = run_cli(capsys, "oracle-scan", str(cyclic))
+    assert code == 0
+    assert out.endswith("maximal_subalgebras:\n  span{(0, 1)}\n"
+                        "nilradical:\n  span{(1, 0), (0, 1)}\n")
+    code, out = run_cli(capsys, "--format", "json", "oracle-scan", str(ex1))
+    rep = json.loads(out)
+    assert rep["maximal_subalgebras"] == [[[1, 2]], [[0, 1]]] and rep["nilradical"] == [[0, 1]]
+
+
 def test_corpus_list_and_emit(capsys, tmp_path):
     code, out = run_cli(capsys, "--format", "json", "corpus")
     assert code == 0

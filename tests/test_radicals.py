@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -774,3 +775,19 @@ def test_verify_computes_the_radical_once(monkeypatch, name):
     monkeypatch.setattr(radicals, "radical", counted)
     assert verify(L)["verdict"] == "pass"
     assert calls == [L.dim]
+
+
+def test_verify_restricts_a_given_B_once(monkeypatch, capsys):
+    # B = L on nilcyclic2 meets I = span(x2), so the premise I cap B <= phi(B)
+    # needs the Frattini ideal of B, read from theorem 2's own restriction
+    from leibnizalg import cli, core, radicals
+
+    calls = []
+    for module in (core, radicals):
+        monkeypatch.setattr(module, "restrict", counting(calls, restrict))
+    assert cli.run(["--format", "json", "verify", "--b", "1,0;0,1", "nilcyclic2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep["theorem2"]["premises_ok"].items()) == [
+        ("B_is_subalgebra", True), ("I_plus_B_is_L", True), ("I_cap_B_in_frattini_of_B", True)]
+    assert rep["verdict"] == "pass"
+    assert calls.count("restrict") == 1

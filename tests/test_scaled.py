@@ -1,0 +1,241 @@
+"""The scaled-integer kernel over Q against the Fraction algorithms it replaced.
+
+Brackets, spans, sums, residuals, membership, coordinates, bracket spans and
+the ideal and subalgebra tests run on integer numerators over a common
+denominator.  The references below are the earlier Fraction versions of the
+same algorithms, kept verbatim in spirit: one vector at a time, Fraction
+arithmetic throughout.
+"""
+
+from bisect import bisect
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leibnizalg.core import LeibnizAlgebra, bracket_span, is_ideal, is_subalgebra
+from leibnizalg.errors import AmbientMismatch
+from leibnizalg.exactlin import QQ, Subspace, from_scaled, to_scaled
+
+
+# ---------------------------------------------------------------- Fraction references
+
+def ref_lin_comb(n, coeffs, vectors):
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, b in enumerate(v):
+                if b:
+                    out[k] += c * b
+    return tuple(out)
+
+
+def ref_bracket(L, u, v):
+    v_nz = [(j, b) for j, b in enumerate(v) if b]
+    coeffs, products = [], []
+    for a, row in zip(u, L.table):
+        if a:
+            for j, b in v_nz:
+                coeffs.append(a * b)
+                products.append(row[j])
+    return ref_lin_comb(L.dim, coeffs, products)
+
+
+def ref_eliminate(res, rows, pivots):
+    for row, pc in zip(rows, pivots):
+        c = res[pc]
+        if c:
+            for j, b in enumerate(row):
+                if b:
+                    res[j] = res[j] - c * b
+
+
+def ref_insert(n, rows, vectors):
+    """RREF rows of span(rows + vectors) by one-at-a-time Fraction insertion."""
+    rows = [list(r) for r in rows]
+    pivots = [next(c for c, a in enumerate(r) if a) for r in rows]
+    for v in vectors:
+        if len(rows) == n:
+            continue
+        res = list(v)
+        ref_eliminate(res, rows, pivots)
+        pc = next((j for j, a in enumerate(res) if a), None)
+        if pc is None:
+            continue
+        inv = 1 / Fraction(res[pc])
+        res = [inv * a for a in res]
+        for row in rows:
+            if row[pc]:
+                ref_eliminate(row, (res,), (pc,))
+        k = bisect(pivots, pc)
+        rows.insert(k, res)
+        pivots.insert(k, pc)
+    return tuple(tuple(r) for r in rows)
+
+
+def ref_reduce(rows, v):
+    res = list(v)
+    ref_eliminate(res, rows, [next(c for c, a in enumerate(r) if a) for r in rows])
+    return tuple(res)
+
+
+def ref_contains(rows, v):
+    return not any(ref_reduce(rows, v))
+
+
+def ref_coords(rows, v):
+    if not ref_contains(rows, v):
+        return None
+    return tuple(v[next(c for c, a in enumerate(r) if a)] for r in rows)
+
+
+def ref_bracket_span(L, A_rows, B_rows):
+    return ref_insert(L.dim, (), [ref_bracket(L, a, b) for a in A_rows for b in B_rows])
+
+
+def ref_is_subalgebra(L, A_rows):
+    return all(ref_contains(A_rows, ref_bracket(L, a, b)) for a in A_rows for b in A_rows)
+
+
+def ref_is_ideal(L, A_rows):
+    units = [tuple(Fraction(int(i == j)) for i in range(L.dim)) for j in range(L.dim)]
+    return all(ref_contains(A_rows, ref_bracket(L, a, e))
+               and ref_contains(A_rows, ref_bracket(L, e, a))
+               for a in A_rows for e in units)
+
+
+def ref_ideal_closure(L, rows):
+    L_rows = ref_insert(L.dim, (), [[int(i == j) for i in range(L.dim)] for j in range(L.dim)])
+    while True:
+        products = [ref_bracket(L, a, b) for a in rows for b in L_rows]
+        products += [ref_bracket(L, b, a) for a in rows for b in L_rows]
+        grown = ref_insert(L.dim, rows, products)
+        if len(grown) == len(rows):
+            return rows
+        rows = grown
+
+
+# ---------------------------------------------------------------- inputs
+
+# denominators 2, 3 and 6 as well as integers, of either sign
+scalars = st.one_of(st.just(Fraction(0)), st.just(0),
+                    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6])),
+                    st.integers(-3, 3))
+
+
+@st.composite
+def vectors(draw, n):
+    kind = draw(st.sampled_from(["random", "random", "zero", "sparse"]))
+    if kind == "zero":
+        return [Fraction(0)] * n
+    if kind == "sparse" and n:
+        v = [Fraction(0)] * n
+        v[draw(st.integers(0, n - 1))] = draw(scalars.filter(bool))
+        return v
+    return [draw(scalars) for _ in range(n)]
+
+
+@st.composite
+def vector_lists(draw, n, max_size=7):
+    """Vectors in Q^n, possibly empty; sometimes an independent triangular
+    set first, so that the span is full before the list ends."""
+    out = []
+    if n and draw(st.booleans()):
+        for i in range(n):
+            v = [Fraction(0)] * i + [draw(scalars.filter(bool))]
+            out.append(v + [draw(scalars) for _ in range(n - i - 1)])
+        out = draw(st.permutations(out))
+    out += draw(st.lists(vectors(n), max_size=max_size))
+    return out
+
+
+@st.composite
+def algebras(draw, max_n=4):
+    """A random bilinear table over Q, about half of its entries zero; the
+    kernel under test does not need the Leibniz identity."""
+    n = draw(st.integers(0, max_n))
+    entry = st.one_of(st.just(Fraction(0)), scalars)
+    table = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return LeibnizAlgebra(QQ, n, [[[Fraction(c) for c in v] for v in row] for row in table])
+
+
+@st.composite
+def algebra_subspaces(draw, L):
+    """Rows of a random span, of an ideal closure (an ideal, so also a
+    subalgebra), of 0 or of L."""
+    n = L.dim
+    kind = draw(st.sampled_from(["span", "ideal", "zero", "full"]))
+    if kind == "zero":
+        return ()
+    if kind == "full":
+        return ref_insert(n, (), [[int(i == j) for i in range(n)] for j in range(n)])
+    rows = ref_insert(n, (), draw(vector_lists(n, max_size=3)))
+    return ref_ideal_closure(L, rows) if kind == "ideal" else rows
+
+
+def all_fractions(v):
+    return all(type(a) is Fraction for a in v)
+
+
+# ---------------------------------------------------------------- comparisons
+
+@given(algebras(), st.data())
+def test_bracket_matches_the_fraction_bracket(L, data):
+    u, v = data.draw(vectors(L.dim)), data.draw(vectors(L.dim))
+    w = L.bracket(u, v)
+    assert w == ref_bracket(L, u, v) and all_fractions(w)
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), vector_lists(n),
+                                                     vector_lists(n))))
+def test_span_and_sum_match_the_fraction_insertion(case):
+    n, vecs, more = case
+    S, T = Subspace.span(QQ, n, vecs), Subspace.span(QQ, n, more)
+    ref = ref_insert(n, (), vecs)
+    assert S.rows == ref and all(all_fractions(r) for r in S.rows)
+    # the scaled form is canonical: equal to the one built from the RREF rows
+    assert S == Subspace(QQ, n, ref) and S.scaled_rows == Subspace(QQ, n, ref).scaled_rows
+    ref_sum = ref_insert(n, ref, more)
+    assert (S + T).rows == ref_sum and S + T == Subspace(QQ, n, ref_sum)
+    assert (S + T).rows == Subspace.span(QQ, n, vecs + more).rows
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(vector_lists(n), vectors(n))),
+       st.booleans())
+def test_reduce_contains_and_coords_match_the_fraction_elimination(case, inside):
+    vecs, v = case
+    n = len(v)
+    S = Subspace.span(QQ, n, vecs)
+    ref = ref_insert(n, (), vecs)
+    if inside and ref:
+        v = list(ref_lin_comb(n, v[:len(ref)], ref))
+    r = S.reduce(v)
+    assert r == ref_reduce(ref, v) and all_fractions(r)
+    assert S.contains(v) == ref_contains(ref, v)
+    assert S.coords(v) == ref_coords(ref, v)
+
+
+@given(algebras(), st.data())
+@settings(max_examples=60)
+def test_bracket_span_and_closure_tests_match_the_fraction_algorithms(L, data):
+    A_rows = data.draw(algebra_subspaces(L))
+    B_rows = data.draw(algebra_subspaces(L))
+    A, B = Subspace(QQ, L.dim, A_rows), Subspace(QQ, L.dim, B_rows)
+    P = bracket_span(L, A, B)
+    ref = ref_bracket_span(L, A_rows, B_rows)
+    assert P.rows == ref and P == Subspace(QQ, L.dim, ref)
+    assert is_ideal(L, A) == ref_is_ideal(L, A_rows)
+    assert is_subalgebra(L, A) == ref_is_subalgebra(L, A_rows)
+
+
+def test_scaled_form_round_trip_keeps_zero_a_fraction():
+    v = (Fraction(1, 2), Fraction(0), Fraction(-5, 6), Fraction(1, 3))
+    assert to_scaled(QQ, v) == ([3, 0, -5, 2], 6)
+    w = from_scaled(QQ, *to_scaled(QQ, v))
+    assert w == v and all_fractions(w)
+
+
+def test_a_full_span_still_length_checks_the_remaining_vectors():
+    with pytest.raises(AmbientMismatch):
+        Subspace.span(QQ, 2, [(1, 0), (Fraction(1, 2), 1), (1, 2, 3)])
