@@ -158,9 +158,10 @@ def lin_comb(field: Field, n: int, coeffs: Iterable, vectors: Iterable[Sequence]
 
 
 class Matrix:
-    """Dense exact matrix; all entries share one field.  The column count is
-    stored, so a matrix with no rows keeps it; it defaults to the length of
-    the first row."""
+    """Dense exact matrix, the value type of the multiplication operators,
+    quotient projections and theorem 2's witnesses; all entries share one
+    field.  The column count is stored, so a matrix with no rows keeps it; it
+    defaults to the length of the first row."""
 
     __slots__ = ("field", "rows", "ncols")
 
@@ -178,11 +179,6 @@ class Matrix:
         return len(self.rows)
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)]
-                           for i in range(n)])
-
-    @classmethod
     def from_columns(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
         n = len(cols[0]) if cols else 0
         return cls(field, [[c[i] for c in cols] for i in range(n)], len(cols))
@@ -192,54 +188,9 @@ class Matrix:
             raise AmbientMismatch(f"matvec: {self.ncols} cols vs vector of length {len(v)}")
         return lin_comb(self.field, self.nrows, v, self.transpose().rows)
 
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise FieldMismatch("matmul over different fields")
-        if self.ncols != other.nrows:
-            raise AmbientMismatch("matmul shape mismatch")
-        # row i of AB is sum_k A[i][k] * (row k of B), over the nonzero A[i][k]
-        return Matrix(self.field, [lin_comb(self.field, other.ncols, row, other.rows)
-                                   for row in self.rows], other.ncols)
-
-    def trace_of_product(self, other: "Matrix"):
-        """tr(AB) = sum_ij A[i][j] * B[j][i], without forming AB."""
-        if self.field != other.field:
-            raise FieldMismatch("trace_of_product over different fields")
-        if self.ncols != other.nrows or self.nrows != other.ncols:
-            raise AmbientMismatch("trace_of_product shape mismatch")
-        s = self.field.zero
-        for row, col in zip(self.rows, other.transpose().rows):
-            for a, b in zip(row, col):
-                if a and b:
-                    s += a * b
-        p = self.field.modulus
-        return s if p is None else s % p
-
-    def trace(self):
-        F = self.field
-        s = F.zero
-        for i in range(min(self.nrows, self.ncols)):
-            s = F.add(s, self.rows[i][i])
-        return s
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, zip(*self.rows) if self.rows else [()] * self.ncols,
                       self.nrows)
-
-    def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
-
-    def is_nilpotent(self) -> bool:
-        """Exact over any field: M is nilpotent iff M^n = 0 for n = dim, and
-        M^n = 0 iff M^(2^k) = 0 for 2^k >= n; square until zero or 2^k >= n."""
-        if self.nrows != self.ncols:
-            raise ValueError("nilpotency of a non-square matrix")
-        P, k = self, 1
-        while not P.is_zero():
-            if k >= self.nrows:
-                return False
-            P, k = P.matmul(P), 2 * k
-        return True
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

@@ -100,6 +100,8 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
             k, num, den = item
             if not 0 <= k < dim:
                 raise ParseError(f"component index out of range: {item}")
+            if k in comps:
+                raise ParseError(f"duplicate component {k} in table entry {entry}")
             try:
                 comps[k] = F.scalar(num, den)
             except ZeroDivisionError:
@@ -120,6 +122,8 @@ def loads_algebra(text: str) -> LeibnizAlgebra:
         d = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to parse") from None
     if not isinstance(d, dict):
         raise ParseError("top level must be an object")
     return algebra_from_dict(d)

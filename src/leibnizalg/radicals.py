@@ -10,6 +10,7 @@ InternalInconsistency: no result is ever returned uncertified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from . import oracle
 from .core import (
@@ -25,7 +26,6 @@ from .core import (
     lower_central_series,
     quotient,
     restrict,
-    right_mult,
 )
 from .errors import InternalInconsistency, NotASubalgebra, PremiseViolation, Unsupported
 from .exactlin import Matrix, Subspace, nullspace, vec_add, vec_sub
@@ -72,36 +72,59 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
     abelian, so A is solvable: A lies in rad g.  Conversely [g, rad g] acts
     as zero on every composition factor of L, so for r in rad g
     beta(r, [a,b]) = beta([r,a], b) = 0: rad g lies in A.  I is abelian, so
-    R(L) is the preimage of rad g = A.  Over F_p the exhaustive oracle is
-    used, subject to its budget.
+    R(L) is the preimage of rad g = A.  The functional x -> beta(x, d) of
+    each basis vector d of [L,L] is read off the scaled table (_traces), and
+    R(L) is cut from L by these functionals.  Over F_p the exhaustive oracle
+    is used, subject to its budget.
     """
     if L.field.modulus is not None:
         R = oracle.radical_oracle(L, budget)
         return _certify(L, R, "oracle-exhaustive", derived_series)
     full = L.full_space()
-    _, G = _trace_form(L)
-    R = _cut(full, [G.matvec(d) for d in bracket_span(L, full, full).rows])
+    units = full.scaled_rows
+    R = _cut(full, [_traces(L, [L.scaled_bracket(e, d) for e in units])
+                    for d in bracket_span(L, full, full).scaled_rows])
     return _certify(L, R, "trace-form-char0", derived_series)
 
 
-def _trace_form(L: LeibnizAlgebra):
-    """The right multiplications R_{e_j} of the basis of L, and the Gram
-    matrix G_ij = tr(R_{e_i} R_{e_j}) of beta, symmetric, so only its upper
-    half is computed."""
-    n = L.dim
-    Rs = [right_mult(L, L.basis_vector(j)) for j in range(n)]
-    G = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            G[i][j] = G[j][i] = Rs[i].trace_of_product(Rs[j])
-    return Rs, Matrix(L.field, G, n)
+def _traces(L: LeibnizAlgebra, cols) -> list:
+    """d (tr(R_{e_i} M))_i over Q, for the integer matrix M with columns cols
+    and d as in L.scaled_table: the functional x -> tr(R_x M), up to scale.
+
+    The m-th entry of R_{e_i} M e_m = [M e_m, e_i] is sum_l M_lm [e_l, e_i]_m,
+    so the traces are read off the nonzero entries of the scaled table."""
+    T = L.scaled_table()[1]
+    f = [0] * L.dim
+    for l, row in enumerate(T):
+        for i, entries in enumerate(row):
+            for m, c in entries:
+                f[i] += c * cols[m][l]
+    return f
 
 
 def _cut(C: Subspace, functionals) -> Subspace:
-    """{ x in C : f . x = 0 for every functional f }, each f a vector of
-    coefficients on the basis of L."""
-    F, n = C.field, C.ambient_dim
-    return C.where_zero(Matrix(F, C.rows, n).matmul(Matrix(F, functionals, n).transpose()).rows)
+    """{ x in C : f . x = 0 for every functional f } over Q, each f an integer
+    vector of coefficients on the basis of L, known up to scale.  A scaled
+    row of C is its RREF row times its pivot entry, so multiplying the images
+    by D / (pivot entry), D the lcm of the pivot entries, keeps them integral
+    and their relations those of the RREF rows."""
+    rows = C.scaled_rows
+    D = lcm(*[r[pc] for r, pc in zip(rows, C.pivots)])
+    return C.where_zero([[D // r[pc] * sum(a * b for a, b in zip(f, r) if a) for f in functionals]
+                         for r, pc in zip(rows, C.pivots)])
+
+
+def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
+    """The stable image of R_x on V: the last term of V, [V, x], [[V, x], x],
+    ..., which stops once a term keeps its dimension.  V must be R_x-invariant,
+    so each term lies in the one before; the result is zero exactly when R_x
+    is nilpotent on V."""
+    X = Subspace.span(L.field, L.dim, [x])
+    while True:
+        W = bracket_span(L, V, X)
+        if W.dim == V.dim:
+            return V
+        V = W
 
 
 def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedIdeal:
@@ -126,6 +149,10 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
         C = { x in L : tr(R_x) = 0 and beta(x, y) = 0 for all basis y of L },
     then, while some canonical basis vector v of C has non-nilpotent R_v, cut
     C with the linear conditions tr(R_x R_v^k) = 0 (k = 1..dim L) and repeat.
+    Every functional x -> tr(R_x M) is read off the scaled table (_traces),
+    with R_v^k e_m formed by repeated products, and R_v is nilpotent exactly
+    when the image chain L, [L, v], [[L, v], v], ... reaches zero
+    (_stable_image).
     Each cut removes v, so the dimension strictly decreases and the loop
     terminates.  The first cut lies in the beta-orthogonal of L, so in that
     of [L,L], which is the radical R.  N lies in every cut (R_x R_y and
@@ -133,7 +160,7 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
     inside R, where the nilradical is exactly the set of x whose right
     multiplication (on all of L) is nilpotent, and ends at N.  Certificates
     then confirm C is a nilpotent ideal with per-basis-vector nilpotent right
-    multiplications.
+    multiplications, each tested by its image chain.
     """
     if L.field.modulus is not None:
         N, method = oracle.nilradical_oracle(L, budget), "oracle-exhaustive"
@@ -141,7 +168,8 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
         N, method = _nilradical_char0(L), "trace-form-char0"
     res = _certify(L, N, method, lower_central_series)
     key = "right_mult_nilpotent_per_basis_vector"
-    res.certificates[key] = all(right_mult(L, v).is_nilpotent() for v in N.rows)
+    full = L.full_space()
+    res.certificates[key] = all(_stable_image(L, full, v).dim == 0 for v in N.scaled_rows)
     if not res.certificates[key]:
         raise InternalInconsistency(
             "computed nilradical has a basis vector with non-nilpotent right multiplication")
@@ -150,30 +178,26 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
 
 def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
     """The trace-form refinement described in nilradical(), uncertified."""
-    n = L.dim
-    Rs, G = _trace_form(L)
+    full = L.full_space()
+    units = full.scaled_rows
     # tr(R_x) and tr(R_x R_y) for the basis y of L
-    C = _cut(L.full_space(), [[R.trace() for R in Rs]] + G.rows)
+    C = _cut(full, [_traces(L, units)]
+             + [_traces(L, [L.scaled_bracket(e, y) for e in units]) for y in units])
 
     while True:
-        bad = None
-        for v in C.rows:
-            if not right_mult(L, v).is_nilpotent():
-                bad = v
-                break
+        bad = next((v for v in C.scaled_rows if _stable_image(L, full, v).dim), None)
         if bad is None:
-            break
-        # tr(R_u R_v^k) for k = 1..n
-        Rv = right_mult(L, bad)
-        powers = [Rv]
-        while len(powers) < n:
-            powers.append(powers[-1].matmul(Rv))
-        shrunk = _cut(C, [[R.trace_of_product(Pk) for R in Rs] for Pk in powers])
+            return C
+        # tr(R_x R_v^k) for k = 1..dim L, with R_v^k e_m by repeated products
+        cols, functionals = units, []
+        for _ in range(L.dim):
+            cols = [L.scaled_bracket(c, bad) for c in cols]
+            functionals.append(_traces(L, cols))
+        shrunk = _cut(C, functionals)
         if shrunk.dim >= C.dim:
             raise InternalInconsistency(
                 "trace-form refinement failed to shrink the candidate nilradical")
         C = shrunk
-    return C
 
 
 def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Subspace:
@@ -244,18 +268,15 @@ def _q_candidates(L: LeibnizAlgebra, qp: QuotientPresentation):
 
 
 def _fitting_one(L: LeibnizAlgebra, I: Subspace) -> Subspace:
-    """The sum over the basis y of L of R_y^d(I), d = dim I.  When L/I is
+    """The sum over the basis y of L of the stable images R_y^d(I), d = dim I,
+    of the ideal I (_stable_image).  When L/I is
     nilpotent this is the Fitting one component I_1 of I under the right
     multiplications (the sum of the nonzero generalized weight spaces), an
     ideal with I = I_0 + I_1, where I_0 is the part on which every R_y is
     nilpotent."""
     I1 = L.zero_space()
-    for j in range(L.dim):
-        y = Subspace.span(L.field, L.dim, [L.basis_vector(j)])
-        V = I
-        for _ in range(I.dim):
-            V = bracket_span(L, V, y)
-        I1 = I1 + V
+    for y in L.full_space().scaled_rows:
+        I1 = I1 + _stable_image(L, I, y)
     return I1
 
 
@@ -363,23 +384,21 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
 def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
     """Is R_n|_I nilpotent for every canonical basis vector n of N(B)?
 
-    I is an ideal, so R_n maps I into I and restricts; the restricted matrix
-    is tested with M^dim(I) = 0.  Witnesses name the failing n.
+    I is an ideal, so R_n maps I into I, and R_n is nilpotent on I exactly
+    when its stable image there is zero.  Witnesses name each failing n with
+    the matrix of R_n|_I in I's basis.
     """
-    F = L.field
     witnesses = []
-    if I.dim == 0:
-        return True, witnesses
     for nvec in NB_in_L.rows:
+        if _stable_image(L, I, nvec).dim == 0:
+            continue
         cols = []
         for u in I.rows:
             c = I.coords(L.bracket(u, nvec))
             if c is None:
                 raise InternalInconsistency("kernel is not invariant under right multiplication")
             cols.append(c)
-        M = Matrix.from_columns(F, cols)
-        if not M.is_nilpotent():
-            witnesses.append({"n": nvec, "restricted_matrix": M})
+        witnesses.append({"n": nvec, "restricted_matrix": Matrix.from_columns(L.field, cols)})
     return (not witnesses), witnesses
 
 

@@ -1,9 +1,12 @@
 import json
 import random
+import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+import matrices
 from dense import dense_basis
 from leibnizalg import corpus
 from leibnizalg.core import (
@@ -98,7 +101,8 @@ def test_semisimple_quotient_has_nondegenerate_killing_form():
         if m == 0:
             continue
         ads = [left_mult(lam, lam.basis_vector(i)) for i in range(m)]
-        gram = [[ads[i].matmul(ads[j]).trace() for j in range(m)] for i in range(m)]
+        gram = [[matrices.trace_of_product(QQ, ads[i].rows, ads[j].rows) for j in range(m)]
+                for i in range(m)]
         assert len(Subspace.span(QQ, m, gram).rows) == m, e.name
 
 
@@ -168,20 +172,22 @@ def _nilradical_reference(L):
     def cut(space, conds):
         if space.dim == 0:
             return space
-        cols = [[cond(right_mult(L, u)) for cond in conds] for u in space.rows]
+        cols = [[cond(right_mult(L, u).rows) for cond in conds] for u in space.rows]
         ker = nullspace(Matrix.from_columns(F, cols))
         return Subspace.span(F, n, [space.combine(k) for k in ker])
 
     R = radical(L).subspace
-    C = cut(R, [Matrix.trace] + [right_mult(L, y).trace_of_product for y in R.rows])
+    C = cut(R, [partial(matrices.trace, F)]
+            + [partial(matrices.trace_of_product, F, right_mult(L, y).rows) for y in R.rows])
     while True:
-        bad = next((v for v in C.rows if not right_mult(L, v).is_nilpotent()), None)
+        bad = next((v for v in C.rows if not matrices.is_nilpotent(F, right_mult(L, v).rows)),
+                   None)
         if bad is None:
             return C
-        powers = [right_mult(L, bad)]
+        powers = [right_mult(L, bad).rows]
         while len(powers) < n:
-            powers.append(powers[-1].matmul(powers[0]))
-        shrunk = cut(C, [Pk.trace_of_product for Pk in powers])
+            powers.append(matrices.matmul(F, powers[-1], powers[0]))
+        shrunk = cut(C, [partial(matrices.trace_of_product, F, Pk) for Pk in powers])
         assert shrunk.dim < C.dim
         C = shrunk
 
@@ -226,7 +232,7 @@ def _radical_reference(L):
     if D.dim == 0:
         return L.full_space()
     ads = [left_mult(lam, lam.basis_vector(i)) for i in range(lam.dim)]
-    G = Matrix(QQ, [[a.trace_of_product(b) for b in ads] for a in ads])
+    G = Matrix(QQ, [[matrices.trace_of_product(QQ, a.rows, b.rows) for b in ads] for a in ads])
     rad = nullspace(Matrix(QQ, [G.matvec(d) for d in D.rows]))
     # the preimage of span(rad): I plus the section lifts of its rows
     return Subspace.span(QQ, L.dim, list(qp.ideal.rows) + [qp.lift_vector(r) for r in rad])
@@ -248,22 +254,24 @@ def test_radical_equals_the_killing_pullback_reference(monkeypatch):
         assert res.subspace == expect and all(res.certificates.values()), name
 
 
-def test_nilradical_builds_each_basis_right_multiplication_once(monkeypatch):
-    # R_{e_j} once for each of the 7 basis vectors, then 6 in the refinement
-    # loop; building each R_{e_j} again for the first cut would make 20
-    from leibnizalg import radicals
+def test_q_radicals_and_verify_build_no_multiplication_operator(monkeypatch):
+    # over Q the traces are read off the scaled table and nilpotency is
+    # tested by image chains: no Fraction matrix of R_x or L_x is built
+    from leibnizalg import core
 
-    L = counting_case("example2-6-3 dense")
-    calls = []
+    def unreachable(*args):
+        raise AssertionError("a multiplication operator was built")
 
-    def counted(M, x):
-        calls.append(x)
-        return right_mult(M, x)
-
-    monkeypatch.setattr(radicals, "right_mult", counted)
-    radicals._nilradical_char0(L)
-    assert len(calls) == 13
-    assert calls[:7] == [L.basis_vector(j) for j in range(7)]
+    operators = (core.right_mult, core.left_mult)
+    for name, module in list(sys.modules.items()):
+        if name == "leibnizalg" or name.startswith("leibnizalg."):
+            for attr, value in list(vars(module).items()):
+                if any(value is op for op in operators):
+                    monkeypatch.setattr(module, attr, unreachable)
+    for name, L in nilradical_reference_cases():
+        assert all(nilradical(L).certificates.values()), name
+        assert all(radical(L).certificates.values()), name
+        assert verify(L)["verdict"] == "pass", name
 
 
 def series_cases():

@@ -4,19 +4,23 @@ Brackets, spans, sums, residuals, membership, coordinates, bracket spans and
 the ideal and subalgebra tests run on integer numerators over a common
 denominator.  The references below are the earlier Fraction versions of the
 same algorithms, kept verbatim in spirit: one vector at a time, Fraction
-arithmetic throughout.
+arithmetic throughout.  The char-0 radicals read their trace functionals off
+the scaled table and test nilpotency by image chains; these are compared with
+traces and powers of operator matrices (tests/matrices.py).
 """
 
 from bisect import bisect
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leibnizalg.core import LeibnizAlgebra, bracket_span, is_ideal, is_subalgebra
+import matrices
+from leibnizalg.core import LeibnizAlgebra, bracket_span, ideal_closure, is_ideal, is_subalgebra
 from leibnizalg.errors import AmbientMismatch
-from leibnizalg.exactlin import QQ, Subspace, from_scaled, to_scaled
+from leibnizalg.exactlin import QQ, Field, Subspace, from_scaled, to_scaled
+from leibnizalg.radicals import _stable_image, _traces
 
 
 # ---------------------------------------------------------------- Fraction references
@@ -239,3 +243,99 @@ def test_scaled_form_round_trip_keeps_zero_a_fraction():
 def test_a_full_span_still_length_checks_the_remaining_vectors():
     with pytest.raises(AmbientMismatch):
         Subspace.span(QQ, 2, [(1, 0), (Fraction(1, 2), 1), (1, 2, 3)])
+
+
+# ---------------------------------------------------------------- trace functionals and image chains
+
+@given(algebras(), st.data())
+def test_traces_match_the_trace_of_the_product(L, data):
+    # _traces(L, cols) is d (tr(R_{e_i} M))_i, M the integer matrix with columns cols
+    n = L.dim
+    cols = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    M = [[c[r] for c in cols] for r in range(n)]
+    # R_{e_i} has column l equal to [e_l, e_i]
+    R = [[[L.table[l][i][m] for l in range(n)] for m in range(n)] for i in range(n)]
+    d = L.scaled_table()[0]
+    assert _traces(L, cols) == [d * matrices.trace_of_product(QQ, Ri, M) for Ri in R]
+
+
+def _restricted_operator(L, V, x):
+    """The matrix of R_x on the R_x-invariant V, in V's RREF basis."""
+    cols = [V.coords(L.bracket(u, x)) for u in V.rows]
+    return [[c[r] for c in cols] for r in range(V.dim)]
+
+
+@st.composite
+def algebras_over_small_fields(draw, max_n=4):
+    """A random bilinear table over Q, F_2, F_3 or F_5, about half zero."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+    if F.modulus is None:
+        return draw(algebras(max_n))
+    n = draw(st.integers(0, max_n))
+    entry = st.one_of(st.just(0), st.integers(0, F.modulus - 1))
+    return LeibnizAlgebra(F, n, [[[draw(entry) for _ in range(n)] for _ in range(n)]
+                                 for _ in range(n)])
+
+
+@given(algebras_over_small_fields(), st.data())
+@settings(max_examples=150)
+def test_stable_image_vanishes_exactly_when_R_x_is_nilpotent(L, data):
+    F, n = L.field, L.dim
+    scalar = scalars if F.modulus is None else st.integers(0, F.modulus - 1)
+    # ints stand for themselves over Q and are residues over F_p
+    x = data.draw(st.lists(scalar, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        V = L.full_space()
+    else:
+        gens = data.draw(st.lists(st.lists(scalar, min_size=n, max_size=n), max_size=2))
+        V = ideal_closure(L, Subspace.span(F, n, gens))
+    W = _stable_image(L, V, x)
+    assert W <= V
+    assert (W.dim == 0) == matrices.is_nilpotent(F, _restricted_operator(L, V, x))
+
+
+def _acting_by(F, M):
+    """F^n + span(x) with [v, x] = M v and every other product zero; V = F^n
+    is an ideal, and R_x is M on V and 0 on x."""
+    n = len(M)
+    return LeibnizAlgebra.from_products(F, n + 1, {(i, n): {k: M[k][i] for k in range(n)}
+                                                   for i in range(n)})
+
+
+@st.composite
+def nilpotent_conjugate(draw, max_dim=6):
+    """P N P^-1 for strictly upper-triangular N, as a list of rows; P is a
+    product of elementary matrices E = I + c e_ij, whose inverses are I - c e_ij."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+    n = draw(st.integers(1, max_dim))
+    scalar = (st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+              if F.modulus is None else st.integers(0, F.modulus - 1))
+    M = [[draw(scalar) if j > i else F.zero for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(scalar)
+        if i == j:
+            continue
+        E, E_inv = matrices.identity(F, n), matrices.identity(F, n)
+        E[i][j], E_inv[i][j] = c, F.neg(c)
+        M = matrices.matmul(F, matrices.matmul(F, E, M), E_inv)
+    return F, M
+
+
+@given(nilpotent_conjugate())
+@example((QQ, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]))
+def test_stable_image_of_a_conjugate_of_strictly_upper(case):
+    F, M = case
+    n = len(M)
+    assert matrices.is_nilpotent(F, M)
+    L = _acting_by(F, M)
+    x, V = L.basis_vector(n), Subspace.span(F, n + 1, [L.basis_vector(i) for i in range(n)])
+    assert _stable_image(L, L.full_space(), x).dim == 0
+    assert _stable_image(L, V, x).dim == 0
+    # adding the identity makes M invertible: the chain stops at V at once
+    shifted = [[F.add(a, F.one if i == j else F.zero) for j, a in enumerate(r)]
+               for i, r in enumerate(M)]
+    L = _acting_by(F, shifted)
+    assert _stable_image(L, L.full_space(), x) == V
+    assert _stable_image(L, V, x) == V
