@@ -238,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="output format")
     p.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
-                   help="subspace budget for exhaustive scans over F_p")
+                   help="over F_p: projective points for nilradical and radical, "
+                        "subspaces for the scans of frattini, oracle-scan and "
+                        "verify's fallbacks")
     sub = p.add_subparsers(dest="verb", required=True)
     for name, (help_, arguments, handler) in VERBS.items():
         sp = sub.add_parser(name, help=help_)

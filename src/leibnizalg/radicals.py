@@ -10,6 +10,7 @@ InternalInconsistency: no result is ever returned uncertified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import lcm
 
 from . import oracle
@@ -21,13 +22,20 @@ from .core import (
     embed_subspace,
     is_ideal,
     is_nilpotent,
+    is_solvable,
     is_subalgebra,
     leibniz_kernel,
     lower_central_series,
     quotient,
     restrict,
 )
-from .errors import InternalInconsistency, NotASubalgebra, PremiseViolation, Unsupported
+from .errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    NotASubalgebra,
+    PremiseViolation,
+    Unsupported,
+)
 from .exactlin import Matrix, Subspace, nullspace, vec_add, vec_sub
 from .reports import VerificationReport
 
@@ -37,7 +45,7 @@ class CertifiedIdeal:
     """A radical or nilradical with the certificates that were checked on it."""
 
     subspace: Subspace
-    method: str      # "trace-form-char0" over Q, "oracle-exhaustive" over F_p
+    method: str      # "trace-form-char0" over Q, "principal-ideals" over F_p
     certificates: dict = field(default_factory=dict)
 
 
@@ -74,12 +82,13 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
     beta(r, [a,b]) = beta([r,a], b) = 0: rad g lies in A.  I is abelian, so
     R(L) is the preimage of rad g = A.  The functional x -> beta(x, d) of
     each basis vector d of [L,L] is read off the scaled table (_traces), and
-    R(L) is cut from L by these functionals.  Over F_p the exhaustive oracle
-    is used, subject to its budget.
+    R(L) is cut from L by these functionals.  Over F_p, R(L) is the sum of
+    the solvable principal ideals (_principal_ideal_sum), with at most
+    `budget` projective points.
     """
     if L.field.modulus is not None:
-        R = oracle.radical_oracle(L, budget)
-        return _certify(L, R, "oracle-exhaustive", derived_series)
+        R = _principal_ideal_sum(L, is_solvable, budget)
+        return _certify(L, R, "principal-ideals", derived_series)
     full = L.full_space()
     units = full.scaled_rows
     R = _cut(full, [_traces(L, [L.scaled_bracket(e, d) for e in units])
@@ -127,6 +136,63 @@ def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
         V = W
 
 
+def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int) -> Subspace:
+    """Over F_p, the sum of the principal ideals <v> on which holds(L, <v>)
+    is true, over the projective points v of F_p^n outside the sum so far:
+    the nilradical for holds = is_nilpotent, the radical for is_solvable.
+
+    Sums of nilpotent (solvable) ideals are nilpotent (solvable), so the
+    largest such ideal K exists.  Every v in K has <v> inside K, and every v
+    outside K has <v> outside K, so <v> fails the test: the sum is K.  A
+    point already in the sum adds nothing, and a closure that grows to equal
+    one that failed (L among them, when L fails) contains a failing ideal,
+    so it fails too and is not grown further.  BudgetExceeded if F_p^n has
+    more than `budget` projective points.
+    """
+    n, p = L.dim, L.field.modulus
+    count = (p ** n - 1) // (p - 1)
+    if count > budget:
+        raise BudgetExceeded(
+            f"F_{p}^{n} has {count} projective points, above the budget of {budget}")
+    full = L.full_space()
+    if holds(L):
+        return full
+    failed, total = {full}, L.zero_space()
+    for c in range(n):
+        for tail in product(range(p), repeat=n - c - 1):
+            v = (0,) * c + (1,) + tail
+            if total.contains(v):
+                continue
+            J = _principal_ideal(L, v, failed)
+            if J is None:
+                continue
+            if holds(L, J):
+                total = total + J
+            else:
+                failed.add(J)
+    return total
+
+
+def _principal_ideal(L: LeibnizAlgebra, v, failed: set):
+    """The ideal <v> generated by v, or None once a partial closure is in
+    failed.  Each round brackets only the vectors the last round added, with
+    every basis vector on both sides, and a round stops once the closure is L."""
+    F, n = L.field, L.dim
+    units = L.full_space().scaled_rows
+    V, new = Subspace.span(F, n, [v]), [v]
+    while new and V not in failed:
+        grown = []
+        for w in (prod for u in new for e in units
+                  for prod in (L.scaled_bracket(u, e), L.scaled_bracket(e, u))):
+            if V.dim == n:
+                break
+            if not V.contains(w):
+                V = V + Subspace.span(F, n, [w])
+                grown.append(w)
+        new = grown
+    return None if V in failed else V
+
+
 def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedIdeal:
     """Certify that S is an ideal on which `series` (derived_series for the
     radical, lower_central_series for the nilradical), taken inside L,
@@ -161,9 +227,13 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
     multiplication (on all of L) is nilpotent, and ends at N.  Certificates
     then confirm C is a nilpotent ideal with per-basis-vector nilpotent right
     multiplications, each tested by its image chain.
+
+    Over F_p, N(L) is the sum of the nilpotent principal ideals
+    (_principal_ideal_sum), with at most `budget` projective points, and
+    carries the same certificates.
     """
     if L.field.modulus is not None:
-        N, method = oracle.nilradical_oracle(L, budget), "oracle-exhaustive"
+        N, method = _principal_ideal_sum(L, is_nilpotent, budget), "principal-ideals"
     else:
         N, method = _nilradical_char0(L), "trace-form-char0"
     res = _certify(L, N, method, lower_central_series)
@@ -219,18 +289,25 @@ def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Su
 def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     """A subalgebra B with L = I + B and I cap B inside the Frattini ideal of B.
 
-    Over a prime field under the oracle budget the search is exhaustive over
-    the subalgebras of the lattice scan of L, smallest dimension first.  Over
-    Q the candidates come from _q_candidates, and None means that L has
-    neither a complement subalgebra of I nor a nilpotent subalgebra B with
-    L = I + B and I cap B inside [B,B] = phi(B): no B whose Frattini ideal is
-    computable over Q meets the premises.
+    The complement subalgebra of I (B cap I = 0), solved as one linear
+    system, comes first: it always qualifies, and no B has a smaller
+    dimension.  Only when there is none are other candidates searched.  Over
+    a prime field the search is then exhaustive over the subalgebras of the
+    lattice scan of L, smallest dimension first, under the oracle budget.
+    Over Q the one other candidate comes from _q_candidates, and None means
+    that L has neither a complement subalgebra of I nor a nilpotent
+    subalgebra B with L = I + B and I cap B inside [B,B] = phi(B): no B whose
+    Frattini ideal is computable over Q meets the premises.
     """
-    return _complement_B(quotient(L, leibniz_kernel(L)), budget)
+    qp = quotient(L, leibniz_kernel(L))
+    return _complement_B(qp, _complement_subalgebra(L, qp), budget)
 
 
-def _complement_B(qp: QuotientPresentation, budget: int):
-    """find_complement_B on qp.parent, with qp the quotient by the kernel."""
+def _complement_B(qp: QuotientPresentation, S, budget: int):
+    """find_complement_B on qp.parent, with qp the quotient by the kernel I
+    and S the complement subalgebra of I, or None if I has none."""
+    if S is not None:
+        return S        # I + S = L and I cap S = 0, so both premises hold
     L, I = qp.parent, qp.ideal
     if L.field.modulus is not None:
         candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
@@ -243,16 +320,18 @@ def _complement_B(qp: QuotientPresentation, budget: int):
 
 
 def _q_candidates(L: LeibnizAlgebra, qp: QuotientPresentation):
-    """Theorem 2's candidates over Q, lazily; None for a system without solution.
-    qp is the quotient by the kernel I.
+    """Theorem 2's candidates over Q when the kernel I has no complement
+    subalgebra, lazily; None for a system without solution.  qp is the
+    quotient by I.
 
-    First the complement subalgebra of I (B cap I = 0), which always
-    qualifies.  Then, if Q = L/I is nilpotent, the complement subalgebra of
-    the Fitting one component I_1 of I (_fitting_one); for a nilpotent L,
-    I_1 = 0 and this is L.  Nothing else can qualify.  A B meeting I
-    qualifies over Q only if B is nilpotent; then Q = B/(I cap B) is
-    nilpotent, I = I_0 + I_1 into the Fitting components of its right
-    action, I cap B lies in I_0, and I = span{[v,v]} = (I cap B) + [I,B]
+    The complement subalgebra of I (B cap I = 0) always qualifies, and is
+    tried before these.  If Q = L/I is nilpotent, the candidate is the
+    complement subalgebra of the Fitting one component I_1 of I
+    (_fitting_one); for a nilpotent L, I_1 = 0 and this is L.  Nothing else
+    can qualify.  A B meeting I qualifies over Q only if B is nilpotent;
+    then Q = B/(I cap B) is nilpotent, I = I_0 + I_1 into the Fitting
+    components of its right action, I cap B lies in I_0, and
+    I = span{[v,v]} = (I cap B) + [I,B]
     forces I cap B = I_0, since the action on I_0 is nilpotent: B is a
     complement of I_1.  Conversely a complement B of I_1 is nilpotent with
     I cap B = I_0, and the I_0-parts [b,b] of the squares
@@ -262,7 +341,6 @@ def _q_candidates(L: LeibnizAlgebra, qp: QuotientPresentation):
     kill psi(s) (long brackets vanish in the nilpotent L/I_1), and psi(s)
     lies in I_0 cap I_1 = 0.
     """
-    yield _complement_subalgebra(L, qp)
     if is_nilpotent(qp.quotient):
         yield _complement_subalgebra(L, quotient(L, _fitting_one(L, qp.ideal)))
 
@@ -292,8 +370,11 @@ def _complement_subalgebra(L: LeibnizAlgebra, qp: QuotientPresentation):
     L/I), span(b) is a subalgebra iff for all s, t
         i_st + sum_r a_sr [g_r, c_t] - sum_u lam_stu phi_u = 0,
     m^2 d linear equations in I-coordinates for the m d unknowns a_sr.
+    When I = 0 the complement is L, with nothing to solve.
     """
     F, I = L.field, qp.ideal
+    if not I.dim:
+        return L.full_space()
     comp, lam = qp.section, qp.quotient.table
     m, d = len(comp), I.dim
     acts = [[I.coords(L.bracket(g, c)) for c in comp] for g in I.rows]  # [g_r, c_t]
@@ -360,7 +441,9 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
         if not holds:
             raise PremiseViolation(failure)
 
-    NB_in_L = embed_subspace(B, nilradical(LB, budget).subspace)
+    # B = L/I as algebras when their tables agree, and then N(B) is N(L/I)
+    NB = NQ if LB == qp.quotient else nilradical(LB, budget).subspace
+    NB_in_L = embed_subspace(B, NB)
     rhs = qp.project_subspace(I + NB_in_L)
     condition, condition_witnesses = _right_action_on_kernel_nilpotent(L, I, NB_in_L)
     details = {
@@ -403,27 +486,38 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
 
 
 def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace, NQ: Subspace,
-                  budget: int) -> VerificationReport:
+                  S, budget: int) -> VerificationReport:
     """If I is inside the Frattini ideal, then N(L/I) = N(L)/I.  qp is the
-    quotient by I, NL is N(L) and NQ is N(L/I)."""
+    quotient by I, NL is N(L), NQ is N(L/I) and S is the complement
+    subalgebra of I, or None if I has none.
+
+    I is an ideal, so it lies in phi(L) exactly when it lies in every maximal
+    subalgebra.  I = 0 does.  For I != 0, S is a proper subalgebra with
+    S + I = L; S lies in a maximal subalgebra M, and I <= M would give
+    M >= S + I = L, so the premise fails, with S as the witness.  phi(L) is
+    computed only when neither rule decides.
+    """
     I = qp.ideal
-    try:
-        phi = frattini_ideal(L, budget)
-    except Unsupported:
-        raise Unsupported("Frattini ideal of L not computable") from None
-    if not I <= phi:
-        return VerificationReport(
-            name="nilradical-of-quotient-under-frattini-premise",
-            passed=True,
-            applicable=False,
-            details={"kernel": I, "frattini": phi,
-                     "notice": "premise I <= phi(L) fails; statement not applicable"},
-        )
+    name = "nilradical-of-quotient-under-frattini-premise"
+    details = {"kernel": I}
+    if I.dim:
+        if S is not None:
+            details["complement"] = S
+            details["notice"] = ("the complement S is a proper subalgebra with S + I = L, "
+                                 "so premise I <= phi(L) fails; statement not applicable")
+            return VerificationReport(name=name, passed=True, applicable=False, details=details)
+        try:
+            details["frattini"] = phi = frattini_ideal(L, budget)
+        except Unsupported:
+            raise Unsupported("Frattini ideal of L not computable") from None
+        if not I <= phi:
+            details["notice"] = "premise I <= phi(L) fails; statement not applicable"
+            return VerificationReport(name=name, passed=True, applicable=False, details=details)
     rhs = qp.project_subspace(NL)
     return VerificationReport(
-        name="nilradical-of-quotient-under-frattini-premise",
+        name=name,
         passed=NQ == rhs,
-        details={"kernel": I, "frattini": phi, "lhs": NQ, "rhs": rhs},
+        details={**details, "lhs": NQ, "rhs": rhs},
         witnesses=[] if NQ == rhs else [{"lhs": NQ, "rhs": rhs}],
     )
 
@@ -463,12 +557,13 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
            budget: int = oracle.DEFAULT_BUDGET) -> dict:
     """The paper's checks on L combined into one verdict.
 
-    I, L/I, N(L) and N(L/I), and over Q the radical R(L), are computed once.
-    Lemma 1, theorem 2 (for B, or else for the B that find_complement_B
-    finds), proposition 3 and the corollary then run in that order as steps
-    that read them.  A step that raises Unsupported or PremiseViolation is
-    reported as {"skipped": message}, and so are proposition 3 and the
-    corollary over F_p; the others as their reports.  The verdict is "fail"
+    I, L/I, N(L), N(L/I) and the complement subalgebra S of I, and over Q
+    the radical R(L), are computed once.  Lemma 1 (which reads S as its
+    witness), theorem 2 (for B, or else for the B that find_complement_B
+    finds, S when there is one), proposition 3 and the corollary then run in
+    that order as steps that read them.  A step that raises Unsupported or
+    PremiseViolation is reported as {"skipped": message}, and so are
+    proposition 3 and the corollary over F_p; the others as their reports.  The verdict is "fail"
     when a check that ran did not pass, else "pass".
     """
     def attempt(step, *args):
@@ -478,11 +573,12 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
             return {"skipped": str(e)}
 
     qp = quotient(L, leibniz_kernel(L))
-    NL = nilradical(L, budget).subspace       # over F_p the first scan is of L
+    NL = nilradical(L, budget).subspace       # over F_p the first budget check is on L
     NQ = nilradical(qp.quotient, budget).subspace
-    report = {"lemma1": attempt(verify_lemma1, L, qp, NL, NQ, budget)}
+    S = _complement_subalgebra(L, qp)
+    report = {"lemma1": attempt(verify_lemma1, L, qp, NL, NQ, S, budget)}
     if B is None:
-        B = _complement_B(qp, budget)
+        B = _complement_B(qp, S, budget)
     report["theorem2"] = ({"skipped": "no complement subalgebra B found"} if B is None
                           else attempt(verify_theorem2, L, qp, NL, NQ, B, budget))
     if L.field.modulus is None:

@@ -207,8 +207,9 @@ def test_criterion_10_nilradical_at_dim17():
 
 
 def test_criterion_11_fp_verify_on_2825_subspaces(tmp_path, capsys):
-    # example2-2-1+sl2 mod 2: dim 6, 2,825 subspaces; `verify` needs the
-    # scans of L and L/I, each made once
+    # example2-2-1+sl2 mod 2: dim 6, 2,825 subspaces; `verify` sums the
+    # principal ideals of L and L/I, and the kernel has a complement, so
+    # nothing is scanned
     from leibnizalg import cli, oracle
     from leibnizalg.fileformat import save_algebra
 
@@ -221,10 +222,11 @@ def test_criterion_11_fp_verify_on_2825_subspaces(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     res = nilradical(Lp)
     elapsed = time.time() - t0
+    ok &= oracle._scan_cached.cache_info().misses == 0
     N = nilradical_oracle(Lp)
     ok &= rep["verdict"] == "pass"
     ok &= rep["theorem2"]["details"]["N_of_L"]["basis"] == [list(r) for r in N.rows]
-    ok &= res.method == "oracle-exhaustive" and all(res.certificates.values())
+    ok &= res.method == "principal-ideals" and all(res.certificates.values())
     ok &= res.subspace == N
     report("11 fp-verify-on-2825-subspaces", ok and elapsed < 5.0, elapsed)
 

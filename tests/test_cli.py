@@ -293,7 +293,8 @@ def test_parser_is_built_once_and_each_run_sees_its_own_arguments(capsys, tmp_pa
     assert cli.build_parser() is cli.build_parser()
     path = tmp_path / "ex1_f3.json"
     path.write_text(dumps_algebra(reduce_mod_p(corpus.example1().algebra, 3)))
-    assert run_cli(capsys, "--budget", "3", "nilradical", str(path))[0] == 3   # 6 subspaces
+    assert run_cli(capsys, "--budget", "3", "nilradical", str(path))[0] == 3   # 4 points
+    assert run_cli(capsys, "--budget", "4", "nilradical", str(path))[0] == 0
     assert run_cli(capsys, "nilradical", str(path))[0] == 0                    # default budget
     assert run_cli(capsys, "kernel", "example1") == (0, "kernel:\n  span{(0, 1)}\n")
     code, out = run_cli(capsys, "--format", "json", "info", "example1")

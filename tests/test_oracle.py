@@ -176,10 +176,16 @@ def test_nilpotent_ideal_poset_has_unique_maximum():
 
 
 def test_oracle_agrees_with_fp_algorithm_path():
-    for p, cap in [(2, 5), (3, 4)]:
-        for name, Lp in reducible_corpus(p, cap):
-            assert nilradical_oracle(Lp) == nilradical(Lp).subspace, name
-            assert radical_oracle(Lp) == radical(Lp).subspace, name
+    # every admissible reduction mod 2, 3 and 5 with at most 60,000
+    # subspaces, up to example2-2-1+sl2 mod 3 (56,632)
+    cases = [(name, p, Lp) for p in (2, 3, 5)
+             for name, Lp in reducible_corpus(p, 6) if subspace_count(Lp.dim, p) <= 60_000]
+    assert len(cases) == 32
+    for name, p, Lp in cases:
+        N, R = nilradical(Lp), radical(Lp)
+        assert N.method == R.method == "principal-ideals", (name, p)
+        assert nilradical_oracle(Lp) == N.subspace, (name, p)
+        assert radical_oracle(Lp) == R.subspace, (name, p)
 
 
 # ---------------------------------------------------------------- radical / frattini

@@ -565,10 +565,36 @@ def test_lemma1_abelian_trivially_passes():
     assert rep.applicable and rep.passed
 
 
-def test_lemma1_example1_unsupported_over_q():
-    # example1 is not nilpotent, so phi(L) is not computable over Q
-    assert verify(corpus.example1().algebra)["lemma1"] == {
-        "skipped": "Frattini ideal of L not computable"}
+def test_lemma1_example1_decided_by_the_complement_witness():
+    # example1 is not nilpotent, so phi(L) is not computable over Q; the
+    # complement S = span(x - x2) of I = span(x2) is a proper subalgebra with
+    # S + I = L, so I is not inside phi(L)
+    L = corpus.example1().algebra
+    rep = verify(L)["lemma1"]
+    assert not rep.applicable and rep.passed
+    assert rep.details["complement"] == span_of(L, (1, -1))
+    assert "frattini" not in rep.details
+
+
+def test_lemma1_runs_everywhere_and_its_witness_supplements_the_kernel():
+    # lemma 1 is skipped on no corpus entry and no small reduction; a witness
+    # S is a proper subalgebra with S + I = L, and over F_p the decision is
+    # the one the exhaustive Frattini ideal gives
+    from leibnizalg.oracle import frattini_oracle
+
+    cases = [(e.name, e.algebra) for e in corpus.standard_entries()] + small_reductions()
+    witnesses = 0
+    for name, L in cases:
+        rep = verify(L)["lemma1"]
+        assert isinstance(rep, VerificationReport) and rep.passed, name
+        I, S = rep.details["kernel"], rep.details.get("complement")
+        if S is not None:
+            witnesses += 1
+            assert not rep.applicable, name
+            assert is_subalgebra(L, S) and S + I == L.full_space() and S != L.full_space(), name
+        if L.field.modulus is not None:
+            assert rep.applicable == (I <= frattini_oracle(L)), name
+    assert witnesses >= 15
 
 
 def test_theorem2_skipped_when_B_is_not_a_subalgebra():
@@ -696,6 +722,85 @@ def test_verify_passes_when_lemma1_premise_fails():
     assert rep["verdict"] == "pass"
 
 
+def fp_direct_sum(*names):
+    """The direct sum of corpus entries, reduced mod 2."""
+    from leibnizalg.oracle import reduce_mod_p
+
+    L = corpus.build(names[0]).algebra
+    for name in names[1:]:
+        L = direct_sum(L, corpus.build(name).algebra)
+    return reduce_mod_p(L, 2)
+
+
+def test_fp_radicals_and_verify_beyond_the_scan():
+    # F_2^8 has 417,199 subspaces and F_2^10 229,755,605, but 255 and 1,023
+    # projective points: both answer under the default budget.  The
+    # nilradical of a direct sum is the sum of the summands' nilradicals,
+    # which the scan finds
+    import time
+
+    from leibnizalg.oracle import nilradical_oracle
+
+    L8 = fp_direct_sum("example2-2-1+sl2", "example1")
+    t0 = time.time()
+    res = nilradical(L8)
+    assert time.time() - t0 < 5.0
+    assert res.method == "principal-ideals" and all(res.certificates.values())
+    N6, N2 = (nilradical_oracle(fp_direct_sum(name)) for name in ("example2-2-1+sl2", "example1"))
+    assert res.subspace == span_of(L8, *[r + (0, 0) for r in N6.rows],
+                                   *[(0,) * 6 + r for r in N2.rows])
+    L10 = fp_direct_sum("example2-2-1+sl2", "example2-3-1")
+    assert L10.dim == 10
+    t0 = time.time()
+    rep = verify(L10)
+    assert time.time() - t0 < 5.0
+    assert rep["verdict"] == "pass" and isinstance(rep["theorem2"], Theorem2Report)
+
+
+@pytest.mark.parametrize("holds, compute", [("is_nilpotent", nilradical),
+                                            ("is_solvable", radical)])
+def test_fp_radical_keeping_a_failing_closure_is_caught(monkeypatch, holds, compute):
+    # a test that passes every proper closure keeps sl2's, which is neither
+    # nilpotent nor solvable mod 3; the certificate must abort
+    from leibnizalg import radicals
+    from leibnizalg.oracle import reduce_mod_p
+
+    Lp = reduce_mod_p(corpus.build("example1+sl2").algebra, 3)
+    compute(Lp)
+    monkeypatch.setattr(radicals, holds, lambda L, A=None: A is not None)
+    with pytest.raises(InternalInconsistency):
+        compute(Lp)
+
+
+@pytest.mark.parametrize("holds, compute", [("is_nilpotent", nilradical),
+                                            ("is_solvable", radical)])
+def test_fp_radical_tests_each_closure_once(monkeypatch, holds, compute):
+    # a closure that grows to one that failed stops there, and one that
+    # passed joins the sum, so each ideal is tested at most once: L, then
+    # distinct proper ideals (in sl2's 13 points mod 3, sl2 once)
+    from leibnizalg import oracle, radicals
+    from leibnizalg.oracle import reduce_mod_p
+
+    Lp = reduce_mod_p(corpus.build("example1+sl2").algebra, 3)
+    tested = []
+    real = getattr(radicals, holds)
+    monkeypatch.setattr(radicals, holds, lambda L, A=None: tested.append(A) or real(L, A))
+    compute(Lp)
+    proper = [A for A in tested if A is not None]
+    assert len(set(proper)) == len(proper) and set(proper) <= set(oracle.scan(Lp).ideals)
+
+
+def test_fp_budget_bounds_the_projective_points():
+    from leibnizalg.errors import BudgetExceeded
+    from leibnizalg.oracle import reduce_mod_p
+
+    Lp = reduce_mod_p(corpus.example2(2, 1).algebra, 3)      # 13 points of F_3^3
+    for compute in (nilradical, radical):
+        with pytest.raises(BudgetExceeded, match="13 projective points"):
+            compute(Lp, 12)
+        assert compute(Lp, 13).method == "principal-ideals"
+
+
 def test_verify_verdict_is_the_one_the_cli_reports(monkeypatch, capsys):
     from leibnizalg import cli, radicals
 
@@ -720,9 +825,11 @@ def counting(calls, f):
     return counted
 
 
-@pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg"])
+@pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg", "nilcyclic2"])
 def test_verify_computes_each_nilradical_once(monkeypatch, name):
-    # one call each for L, L/I and B
+    # one call each for L and L/I, and one for B unless B has the table of
+    # L/I, whose nilradical then serves as N(B); nilcyclic2's I has no
+    # complement, and its B is L
     from leibnizalg import radicals
 
     L = counting_case(name)
@@ -734,8 +841,10 @@ def test_verify_computes_each_nilradical_once(monkeypatch, name):
 
     monkeypatch.setattr(radicals, "nilradical", counted)
     assert verify(L)["verdict"] == "pass"
-    I, B = leibniz_kernel(L), find_complement_B(L)
-    assert calls == [L.dim, L.dim - I.dim, B.dim]
+    qp, B = quotient(L, leibniz_kernel(L)), find_complement_B(L)
+    reused = restrict(L, B) == qp.quotient
+    assert reused == (name != "nilcyclic2")
+    assert calls == [L.dim, qp.quotient.dim] + ([] if reused else [B.dim])
 
 
 @pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg", "example1+sl2"])
