@@ -21,13 +21,11 @@ from .core import (
     is_nilpotent,
     is_solvable,
     is_subalgebra,
-    left_mult,
     leibniz_kernel,
     liesation,
     lower_central_series,
     quotient,
     restrict,
-    right_mult,
     two_sided_span,
 )
 from .errors import (
@@ -44,7 +42,6 @@ from .errors import (
 )
 from .exactlin import (
     Field,
-    Matrix,
     QQ,
     Subspace,
 )

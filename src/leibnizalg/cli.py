@@ -102,6 +102,8 @@ def _load_source(source: str):
 
 def _parse_span(L, text: str) -> Subspace:
     """The span of the rows of fractions in text, e.g. '0,1;1,0'."""
+    if not text:
+        raise ParseError("empty span: give at least one vector, e.g. '0,1;1,0'")
     vecs = []
     for row in text.split(";"):
         comps = row.split(",")
@@ -151,12 +153,13 @@ def _certified(name, res):
 
 
 def _quotient(L, args):
-    qp = quotient(L, _parse_span(L, args.by) if args.by else leibniz_kernel(L))
+    qp = quotient(L, leibniz_kernel(L) if args.by is None else _parse_span(L, args.by))
     return {
         "ideal": qp.ideal,
         "quotient_dim": qp.quotient.dim,
         "quotient_table": qp.quotient.table,
-        "projection": qp.projection,
+        # the rows of the projection matrix, whose column i projects e_i
+        "projection": tuple(zip(*[qp.project_vector(L.basis_vector(i)) for i in range(L.dim)])),
     }
 
 
@@ -169,7 +172,7 @@ def _find_b(L, args):
 
 
 def _verify(L, args):
-    report = verify(L, _parse_span(L, args.b) if args.b else None, args.budget)
+    report = verify(L, None if args.b is None else _parse_span(L, args.b), args.budget)
     return report, EXIT_VERIFY_FAIL if report["verdict"] == "fail" else EXIT_OK
 
 

@@ -1,6 +1,8 @@
 """Leibniz algebras given by structure constants, and everything computable
-directly from the table: identity checking, multiplication operators, subspace
-products, ideals, series, quotients, the kernel of squares, liesation.
+directly from the table: identity checking, subspace products, ideals, series,
+quotients, the kernel of squares, liesation, the centre.  No operator matrix
+is built: a right or left multiplication acts only through brackets, most of
+them formed on integer vectors from the scaled table (scaled_bracket).
 
 Convention is right Leibniz throughout: [x,[y,z]] = [[x,y],z] - [[x,z],y],
 i.e. every y -> [y,x] is a derivation.
@@ -9,7 +11,6 @@ i.e. every y -> [y,x] is a derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import (
@@ -21,10 +22,8 @@ from .errors import (
 )
 from .exactlin import (
     Field,
-    Matrix,
     Subspace,
     from_scaled,
-    lin_comb,
     to_scaled,
     unit_vec,
     vec_add,
@@ -180,22 +179,6 @@ def _leibniz_failures(L: LeibnizAlgebra):
                     }
 
 
-def right_mult(L: LeibnizAlgebra, x: Sequence) -> Matrix:
-    """Matrix of R_x : y -> [y, x]; column i is [e_i, x] = sum_j x_j table[i][j]."""
-    return _mult_matrix(L, x, L.table)
-
-
-def left_mult(L: LeibnizAlgebra, x: Sequence) -> Matrix:
-    """Matrix of y -> [x, y]; column i is [x, e_i] = sum_j x_j table[j][i]."""
-    return _mult_matrix(L, x, tuple(zip(*L.table)))
-
-
-def _mult_matrix(L: LeibnizAlgebra, x: Sequence, rows) -> Matrix:
-    if len(x) != L.dim:
-        raise AmbientMismatch("vector length != algebra dim")
-    return Matrix.from_columns(L.field, [lin_comb(L.field, L.dim, x, row) for row in rows])
-
-
 def bracket_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """span{ [a,b] : a in basis(A), b in basis(B) } -- one-sided product."""
     _check_ambient(L, A)
@@ -260,27 +243,31 @@ def leibniz_kernel(L: LeibnizAlgebra) -> Subspace:
 
 @dataclass
 class QuotientPresentation:
-    """A quotient L/J with explicit projection and a fixed section.
+    """A quotient L/J with a fixed section and its projection.
 
     Section representatives are the standard basis vectors at the non-pivot
     columns of J's canonical basis, so the presentation is deterministic.
+    The projection of v is read off J's residual of v (project_vector).
     """
 
     parent: LeibnizAlgebra
     ideal: Subspace
     quotient: LeibnizAlgebra
-    projection: Matrix          # parent dim -> quotient dim
     section: list               # quotient basis -> parent vectors
 
     def project_vector(self, v: Sequence):
-        return self.projection.matvec(v)
+        return _coset_coords(self.ideal, v)
 
     def project_subspace(self, S: Subspace) -> Subspace:
         return Subspace.span(self.quotient.field, self.quotient.dim,
                              [self.project_vector(r) for r in S.rows])
 
-    def lift_vector(self, w: Sequence):
-        return lin_comb(self.parent.field, self.parent.dim, w, self.section)
+
+def _coset_coords(J: Subspace, v: Sequence) -> tuple:
+    """The coordinates of v + J on the section: J's residual of v is zero at
+    J's pivot columns, and its entries at the other columns are them."""
+    res, piv = J.reduce(v), set(J.pivots)
+    return tuple(a for c, a in enumerate(res) if c not in piv)
 
 
 def quotient(L: LeibnizAlgebra, J: Subspace) -> QuotientPresentation:
@@ -288,24 +275,12 @@ def quotient(L: LeibnizAlgebra, J: Subspace) -> QuotientPresentation:
     _check_ambient(L, J)
     if not is_ideal(L, J):
         raise NotAnIdeal("quotient by a subspace that is not an ideal")
-    F = L.field
     section = J.complement_basis()
-    m = len(section)
-    piv = J.pivots
-    nonpiv = [c for c in range(L.dim) if c not in piv]
-
-    def reduce_coords(v):
-        # J's residual is zero at the pivot columns; its entries at the
-        # non-pivot columns are the quotient coordinates
-        res = J.reduce(v)
-        return tuple(res[c] for c in nonpiv)
-
-    projection = Matrix.from_columns(F, [reduce_coords(L.basis_vector(i)) for i in range(L.dim)])
-    table = [[reduce_coords(L.bracket(section[s], section[t])) for t in range(m)]
-             for s in range(m)]
-    labels = [L.labels[c] + "~" for c in nonpiv]
-    Q = LeibnizAlgebra(F, m, table, labels)
-    return QuotientPresentation(L, J, Q, projection, section)
+    table = [[_coset_coords(J, L.bracket(s, t)) for t in section] for s in section]
+    piv = set(J.pivots)
+    labels = [label + "~" for c, label in enumerate(L.labels) if c not in piv]
+    Q = LeibnizAlgebra(L.field, len(section), table, labels)
+    return QuotientPresentation(L, J, Q, section)
 
 
 def liesation(L: LeibnizAlgebra) -> QuotientPresentation:
@@ -408,11 +383,13 @@ def embed_subspace(A: Subspace, S: Subspace) -> Subspace:
 
 
 def center(L: LeibnizAlgebra) -> Subspace:
-    """{ x : [x, L] = [L, x] = 0 }: where e_i -> ([e_i, e_j], [e_j, e_i])_j
-    vanishes, with the products read from the table rows and columns."""
-    columns = tuple(zip(*L.table))
-    return L.full_space().where_zero([tuple(chain(*L.table[i], *columns[i]))
-                                      for i in range(L.dim)])
+    """{ x : [x, L] = [L, x] = 0 }: where e_i -> (d [e_i, e_j], d [e_j, e_i])_j
+    vanishes, with the integer products formed by scaled_bracket."""
+    full = L.full_space()
+    units = full.scaled_rows
+    return full.where_zero([[a for e in units for w in (L.scaled_bracket(u, e),
+                                                         L.scaled_bracket(e, u)) for a in w]
+                            for u in units])
 
 
 def largest_contained_ideal(L: LeibnizAlgebra, K: Subspace) -> Subspace:
@@ -420,18 +397,14 @@ def largest_contained_ideal(L: LeibnizAlgebra, K: Subspace) -> Subspace:
     K -> { x in K : [x, e_j], [e_j, x] in K for all j }, a linear computation.
     """
     _check_ambient(L, K)
-    basis = [L.basis_vector(j) for j in range(L.dim)]
+    units = L.full_space().scaled_rows
     V = K
     while True:
-        # each basis row u maps to the residuals against V of [u, e_j] and [e_j, u]
-        images = []
-        for u in V.rows:
-            image = []
-            for e in basis:
-                image.extend(V.reduce(L.bracket(u, e)))
-                image.extend(V.reduce(L.bracket(e, u)))
-            images.append(image)
-        W = V.where_zero(images)
+        # each scaled row u maps to the integer residuals against V of
+        # d [u, e_j] and d [e_j, u], all on V's one scale
+        W = V.where_zero([[a for e in units for w in (L.scaled_bracket(u, e),
+                                                      L.scaled_bracket(e, u))
+                           for a in V.scaled_residual(w)[0]] for u in V.scaled_rows])
         if W.dim == V.dim:
             return W
         V = W

@@ -9,7 +9,9 @@ All elimination is one routine, Subspace._insert: it inserts vectors one at a
 time into an RREF basis.  A span starts it from the zero space, a sum S + T
 extends S's basis by T's rows, and it stops reducing once the span is full.
 Nullspaces, intersections and every other cut of a subspace by a linear map
-(Subspace.where_zero) are spans of this kind.
+(Subspace.where_zero) are spans of this kind.  Every linear system is a list
+of integer rows: nullspace takes the rows of a system and returns integer
+kernel vectors, and where_zero takes the images of a subspace's scaled rows.
 
 Over Q the elimination runs on scaled integers, not on Fractions.  A vector
 v in scaled form is (ints, den) with v = ints / den (to_scaled and
@@ -136,9 +138,6 @@ Vector = tuple
 def vec_add(field: Field, u: Sequence, v: Sequence) -> Vector:
     return tuple(field.add(a, b) for a, b in zip(u, v))
 
-def vec_sub(field: Field, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
 def zero_vec(field: Field, n: int) -> Vector:
     return (field.zero,) * n
 
@@ -147,59 +146,24 @@ def unit_vec(field: Field, n: int, i: int) -> Vector:
 
 def lin_comb(field: Field, n: int, coeffs: Iterable, vectors: Iterable[Sequence]) -> Vector:
     """sum_i coeffs[i] * vectors[i] in F^n; zero coefficients and entries are skipped."""
-    out = [field.zero] * n
+    return tuple(_comb(field, [field.zero] * n, coeffs, vectors))
+
+
+def scaled_comb(field: Field, n: int, coeffs: Iterable[int],
+                vectors: Iterable[Sequence[int]]) -> list:
+    """lin_comb for integer coefficients and vectors: ints over Q, residues
+    over F_p."""
+    return _comb(field, [0] * n, coeffs, vectors)
+
+
+def _comb(field: Field, out: list, coeffs: Iterable, vectors: Iterable[Sequence]) -> list:
     for c, v in zip(coeffs, vectors):
         if c:
             for k, b in enumerate(v):
                 if b:
                     out[k] += c * b
     p = field.modulus
-    return tuple(out) if p is None else tuple(a % p for a in out)
-
-
-class Matrix:
-    """Dense exact matrix, the value type of the multiplication operators,
-    quotient projections and theorem 2's witnesses; all entries share one
-    field.  The column count is stored, so a matrix with no rows keeps it; it
-    defaults to the length of the first row."""
-
-    __slots__ = ("field", "rows", "ncols")
-
-    def __init__(self, field: Field, rows: Iterable[Iterable], ncols: Optional[int] = None):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        if ncols is None:
-            ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != ncols for r in self.rows):
-            raise ValueError("ragged rows")
-        self.ncols = ncols
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def from_columns(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
-        n = len(cols[0]) if cols else 0
-        return cls(field, [[c[i] for c in cols] for i in range(n)], len(cols))
-
-    def matvec(self, v: Sequence) -> Vector:
-        if len(v) != self.ncols:
-            raise AmbientMismatch(f"matvec: {self.ncols} cols vs vector of length {len(v)}")
-        return lin_comb(self.field, self.nrows, v, self.transpose().rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows) if self.rows else [()] * self.ncols,
-                      self.nrows)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.ncols == other.ncols and self.rows == other.rows)
-
-    def __repr__(self):
-        body = "; ".join("[" + ", ".join(str(a) for a in r) + "]"
-                         for r in self.rows)
-        return f"Matrix({self.field}, {body})"
+    return out if p is None else [a % p for a in out]
 
 
 def to_scaled(field: Field, v: Sequence) -> tuple:
@@ -336,7 +300,11 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("ambient dimension mismatch")
 
-    def _residual(self, v: Sequence) -> tuple:
+    def scaled_residual(self, v: Sequence) -> tuple:
+        """(r, D) with r / D the residual reduce(v) and r an integer vector
+        (residues over F_p).  For an integer vector v, D is the lcm of the
+        pivot entries of scaled_rows over Q and 1 over F_p: one scale for
+        every integer vector."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length != ambient dim")
         w, den = to_scaled(self.field, v)
@@ -346,7 +314,7 @@ class Subspace:
     def reduce(self, v: Sequence) -> Vector:
         """Residual of v against the RREF rows: zero at every pivot column,
         and zero everywhere exactly when v lies in the subspace."""
-        return from_scaled(self.field, *self._residual(v))
+        return from_scaled(self.field, *self.scaled_residual(v))
 
     def _insert(self, vectors: Iterable[Sequence]) -> "Subspace":
         """The span of these rows and the vectors, the only elimination here.
@@ -383,7 +351,7 @@ class Subspace:
         return lin_comb(self.field, self.ambient_dim, w, self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self._residual(v)[0])
+        return not any(self.scaled_residual(v)[0])
 
     def coords(self, v: Sequence) -> Optional[Vector]:
         """Coefficients of v in the RREF basis, or None if v is outside.
@@ -410,18 +378,22 @@ class Subspace:
     def __add__(self, other):
         return self.sum(other)
 
-    def where_zero(self, images: Sequence[Sequence]) -> "Subspace":
-        """{ sum_i c_i rows[i] : sum_i c_i images[i] = 0 }: the subspace on
-        which the linear map sending rows[i] to images[i] vanishes."""
+    def where_zero(self, images: Sequence[Sequence[int]]) -> "Subspace":
+        """{ sum_i c_i scaled_rows[i] : sum_i c_i images[i] = 0 }: the subspace
+        on which the linear map sending scaled_rows[i] to images[i] vanishes.
+        The images are integer vectors (residues over F_p) on one common
+        scale, and the kernel vectors combine the scaled rows in integers."""
         if len(images) != self.dim:
             raise AmbientMismatch("need one image per basis row")
-        ker = nullspace(Matrix.from_columns(self.field, images))
-        return Subspace.span(self.field, self.ambient_dim, [self.combine(k) for k in ker])
+        F, n, rows = self.field, self.ambient_dim, self.scaled_rows
+        ker = nullspace(F, self.dim, list(zip(*images)))
+        return Subspace.span(F, n, [scaled_comb(F, n, k, rows) for k in ker])
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """x in self lies in other iff other.reduce(x) = 0, and reduce is linear."""
+        """x in self lies in other iff other.reduce(x) = 0, and reduce is
+        linear: the integer residuals of the scaled rows share one scale."""
         self._check_compat(other)
-        return self.where_zero([other.reduce(u) for u in self.rows])
+        return self.where_zero([other.scaled_residual(u)[0] for u in self.scaled_rows])
 
     def __and__(self, other):
         return self.intersect(other)
@@ -450,19 +422,23 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim}: {body})"
 
 
-def nullspace(m: Matrix) -> list:
-    """Basis of { x : M x = 0 }, one vector per free column of the RREF of M."""
-    F = m.field
-    ncols = m.ncols
-    r = Subspace.span(F, ncols, m.rows)
-    free = [c for c in range(ncols) if c not in r.pivots]
-    basis = []
-    for fc in free:
-        v = [F.zero] * ncols
-        v[fc] = F.one
-        for prow, pc in zip(r.rows, r.pivots):
-            v[pc] = F.neg(prow[fc])
-        basis.append(tuple(v))
+def nullspace(field: Field, ncols: int, rows: Iterable[Sequence[int]]) -> list:
+    """Basis of { x : sum_j row[j] x_j = 0 for every row }, for integer rows
+    (residues over F_p) of length ncols: one integer vector per free column
+    fc of their RREF.  Over Q the vector holds the lcm D of the pivot
+    entries of the scaled RREF rows at fc, and -D r[fc] / r[pc] at the pivot
+    column pc of each row r; over F_p it holds 1 at fc and -r[fc] at pc."""
+    R = Subspace.span(field, ncols, rows)
+    p, scaled, pivots = field.modulus, R.scaled_rows, R.pivots
+    D = 1 if p is not None else lcm(*[r[pc] for r, pc in zip(scaled, pivots)])
+    piv, basis = set(pivots), []
+    for fc in (c for c in range(ncols) if c not in piv):
+        v = [0] * ncols
+        v[fc] = D
+        for r, pc in zip(scaled, pivots):
+            if r[fc]:
+                v[pc] = -(D // r[pc]) * r[fc] if p is None else -r[fc] % p
+        basis.append(v)
     return basis
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import lcm
 
 from . import oracle
 from .core import (
@@ -36,7 +35,7 @@ from .errors import (
     PremiseViolation,
     Unsupported,
 )
-from .exactlin import Matrix, Subspace, nullspace, vec_add, vec_sub
+from .exactlin import Subspace, nullspace, scaled_comb
 from .reports import VerificationReport
 
 
@@ -113,14 +112,11 @@ def _traces(L: LeibnizAlgebra, cols) -> list:
 
 def _cut(C: Subspace, functionals) -> Subspace:
     """{ x in C : f . x = 0 for every functional f } over Q, each f an integer
-    vector of coefficients on the basis of L, known up to scale.  A scaled
-    row of C is its RREF row times its pivot entry, so multiplying the images
-    by D / (pivot entry), D the lcm of the pivot entries, keeps them integral
-    and their relations those of the RREF rows."""
-    rows = C.scaled_rows
-    D = lcm(*[r[pc] for r, pc in zip(rows, C.pivots)])
-    return C.where_zero([[D // r[pc] * sum(a * b for a, b in zip(f, r) if a) for f in functionals]
-                         for r, pc in zip(rows, C.pivots)])
+    vector of coefficients on the basis of L, known up to scale: the images
+    f . r of C's scaled rows r are integers, and the scale of one functional
+    does not change where it vanishes."""
+    return C.where_zero([[sum(a * b for a, b in zip(f, r) if a) for f in functionals]
+                         for r in C.scaled_rows])
 
 
 def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
@@ -363,41 +359,57 @@ def _complement_subalgebra(L: LeibnizAlgebra, qp: QuotientPresentation):
     qp is the quotient by I, the kernel or an ideal of L inside it.
 
     Putting y = z in the identity gives [x, y^2] = 0, so [L, I] = 0.  Let
-    c_1..c_m be I.complement_basis(), g_1..g_d the rows of I, and
-    b_s = c_s + phi_s with phi_s = sum_r a_sr g_r; then
-    [b_s, b_t] = [c_s, c_t] + sum_r a_sr [g_r, c_t].  With
-    [c_s, c_t] = sum_u lam_stu c_u + i_st, i_st in I (lam is the table of
-    L/I), span(b) is a subalgebra iff for all s, t
-        i_st + sum_r a_sr [g_r, c_t] - sum_u lam_stu phi_u = 0,
-    m^2 d linear equations in I-coordinates for the m d unknowns a_sr.
-    When I = 0 the complement is L, with nothing to solve.
+    c_1..c_m be the section of qp (the units at I's non-pivot columns
+    npc_1..npc_m), g_1..g_d the scaled rows of I with pivot columns
+    pc_1..pc_d, and b_s = c_s + sum_r a_sr g_r.  Then
+    [b_s, b_t] = [c_s, c_t] + sum_r a_sr [g_r, c_t], and with lam the table
+    of L/I, span(b) is a subalgebra iff for all s, t the vector
+        [b_s, b_t] - sum_u lam_stu b_u
+            = [c_s, c_t] - sum_u lam_stu c_u + sum_r a_sr [g_r, c_t]
+              - sum_u lam_stu sum_r a_ur g_r,
+    which lies in I, is zero.  It is zero iff its entries at the pivot
+    columns pc_k are, where c_u and every g_r but g_k vanish.  With
+    d[x, y] = scaled_bracket(x, y) and (res_st, D) I's integer residual of
+    d[c_s, c_t], lam_stu = res_st[npc_u] / (D d), so times D d the entry at
+    pc_k is the integer equation
+        D d[c_s, c_t][pc_k] + sum_r a_sr D d[g_r, c_t][pc_k]
+            - sum_u res_st[npc_u] g_k[pc_k] a_uk = 0,
+    m^2 d equations (zero ones skipped) for the m d unknowns a_sr, with
+    the constant term in the last column.  When I = 0 the complement is L,
+    with nothing to solve.
     """
-    F, I = L.field, qp.ideal
+    F, p, I = L.field, L.field.modulus, qp.ideal
     if not I.dim:
         return L.full_space()
-    comp, lam = qp.section, qp.quotient.table
+    units, piv = L.full_space().scaled_rows, set(I.pivots)
+    npc = [c for c in range(L.dim) if c not in piv]
+    comp, gens = [units[c] for c in npc], I.scaled_rows
     m, d = len(comp), I.dim
-    acts = [[I.coords(L.bracket(g, c)) for c in comp] for g in I.rows]  # [g_r, c_t]
+    acts = [[L.scaled_bracket(g, c) for c in comp] for g in gens]  # d[g_r, c_t]
     rows = []
     for s in range(m):
         for t in range(m):
-            i_st = I.coords(vec_sub(F, L.bracket(comp[s], comp[t]),
-                                    qp.lift_vector(lam[s][t])))
-            for k in range(d):
-                row = [F.zero] * (m * d) + [i_st[k]]
+            w = L.scaled_bracket(comp[s], comp[t])
+            res, D = I.scaled_residual(w)
+            lam = [res[c] for c in npc]
+            for k, pc in enumerate(I.pivots):
+                row = [0] * (m * d) + [D * w[pc]]
                 for r in range(d):
-                    row[s * d + r] = F.add(row[s * d + r], acts[r][t][k])
+                    row[s * d + r] = D * acts[r][t][pc]
                 for u in range(m):
-                    row[u * d + k] = F.sub(row[u * d + k], lam[s][t][u])
-                rows.append(row)
+                    row[u * d + k] -= lam[u] * gens[k][pc]
+                if p is not None:
+                    row = [a % p for a in row]
+                if any(row):
+                    rows.append(row)
     # the constant column is last: a solution exists iff it is a free column,
     # and its kernel vector sets every other free unknown to 0
-    ker = nullspace(Matrix(F, rows, m * d + 1))
+    ker = nullspace(F, m * d + 1, rows)
     if not ker or not ker[-1][-1]:
         return None
-    a = ker[-1]
-    B = Subspace.span(F, L.dim, [vec_add(F, comp[s], I.combine(a[s * d:(s + 1) * d]))
-                                 for s in range(m)])
+    v = ker[-1]
+    B = Subspace.span(F, L.dim, [scaled_comb(F, L.dim, [v[-1], *v[s * d:(s + 1) * d]],
+                                             [comp[s], *gens]) for s in range(m)])
     if not is_subalgebra(L, B):
         raise InternalInconsistency("the solved complement of the kernel is not a subalgebra")
     return B
@@ -469,7 +481,7 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
 
     I is an ideal, so R_n maps I into I, and R_n is nilpotent on I exactly
     when its stable image there is zero.  Witnesses name each failing n with
-    the matrix of R_n|_I in I's basis.
+    the matrix of R_n|_I in I's basis, as a tuple of rows.
     """
     witnesses = []
     for nvec in NB_in_L.rows:
@@ -481,7 +493,7 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
             if c is None:
                 raise InternalInconsistency("kernel is not invariant under right multiplication")
             cols.append(c)
-        witnesses.append({"n": nvec, "restricted_matrix": Matrix.from_columns(L.field, cols)})
+        witnesses.append({"n": nvec, "restricted_matrix": tuple(zip(*cols))})
     return (not witnesses), witnesses
 
 

@@ -29,8 +29,9 @@ def _jsonable(x, vector=None):
     """JSON-ready copy of a payload.  A dataclass instance becomes its fields in
     declaration order, so a property (such as Theorem2Report.passed) stays out.
     With `vector` (the text rendering), each vector, that is a tuple of
-    scalars, and each row of a matrix or subspace becomes vector(row)."""
-    from .exactlin import Matrix, Subspace
+    scalars, and each row of a subspace becomes vector(row); a matrix is a
+    tuple of such rows."""
+    from .exactlin import Subspace
 
     if vector and isinstance(x, tuple) and x and all(type(a) in (int, Fraction) for a in x):
         return vector(x)
@@ -39,8 +40,6 @@ def _jsonable(x, vector=None):
     if isinstance(x, Subspace):
         return {"ambient_dim": x.ambient_dim,
                 "basis": [vector(r) for r in x.rows] if vector else subspace_to_json(x)}
-    if isinstance(x, Matrix):
-        return [vector(r) if vector else [scalar_to_json(a) for a in r] for r in x.rows]
     if isinstance(x, Fraction):
         return scalar_to_json(x)
     if isinstance(x, dict):

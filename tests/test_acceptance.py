@@ -259,3 +259,16 @@ def test_criterion_13_verify_runs_theorem2_off_the_standard_complement():
         elapsed = time.time() - t0
         ok = isinstance(rep["theorem2"], Theorem2Report) and rep["verdict"] == "pass"
         report(f"13 verify-runs-theorem2 {name}", ok and elapsed < 5.0, elapsed)
+
+
+def test_criterion_14_verify_sparse_dim64():
+    # example2(63, 31): I and its complement have dimension 32 each, so the
+    # complement solve has at most 32^2 * 32 equations in 32 * 32 unknowns
+    L = corpus.example2(63, 31).algebra
+    t0 = time.time()
+    rep = verify(L)
+    elapsed = time.time() - t0
+    t2 = rep["theorem2"]
+    ok = rep["verdict"] == "pass" and isinstance(t2, Theorem2Report) and t2.passed
+    ok &= (t2.details["kernel"].dim, rep["lemma1"].details["complement"].dim) == (32, 32)
+    report("14 verify-sparse-dim64", ok and elapsed < 10.0, elapsed)

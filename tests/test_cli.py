@@ -237,10 +237,12 @@ def test_verify_text_prints_the_theorem2_witness_matrix_by_rows(capsys):
     ["--budget", "-3", "verify", "example1"],                  # was accepted
     ["info", {**GOOD, "table": [[0, 0, [1, 1, 1], [1, 2, 1]]]}],  # was read as [e1, e1] = 2 e2
     ["info", b"[" * 100000 + b"]" * 100000],                  # was a RecursionError, exit 1
+    ["verify", "example1", "--b", ""],                         # was run with the found B
+    ["quotient", "example1", "--by", ""],                      # was the quotient by the kernel
 ], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector",
         "modulus-above-bound", "dim-above-cap", "int-labels", "string-basis", "directory",
         "not-utf8", "corpus-out-missing-dir", "budget-zero", "budget-negative",
-        "duplicate-component", "deeply-nested-json"])
+        "duplicate-component", "deeply-nested-json", "empty-b", "empty-by"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
     # a dict or bytes argument is written to a file first; "{tmp}" is tmp_path
     def as_arg(a):

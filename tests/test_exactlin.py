@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matrices
 from leibnizalg.errors import AmbientMismatch
 from leibnizalg.exactlin import (
     PRIME_BOUND,
     QQ,
     Field,
-    Matrix,
     Subspace,
     gaussian_binomial,
+    lin_comb,
     nullspace,
     subspace_count,
     unit_vec,
     vec_add,
-    vec_sub,
 )
 
 
@@ -30,47 +30,10 @@ F5 = Field(5)
 
 
 def qmat(rows):
-    return Matrix(QQ, [[Fraction(a) for a in r] for r in rows])
+    return [[Fraction(a) for a in r] for r in rows]
 
 
 # ---------------------------------------------------------------- rref
-
-def _ref_rref(m: Matrix) -> Matrix:
-    """Reduced row echelon form by Gauss-Jordan with exact division, kept
-    here as the reference for Subspace's insertion routine."""
-    F = m.field
-    p = F.modulus
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), m.ncols
-    piv_r = 0
-    for piv_c in range(ncols):
-        pr = None
-        for r in range(piv_r, nrows):
-            if rows[r][piv_c]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-        inv = F.inv(rows[piv_r][piv_c])
-        rows[piv_r] = [F.mul(inv, a) for a in rows[piv_r]]
-        nz = [(j, b) for j, b in enumerate(rows[piv_r]) if b]
-        for r in range(nrows):
-            row = rows[r]
-            c0 = row[piv_c]
-            if r == piv_r or not c0:
-                continue
-            if p is None:
-                for j, b in nz:
-                    row[j] -= c0 * b
-            else:
-                for j, b in nz:
-                    row[j] = (row[j] - c0 * b) % p
-        piv_r += 1
-        if piv_r == nrows:
-            break
-    return Matrix(F, [r for r in rows if any(r)], ncols)
-
 
 def rref_rows(F, n, vectors):
     """The RREF rows of a span, as Subspace.span computes them."""
@@ -78,7 +41,7 @@ def rref_rows(F, n, vectors):
 
 
 def test_rref_dependent_rows_collapse():
-    assert rref_rows(QQ, 2, qmat([[0, 1], [0, 2]]).rows) == [[0, 1]]
+    assert rref_rows(QQ, 2, qmat([[0, 1], [0, 2]])) == [[0, 1]]
 
 
 def test_rref_identity_fixed():
@@ -86,7 +49,7 @@ def test_rref_identity_fixed():
 
 
 def test_rref_pivot_normalization():
-    assert rref_rows(QQ, 2, qmat([[2, 4]]).rows) == [[1, 2]]
+    assert rref_rows(QQ, 2, qmat([[2, 4]])) == [[1, 2]]
 
 
 def test_rref_of_int_entries_stays_exact():
@@ -176,10 +139,11 @@ def test_complement_always_completes_basis():
 # ---------------------------------------------------------------- nullspace
 
 def test_nullspace_orthogonal_to_rows():
-    m = qmat([[1, 2, 3], [0, 1, 1]])
-    for v in nullspace(m):
-        assert all(x == QQ.zero for x in m.matvec(v))
-    assert len(nullspace(m)) == 1
+    m = [[1, 2, 3], [0, 1, 1]]
+    for v in nullspace(QQ, 3, m):
+        assert all(type(a) is int for a in v)
+        assert matrices.matvec(QQ, m, v) == [0, 0]
+    assert nullspace(QQ, 3, m) == [[-1, -1, 1]]
 
 
 # ---------------------------------------------------------------- properties
@@ -189,37 +153,37 @@ fractions_st = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
 
 @st.composite
 def q_matrices(draw, max_dim=4):
+    """The rows of a random matrix over Q, at least one row and one column."""
     nrows = draw(st.integers(1, max_dim))
     ncols = draw(st.integers(1, max_dim))
-    rows = draw(st.lists(st.lists(fractions_st, min_size=ncols, max_size=ncols),
+    return draw(st.lists(st.lists(fractions_st, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
-    return Matrix(QQ, rows)
 
 
 @st.composite
-def fp_matrices(draw, p=5, max_dim=4):
+def fp_matrices(draw, max_dim=4):
+    """The rows of a random matrix over F_5, at least one row and one column."""
     nrows = draw(st.integers(1, max_dim))
     ncols = draw(st.integers(1, max_dim))
-    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols),
+    return draw(st.lists(st.lists(st.integers(0, 4), min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
-    return Matrix(Field(p), rows)
 
 
 @given(q_matrices())
 def test_rref_idempotent_q(m):
-    r = Subspace.span(QQ, m.ncols, m.rows)
-    assert Subspace.span(QQ, m.ncols, r.rows) == r
+    r = Subspace.span(QQ, len(m[0]), m)
+    assert Subspace.span(QQ, len(m[0]), r.rows) == r
 
 
 @given(fp_matrices())
 def test_rref_idempotent_fp(m):
-    r = Subspace.span(m.field, m.ncols, m.rows)
-    assert Subspace.span(m.field, m.ncols, r.rows) == r
+    r = Subspace.span(F5, len(m[0]), m)
+    assert Subspace.span(F5, len(m[0]), r.rows) == r
 
 
 @given(q_matrices())
 def test_rref_preserves_row_space(m):
-    assert rref_rows(QQ, m.ncols, m.rows) == _ref_rref(m).rows
+    assert rref_rows(QQ, len(m[0]), m) == matrices.rref(QQ, m, len(m[0]))
 
 
 @given(q_matrices(max_dim=4), q_matrices(max_dim=4))
@@ -227,8 +191,8 @@ def test_rref_preserves_row_space(m):
 def test_dimension_formula(ma, mb):
     n = 4
     pad = lambda rows: [list(r) + [Fraction(0)] * (n - len(r)) for r in rows]
-    a = Subspace.span(QQ, n, pad(ma.rows))
-    b = Subspace.span(QQ, n, pad(mb.rows))
+    a = Subspace.span(QQ, n, pad(ma))
+    b = Subspace.span(QQ, n, pad(mb))
     assert (a + b).dim + (a & b).dim == a.dim + b.dim
 
 
@@ -255,7 +219,7 @@ def test_reduce_residual(case):
     S, _, v = case
     F = S.field
     r = S.reduce(v)
-    assert _in_span(S, vec_sub(F, v, r))
+    assert _in_span(S, [F.sub(a, b) for a, b in zip(v, r)])
     assert all(r[pc] == F.zero for pc in S.pivots)
     assert all(a == F.zero for a in r) == _in_span(S, v) == S.contains(v)
 
@@ -342,32 +306,27 @@ def test_gaussian_binomials():
 
 
 def test_matrix_without_rows_keeps_its_columns():
-    M = Matrix.from_columns(QQ, [(), (), ()])
-    assert (M.nrows, M.ncols) == (0, 3)
-    assert (M.transpose().nrows, M.transpose().ncols) == (3, 0)
-    assert nullspace(M) == [unit_vec(QQ, 3, i) for i in range(3)]
-    assert M.matvec((1, 2, 3)) == ()
+    # a system with no rows leaves every column free; one with no columns
+    # has only the empty solution
+    assert nullspace(QQ, 3, []) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace(Field(2), 2, []) == [[1, 0], [0, 1]]
+    assert nullspace(QQ, 0, []) == nullspace(QQ, 0, [(), ()]) == []
+    # a map into the zero space vanishes everywhere
+    full = Subspace.full(QQ, 3)
+    assert full.where_zero([(), (), ()]) == full
+    assert Subspace.zero(QQ, 3).where_zero([]) == Subspace.zero(QQ, 3)
 
 
 # ---------------------------------------------------------------- the insertion routine
 
 def _ref_span(F, n, vectors):
     """RREF rows of a span by the reference Gauss-Jordan, as Subspace.rows."""
-    return tuple(tuple(r) for r in _ref_rref(Matrix(F, vectors, n)).rows)
+    return tuple(tuple(r) for r in matrices.rref(F, vectors, n))
 
 
-def _ref_nullspace(m):
-    """nullspace on the reference Gauss-Jordan: one vector per free column."""
-    F, r = m.field, _ref_rref(m)
-    pivots = [next(c for c, a in enumerate(row) if a) for row in r.rows]
-    basis = []
-    for fc in (c for c in range(m.ncols) if c not in pivots):
-        v = [F.zero] * m.ncols
-        v[fc] = F.one
-        for prow, pc in zip(r.rows, pivots):
-            v[pc] = F.neg(prow[fc])
-        basis.append(tuple(v))
-    return basis
+def _ref_nullspace_of_columns(F, cols):
+    """The reference kernel of the matrix with these columns."""
+    return matrices.nullspace(F, matrices.transpose(cols, len(cols[0]) if cols else 0), len(cols))
 
 
 def _ref_intersect(S, T):
@@ -376,21 +335,17 @@ def _ref_intersect(S, T):
     if not S.rows or not T.rows:
         return _ref_span(F, S.ambient_dim, [])
     cols = [list(r) for r in S.rows] + [[F.neg(a) for a in r] for r in T.rows]
-    ker = _ref_nullspace(Matrix.from_columns(F, cols))
+    ker = _ref_nullspace_of_columns(F, cols)
     return _ref_span(F, S.ambient_dim, [S.combine(k[:S.dim]) for k in ker])
 
 
 def _ref_center(L):
     # the kernel of the 2n stacked multiplication matrices
-    from leibnizalg.core import left_mult, right_mult
-
     rows = []
     for j in range(L.dim):
-        rows.extend(right_mult(L, L.basis_vector(j)).rows)
-        rows.extend(left_mult(L, L.basis_vector(j)).rows)
-    if not rows:
-        return L.full_space().rows
-    return _ref_span(L.field, L.dim, _ref_nullspace(Matrix(L.field, rows)))
+        rows.extend(matrices.right_mult(L, L.basis_vector(j)))
+        rows.extend(matrices.left_mult(L, L.basis_vector(j)))
+    return _ref_span(L.field, L.dim, matrices.nullspace(L.field, rows, L.dim))
 
 
 def _ref_largest_contained_ideal(L, K):
@@ -404,7 +359,7 @@ def _ref_largest_contained_ideal(L, K):
                 col.extend(V.reduce(L.bracket(u, ej)))
                 col.extend(V.reduce(L.bracket(ej, u)))
             cond_cols.append(col)
-        ker = _ref_nullspace(Matrix.from_columns(L.field, cond_cols))
+        ker = _ref_nullspace_of_columns(L.field, cond_cols)
         W = Subspace(L.field, L.dim, _ref_span(L.field, L.dim, [V.combine(k) for k in ker]))
         if W.dim == V.dim:
             break
@@ -480,19 +435,68 @@ def test_sum_extends_the_left_basis(case, data):
     assert total.rows == ref and _types(total.rows) == _types(ref)
 
 
+def _integers(F):
+    return st.integers(-30, 30) if F.modulus is None else st.integers(0, F.modulus - 1)
+
+
 @given(span_case(), st.data())
 def test_where_zero_matches_the_old_cut(case, data):
+    # images[i] is the image of the scaled row i, an integer vector
     F, n, vecs = case
     S = Subspace.span(F, n, vecs)
     m = data.draw(st.integers(0, 4))
-    images = [data.draw(st.lists(_scalars(F), min_size=m, max_size=m)) for _ in S.rows]
+    images = [data.draw(st.lists(_integers(F), min_size=m, max_size=m)) for _ in S.rows]
     W = S.where_zero(images)
-    if S.dim:
-        ker = _ref_nullspace(Matrix.from_columns(F, images))
-        ref = _ref_span(F, n, [S.combine(k) for k in ker])
-    else:
-        ref = ()
+    ker = matrices.nullspace(F, matrices.transpose(images, m), S.dim)
+    ref = _ref_span(F, n, [lin_comb(F, n, k, S.scaled_rows) for k in ker])
     assert W.rows == ref and _types(W.rows) == _types(ref)
+
+
+@st.composite
+def integer_systems(draw, max_n=5):
+    """(F, rows, ncols): integer rows over Q (residues over F_2 and F_5),
+    with zero rows, copies and combinations of earlier rows mixed in;
+    possibly no rows, possibly no columns."""
+    F = draw(st.sampled_from([QQ, Field(2), F5]))
+    ncols = draw(st.integers(0, max_n))
+    entry = _integers(F)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "copy", "combination"]))
+        if kind == "zero" or (kind != "random" and not rows):
+            v = [0] * ncols
+        elif kind == "copy":
+            v = list(draw(st.sampled_from(rows)))
+        elif kind == "combination":
+            u, w = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(entry), draw(entry)
+            v = [a * x + b * y for x, y in zip(u, w)]
+            if F.modulus is not None:
+                v = [c % F.modulus for c in v]
+        else:
+            v = [draw(entry) for _ in range(ncols)]
+        rows.append(v)
+    return F, rows, ncols
+
+
+@given(integer_systems())
+def test_nullspace_matches_the_reference(case):
+    F, rows, ncols = case
+    ker = nullspace(F, ncols, rows)
+    ref = matrices.nullspace(F, rows, ncols)
+    pivots = [next(c for c, a in enumerate(r) if a) for r in matrices.rref(F, rows, ncols)]
+    free = [c for c in range(ncols) if c not in pivots]
+    # integer vectors (residues over F_p) with the reference's span
+    assert all(type(a) is int and (F.modulus is None or F.is_element(a)) for v in ker for a in v)
+    assert _ref_span(F, ncols, ker) == _ref_span(F, ncols, ref)
+    assert all(not any(matrices.matvec(F, rows, v)) for v in ker)
+    assert len(ker) == ncols - len(pivots) == len(ref)
+    # one vector per free column, nonzero there and zero at the other free
+    # columns; so the last (constant) column's entry is nonzero exactly when
+    # that column is free
+    assert [[bool(v[c]) for c in free] for v in ker] == [[c == fc for c in free] for fc in free]
+    if ncols:
+        assert bool(ker and ker[-1][-1]) == (ncols - 1 in free)
 
 
 @given(span_case(), st.data())
