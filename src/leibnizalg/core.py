@@ -2,7 +2,10 @@
 directly from the table: identity checking, subspace products, ideals, series,
 quotients, the kernel of squares, liesation, the centre.  No operator matrix
 is built: a right or left multiplication acts only through brackets, most of
-them formed on integer vectors from the scaled table (scaled_bracket).
+them formed on integer vectors from the scaled table (scaled_bracket).  The
+Leibniz identity is checked on packed ints: each scaled product is one int
+with a B-bit digit per component, B large enough that the digits of every
+triple's sum are unique (_leibniz_failures).
 
 Convention is right Leibniz throughout: [x,[y,z]] = [[x,y],z] - [[x,z],y],
 i.e. every y -> [y,x] is a derivation.
@@ -146,28 +149,46 @@ def check_leibniz(L: LeibnizAlgebra) -> VerificationReport:
 def _leibniz_failures(L: LeibnizAlgebra):
     """The triples where the identity fails, lazily, each with both sides.
 
-    The test runs in ints over the nonzero entries of L.scaled_table: over
-    F_p on the residues, over Q on the table times the lcm d of its
-    denominators (the identity is homogeneous of degree 2, so the same
-    triples fail).  Both sides are bracketed for failing triples only.
+    The test runs in ints on L.scaled_table: over F_p on the residues, over
+    Q on the table times the lcm d of its denominators (the identity is
+    homogeneous of degree 2, so the same triples fail).  Each product
+    d [e_i, e_m] is packed into one int Q[i][m] = sum_l T[i][m][l] 2^(B l)
+    (Kronecker substitution), and triple (i, j, k) is tested by one sum
+        s = sum_m c_jk^m Q[i][m] - sum_m c_ij^m Q[m][k] + sum_m c_ik^m Q[m][j]
+    of big-int multiply-adds; the last two sums are read from one table P
+    per i, so a triple costs at most 2n of them.  Digit l of s in base 2^B is
+    d^2 times the e_l-component of [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] +
+    [[e_i,e_k],e_j], a sum of at most 3n products of two scaled entries, so
+    with M the largest |entry| it is at most 3n M^2 < 2^(B-1) in absolute
+    value.  Balanced base-2^B digits in (-2^(B-1), 2^(B-1)) are unique, so
+    over Q the triple holds iff s == 0, and over F_p iff every digit of s,
+    unpacked only when s != 0, is 0 mod p.  Both sides are bracketed for
+    failing triples only.
     """
     F, n, p = L.field, L.dim, L.field.modulus
-    nz = L.scaled_table()[1]
-    for i, Ti in enumerate(nz):
-        for j, Tj in enumerate(nz):
+    T = L.scaled_table()[1]
+    M = max((abs(c) for row in T for v in row for _, c in v), default=0)
+    B = (3 * n * M * M).bit_length() + 1
+    Q = [[sum(c << B * l for l, c in v) for v in row] for row in T]
+    half = 1 << B - 1       # added to each digit of s, makes them all nonnegative
+    K, mask = sum(half << B * l for l in range(n)), (1 << B) - 1
+    for i, Ti in enumerate(T):
+        Qi = Q[i]
+        # P[j][k] = sum_m c_ij^m Q[m][k]: the second sum of (i, j, k), the third of (i, k, j)
+        P = []
+        for Tij in Ti:
+            Pj = [0] * n
+            for m, c in Tij:
+                Pj = [a + c * b for a, b in zip(Pj, Q[m])]
+            P.append(Pj)
+        for j, Tj in enumerate(T):
+            Pj = P[j]
             for k in range(n):
-                # d^2 ([e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j])
-                acc = [0] * n
+                s = P[k][j] - Pj[k]
                 for m, c in Tj[k]:
-                    for l, b in Ti[m]:
-                        acc[l] += c * b
-                for m, c in Ti[j]:
-                    for l, b in nz[m][k]:
-                        acc[l] -= c * b
-                for m, c in Ti[k]:
-                    for l, b in nz[m][j]:
-                        acc[l] += c * b
-                if any(acc) if p is None else any(a % p for a in acc):
+                    s += c * Qi[m]
+                if s and (p is None or any((((s + K) >> B * l & mask) - half) % p
+                                           for l in range(n))):
                     ei, ej, ek = L.basis_vector(i), L.basis_vector(j), L.basis_vector(k)
                     yield {
                         "triple": (L.labels[i], L.labels[j], L.labels[k]),

@@ -385,17 +385,22 @@ def _complement_subalgebra(L: LeibnizAlgebra, qp: QuotientPresentation):
     npc = [c for c in range(L.dim) if c not in piv]
     comp, gens = [units[c] for c in npc], I.scaled_rows
     m, d = len(comp), I.dim
-    acts = [[L.scaled_bracket(g, c) for c in comp] for g in gens]  # d[g_r, c_t]
+    # at [t][k], the nonzero entries d[g_r, c_t][pc_k] as (r, entry)
+    acts = [[[(r, a[pc]) for r, a in enumerate(at) if a[pc]] for pc in I.pivots]
+            for at in ([L.scaled_bracket(g, c) for g in gens] for c in comp)]
     rows = []
     for s in range(m):
         for t in range(m):
             w = L.scaled_bracket(comp[s], comp[t])
             res, D = I.scaled_residual(w)
             lam = [res[c] for c in npc]
+            lam_nz = any(lam)
             for k, pc in enumerate(I.pivots):
+                if not (w[pc] or acts[t][k] or lam_nz):
+                    continue        # every entry of the row would be 0
                 row = [0] * (m * d) + [D * w[pc]]
-                for r in range(d):
-                    row[s * d + r] = D * acts[r][t][pc]
+                for r, a in acts[t][k]:
+                    row[s * d + r] = D * a
                 for u in range(m):
                     row[u * d + k] -= lam[u] * gens[k][pc]
                 if p is not None:

@@ -272,3 +272,26 @@ def test_criterion_14_verify_sparse_dim64():
     ok = rep["verdict"] == "pass" and isinstance(t2, Theorem2Report) and t2.passed
     ok &= (t2.details["kernel"].dim, rep["lemma1"].details["complement"].dim) == (32, 32)
     report("14 verify-sparse-dim64", ok and elapsed < 10.0, elapsed)
+
+
+def test_criterion_15_validate_dense_dim33(tmp_path, capsys):
+    # every CLI verb first checks the identity on all 35,937 basis triples
+    from leibnizalg import cli
+    from leibnizalg.fileformat import save_algebra
+
+    L = dense_basis(corpus.example2(32, 16).algebra, random.Random(17))
+    assert sum(1 for row in L.table for v in row for c in v if c) > L.dim ** 3 // 2
+    path = tmp_path / "example2-32-16-dense.json"
+    save_algebra(L, path)
+    t0 = time.time()
+    code = cli.run(["validate", str(path)])
+    elapsed = time.time() - t0
+    ok = code == 0 and "passed: True" in capsys.readouterr().out
+    # one entry off: the gate names the first failing triple in (i, j, k) order
+    table = [[list(v) for v in row] for row in L.table]
+    table[5][7][3] += 1
+    save_algebra(LeibnizAlgebra(L.field, L.dim, table, L.labels), path)
+    ok &= cli.run(["info", str(path)]) == 2
+    ok &= capsys.readouterr().err == ("error: not a Leibniz algebra: [x,[y,z]] = [[x,y],z] - "
+                                      "[[x,z],y] fails at (e1, e1, e8)\n")
+    report("15 validate-dense-dim33", ok and elapsed < 2.0, elapsed)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matrices
+from dense import dense_basis
 from leibnizalg import corpus
 from leibnizalg.core import (
     LeibnizAlgebra,
@@ -123,6 +124,86 @@ def test_check_leibniz_matches_reference_on_corpus():
         algebras = [e.algebra] + [reduce_mod_p(e.algebra, p) for p in (2, 3)]
         for L in filter(None, algebras):
             assert check_leibniz(L) == _check_leibniz_reference(L), (e.name, L.field)
+
+
+# check_leibniz packs each scaled product d [e_i, e_m] into one int of B-bit
+# digits, with B chosen so that every digit of a triple's sum stays below
+# 2^(B-1) in absolute value.  These tables put the scaled entries, and so the
+# digits, at that bound.
+
+P61 = (1 << 61) - 1     # a prime just below 2^61
+
+
+def _rescaled(L, scales):
+    """L in the basis f_i = scales[i] e_i, where c_ij^k becomes
+    c_ij^k s_i s_j / s_k: still Leibniz, with large entries."""
+    F, n = L.field, L.dim
+    return LeibnizAlgebra(F, n, [[[F.mul(L.table[i][j][k],
+                                         F.mul(F.mul(scales[i], scales[j]), F.inv(scales[k])))
+                                   for k in range(n)] for j in range(n)] for i in range(n)],
+                          L.labels)
+
+
+def _perturbed(L, rng, shifts):
+    """L with each shift added to a random entry of its table."""
+    table = [[list(v) for v in row] for row in L.table]
+    for c in shifts:
+        i, j, k = (rng.randrange(L.dim) for _ in range(3))
+        table[i][j][k] = L.field.add(table[i][j][k], c)
+    return LeibnizAlgebra(L.field, L.dim, table, L.labels)
+
+
+def _largest_scaled_entry(L):
+    return max(abs(c) for row in L.scaled_table()[1] for v in row for _, c in v)
+
+
+def _packing_cases(F, rng, scale, shift):
+    """Leibniz tables over F rescaled by scale(), each followed by two copies
+    with entries shifted by shift()."""
+    for L0 in (corpus.example2(6, 3).algebra, corpus.build("example1+sl2").algebra,
+               dense_basis(corpus.example2(4, 2).algebra, random.Random(13))):
+        L0 = L0 if F.modulus is None else reduce_mod_p(L0, F.modulus)
+        L = _rescaled(L0, [scale() for _ in range(L0.dim)])
+        yield L
+        for count in (1, 3):
+            yield _perturbed(L, rng, [shift() for _ in range(count)])
+
+
+def test_check_leibniz_at_the_packing_bound_over_q():
+    # large numerators over mixed denominators: d c, the lcm of the
+    # denominators times an entry, reaches 2^63 to 2^649 here
+    rng = random.Random(3)
+
+    def big():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** 64), rng.randint(1, 10 ** 9))
+
+    for L in _packing_cases(QQ, rng, big, big):
+        assert _largest_scaled_entry(L) > 2 ** 62
+        assert check_leibniz(L) == _check_leibniz_reference(L)
+
+
+def test_check_leibniz_at_the_packing_bound_over_f_p61():
+    # residues up to p - 1 ~ 2^61: products near 2^122 before reduction
+    F, rng = Field(P61), random.Random(5)
+    cases = list(_packing_cases(F, rng, lambda: rng.randrange(P61 - 2 ** 20, P61),
+                                lambda: rng.randrange(1, P61)))
+    cases.append(dense_basis(reduce_mod_p(corpus.example2(6, 3).algebra, P61), random.Random(7)))
+    for L in cases:
+        assert _largest_scaled_entry(L) > P61 - 2 ** 20
+        assert check_leibniz(L) == _check_leibniz_reference(L)
+
+
+def test_check_leibniz_digit_at_the_carry_bound():
+    # [e1,e2] = e1, [e2,e1] = e1 + e2, [e2,e2] = e1 over F_2: M = 1 and
+    # 3 n M^2 = 6, so B = 4.  At (e2, e2, e1) the e1-digit of the packed sum
+    # is 4 (0 mod 2) and the e2-digit 1: the identity fails.  With one bit
+    # fewer, 4 is no balanced 3-bit digit; it would be read as -4 with a
+    # carry that makes the e2-digit 2, and the failure would be missed.
+    L = LeibnizAlgebra.from_products(Field(2), 2, {(0, 1): {0: 1}, (1, 0): {0: 1, 1: 1},
+                                                   (1, 1): {0: 1}})
+    rep = check_leibniz(L)
+    assert rep == _check_leibniz_reference(L)
+    assert (1, 1, 0) in [w["indices"] for w in rep.witnesses]
 
 
 def test_from_products_rejects_non_field_coefficients():
