@@ -26,7 +26,6 @@ from .core import (
     lower_central_series,
     quotient,
     restrict,
-    two_sided_span,
 )
 from .errors import (
     AmbientMismatch,

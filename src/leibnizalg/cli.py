@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -100,6 +101,10 @@ def _load_source(source: str):
         raise ParseError(f"cannot read {source!r}: not UTF-8 ({e.reason})") from None
 
 
+# a vector component: an integer, n/d or a plain decimal, with no exponent
+_COMPONENT = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)")
+
+
 def _parse_span(L, text: str) -> Subspace:
     """The span of the rows of fractions in text, e.g. '0,1;1,0'."""
     if not text:
@@ -110,12 +115,15 @@ def _parse_span(L, text: str) -> Subspace:
         if len(comps) != L.dim:
             raise ParseError(f"vector {row!r} has {len(comps)} components, need {L.dim}")
         vec = []
-        for c in comps:
+        for c in map(str.strip, comps):
             try:
-                q = Fraction(c.strip())
+                # Fraction would also expand an exponent, at a cost that grows with it
+                if not _COMPONENT.fullmatch(c):
+                    raise ValueError
+                q = Fraction(c)
                 vec.append(L.field.scalar(q.numerator, q.denominator))
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad component {c.strip()!r} in vector {row!r}") from None
+                raise ParseError(f"bad component {c!r} in vector {row!r}") from None
         vecs.append(tuple(vec))
     return Subspace.span(L.field, L.dim, vecs)
 

@@ -209,11 +209,6 @@ def bracket_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
                                           for a in A.scaled_rows for b in B.scaled_rows])
 
 
-def two_sided_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
-    """span of [A,B] together with [B,A]."""
-    return bracket_span(L, A, B) + bracket_span(L, B, A)
-
-
 def is_subalgebra(L: LeibnizAlgebra, A: Subspace) -> bool:
     """[a, b] in A for all basis rows a, b; stops at the first product outside A."""
     _check_ambient(L, A)
@@ -231,14 +226,25 @@ def is_ideal(L: LeibnizAlgebra, A: Subspace) -> bool:
 
 
 def ideal_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:
-    """Smallest ideal containing S: fixed point of V -> V + [V,L] + [L,V]."""
+    """Smallest ideal containing S: the fixed point of V -> V + [V,L] + [L,V].
+    Each round brackets only the vectors the last round added (first S's
+    rows) with every basis vector on both sides, in scaled form, and the
+    closure stops as soon as it is L, also in the middle of a round."""
     _check_ambient(L, S)
-    V = S
-    while True:
-        W = V + two_sided_span(L, V, L.full_space())
-        if W.dim == V.dim:
-            return V
-        V = W
+    F, n = L.field, L.dim
+    units = L.full_space().scaled_rows
+    V, new = S, S.scaled_rows
+    while new and V.dim < n:
+        grown = []
+        for w in (prod for u in new for e in units
+                  for prod in (L.scaled_bracket(u, e), L.scaled_bracket(e, u))):
+            if not V.contains(w):
+                V = V + Subspace.span(F, n, [w])
+                if V.dim == n:
+                    return V
+                grown.append(w)
+        new = grown
+    return V
 
 
 def leibniz_kernel(L: LeibnizAlgebra) -> Subspace:

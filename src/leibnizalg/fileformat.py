@@ -124,6 +124,8 @@ def loads_algebra(text: str) -> LeibnizAlgebra:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ParseError("JSON nested too deeply to parse") from None
+    except ValueError as e:     # an integer literal with too many digits to convert
+        raise ParseError(f"invalid number: {str(e).partition(';')[0]}") from None
     if not isinstance(d, dict):
         raise ParseError("top level must be an object")
     return algebra_from_dict(d)

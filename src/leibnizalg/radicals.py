@@ -19,6 +19,7 @@ from .core import (
     bracket_span,
     derived_series,
     embed_subspace,
+    ideal_closure,
     is_ideal,
     is_nilpotent,
     is_solvable,
@@ -133,17 +134,19 @@ def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
 
 
 def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int) -> Subspace:
-    """Over F_p, the sum of the principal ideals <v> on which holds(L, <v>)
-    is true, over the projective points v of F_p^n outside the sum so far:
-    the nilradical for holds = is_nilpotent, the radical for is_solvable.
+    """Over F_p, the sum T of the principal ideals <v> on which holds(L, <v>)
+    is true: the nilradical for holds = is_nilpotent, the radical for
+    is_solvable.
 
     Sums of nilpotent (solvable) ideals are nilpotent (solvable), so the
-    largest such ideal K exists.  Every v in K has <v> inside K, and every v
-    outside K has <v> outside K, so <v> fails the test: the sum is K.  A
-    point already in the sum adds nothing, and a closure that grows to equal
-    one that failed (L among them, when L fails) contains a failing ideal,
-    so it fails too and is not grown further.  BudgetExceeded if F_p^n has
-    more than `budget` projective points.
+    largest such ideal K exists, and T lies in K.  Only the projective points
+    that are zero at every pivot column of T are tested, one per coset
+    v + T with v outside T: T's residual of v, up to scale.  If v is outside
+    K, <v> fails, and no point of v + T lies in K, because T does.  If v is
+    in K, <v> passes and joins T.  The pivot columns of T only grow as T
+    grows, so a point skipped earlier is never needed later, and T ends at
+    K.  An ideal that failed is not tested again.  BudgetExceeded if F_p^n
+    has more than `budget` projective points.
     """
     n, p = L.dim, L.field.modulus
     count = (p ** n - 1) // (p - 1)
@@ -157,36 +160,16 @@ def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int) -> Subspace:
     for c in range(n):
         for tail in product(range(p), repeat=n - c - 1):
             v = (0,) * c + (1,) + tail
-            if total.contains(v):
+            if any(v[pc] for pc in total.pivots):
                 continue
-            J = _principal_ideal(L, v, failed)
-            if J is None:
+            J = ideal_closure(L, Subspace.span(L.field, n, [v]))
+            if J in failed:
                 continue
             if holds(L, J):
                 total = total + J
             else:
                 failed.add(J)
     return total
-
-
-def _principal_ideal(L: LeibnizAlgebra, v, failed: set):
-    """The ideal <v> generated by v, or None once a partial closure is in
-    failed.  Each round brackets only the vectors the last round added, with
-    every basis vector on both sides, and a round stops once the closure is L."""
-    F, n = L.field, L.dim
-    units = L.full_space().scaled_rows
-    V, new = Subspace.span(F, n, [v]), [v]
-    while new and V not in failed:
-        grown = []
-        for w in (prod for u in new for e in units
-                  for prod in (L.scaled_bracket(u, e), L.scaled_bracket(e, u))):
-            if V.dim == n:
-                break
-            if not V.contains(w):
-                V = V + Subspace.span(F, n, [w])
-                grown.append(w)
-        new = grown
-    return None if V in failed else V
 
 
 def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedIdeal:
@@ -220,50 +203,45 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
     of [L,L], which is the radical R.  N lies in every cut (R_x R_y and
     R_x R_v^k shift the flag L > N > N^2 > ... for x in N), so the loop runs
     inside R, where the nilradical is exactly the set of x whose right
-    multiplication (on all of L) is nilpotent, and ends at N.  Certificates
-    then confirm C is a nilpotent ideal with per-basis-vector nilpotent right
-    multiplications, each tested by its image chain.
+    multiplication (on all of L) is nilpotent, and ends at N.
 
     Over F_p, N(L) is the sum of the nilpotent principal ideals
-    (_principal_ideal_sum), with at most `budget` projective points, and
-    carries the same certificates.
+    (_principal_ideal_sum), with at most `budget` projective points, and the
+    same loop runs on it with no cut: a basis vector with non-nilpotent R_v
+    aborts.  Over either field the loop's exit, every basis vector of N with
+    nilpotent R_v, is the certificate right_mult_nilpotent_per_basis_vector,
+    after the certificates that N is an ideal and that its lower central
+    series reaches zero.
     """
+    full = L.full_space()
+    units = full.scaled_rows
     if L.field.modulus is not None:
         N, method = _principal_ideal_sum(L, is_nilpotent, budget), "principal-ideals"
     else:
-        N, method = _nilradical_char0(L), "trace-form-char0"
-    res = _certify(L, N, method, lower_central_series)
-    key = "right_mult_nilpotent_per_basis_vector"
-    full = L.full_space()
-    res.certificates[key] = all(_stable_image(L, full, v).dim == 0 for v in N.scaled_rows)
-    if not res.certificates[key]:
-        raise InternalInconsistency(
-            "computed nilradical has a basis vector with non-nilpotent right multiplication")
-    return res
-
-
-def _nilradical_char0(L: LeibnizAlgebra) -> Subspace:
-    """The trace-form refinement described in nilradical(), uncertified."""
-    full = L.full_space()
-    units = full.scaled_rows
-    # tr(R_x) and tr(R_x R_y) for the basis y of L
-    C = _cut(full, [_traces(L, units)]
-             + [_traces(L, [L.scaled_bracket(e, y) for e in units]) for y in units])
-
+        # tr(R_x) and tr(R_x R_y) for the basis y of L
+        N, method = _cut(full, [_traces(L, units)]
+                         + [_traces(L, [L.scaled_bracket(e, y) for e in units])
+                            for y in units]), "trace-form-char0"
     while True:
-        bad = next((v for v in C.scaled_rows if _stable_image(L, full, v).dim), None)
+        bad = next((v for v in N.scaled_rows if _stable_image(L, full, v).dim), None)
         if bad is None:
-            return C
+            break
+        if L.field.modulus is not None:
+            raise InternalInconsistency(
+                "computed nilradical has a basis vector with non-nilpotent right multiplication")
         # tr(R_x R_v^k) for k = 1..dim L, with R_v^k e_m by repeated products
         cols, functionals = units, []
         for _ in range(L.dim):
             cols = [L.scaled_bracket(c, bad) for c in cols]
             functionals.append(_traces(L, cols))
-        shrunk = _cut(C, functionals)
-        if shrunk.dim >= C.dim:
+        shrunk = _cut(N, functionals)
+        if shrunk.dim >= N.dim:
             raise InternalInconsistency(
                 "trace-form refinement failed to shrink the candidate nilradical")
-        C = shrunk
+        N = shrunk
+    res = _certify(L, N, method, lower_central_series)
+    res.certificates["right_mult_nilpotent_per_basis_vector"] = True
+    return res
 
 
 def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Subspace:

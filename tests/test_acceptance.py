@@ -21,7 +21,6 @@ from leibnizalg.core import (
     leibniz_kernel,
     liesation,
     quotient,
-    two_sided_span,
 )
 from leibnizalg.errors import InternalInconsistency
 from leibnizalg.exactlin import QQ, Subspace
@@ -124,7 +123,7 @@ def test_criterion_5_prop3_corollary_suite():
         N = nilradical(L).subspace
         full = L.full_space()
         ok &= bracket_span(L, full, R) <= N
-        ok &= two_sided_span(L, full, R) <= N
+        ok &= bracket_span(L, full, R) + bracket_span(L, R, full) <= N
         RR = bracket_span(L, R, R)
         ok &= RR <= N
         ok &= RR.dim == 0 or is_nilpotent(L, RR)

@@ -239,12 +239,17 @@ def test_verify_text_prints_the_theorem2_witness_matrix_by_rows(capsys):
     ["info", b"[" * 100000 + b"]" * 100000],                  # was a RecursionError, exit 1
     ["verify", "example1", "--b", ""],                         # was run with the found B
     ["quotient", "example1", "--by", ""],                      # was the quotient by the kernel
+    ["info", b'{"field": "Q", "dim": 1, "basis": ["e1"], "table": [[0, 0, [0, '
+             + b"7" * 5000 + b', 1]]]}'],                      # was a ValueError, exit 1
+    ["verify", "example1", "--b", "1e-10000000,0"],            # was expanded by Fraction
 ], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector",
         "modulus-above-bound", "dim-above-cap", "int-labels", "string-basis", "directory",
         "not-utf8", "corpus-out-missing-dir", "budget-zero", "budget-negative",
-        "duplicate-component", "deeply-nested-json", "empty-b", "empty-by"])
+        "duplicate-component", "deeply-nested-json", "empty-b", "empty-by", "big-int-literal",
+        "exponent-component"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
-    # a dict or bytes argument is written to a file first; "{tmp}" is tmp_path
+    # a dict or bytes argument is written to a file first; "{tmp}" is tmp_path.
+    # Each is refused before any work that grows with the input's numbers
     def as_arg(a):
         if isinstance(a, (dict, bytes)):
             path = tmp_path / "bad.json"
@@ -252,7 +257,10 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
             return str(path)
         return a.replace("{tmp}", str(tmp_path))
 
-    assert cli.run([as_arg(a) for a in args]) == 2
+    args = [as_arg(a) for a in args]
+    t0 = time.time()
+    assert cli.run(args) == 2
+    assert time.time() - t0 < 1.0
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith("error: ")
