@@ -69,9 +69,12 @@ class LeibnizAlgebra:
     def from_products(cls, field: Field, dim: int, products: dict,
                       labels: Optional[Sequence[str]] = None) -> "LeibnizAlgebra":
         """Build from a sparse {(i, j): {k: scalar}} map; omitted products are 0.
-        An int scalar is mapped into the field; any other must be an element."""
+        An int scalar is mapped into the field; any other must be an element.
+        An index i, j or k outside [0, dim) raises ValueError."""
         table = [[list(zero_vec(field, dim)) for _ in range(dim)] for _ in range(dim)]
         for (i, j), comps in products.items():
+            if not all(0 <= x < dim for x in (i, j, *comps)):
+                raise ValueError(f"index outside [0, {dim}) in entry ({i}, {j}): {comps}")
             for k, c in comps.items():
                 table[i][j][k] = field.scalar(c) if isinstance(c, int) else c
         return cls(field, dim, table, labels)
@@ -390,8 +393,8 @@ def restrict(L: LeibnizAlgebra, A: Subspace) -> LeibnizAlgebra:
     in A of each product of basis rows; one outside A raises NotASubalgebra.
 
     Subspaces of the restricted algebra live in restricted coordinates; use
-    embed_subspace / A.rows to map them back into L.  Only needed where an
-    algebra is the answer: N(B) in theorem 2 and the Frattini ideal of B.
+    embed_subspace / A.rows to map them back into L.  Needed only for N(B) in
+    theorem 2 and for scanning a non-nilpotent B over F_p (frattini_ideal).
     """
     _check_ambient(L, A)
     table = [[A.coords(L.bracket(u, v)) for v in A.rows] for u in A.rows]

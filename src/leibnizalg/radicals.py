@@ -139,7 +139,9 @@ def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int) -> Subspace:
     is_solvable.
 
     Sums of nilpotent (solvable) ideals are nilpotent (solvable), so the
-    largest such ideal K exists, and T lies in K.  Only the projective points
+    largest such ideal K exists, and T lies in K.  T starts at the kernel I:
+    [L, I] = 0 gives [I, I] = 0, so I is a nilpotent ideal and lies in
+    N(L) <= R(L); holds(L, I) certifies it.  Only the projective points
     that are zero at every pivot column of T are tested, one per coset
     v + T with v outside T: T's residual of v, up to scale.  If v is outside
     K, <v> fails, and no point of v + T lies in K, because T does.  If v is
@@ -156,7 +158,9 @@ def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int) -> Subspace:
     full = L.full_space()
     if holds(L):
         return full
-    failed, total = {full}, L.zero_space()
+    failed, total = {full}, leibniz_kernel(L)
+    if not holds(L, total):
+        raise InternalInconsistency("the kernel fails the test of the radical it seeds")
     for c in range(n):
         for tail in product(range(p), repeat=n - c - 1):
             v = (0,) * c + (1,) + tail
@@ -244,20 +248,25 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
     return res
 
 
-def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Subspace:
-    """Largest ideal contained in every maximal subalgebra.
+def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET,
+                   A: Subspace | None = None) -> Subspace:
+    """Largest ideal of the subalgebra A of L (default L) contained in every
+    maximal subalgebra of A, as a subspace of L.
 
-    Nilpotent algebras: every maximal subalgebra contains [L,L], the second
-    term of the lower central series, so it is the Frattini ideal (checked
-    against the exhaustive scan on nilpotent F_p instances by the tests).
-    Otherwise only prime fields under the oracle budget are supported.
+    Nilpotent A: every maximal subalgebra contains [A,A], the second term of
+    the lower central series taken inside L, so it is the Frattini ideal
+    (checked against the exhaustive scan on nilpotent F_p instances by the
+    tests).  Otherwise only prime fields under the oracle budget are
+    supported, by the scan of L, or of restrict(L, A) embedded back into L.
     """
-    series = lower_central_series(L)
+    series = lower_central_series(L, A)
     if series[-1].dim == 0:
-        return series[:2][-1]       # [L,L] is series[1], or 0 = series[0] when L = 0
-    if L.field.modulus is not None:
+        return series[:2][-1]       # [A,A] is series[1], or 0 = series[0] when A = 0
+    if L.field.modulus is None:
+        raise Unsupported("Frattini ideal over Q is only computed for nilpotent algebras")
+    if A is None:
         return oracle.frattini_oracle(L, budget)
-    raise Unsupported("Frattini ideal over Q is only computed for nilpotent algebras")
+    return embed_subspace(A, oracle.frattini_oracle(restrict(L, A), budget))
 
 
 def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
@@ -268,35 +277,20 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     dimension.  Only when there is none are other candidates searched.  Over
     a prime field the search is then exhaustive over the subalgebras of the
     lattice scan of L, smallest dimension first, under the oracle budget.
-    Over Q the one other candidate comes from _q_candidates, and None means
-    that L has neither a complement subalgebra of I nor a nilpotent
-    subalgebra B with L = I + B and I cap B inside [B,B] = phi(B): no B whose
-    Frattini ideal is computable over Q meets the premises.
+    Over Q the one other candidate is the complement subalgebra of the
+    Fitting one component of I (_complement_B), and None means that L has
+    neither a complement subalgebra of I nor a nilpotent subalgebra B with
+    L = I + B and I cap B inside [B,B] = phi(B): no B whose Frattini ideal is
+    computable over Q meets the premises.
     """
     qp = quotient(L, leibniz_kernel(L))
-    return _complement_B(qp, _complement_subalgebra(L, qp), budget)
+    return _complement_B(qp, _complement_subalgebra(L, qp.ideal), budget)
 
 
 def _complement_B(qp: QuotientPresentation, S, budget: int):
     """find_complement_B on qp.parent, with qp the quotient by the kernel I
-    and S the complement subalgebra of I, or None if I has none."""
-    if S is not None:
-        return S        # I + S = L and I cap S = 0, so both premises hold
-    L, I = qp.parent, qp.ideal
-    if L.field.modulus is not None:
-        candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
-    else:
-        candidates = _q_candidates(L, qp)
-    for B in candidates:
-        if B is not None and all(holds for _, holds, _ in _theorem2_premises(L, I, B, None, budget)):
-            return B
-    return None
-
-
-def _q_candidates(L: LeibnizAlgebra, qp: QuotientPresentation):
-    """Theorem 2's candidates over Q when the kernel I has no complement
-    subalgebra, lazily; None for a system without solution.  qp is the
-    quotient by I.
+    and S the complement subalgebra of I, or None if I has none; then other
+    candidates are searched, over Q a list of at most one.
 
     The complement subalgebra of I (B cap I = 0) always qualifies, and is
     tried before these.  If Q = L/I is nilpotent, the candidate is the
@@ -315,8 +309,18 @@ def _q_candidates(L: LeibnizAlgebra, qp: QuotientPresentation):
     kill psi(s) (long brackets vanish in the nilpotent L/I_1), and psi(s)
     lies in I_0 cap I_1 = 0.
     """
-    if is_nilpotent(qp.quotient):
-        yield _complement_subalgebra(L, quotient(L, _fitting_one(L, qp.ideal)))
+    if S is not None:
+        return S        # I + S = L and I cap S = 0, so both premises hold
+    L, I = qp.parent, qp.ideal
+    if L.field.modulus is not None:
+        candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
+    else:
+        candidates = ([_complement_subalgebra(L, _fitting_one(L, I))]
+                      if is_nilpotent(qp.quotient) else [])
+    for B in candidates:
+        if B is not None and all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
+            return B
+    return None
 
 
 def _fitting_one(L: LeibnizAlgebra, I: Subspace) -> Subspace:
@@ -332,14 +336,14 @@ def _fitting_one(L: LeibnizAlgebra, I: Subspace) -> Subspace:
     return I1
 
 
-def _complement_subalgebra(L: LeibnizAlgebra, qp: QuotientPresentation):
+def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
     """A subalgebra B with B cap I = 0 and B + I = L, or None if there is none.
-    qp is the quotient by I, the kernel or an ideal of L inside it.
+    I is the kernel or an ideal of L inside it.
 
     Putting y = z in the identity gives [x, y^2] = 0, so [L, I] = 0.  Let
-    c_1..c_m be the section of qp (the units at I's non-pivot columns
-    npc_1..npc_m), g_1..g_d the scaled rows of I with pivot columns
-    pc_1..pc_d, and b_s = c_s + sum_r a_sr g_r.  Then
+    c_1..c_m be the units at I's non-pivot columns npc_1..npc_m, g_1..g_d
+    the scaled rows of I with pivot columns pc_1..pc_d, and
+    b_s = c_s + sum_r a_sr g_r.  Then
     [b_s, b_t] = [c_s, c_t] + sum_r a_sr [g_r, c_t], and with lam the table
     of L/I, span(b) is a subalgebra iff for all s, t the vector
         [b_s, b_t] - sum_u lam_stu b_u
@@ -356,7 +360,7 @@ def _complement_subalgebra(L: LeibnizAlgebra, qp: QuotientPresentation):
     the constant term in the last column.  When I = 0 the complement is L,
     with nothing to solve.
     """
-    F, p, I = L.field, L.field.modulus, qp.ideal
+    F, p = L.field, L.field.modulus
     if not I.dim:
         return L.full_space()
     units, piv = L.full_space().scaled_rows, set(I.pivots)
@@ -398,25 +402,17 @@ def _complement_subalgebra(L: LeibnizAlgebra, qp: QuotientPresentation):
     return B
 
 
-def _theorem2_premises(L, I, B, LB, budget):
+def _theorem2_premises(L, I, B, budget):
     """Theorem 2's premises on a subalgebra B, in order and lazily, as
-    (name, holds, message if it fails).  LB is restrict(L, B), or None to
-    restrict only if the Frattini ideal of B is needed."""
+    (name, holds, message if it fails)."""
     yield "I_plus_B_is_L", (I + B) == L.full_space(), "I + B is not all of L"
     IB = I & B
-    holds = IB.dim == 0 or IB <= _frattini_of_subalgebra(   # 0 is in any phi(B)
-        LB if LB is not None else restrict(L, B), B, budget)
-    yield "I_cap_B_in_frattini_of_B", holds, "I cap B is not inside the Frattini ideal of B"
-
-
-def _frattini_of_subalgebra(LB, B, budget):
-    """Frattini ideal of LB = restrict(L, B), embedded back into L."""
     try:
-        phi = frattini_ideal(LB, budget)
+        holds = IB.dim == 0 or IB <= frattini_ideal(L, budget, B)   # 0 is in any phi(B)
     except Unsupported:
         raise Unsupported(
             "cannot verify I cap B <= phi(B): Frattini ideal of B not computable") from None
-    return embed_subspace(B, phi)
+    yield "I_cap_B_in_frattini_of_B", holds, "I cap B is not inside the Frattini ideal of B"
 
 
 def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
@@ -431,7 +427,7 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
     except NotASubalgebra:
         raise PremiseViolation("B is not a subalgebra") from None
     premises = {"B_is_subalgebra": True}
-    for name, holds, failure in _theorem2_premises(L, I, B, LB, budget):
+    for name, holds, failure in _theorem2_premises(L, I, B, budget):
         premises[name] = holds
         if not holds:
             raise PremiseViolation(failure)
@@ -570,7 +566,7 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
     qp = quotient(L, leibniz_kernel(L))
     NL = nilradical(L, budget).subspace       # over F_p the first budget check is on L
     NQ = nilradical(qp.quotient, budget).subspace
-    S = _complement_subalgebra(L, qp)
+    S = _complement_subalgebra(L, qp.ideal)
     report = {"lemma1": attempt(verify_lemma1, L, qp, NL, NQ, S, budget)}
     if B is None:
         B = _complement_B(qp, S, budget)

@@ -214,6 +214,14 @@ def test_from_products_rejects_non_field_coefficients():
     assert L.table[0][0] == (0, Fraction(1, 2)) and L.table[1][0] == (0, 2)
 
 
+def test_from_products_rejects_indices_outside_the_basis():
+    # a negative index would wrap: (-1, 0) -> 1 would set [e2, e1] = e2
+    for products, entry in (({(-1, 0): {1: 1}}, r"\(-1, 0\)"),
+                            ({(0, 0): {2: 1}}, r"\(0, 0\): \{2: 1\}")):
+        with pytest.raises(ValueError, match=entry):
+            LeibnizAlgebra.from_products(QQ, 2, products)
+
+
 def test_constructor_rejects_entries_outside_the_field():
     with pytest.raises(TypeError):
         LeibnizAlgebra(QQ, 1, [[[0.5]]])
@@ -504,6 +512,8 @@ def test_is_lie():
     assert is_lie(sl2())
     assert is_lie(corpus.abelian(2).algebra)
     assert not is_lie(ex1())
+    # [x, x] = x2 is antisymmetric mod 2 but not alternating
+    assert not is_lie(reduce_mod_p(corpus.nilcyclic2().algebra, 2))
 
 
 # ---------------------------------------------------------------- series

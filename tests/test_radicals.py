@@ -464,7 +464,8 @@ def test_find_b_meets_the_kernel_in_its_fitting_null_component():
 
 def test_find_b_builds_the_quotient_by_the_kernel_once(monkeypatch):
     # the L of the test above: one quotient by I = span(i1, i2) for the
-    # complement of I and the nilpotency of L/I, one by I_1 = span(i2)
+    # nilpotency of L/I; the complements of I and of I_1 = span(i2) are
+    # solved on the ideals
     from leibnizalg import radicals
 
     L = LeibnizAlgebra.from_products(QQ, 3, {(0, 0): {1: 1}, (2, 0): {2: 1}})
@@ -476,7 +477,78 @@ def test_find_b_builds_the_quotient_by_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(radicals, "quotient", counted)
     assert find_complement_B(L) == span_of(L, L.basis_vector(0), L.basis_vector(1))
-    assert calls == [leibniz_kernel(L), span_of(L, L.basis_vector(2))]
+    assert calls == [leibniz_kernel(L)]
+
+
+def theorem2_meeting_cases():
+    """Inputs whose B meets I and is nilpotent: the Fitting example above, the
+    table with denominators [x, x] = 1/2 y + 1/3 z, [y, x] = 5/6 y, and
+    nilcyclic2 over Q and mod 3."""
+    from leibnizalg.oracle import reduce_mod_p
+
+    nil = corpus.nilcyclic2().algebra
+    return [LeibnizAlgebra.from_products(QQ, 3, {(0, 0): {1: 1}, (2, 0): {2: 1}}),
+            LeibnizAlgebra.from_products(QQ, 3, {(0, 0): {1: Fraction(1, 2), 2: Fraction(1, 3)},
+                                                 (1, 0): {1: Fraction(5, 6)}}),
+            nil, reduce_mod_p(nil, 3)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_theorem2_restricts_only_for_the_nilradical_of_B(monkeypatch, case):
+    # phi(B) = [B, B] of a nilpotent B is taken inside L, and the complement
+    # of I_1 is solved on the ideal: find_complement_B restricts nothing and
+    # quotients only by I, and verify restricts once, for N(B)
+    from leibnizalg import core, radicals
+
+    L = theorem2_meeting_cases()[case]
+    calls = []
+    for module in (core, radicals):
+        monkeypatch.setattr(module, "restrict", counting(calls, restrict))
+        monkeypatch.setattr(module, "quotient", counting(calls, quotient))
+    B = find_complement_B(L)
+    assert B is not None and (leibniz_kernel(L) & B).dim
+    assert sorted(calls) == ["quotient"]
+    calls.clear()
+    assert verify(L)["verdict"] == "pass"
+    assert sorted(calls) == ["quotient", "restrict"]
+
+
+def test_frattini_of_a_subalgebra_matches_the_restricted_reference():
+    # phi(A) taken inside L against phi(restrict(L, A)) embedded back into L:
+    # every subalgebra of the F_2 and F_3 corpus reductions with at most
+    # 3,000 subspaces, and every coordinate subalgebra of the corpus over Q,
+    # where a non-nilpotent A is Unsupported both ways
+    from itertools import combinations
+
+    from leibnizalg import oracle
+    from leibnizalg.exactlin import subspace_count
+    from leibnizalg.oracle import reduce_mod_p
+
+    def phi(L, A=None):
+        try:
+            return frattini_ideal(L, oracle.DEFAULT_BUDGET, A)
+        except Unsupported:
+            return Unsupported
+
+    def reference(L, A):
+        phi_A = phi(restrict(L, A))
+        return phi_A if phi_A is Unsupported else embed_subspace(A, phi_A)
+
+    fp, q = [], []
+    for e in corpus.standard_entries():
+        for p in (2, 3):
+            Lp = reduce_mod_p(e.algebra, p)
+            if Lp is not None and subspace_count(Lp.dim, p) <= 3000:
+                fp += [(f"{e.name} mod {p}", Lp, A) for A in oracle.scan(Lp).subalgebras]
+        L = e.algebra
+        for k in range(L.dim + 1):
+            for cols in combinations(range(L.dim), k):
+                A = span_of(L, *(L.basis_vector(c) for c in cols))
+                if is_subalgebra(L, A):
+                    q.append((e.name, L, A))
+    for name, L, A in fp + q:
+        assert phi(L, A) == reference(L, A), (name, A)
+    assert (len(fp), len(q), sum(phi(L, A) is Unsupported for _, L, A in q)) == (1038, 137, 59)
 
 
 def test_find_b_tries_the_fitting_component_only_over_a_nilpotent_quotient():
@@ -554,7 +626,7 @@ def test_complement_solve_matches_the_dense_reference():
                 cases.append((f"{e.name} mod {p}", Lp, quotient(Lp, leibniz_kernel(Lp))))
     found = 0
     for name, L, qp in cases:
-        B = radicals._complement_subalgebra(L, qp)
+        B = radicals._complement_subalgebra(L, qp.ideal)
         assert B == _complement_reference(L, qp), name
         found += B is not None
     assert (len(cases), found) == (109, 102)
@@ -833,17 +905,34 @@ def test_fp_radicals_and_verify_agree_with_the_oracle_on_the_summands_mod_3():
     assert time.time() - t0 < 1.0
 
 
-@pytest.mark.parametrize("compute, most", [(nilradical, 200), (radical, 50)])
-def test_fp_radicals_close_one_point_per_coset(monkeypatch, compute, most):
+@pytest.mark.parametrize("names, compute, most", [
+    pytest.param(("example2-2-1+sl2",), nilradical, 200, id="nilradical-200"),
+    pytest.param(("example2-2-1+sl2",), radical, 50, id="radical-50"),
+    pytest.param(("example1+sl2",), nilradical, 160, id="example1+sl2-nilradical-160"),
+    pytest.param(("example2-2-1+sl2", "example1"), nilradical, 800, id="dim8-nilradical-800"),
+    pytest.param(("example2-2-1+sl2", "example1"), radical, 200, id="dim8-radical-200")])
+def test_fp_radicals_close_one_point_per_coset(monkeypatch, names, compute, most):
     # only the points zero at every pivot column of the running sum are
     # closed; closing every point outside the sum formed 3,902 (nilradical)
-    # and 3,877 (radical) closures on example2-2-1+sl2 mod 5
+    # and 3,877 (radical) closures on example2-2-1+sl2 mod 5.  The sum starts
+    # at the kernel: from 0 it closed 657 points for example1+sl2, and 3,908
+    # (nilradical) and 779 (radical) for the dim-8 sum
     from leibnizalg import radicals
 
     calls = []
     monkeypatch.setattr(radicals, "ideal_closure", counting(calls, radicals.ideal_closure))
-    compute(fp_direct_sum("example2-2-1+sl2", p=5))
+    compute(fp_direct_sum(*names, p=5))
     assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("holds, compute", [("is_nilpotent", nilradical),
+                                            ("is_solvable", radical)])
+def test_fp_radical_certifies_the_kernel_it_starts_from(monkeypatch, holds, compute):
+    from leibnizalg import radicals
+
+    monkeypatch.setattr(radicals, holds, lambda L, A=None: False)
+    with pytest.raises(InternalInconsistency, match="kernel"):
+        compute(fp_direct_sum("example1", p=3))
 
 
 @pytest.mark.parametrize("holds, compute", [("is_nilpotent", nilradical),
@@ -985,7 +1074,8 @@ def test_verify_computes_the_radical_once(monkeypatch, name):
 
 def test_verify_restricts_a_given_B_once(monkeypatch, capsys):
     # B = L on nilcyclic2 meets I = span(x2), so the premise I cap B <= phi(B)
-    # needs the Frattini ideal of B, read from theorem 2's own restriction
+    # needs the Frattini ideal of B, [B, B] of the nilpotent B taken inside
+    # L; the one restriction is theorem 2's, for N(B)
     from leibnizalg import cli, core, radicals
 
     calls = []
