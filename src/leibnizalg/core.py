@@ -3,6 +3,9 @@ directly from the table: identity checking, subspace products, ideals, series,
 quotients, the kernel of squares, liesation, the centre.  No operator matrix
 is built: a right or left multiplication acts only through brackets, most of
 them formed on integer vectors from the scaled table (scaled_bracket).  The
+2n products of one vector with the basis, which the ideal tests, the ideal
+closure, the centre and the largest contained ideal read, come from one pass
+over the table (unit_products), not from 2n brackets.  The
 Leibniz identity is checked on packed ints: each scaled product is one int
 with a B-bit digit per component, B large enough that the digits of every
 triple's sum are unique (_leibniz_failures).
@@ -44,7 +47,7 @@ class LeibnizAlgebra:
     and hashing look at the field and the table, not at the labels.
     """
 
-    __slots__ = ("field", "dim", "labels", "table", "_scaled")
+    __slots__ = ("field", "dim", "labels", "table", "_scaled", "_full")
 
     def __init__(self, field: Field, dim: int, table, labels: Optional[Sequence[str]] = None):
         self.field = field
@@ -63,7 +66,7 @@ class LeibnizAlgebra:
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i+1}" for i in range(dim))
         if len(self.labels) != dim:
             raise ValueError("need one label per basis vector")
-        self._scaled = None
+        self._scaled = self._full = None
 
     @classmethod
     def from_products(cls, field: Field, dim: int, products: dict,
@@ -117,8 +120,32 @@ class LeibnizAlgebra:
         p = self.field.modulus
         return out if p is None else [a % p for a in out]
 
+    def unit_products(self, U: Sequence[int]) -> tuple:
+        """(right, left) with right[j] = d [U, e_j] and left[j] = d [e_j, U]
+        for an integer vector U (residues over F_p), d as in scaled_table: the
+        2n products of U with the basis in one pass over U's nonzero entries
+        and row and column i of the scaled table for each of them."""
+        n, T = self.dim, self.scaled_table()[1]
+        right = [[0] * n for _ in range(n)]
+        left = [[0] * n for _ in range(n)]
+        for i, a in enumerate(U):
+            if a:
+                for Tij, Tj, right_j, left_j in zip(T[i], T, right, left):
+                    for k, c in Tij:
+                        right_j[k] += a * c
+                    for k, c in Tj[i]:
+                        left_j[k] += a * c
+        p = self.field.modulus
+        if p is not None:
+            right = [[a % p for a in w] for w in right]
+            left = [[a % p for a in w] for w in left]
+        return right, left
+
     def full_space(self) -> Subspace:
-        return Subspace.full(self.field, self.dim)
+        """L itself, built once: a Subspace never changes."""
+        if self._full is None:
+            self._full = Subspace.full(self.field, self.dim)
+        return self._full
 
     def zero_space(self) -> Subspace:
         return Subspace.zero(self.field, self.dim)
@@ -221,11 +248,11 @@ def is_subalgebra(L: LeibnizAlgebra, A: Subspace) -> bool:
 
 def is_ideal(L: LeibnizAlgebra, A: Subspace) -> bool:
     """[a, e_j] and [e_j, a] in A for all basis rows a and all j; stops at the
-    first product outside A.  Rows and products are in scaled form."""
+    first product outside A.  Rows and products are in scaled form, the 2n
+    products of a row from one unit_products pass."""
     _check_ambient(L, A)
-    units = L.full_space().scaled_rows
-    return all(A.contains(L.scaled_bracket(a, e)) and A.contains(L.scaled_bracket(e, a))
-               for a in A.scaled_rows for e in units)
+    return all(A.contains(w) for a in A.scaled_rows
+               for side in L.unit_products(a) for w in side)
 
 
 def ideal_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:
@@ -235,12 +262,10 @@ def ideal_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:
     closure stops as soon as it is L, also in the middle of a round."""
     _check_ambient(L, S)
     F, n = L.field, L.dim
-    units = L.full_space().scaled_rows
     V, new = S, S.scaled_rows
     while new and V.dim < n:
         grown = []
-        for w in (prod for u in new for e in units
-                  for prod in (L.scaled_bracket(u, e), L.scaled_bracket(e, u))):
+        for w in (prod for u in new for pair in zip(*L.unit_products(u)) for prod in pair):
             if not V.contains(w):
                 V = V + Subspace.span(F, n, [w])
                 if V.dim == n:
@@ -414,12 +439,10 @@ def embed_subspace(A: Subspace, S: Subspace) -> Subspace:
 
 def center(L: LeibnizAlgebra) -> Subspace:
     """{ x : [x, L] = [L, x] = 0 }: where e_i -> (d [e_i, e_j], d [e_j, e_i])_j
-    vanishes, with the integer products formed by scaled_bracket."""
+    vanishes, with the integer products formed by unit_products."""
     full = L.full_space()
-    units = full.scaled_rows
-    return full.where_zero([[a for e in units for w in (L.scaled_bracket(u, e),
-                                                         L.scaled_bracket(e, u)) for a in w]
-                            for u in units])
+    return full.where_zero([[a for pair in zip(*L.unit_products(u)) for w in pair for a in w]
+                            for u in full.scaled_rows])
 
 
 def largest_contained_ideal(L: LeibnizAlgebra, K: Subspace) -> Subspace:
@@ -427,13 +450,11 @@ def largest_contained_ideal(L: LeibnizAlgebra, K: Subspace) -> Subspace:
     K -> { x in K : [x, e_j], [e_j, x] in K for all j }, a linear computation.
     """
     _check_ambient(L, K)
-    units = L.full_space().scaled_rows
     V = K
     while True:
         # each scaled row u maps to the integer residuals against V of
         # d [u, e_j] and d [e_j, u], all on V's one scale
-        W = V.where_zero([[a for e in units for w in (L.scaled_bracket(u, e),
-                                                      L.scaled_bracket(e, u))
+        W = V.where_zero([[a for pair in zip(*L.unit_products(u)) for w in pair
                            for a in V.scaled_residual(w)[0]] for u in V.scaled_rows])
         if W.dim == V.dim:
             return W

@@ -334,9 +334,10 @@ class Subspace:
             if len(rows) == n:
                 continue
             res = _eliminate(to_scaled(F, v)[0], rows, pivots, p)[0]
-            pc = next((j for j, a in enumerate(res) if a), None)
-            if pc is None:
+            lead = next(filter(None, res), 0)       # the first nonzero entry
+            if not lead:
                 continue
+            pc = res.index(lead)
             res = _normalize(res, pc, p)
             for i, row in enumerate(rows):
                 if row[pc]:
@@ -351,7 +352,14 @@ class Subspace:
         return lin_comb(self.field, self.ambient_dim, w, self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.scaled_residual(v)[0])
+        """Is v in the subspace?  Over F_p, v's residues are reduced as they
+        are, with no scaled form to build."""
+        p = self.field.modulus
+        if p is None:
+            return not any(self.scaled_residual(v)[0])
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch("vector length != ambient dim")
+        return not any(_eliminate(v, self._scaled, self.pivots, p)[0])
 
     def coords(self, v: Sequence) -> Optional[Vector]:
         """Coefficients of v in the RREF basis, or None if v is outside.
@@ -364,7 +372,13 @@ class Subspace:
         return tuple(v[pc] for pc in self.pivots)
 
     def leq(self, other: "Subspace") -> bool:
+        """Is self inside other?  Each pivot column of a subspace of other
+        leads one of its vectors, so it is a pivot column of other: a larger
+        dimension or a pivot column outside other's decides before any row
+        is reduced."""
         self._check_compat(other)
+        if self.dim > other.dim or not set(self.pivots).issubset(other.pivots):
+            return False
         return all(other.contains(r) for r in self.scaled_rows)
 
     def __le__(self, other):

@@ -3,9 +3,13 @@
 Subspaces of F_p^n are enumerated exactly once via their RREF canonical forms,
 grouped by pivot-column pattern; everything else (ideal lattices, brute-force
 nilradical / radical / Frattini ideal) filters or folds that stream.  The
-sum-of-all-nilpotent-ideals construction asserts, on concrete data, that the
-sum is itself a nilpotent ideal containing every nilpotent ideal; a failure
-aborts because it could only be an implementation bug.
+nilpotency and solvability verdicts on the ideals are inherited where the
+lattice decides them: walking the ideals by descending dimension, an ideal
+inside one that is nilpotent (solvable) is too, one that contains an ideal
+that is not is not either, and only the rest run their series (_holding).
+The sum-of-all-nilpotent-ideals construction asserts, on concrete data, that
+the sum is itself a nilpotent ideal containing every nilpotent ideal; a
+failure aborts because it could only be an implementation bug.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ def enumerate_subspaces(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterato
                     rows[r][pc] = 1
                 for (r, c), v in zip(free_pos, vals):
                     rows[r][c] = v
-                yield Subspace(F, n, rows)
+                yield Subspace._from_scaled(F, n, map(tuple, rows), pivots)
 
 
 @dataclass(frozen=True)
@@ -112,19 +116,36 @@ def scan(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> LatticeScan:
 def _scan_cached(L: LeibnizAlgebra) -> LatticeScan:
     p = L.field.modulus
     total = subspace_count(L.dim, p)
-    subalgebras, ideals, nilpotent, solvable = [], [], [], []
-    for S in enumerate_subspaces(L.dim, p, total):
-        if not is_subalgebra(L, S):
-            continue
-        subalgebras.append(S)
-        if is_ideal(L, S):          # every ideal is a subalgebra
-            ideals.append(S)
-            if is_nilpotent(L, S):
-                nilpotent.append(S)
-            if is_solvable(L, S):
-                solvable.append(S)
-    return LatticeScan(L, total, tuple(subalgebras), tuple(ideals), tuple(nilpotent),
-                       tuple(solvable), _maximal(L, subalgebras))
+    subalgebras = [S for S in enumerate_subspaces(L.dim, p, total) if is_subalgebra(L, S)]
+    ideals = [S for S in subalgebras if is_ideal(L, S)]     # every ideal is a subalgebra
+    solvable = _holding(L, ideals, is_solvable, [])
+    # a nilpotent ideal is solvable: one that contains a non-solvable ideal is not nilpotent
+    known = set(solvable)
+    nilpotent = _holding(L, ideals, is_nilpotent, [J for J in ideals if J not in known])
+    return LatticeScan(L, total, tuple(subalgebras), tuple(ideals), nilpotent, solvable,
+                       _maximal(L, subalgebras))
+
+
+def _holding(L: LeibnizAlgebra, ideals: list, holds, failed: list) -> tuple:
+    """The ideals J with holds(L, J), in their given order, for holds
+    is_nilpotent or is_solvable; `failed` lists ideals on which it is known
+    to be false.
+
+    J <= K gives J^m <= K^m and J^(m) <= K^(m), so an ideal inside one that
+    holds holds, and one that contains one that fails fails.  The ideals
+    are walked by descending dimension, from the verdicts known so far (the
+    zero ideal holds), and only those that neither rule decides are tested.
+    """
+    held, failed, verdict = [L.zero_space()], list(failed), {}
+    for J in sorted(ideals, key=lambda J: -J.dim):
+        if any(J.leq(K) for K in held):
+            verdict[J] = True
+        elif any(K.leq(J) for K in failed):
+            verdict[J] = False
+        else:
+            verdict[J] = holds(L, J)
+            (held if verdict[J] else failed).append(J)
+    return tuple(J for J in ideals if verdict[J])
 
 
 def _maximal(L: LeibnizAlgebra, subalgebras: list) -> tuple:

@@ -90,8 +90,7 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
         R = _principal_ideal_sum(L, is_solvable, budget)
         return _certify(L, R, "principal-ideals", derived_series)
     full = L.full_space()
-    units = full.scaled_rows
-    R = _cut(full, [_traces(L, [L.scaled_bracket(e, d) for e in units])
+    R = _cut(full, [_traces(L, L.unit_products(d)[1])
                     for d in bracket_span(L, full, full).scaled_rows])
     return _certify(L, R, "trace-form-char0", derived_series)
 
@@ -224,8 +223,7 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
     else:
         # tr(R_x) and tr(R_x R_y) for the basis y of L
         N, method = _cut(full, [_traces(L, units)]
-                         + [_traces(L, [L.scaled_bracket(e, y) for e in units])
-                            for y in units]), "trace-form-char0"
+                         + [_traces(L, L.unit_products(y)[1]) for y in units]), "trace-form-char0"
     while True:
         bad = next((v for v in N.scaled_rows if _stable_image(L, full, v).dim), None)
         if bad is None:
@@ -284,13 +282,16 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     computable over Q meets the premises.
     """
     qp = quotient(L, leibniz_kernel(L))
-    return _complement_B(qp, _complement_subalgebra(L, qp.ideal), budget)
+    return _complement_B(qp, _complement_subalgebra(L, qp.ideal), budget)[0]
 
 
 def _complement_B(qp: QuotientPresentation, S, budget: int):
     """find_complement_B on qp.parent, with qp the quotient by the kernel I
     and S the complement subalgebra of I, or None if I has none; then other
-    candidates are searched, over Q a list of at most one.
+    candidates are searched, over Q a list of at most one.  Returns
+    (B, premises): premises is theorem 2's premise dict that the search
+    checked on B, for verify_theorem2 to reuse, or None when nothing was
+    searched (B is S) or nothing was found (B is None).
 
     The complement subalgebra of I (B cap I = 0) always qualifies, and is
     tried before these.  If Q = L/I is nilpotent, the candidate is the
@@ -310,7 +311,7 @@ def _complement_B(qp: QuotientPresentation, S, budget: int):
     lies in I_0 cap I_1 = 0.
     """
     if S is not None:
-        return S        # I + S = L and I cap S = 0, so both premises hold
+        return S, None      # I + S = L and I cap S = 0, so both premises hold
     L, I = qp.parent, qp.ideal
     if L.field.modulus is not None:
         candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
@@ -318,9 +319,16 @@ def _complement_B(qp: QuotientPresentation, S, budget: int):
         candidates = ([_complement_subalgebra(L, _fitting_one(L, I))]
                       if is_nilpotent(qp.quotient) else [])
     for B in candidates:
-        if B is not None and all(holds for _, holds, _ in _theorem2_premises(L, I, B, budget)):
-            return B
-    return None
+        if B is None:
+            continue
+        premises = {}
+        for name, holds, _ in _theorem2_premises(L, I, B, budget):
+            if not holds:
+                break
+            premises[name] = holds
+        else:
+            return B, premises
+    return None, None
 
 
 def _fitting_one(L: LeibnizAlgebra, I: Subspace) -> Subspace:
@@ -416,10 +424,13 @@ def _theorem2_premises(L, I, B, budget):
 
 
 def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
-                    NQ: Subspace, B: Subspace, budget: int) -> Theorem2Report:
+                    NQ: Subspace, B: Subspace, budget: int,
+                    checked: dict | None = None) -> Theorem2Report:
     """Check N(L/I) = (I + N(B))/I, and that it equals N(L)/I exactly when
     every basis element n of N(B) has nilpotent right multiplication on I.
-    qp is the quotient by I, NL is N(L) and NQ is N(L/I).
+    qp is the quotient by I, NL is N(L) and NQ is N(L/I).  checked holds
+    the premises that _complement_B's search already found true on B; when
+    it is None they are checked here.
     """
     I = qp.ideal
     try:
@@ -427,10 +438,13 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
     except NotASubalgebra:
         raise PremiseViolation("B is not a subalgebra") from None
     premises = {"B_is_subalgebra": True}
-    for name, holds, failure in _theorem2_premises(L, I, B, budget):
-        premises[name] = holds
-        if not holds:
-            raise PremiseViolation(failure)
+    if checked is not None:
+        premises.update(checked)
+    else:
+        for name, holds, failure in _theorem2_premises(L, I, B, budget):
+            premises[name] = holds
+            if not holds:
+                raise PremiseViolation(failure)
 
     # B = L/I as algebras when their tables agree, and then N(B) is N(L/I)
     NB = NQ if LB == qp.quotient else nilradical(LB, budget).subspace
@@ -568,10 +582,11 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
     NQ = nilradical(qp.quotient, budget).subspace
     S = _complement_subalgebra(L, qp.ideal)
     report = {"lemma1": attempt(verify_lemma1, L, qp, NL, NQ, S, budget)}
+    checked = None
     if B is None:
-        B = _complement_B(qp, S, budget)
+        B, checked = _complement_B(qp, S, budget)
     report["theorem2"] = ({"skipped": "no complement subalgebra B found"} if B is None
-                          else attempt(verify_theorem2, L, qp, NL, NQ, B, budget))
+                          else attempt(verify_theorem2, L, qp, NL, NQ, B, budget, checked))
     if L.field.modulus is None:
         R = radical(L).subspace
         report["prop3"] = verify_prop3(L, R, NL)

@@ -406,6 +406,28 @@ def test_ideal_closure_example2():
     assert got == span_of(L, L.basis_vector(1), L.basis_vector(2))
 
 
+def test_unit_products_match_the_brackets_with_each_basis_vector():
+    # every corpus algebra in a dense basis, over Q and mod 2, 3 and 5, with
+    # u = 0, each unit vector and random integer (residue) vectors
+    rng = random.Random(41)
+    checked = 0
+    for e in corpus.standard_entries():
+        for p in (None, 2, 3, 5):
+            L = e.algebra if p is None else reduce_mod_p(e.algebra, p)
+            if L is None:
+                continue
+            L = dense_basis(L, rng)
+            n = L.dim
+            units = [[int(i == j) for j in range(n)] for i in range(n)]
+            draw = (lambda: rng.randint(-3, 3)) if p is None else (lambda: rng.randrange(p))
+            for u in [[0] * n, *units] + [[draw() for _ in range(n)] for _ in range(4)]:
+                right, left = L.unit_products(u)
+                assert right == [L.scaled_bracket(u, e_j) for e_j in units], (e.name, p, u)
+                assert left == [L.scaled_bracket(e_j, u) for e_j in units], (e.name, p, u)
+                checked += 1
+    assert checked > 300
+
+
 # ---------------------------------------------------------------- kernel
 
 def test_kernel_example1():

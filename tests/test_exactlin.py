@@ -3,7 +3,7 @@ from fractions import Fraction
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matrices
@@ -541,3 +541,37 @@ def test_largest_contained_ideal_matches_the_condition_columns(L, data):
     ref = _ref_largest_contained_ideal(L, K)
     assert J.rows == ref and _types(J.rows) == _types(ref)
     assert J <= K and is_ideal(L, J)
+
+
+@st.composite
+def containment_cases(draw):
+    """(S, T) over Q, F_2 or F_3.  Half the time S is spanned by rows of T
+    with entries added at T's non-pivot columns right of each row's pivot:
+    every pivot column of S is then one of T's, and S lies in T only if all
+    the added entries are 0."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3)]))
+    n = draw(st.integers(1, 5))
+    T = Subspace.span(F, n, draw(vector_lists(F, n)))
+    if draw(st.booleans()):
+        return Subspace.span(F, n, draw(vector_lists(F, n))), T
+    free = [c for c in range(n) if c not in T.pivots]
+    vecs = []
+    for row, pc in zip(T.rows, T.pivots):
+        if draw(st.booleans()):
+            v = list(row)
+            for c in free:
+                if c > pc:
+                    v[c] = F.add(v[c], draw(_scalars(F)))
+            vecs.append(v)
+    return Subspace.span(F, n, vecs), T
+
+
+@given(containment_cases())
+@example((Subspace.span(QQ, 2, [(1, 1)]), Subspace.span(QQ, 2, [(1, 0)])))
+@example((Subspace.span(Field(2), 3, [(1, 0, 1)]), Subspace.span(Field(2), 3, [(1, 0, 0), (0, 1, 0)])))
+@settings(max_examples=200)
+def test_leq_is_containment_in_the_sum(case):
+    # the pivot-column guard of leq decides some pairs before any row is reduced
+    S, T = case
+    assert S.leq(T) == (S + T == T)
+    assert (S <= T) == S.leq(T)

@@ -1,6 +1,7 @@
 import pytest
 
-from leibnizalg import corpus, oracle
+from lattice_reference import reference_scan
+from leibnizalg import corpus, direct_sum, oracle
 from leibnizalg.core import (
     LeibnizAlgebra,
     bracket_span,
@@ -72,6 +73,20 @@ def test_maximal_subalgebras_match_pairwise_reference():
             reference = [S for S in proper
                          if not any(S.leq(T) and S.dim < T.dim for T in proper)]
             assert list(scan(Lp).maximal_subalgebras) == reference, (name, p)
+
+
+def test_scan_matches_the_brute_force_reference():
+    # every field of the scan, in order, against subspaces built from their
+    # rows and a series run on every ideal: inherited nilpotency and
+    # solvability verdicts must agree with the series
+    cases = [(name, p, Lp) for p in (2, 3, 5)
+             for name, Lp in reducible_corpus(p, 6) if subspace_count(Lp.dim, p) <= 3_000]
+    nsl = direct_sum(corpus.nilcyclic2().algebra, corpus.sl2().algebra)
+    cases.append(("nilcyclic2+sl2", 3, reduce_mod_p(nsl, 3)))
+    assert len(cases) == 31
+    for name, p, Lp in cases:
+        oracle._scan_cached.cache_clear()
+        assert scan(Lp) == reference_scan(Lp), (name, p)
 
 
 def test_scan_runs_once_per_algebra(monkeypatch):

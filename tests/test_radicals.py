@@ -513,6 +513,30 @@ def test_theorem2_restricts_only_for_the_nilradical_of_B(monkeypatch, case):
     assert sorted(calls) == ["quotient", "restrict"]
 
 
+def test_verify_checks_theorem2_premises_once_for_the_searched_B(monkeypatch):
+    # nilcyclic2 + sl2 mod 3: I = span(x2) has no complement, and the search
+    # finds B = L, which is not nilpotent and meets I.  The search checks
+    # I cap B <= phi(B) on B's restriction, and verify_theorem2 reuses that
+    # verdict: B's table is restricted once there and once for N(B)
+    from leibnizalg import radicals
+    from leibnizalg.oracle import reduce_mod_p
+
+    L = reduce_mod_p(direct_sum(corpus.nilcyclic2().algebra, corpus.sl2().algebra), 3)
+    tables = []
+
+    def counted(M, A):
+        tables.append(restrict(M, A).table)
+        return restrict(M, A)
+
+    assert find_complement_B(L) == L.full_space()
+    expected = json.dumps(_jsonable(verify(L)))
+    monkeypatch.setattr(radicals, "restrict", counted)
+    report = verify(L)
+    assert json.dumps(_jsonable(report)) == expected
+    assert all(report["theorem2"].premises_ok.values())
+    assert tables.count(restrict(L, L.full_space()).table) == 2
+
+
 def test_frattini_of_a_subalgebra_matches_the_restricted_reference():
     # phi(A) taken inside L against phi(restrict(L, A)) embedded back into L:
     # every subalgebra of the F_2 and F_3 corpus reductions with at most
