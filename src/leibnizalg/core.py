@@ -1,14 +1,21 @@
 """Leibniz algebras given by structure constants, and everything computable
 directly from the table: identity checking, subspace products, ideals, series,
-quotients, the kernel of squares, liesation, the centre.  No operator matrix
-is built: a right or left multiplication acts only through brackets, most of
-them formed on integer vectors from the scaled table (scaled_bracket).  The
-2n products of one vector with the basis, which the ideal tests, the ideal
-closure, the centre and the largest contained ideal read, come from one pass
-over the table (unit_products), not from 2n brackets.  The
-Leibniz identity is checked on packed ints: each scaled product is one int
-with a B-bit digit per component, B large enough that the digits of every
-triple's sum are unique (_leibniz_failures).
+quotients, the kernel of squares, liesation, the centre.
+
+An algebra's state is its scaled table (d, T): the table times the lcm d of
+its denominators (d = 1 over F_p), with T[i][j] the nonzero entries (k, c)
+of d [e_i, e_j] by increasing k.  from_products, and with it the file
+loader, builds (d, T) directly; the dense table of field elements is a
+cached view, built only when something reads LeibnizAlgebra.table.
+
+No operator matrix is built: a right or left multiplication acts only through
+brackets, most of them formed on integer vectors from the scaled table
+(scaled_bracket).  The 2n products of one vector with the basis, which the
+ideal tests, the ideal closure, the centre and the largest contained ideal
+read, come from one pass over the table (unit_products), not from 2n
+brackets.  The Leibniz identity is checked on packed ints: each scaled
+product is one int with a B-bit digit per component, B large enough that the
+digits of every triple's sum are unique (_leibniz_failures).
 
 Convention is right Leibniz throughout: [x,[y,z]] = [[x,y],z] - [[x,z],y],
 i.e. every y -> [y,x] is a derivation.
@@ -17,6 +24,7 @@ i.e. every y -> [y,x] is a derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -29,10 +37,10 @@ from .errors import (
 from .exactlin import (
     Field,
     Subspace,
+    _is_int,
     from_scaled,
     to_scaled,
     unit_vec,
-    vec_add,
     zero_vec,
 )
 from .reports import VerificationReport
@@ -41,58 +49,90 @@ from .reports import VerificationReport
 class LeibnizAlgebra:
     """Finite-dimensional algebra with bracket [e_i, e_j] = sum_k c[i][j][k] e_k.
 
-    The table is stored as table[i][j] = component vector of [e_i, e_j]; every
-    entry must pass Field.is_element.  Whether the Leibniz identity actually
-    holds is checked by check_leibniz, not assumed at construction.  Equality
-    and hashing look at the field and the table, not at the labels.
+    Its state is the scaled table (d, T) of scaled_table, which every
+    algorithm reads; from_products builds it directly from a sparse map.
+    The dense table, table[i][j] = component vector of [e_i, e_j], is a
+    cached view of it, built on first read; the constructor takes a dense
+    table and keeps it as given, after checking that every entry passes
+    Field.is_element.  Whether the Leibniz identity actually holds is checked
+    by check_leibniz, not assumed at construction.  Equality and hashing look
+    at the field and (d, T), which is canonical for a table, not at the labels.
     """
 
-    __slots__ = ("field", "dim", "labels", "table", "_scaled", "_full")
+    __slots__ = ("field", "dim", "labels", "_table", "_scaled", "_full")
 
     def __init__(self, field: Field, dim: int, table, labels: Optional[Sequence[str]] = None):
         self.field = field
         self.dim = dim
-        self.table = tuple(tuple(tuple(v) for v in row) for row in table)
-        if len(self.table) != dim or any(len(row) != dim for row in self.table):
+        self._table = tuple(tuple(tuple(v) for v in row) for row in table)
+        if len(self._table) != dim or any(len(row) != dim for row in self._table):
             raise ValueError("table must be dim x dim")
-        for i, row in enumerate(self.table):
+        for i, row in enumerate(self._table):
             for j, v in enumerate(row):
                 if len(v) != dim:
                     raise ValueError("product vectors must have length dim")
                 for c in v:
                     if not field.is_element(c):
-                        raise TypeError(f"coefficient {c!r} of [e{i+1}, e{j+1}] is not an "
-                                        f"element of {field}")
-        self.labels = tuple(labels) if labels is not None else tuple(f"e{i+1}" for i in range(dim))
-        if len(self.labels) != dim:
-            raise ValueError("need one label per basis vector")
+                        raise TypeError(_not_an_element(field, c, i, j))
+        self.labels = _labels(labels, dim)
         self._scaled = self._full = None
 
     @classmethod
     def from_products(cls, field: Field, dim: int, products: dict,
                       labels: Optional[Sequence[str]] = None) -> "LeibnizAlgebra":
         """Build from a sparse {(i, j): {k: scalar}} map; omitted products are 0.
-        An int scalar is mapped into the field; any other must be an element.
-        An index i, j or k outside [0, dim) raises ValueError."""
-        table = [[list(zero_vec(field, dim)) for _ in range(dim)] for _ in range(dim)]
+        An int scalar is mapped into the field; any other, a bool too, must be
+        an element.  An index i, j or k outside [0, dim) raises ValueError.
+        (d, T) is built straight from the map, with no dense table."""
         for (i, j), comps in products.items():
             if not all(0 <= x < dim for x in (i, j, *comps)):
                 raise ValueError(f"index outside [0, {dim}) in entry ({i}, {j}): {comps}")
+        p = field.modulus
+        entries = []
+        for (i, j), comps in products.items():
             for k, c in comps.items():
-                table[i][j][k] = field.scalar(c) if isinstance(c, int) else c
-        return cls(field, dim, table, labels)
+                if _is_int(c):
+                    c = c if p is None else c % p
+                elif not field.is_element(c):
+                    raise TypeError(_not_an_element(field, c, i, j))
+                if c:
+                    entries.append((i, j, k, c))
+        # an int is its own numerator over denominator 1
+        d = lcm(*[c.denominator for *_, c in entries])
+        T = [[[] for _ in range(dim)] for _ in range(dim)]
+        for i, j, k, c in entries:
+            T[i][j].append((k, c.numerator * (d // c.denominator)))
+        L = cls.__new__(cls)
+        L.field, L.dim, L._table, L._full = field, dim, None, None
+        L._scaled = d, tuple(tuple(tuple(sorted(v)) for v in row) for row in T)
+        L.labels = _labels(labels, dim)
+        return L
+
+    @property
+    def table(self) -> tuple:
+        """The dense table, table[i][j] = component vector of [e_i, e_j]: as
+        the constructor received it, or built from (d, T) on first read."""
+        if self._table is None:
+            F, n = self.field, self.dim
+            d, T = self._scaled
+            zero = zero_vec(F, n)
+            self._table = tuple(tuple(from_scaled(F, _dense(n, v), d) if v else zero
+                                      for v in row) for row in T)
+        return self._table
 
     def basis_vector(self, i: int):
         return unit_vec(self.field, self.dim, i)
 
     def scaled_table(self) -> tuple:
         """(d, T): the table times the lcm d of its denominators (1 over F_p),
-        with T[i][j] the nonzero entries (k, c) of d [e_i, e_j]."""
+        with T[i][j] the nonzero entries (k, c) of d [e_i, e_j] by increasing
+        k, all held in tuples."""
         if self._scaled is None:
             n = self.dim
-            ints, d = to_scaled(self.field, [c for row in self.table for v in row for c in v])
-            T = [[[(k, c) for k, c in enumerate(ints[(i * n + j) * n:(i * n + j + 1) * n]) if c]
-                  for j in range(n)] for i in range(n)]
+            ints, d = to_scaled(self.field, [c for row in self._table for v in row for c in v])
+            T = tuple(tuple(tuple((k, c) for k, c in
+                                  enumerate(ints[(i * n + j) * n:(i * n + j + 1) * n]) if c)
+                            for j in range(n)) for i in range(n))
             self._scaled = d, T
         return self._scaled
 
@@ -152,13 +192,32 @@ class LeibnizAlgebra:
 
     def __eq__(self, other):
         return (isinstance(other, LeibnizAlgebra) and self.field == other.field
-                and self.dim == other.dim and self.table == other.table)
+                and self.dim == other.dim and self.scaled_table() == other.scaled_table())
 
     def __hash__(self):
-        return hash((self.field, self.dim, self.table))
+        return hash((self.field, self.dim, self.scaled_table()))
 
     def __repr__(self):
         return f"LeibnizAlgebra(dim {self.dim} over {self.field}, basis {list(self.labels)})"
+
+
+def _labels(labels: Optional[Sequence[str]], dim: int) -> tuple:
+    labels = tuple(labels) if labels is not None else tuple(f"e{i+1}" for i in range(dim))
+    if len(labels) != dim:
+        raise ValueError("need one label per basis vector")
+    return labels
+
+
+def _not_an_element(field: Field, c, i: int, j: int) -> str:
+    return f"coefficient {c!r} of [e{i+1}, e{j+1}] is not an element of {field}"
+
+
+def _dense(n: int, entries) -> list:
+    """The integer vector of length n with the sparse entries (k, c)."""
+    v = [0] * n
+    for k, c in entries:
+        v[k] = c
+    return v
 
 
 def check_leibniz(L: LeibnizAlgebra) -> VerificationReport:
@@ -347,14 +406,16 @@ def liesation(L: LeibnizAlgebra) -> QuotientPresentation:
 
 
 def is_lie(L: LeibnizAlgebra) -> bool:
-    """[x,x] = 0 for all x; on the table this is c[i][i] = 0 and antisymmetry."""
-    F = L.field
-    z = zero_vec(F, L.dim)
-    for i in range(L.dim):
-        if L.table[i][i] != z:
+    """[x,x] = 0 for all x; on the scaled table this is c_ii = 0 and
+    c_ij + c_ji = 0, the sum taken mod p over F_p: T[j][i] holds the
+    negated entries of T[i][j], both in increasing k."""
+    p = L.field.modulus
+    T = L.scaled_table()[1]
+    for i, row in enumerate(T):
+        if row[i]:
             return False
         for j in range(i + 1, L.dim):
-            if vec_add(F, L.table[i][j], L.table[j][i]) != z:
+            if T[j][i] != tuple((k, -c if p is None else -c % p) for k, c in row[j]):
                 return False
     return True
 

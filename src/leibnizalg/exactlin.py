@@ -83,8 +83,10 @@ class Field:
             raise ValueError(f"modulus must be prime, got {self.modulus}")
 
     def scalar(self, num: int, den: int = 1):
-        """Exact field element num/den; den must be a unit mod p."""
-        if not isinstance(num, int) or not isinstance(den, int):
+        """Exact field element num/den; den must be a unit mod p.  Bools are
+        not integers here."""
+        # plain ints pass the first test, other int subclasses but bool the second
+        if not (type(num) is int and type(den) is int or _is_int(num) and _is_int(den)):
             raise TypeError(f"scalar needs integer num and den, got {num!r}/{den!r}")
         if self.modulus is None:
             return Fraction(num, den)
@@ -131,6 +133,11 @@ class Field:
 
 
 QQ = Field()
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and type(x) is not bool
+
 
 Vector = tuple
 

@@ -16,10 +16,10 @@ import re
 from fractions import Fraction
 
 from .core import LeibnizAlgebra
-from .exactlin import Field
+from .exactlin import Field, _is_int
 
 
-# Largest dim a file may declare; the dense table has dim^3 entries.
+# Largest dim a file may declare; the table has dim^3 entries.
 MAX_DIM = 64
 
 
@@ -103,7 +103,8 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
             if k in comps:
                 raise ParseError(f"duplicate component {k} in table entry {entry}")
             try:
-                comps[k] = F.scalar(num, den)
+                # an integer goes in as it is: over Q it makes no Fraction
+                comps[k] = num if den == 1 else F.scalar(num, den)
             except ZeroDivisionError:
                 raise ParseError(f"denominator {den} is not invertible over {F}: "
                                  f"component {item} of table entry {entry}") from None
@@ -111,10 +112,6 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
             raise ParseError(f"duplicate table entry for ({i}, {j})")
         products[(i, j)] = comps
     return LeibnizAlgebra.from_products(F, dim, products, basis)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def loads_algebra(text: str) -> LeibnizAlgebra:

@@ -311,3 +311,22 @@ def test_parser_is_built_once_and_each_run_sees_its_own_arguments(capsys, tmp_pa
     assert code == 0 and json.loads(out)["kernel_dim"] == 1
     assert cli.run(["validate", "example1", "--bogus"]) == 2
     assert cli.run(["validate", "example1"]) == 0
+
+
+def test_a_loaded_file_builds_no_dense_table(capsys, tmp_path, monkeypatch):
+    # every verb on a source file reads the loaded algebra through its
+    # scaled table only: its dense table is never built
+    from leibnizalg.oracle import reduce_mod_p
+
+    loaded, load = [], cli.load_algebra
+    monkeypatch.setattr(cli, "load_algebra", lambda path: loaded.append(load(path)) or loaded[-1])
+    L = corpus.build("example1+sl2").algebra
+    for i, M in enumerate((L, reduce_mod_p(L, 3))):
+        path = tmp_path / f"{i}.json"
+        path.write_text(dumps_algebra(M))
+        for verb, (_, _, handler) in cli.VERBS.items():
+            if handler is not None:
+                cli.run(["--format", "json", verb, str(path)])
+    capsys.readouterr()
+    assert len(loaded) == 2 * (len(cli.VERBS) - 1)
+    assert all(M._table is None for M in loaded)

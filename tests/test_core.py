@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from leibnizalg.core import (
 )
 from leibnizalg.errors import AmbientMismatch, FieldMismatch, NotAnIdeal, NotASubalgebra
 from leibnizalg.exactlin import QQ, Field, Subspace, unit_vec, vec_add, zero_vec
+from leibnizalg.fileformat import dumps_algebra, loads_algebra
 from leibnizalg.oracle import reduce_mod_p
 from leibnizalg.reports import VerificationReport
 
@@ -210,8 +212,50 @@ def test_from_products_rejects_non_field_coefficients():
         LeibnizAlgebra.from_products(QQ, 2, {(0, 0): {1: 1.5}})
     with pytest.raises(TypeError):
         LeibnizAlgebra.from_products(Field(3), 2, {(0, 0): {1: Fraction(1, 2)}})
+    # False would otherwise be dropped as a zero, True taken as 1
+    for F in (QQ, Field(3)):
+        for b in (True, False):
+            with pytest.raises(TypeError):
+                LeibnizAlgebra.from_products(F, 1, {(0, 0): {0: b}})
     L = LeibnizAlgebra.from_products(QQ, 2, {(0, 0): {1: Fraction(1, 2)}, (1, 0): {1: 2}})
     assert L.table[0][0] == (0, Fraction(1, 2)) and L.table[1][0] == (0, 2)
+
+
+def _typed(table):
+    return [[[(type(c), c) for c in v] for v in row] for row in table]
+
+
+def test_three_ways_to_build_an_algebra_agree():
+    # from_products, the constructor on the dense table and a file round trip
+    # give equal algebras with equal hashes and identical (d, T) and tables
+    algebras = []
+    for name in sorted(corpus.BUILDERS):
+        L = corpus.build(name).algebra
+        algebras += [L] + list(filter(None, (reduce_mod_p(L, p) for p in (2, 3))))
+    # a non-reduced negative denominator, an explicit zero, components out of
+    # order and, over F_3, 3 = 0
+    hand = {
+        "Q": ([[0, 0, [1, 2, -4], [2, 0, 1]], [2, 1, [2, 1, 1], [0, 3, 1]]], 2,
+              [[((1, -1),), (), ()], [(), (), ()], [(), ((0, 6), (2, 2)), ()]]),
+        "F3": ([[0, 0, [1, 2, -4], [2, 3, 1]], [2, 1, [0, 0, 1], [1, 4, 1]]], 1,
+               [[((1, 1),), (), ()], [(), (), ()], [(), ((1, 1),), ()]]),
+    }
+    for field, (entries, d, T) in hand.items():
+        L = loads_algebra(json.dumps({"field": field, "dim": 3, "basis": ["a", "b", "c"],
+                                      "table": entries}))
+        assert L.scaled_table() == (d, tuple(map(tuple, T)))
+        algebras.append(L)
+    for L in algebras:
+        d, T = L.scaled_table()
+        assert all(c for row in T for v in row for _, c in v)
+        assert all([k for k, _ in v] == sorted({k for k, _ in v}) for row in T for v in row)
+        products = {(i, j): dict(enumerate(v)) for i, row in enumerate(L.table)
+                    for j, v in enumerate(row)}
+        for M in (LeibnizAlgebra.from_products(L.field, L.dim, products, L.labels),
+                  LeibnizAlgebra(L.field, L.dim, L.table, L.labels),
+                  loads_algebra(dumps_algebra(L))):
+            assert M == L and hash(M) == hash(L), (L, M)
+            assert M.scaled_table() == (d, T) and _typed(M.table) == _typed(L.table)
 
 
 def test_from_products_rejects_indices_outside_the_basis():
@@ -536,6 +580,19 @@ def test_is_lie():
     assert not is_lie(ex1())
     # [x, x] = x2 is antisymmetric mod 2 but not alternating
     assert not is_lie(reduce_mod_p(corpus.nilcyclic2().algebra, 2))
+
+
+def test_is_lie_sums_mod_p_and_over_scaled_entries():
+    F3 = Field(3)
+    # c_12 + c_21 = 1 + 2 = 0 mod 3, but not as integers
+    assert is_lie(LeibnizAlgebra.from_products(F3, 3, {(0, 1): {2: 1}, (1, 0): {2: 2}}))
+    assert not is_lie(LeibnizAlgebra.from_products(F3, 3, {(0, 1): {2: 1}, (1, 0): {2: 1}}))
+    half = Fraction(1, 2)
+    assert is_lie(LeibnizAlgebra.from_products(QQ, 3, {(0, 1): {2: half}, (1, 0): {2: -half}}))
+    assert not is_lie(LeibnizAlgebra.from_products(QQ, 3, {(0, 1): {2: half},
+                                                           (1, 0): {2: half}}))
+    assert not is_lie(LeibnizAlgebra.from_products(QQ, 3, {(0, 1): {2: half},
+                                                           (1, 0): {2: -1}}))
 
 
 # ---------------------------------------------------------------- series

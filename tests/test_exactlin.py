@@ -292,6 +292,11 @@ def test_scalar_rejects_non_integers():
         Field(3).scalar(1.5)
     with pytest.raises(TypeError):
         QQ.scalar(1, 2.0)
+    # a bool is an int to isinstance, but no field element
+    for F in (QQ, Field(3)):
+        for args in ((True,), (False,), (1, True)):
+            with pytest.raises(TypeError):
+                F.scalar(*args)
     assert Field(3).scalar(5, 2) == 1
 
 
