@@ -7,6 +7,10 @@ its denominators (d = 1 over F_p), with T[i][j] the nonzero entries (k, c)
 of d [e_i, e_j] by increasing k.  from_products, and with it the file
 loader, builds (d, T) directly; the dense table of field elements is a
 cached view, built only when something reads LeibnizAlgebra.table.
+quotient, restrict and direct_sum also build with from_products, from
+products read off the scaled table as integers over a known scale.  Field
+elements are made only for what goes back to a caller: the dense table,
+LeibnizAlgebra.bracket, project_vector and the sides of a failing triple.
 
 No operator matrix is built: a right or left multiplication acts only through
 brackets, most of them formed on integer vectors from the scaled table
@@ -39,6 +43,7 @@ from .exactlin import (
     Subspace,
     _is_int,
     from_scaled,
+    scaled_comb,
     to_scaled,
     unit_vec,
     zero_vec,
@@ -91,7 +96,7 @@ class LeibnizAlgebra:
         entries = []
         for (i, j), comps in products.items():
             for k, c in comps.items():
-                if _is_int(c):
+                if type(c) is int or _is_int(c):
                     c = c if p is None else c % p
                 elif not field.is_element(c):
                     raise TypeError(_not_an_element(field, c, i, j))
@@ -220,6 +225,13 @@ def _dense(n: int, entries) -> list:
     return v
 
 
+def _over(F: Field, entries, scale: int) -> dict:
+    """{k: c / scale} for the (k, c) entries with c != 0, as field elements:
+    the components of one product for from_products, read off integers over
+    a known scale (a unit mod p over F_p)."""
+    return {k: F.scalar(c, scale) for k, c in entries if c}
+
+
 def check_leibniz(L: LeibnizAlgebra) -> VerificationReport:
     """Verify [x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples.
 
@@ -255,7 +267,7 @@ def _leibniz_failures(L: LeibnizAlgebra):
     failing triples only.
     """
     F, n, p = L.field, L.dim, L.field.modulus
-    T = L.scaled_table()[1]
+    d, T = L.scaled_table()
     M = max((abs(c) for row in T for v in row for _, c in v), default=0)
     B = (3 * n * M * M).bit_length() + 1
     Q = [[sum(c << B * l for l, c in v) for v in row] for row in T]
@@ -278,14 +290,15 @@ def _leibniz_failures(L: LeibnizAlgebra):
                     s += c * Qi[m]
                 if s and (p is None or any((((s + K) >> B * l & mask) - half) % p
                                            for l in range(n))):
-                    ei, ej, ek = L.basis_vector(i), L.basis_vector(j), L.basis_vector(k)
+                    # both sides times d^2, as products of the scaled table
+                    sb, units = L.scaled_bracket, L.full_space().scaled_rows
+                    ei, ej, ek = units[i], units[j], units[k]
                     yield {
                         "triple": (L.labels[i], L.labels[j], L.labels[k]),
                         "indices": (i, j, k),
-                        "lhs": L.bracket(ei, L.bracket(ej, ek)),
-                        "rhs": tuple(F.sub(a, b) for a, b in
-                                     zip(L.bracket(L.bracket(ei, ej), ek),
-                                         L.bracket(L.bracket(ei, ek), ej))),
+                        "lhs": from_scaled(F, sb(ei, sb(ej, ek)), d * d),
+                        "rhs": from_scaled(F, [a - b for a, b in zip(sb(sb(ei, ej), ek),
+                                                                     sb(sb(ei, ek), ej))], d * d),
                     }
 
 
@@ -361,7 +374,7 @@ class QuotientPresentation:
 
     Section representatives are the standard basis vectors at the non-pivot
     columns of J's canonical basis, so the presentation is deterministic.
-    The projection of v is read off J's residual of v (project_vector).
+    The projection of v is read off J's residual of v (_coset_scaled).
     """
 
     parent: LeibnizAlgebra
@@ -370,31 +383,41 @@ class QuotientPresentation:
     section: list               # quotient basis -> parent vectors
 
     def project_vector(self, v: Sequence):
-        return _coset_coords(self.ideal, v)
+        return from_scaled(self.quotient.field, *_coset_scaled(self.ideal, v))
 
     def project_subspace(self, S: Subspace) -> Subspace:
+        # the scaled rows, projected: a vector's scale does not change the span
         return Subspace.span(self.quotient.field, self.quotient.dim,
-                             [self.project_vector(r) for r in S.rows])
+                             [_coset_scaled(self.ideal, r)[0] for r in S.scaled_rows])
 
 
-def _coset_coords(J: Subspace, v: Sequence) -> tuple:
-    """The coordinates of v + J on the section: J's residual of v is zero at
-    J's pivot columns, and its entries at the other columns are them."""
-    res, piv = J.reduce(v), set(J.pivots)
-    return tuple(a for c, a in enumerate(res) if c not in piv)
+def _coset_scaled(J: Subspace, v: Sequence) -> tuple:
+    """(w, D) with w / D the coordinates of v + J on the section: J's
+    residual of v is zero at J's pivot columns, and its entries at the other
+    columns are them."""
+    res, D = J.scaled_residual(v)
+    piv = set(J.pivots)
+    return [a for c, a in enumerate(res) if c not in piv], D
 
 
 def quotient(L: LeibnizAlgebra, J: Subspace) -> QuotientPresentation:
-    """Quotient algebra L/J on deterministic coset representatives."""
+    """Quotient algebra L/J on deterministic coset representatives: for s, t
+    at J's non-pivot columns, with w / D the coordinates of d [e_s, e_t] + J,
+    those of [e_s, e_t] + J are w / (D d)."""
     _check_ambient(L, J)
     if not is_ideal(L, J):
         raise NotAnIdeal("quotient by a subspace that is not an ideal")
-    section = J.complement_basis()
-    table = [[_coset_coords(J, L.bracket(s, t)) for t in section] for s in section]
-    piv = set(J.pivots)
-    labels = [label + "~" for c, label in enumerate(L.labels) if c not in piv]
-    Q = LeibnizAlgebra(L.field, len(section), table, labels)
-    return QuotientPresentation(L, J, Q, section)
+    F, n, piv = L.field, L.dim, set(J.pivots)
+    d, T = L.scaled_table()
+    npc = [c for c in range(n) if c not in piv]
+    products = {}
+    for a, s in enumerate(npc):
+        for b, t in enumerate(npc):
+            if T[s][t]:
+                w, D = _coset_scaled(J, _dense(n, T[s][t]))
+                products[a, b] = _over(F, enumerate(w), D * d)
+    Q = LeibnizAlgebra.from_products(F, len(npc), products, [L.labels[c] + "~" for c in npc])
+    return QuotientPresentation(L, J, Q, J.complement_basis())
 
 
 def liesation(L: LeibnizAlgebra) -> QuotientPresentation:
@@ -457,45 +480,55 @@ def is_solvable(L: LeibnizAlgebra, A: Optional[Subspace] = None) -> bool:
 
 
 def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
-    """Block-diagonal table; all cross products zero."""
+    """Block-diagonal table, from the two scaled tables; all cross products zero."""
     if A.field != B.field:
         raise FieldMismatch("direct sum over different fields")
-    F = A.field
-    n = A.dim + B.dim
-    table = [[list(zero_vec(F, n)) for _ in range(n)] for _ in range(n)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                table[i][j][k] = A.table[i][j][k]
-    for i in range(B.dim):
-        for j in range(B.dim):
-            for k in range(B.dim):
-                table[A.dim + i][A.dim + j][A.dim + k] = B.table[i][j][k]
-    return LeibnizAlgebra(F, n, table, list(A.labels) + list(B.labels))
+    products = {}
+    for M, off in ((A, 0), (B, A.dim)):
+        d, T = M.scaled_table()
+        for i, row in enumerate(T):
+            for j, v in enumerate(row):
+                products[i + off, j + off] = _over(M.field, ((k + off, c) for k, c in v), d)
+    return LeibnizAlgebra.from_products(A.field, A.dim + B.dim, products,
+                                        list(A.labels) + list(B.labels))
 
 
 def restrict(L: LeibnizAlgebra, A: Subspace) -> LeibnizAlgebra:
     """The bracket of a subalgebra in A's canonical basis, from the coordinates
     in A of each product of basis rows; one outside A raises NotASubalgebra.
+    For scaled rows u, v that product is scaled_bracket(u, v) over
+    d u[pc_u] v[pc_v], and its coordinates are its entries at A's pivots.
 
     Subspaces of the restricted algebra live in restricted coordinates; use
     embed_subspace / A.rows to map them back into L.  Needed only for N(B) in
     theorem 2 and for scanning a non-nilpotent B over F_p (frattini_ideal).
     """
     _check_ambient(L, A)
-    table = [[A.coords(L.bracket(u, v)) for v in A.rows] for u in A.rows]
-    if any(c is None for row in table for c in row):
-        raise NotASubalgebra("restriction to a non-subalgebra")
-    labels = [f"b{i+1}" for i in range(A.dim)]
-    return LeibnizAlgebra(L.field, A.dim, table, labels)
+    F, d = L.field, L.scaled_table()[0]
+    rows = list(zip(A.scaled_rows, A.pivots))
+    products = {}
+    for a, (u, pu) in enumerate(rows):
+        for b, (v, pv) in enumerate(rows):
+            w = L.scaled_bracket(u, v)
+            if not A.contains(w):
+                raise NotASubalgebra("restriction to a non-subalgebra")
+            products[a, b] = _over(F, ((k, w[pc]) for k, pc in enumerate(A.pivots)),
+                                   d * u[pu] * v[pv])
+    return LeibnizAlgebra.from_products(F, A.dim, products, [f"b{i+1}" for i in range(A.dim)])
 
 
 def embed_subspace(A: Subspace, S: Subspace) -> Subspace:
     """Embed a subspace of the restricted algebra on A, given in A's
-    coordinates, as a subspace of L."""
+    coordinates, as a subspace of L.  Basis row i of A is A.scaled_rows[i]
+    over its pivot entry s_i: a scaled row c of S maps to the combination
+    with coefficients c_i D // s_i, D the lcm of the s_i."""
     if S.ambient_dim != A.dim:
         raise AmbientMismatch("subspace does not live in the restricted coordinates")
-    return Subspace.span(A.field, A.ambient_dim, [A.combine(r) for r in S.rows])
+    F, n, rows = A.field, A.ambient_dim, A.scaled_rows
+    heads = [r[pc] for r, pc in zip(rows, A.pivots)]
+    D = lcm(*heads)
+    return Subspace.span(F, n, [scaled_comb(F, n, [c * (D // s) for c, s in zip(r, heads)], rows)
+                                for r in S.scaled_rows])
 
 
 def center(L: LeibnizAlgebra) -> Subspace:

@@ -15,17 +15,21 @@ kernel vectors, and where_zero takes the images of a subspace's scaled rows.
 
 Over Q the elimination runs on scaled integers, not on Fractions.  A vector
 v in scaled form is (ints, den) with v = ints / den (to_scaled and
-from_scaled convert, and no other module does).  A subspace holds each RREF
-row as a primitive integer row over its pivot entry (scaled_rows); reducing
-an integer vector against such rows takes one integer pass over the lcm of
-the pivot entries, and a zero test needs no denominator at all.  Spans and
-membership do not depend on a vector's scale, so integer vectors, such as
-the products LeibnizAlgebra.scaled_bracket forms from the scaled table, go
-in as they are.  Fractions are built only where vectors go back to a
-caller: the rows of a subspace on first use of Subspace.rows, the residual
-that Subspace.reduce returns, and the product that LeibnizAlgebra.bracket
-returns.  Over F_p the scaled form of a vector is its residues, so the same
-routine runs on residues mod p.
+from_scaled convert).  A subspace holds each RREF row as a primitive integer
+row over its pivot entry (scaled_rows); reducing an integer vector against
+such rows takes one integer pass over the lcm of the pivot entries
+(scaled_residual), and a zero test (contains) needs no denominator at all.
+Spans and membership do not depend on a vector's scale, so integer vectors,
+such as the products LeibnizAlgebra.scaled_bracket forms from the scaled
+table, go in as they are.  Over F_p the scaled form of a vector is its
+residues, so the same routine runs on residues mod p.
+
+Field elements are built only at the edges of the library: from the input
+(Field.scalar, for the file loader and the CLI's vectors, and for the
+products c / scale that from_products takes where core builds an algebra
+from another's scaled table), and where values go back to a caller, as
+Subspace.rows, LeibnizAlgebra.table and LeibnizAlgebra.bracket, and in the
+witnesses and payloads of the reports.
 """
 
 from __future__ import annotations
@@ -111,23 +115,6 @@ class Field:
     def one(self):
         return Fraction(1) if self.modulus is None else 1
 
-    def add(self, a, b):
-        return a + b if self.modulus is None else (a + b) % self.modulus
-
-    def sub(self, a, b):
-        return a - b if self.modulus is None else (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return a * b if self.modulus is None else (a * b) % self.modulus
-
-    def neg(self, a):
-        return -a if self.modulus is None else (-a) % self.modulus
-
-    def inv(self, a):
-        if self.modulus is None:
-            return Fraction(1, a) if isinstance(a, int) else 1 / a
-        return pow(a, -1, self.modulus)
-
     def __str__(self):
         return "Q" if self.modulus is None else f"F{self.modulus}"
 
@@ -142,28 +129,17 @@ def _is_int(x) -> bool:
 Vector = tuple
 
 
-def vec_add(field: Field, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
 def zero_vec(field: Field, n: int) -> Vector:
     return (field.zero,) * n
 
 def unit_vec(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
-def lin_comb(field: Field, n: int, coeffs: Iterable, vectors: Iterable[Sequence]) -> Vector:
-    """sum_i coeffs[i] * vectors[i] in F^n; zero coefficients and entries are skipped."""
-    return tuple(_comb(field, [field.zero] * n, coeffs, vectors))
-
-
 def scaled_comb(field: Field, n: int, coeffs: Iterable[int],
                 vectors: Iterable[Sequence[int]]) -> list:
-    """lin_comb for integer coefficients and vectors: ints over Q, residues
-    over F_p."""
-    return _comb(field, [0] * n, coeffs, vectors)
-
-
-def _comb(field: Field, out: list, coeffs: Iterable, vectors: Iterable[Sequence]) -> list:
+    """sum_i coeffs[i] * vectors[i] for integer coefficients and vectors of
+    length n (residues over F_p); zero coefficients and entries are skipped."""
+    out = [0] * n
     for c, v in zip(coeffs, vectors):
         if c:
             for k, b in enumerate(v):
@@ -244,26 +220,28 @@ class Subspace:
     """A subspace of F^n held as its canonical RREF row basis (no zero rows),
     with the pivot column of each row.
 
-    Row i is also held in scaled form, scaled_rows[i] / scaled_rows[i][pivots[i]]:
-    over Q a primitive integer row, over F_p the row itself.  The elimination
-    runs on the scaled form; each form is built from the other on first use.
+    Row i is held in scaled form, scaled_rows[i] / scaled_rows[i][pivots[i]]:
+    over Q a primitive integer row, over F_p the row itself.  All of the
+    linear algebra runs on the scaled rows; the rows as field elements are
+    a view, built on first read of rows.
     """
 
-    __slots__ = ("field", "ambient_dim", "pivots", "_rows", "_scaled")
+    __slots__ = ("field", "ambient_dim", "pivots", "scaled_rows", "_rows")
 
     def __init__(self, field: Field, ambient_dim: int, rref_rows: Iterable[Iterable]):
         self.field = field
         self.ambient_dim = ambient_dim
         self._rows = tuple(tuple(r) for r in rref_rows)
         self.pivots = tuple(next(c for c, a in enumerate(row) if a) for row in self._rows)
-        self._scaled = self._rows if field.modulus is not None else None
+        self.scaled_rows = (self._rows if field.modulus is not None else
+                            tuple(tuple(to_scaled(field, r)[0]) for r in self._rows))
 
     @classmethod
     def _from_scaled(cls, field: Field, ambient_dim: int, scaled, pivots) -> "Subspace":
         S = cls.__new__(cls)
         S.field, S.ambient_dim = field, ambient_dim
-        S._scaled, S.pivots = tuple(scaled), tuple(pivots)
-        S._rows = S._scaled if field.modulus is not None else None
+        S.scaled_rows, S.pivots = tuple(scaled), tuple(pivots)
+        S._rows = S.scaled_rows if field.modulus is not None else None
         return S
 
     @property
@@ -271,17 +249,8 @@ class Subspace:
         if self._rows is None:
             F = self.field
             self._rows = tuple(from_scaled(F, r, r[pc])
-                               for r, pc in zip(self._scaled, self.pivots))
+                               for r, pc in zip(self.scaled_rows, self.pivots))
         return self._rows
-
-    @property
-    def scaled_rows(self) -> tuple:
-        """The rows as integer vectors with the same span: primitive over Q,
-        the residues over F_p."""
-        if self._scaled is None:
-            F = self.field
-            self._scaled = tuple(tuple(to_scaled(F, r)[0]) for r in self._rows)
-        return self._scaled
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -308,20 +277,16 @@ class Subspace:
             raise AmbientMismatch("ambient dimension mismatch")
 
     def scaled_residual(self, v: Sequence) -> tuple:
-        """(r, D) with r / D the residual reduce(v) and r an integer vector
-        (residues over F_p).  For an integer vector v, D is the lcm of the
-        pivot entries of scaled_rows over Q and 1 over F_p: one scale for
-        every integer vector."""
+        """(r, D) with r / D the residual of v against the RREF rows, zero at
+        every pivot column and zero everywhere exactly when v lies in the
+        subspace; r is an integer vector (residues over F_p).  For an integer
+        vector v, D is the lcm of the pivot entries of scaled_rows over Q and
+        1 over F_p: one scale for every integer vector."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length != ambient dim")
         w, den = to_scaled(self.field, v)
         r, D = _eliminate(w, self.scaled_rows, self.pivots, self.field.modulus)
         return r, den * D
-
-    def reduce(self, v: Sequence) -> Vector:
-        """Residual of v against the RREF rows: zero at every pivot column,
-        and zero everywhere exactly when v lies in the subspace."""
-        return from_scaled(self.field, *self.scaled_residual(v))
 
     def _insert(self, vectors: Iterable[Sequence]) -> "Subspace":
         """The span of these rows and the vectors, the only elimination here.
@@ -354,29 +319,12 @@ class Subspace:
             pivots.insert(k, pc)
         return Subspace._from_scaled(F, n, rows, pivots)
 
-    def combine(self, w: Sequence) -> Vector:
-        """sum_i w[i] * rows[i]: the vector with coordinates w in the RREF basis."""
-        return lin_comb(self.field, self.ambient_dim, w, self.rows)
-
     def contains(self, v: Sequence) -> bool:
-        """Is v in the subspace?  Over F_p, v's residues are reduced as they
-        are, with no scaled form to build."""
-        p = self.field.modulus
-        if p is None:
-            return not any(self.scaled_residual(v)[0])
+        """Is v in the subspace?  v is reduced as it is, with no scaled form
+        to build: its scale does not change whether the residual is zero."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length != ambient dim")
-        return not any(_eliminate(v, self._scaled, self.pivots, p)[0])
-
-    def coords(self, v: Sequence) -> Optional[Vector]:
-        """Coefficients of v in the RREF basis, or None if v is outside.
-
-        Every other row is zero at a row's pivot column, so the coefficients
-        are v's own entries at the pivot columns.
-        """
-        if not self.contains(v):
-            return None
-        return tuple(v[pc] for pc in self.pivots)
+        return not any(_eliminate(v, self.scaled_rows, self.pivots, self.field.modulus)[0])
 
     def leq(self, other: "Subspace") -> bool:
         """Is self inside other?  Each pivot column of a subspace of other
@@ -411,8 +359,8 @@ class Subspace:
         return Subspace.span(F, n, [scaled_comb(F, n, k, rows) for k in ker])
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """x in self lies in other iff other.reduce(x) = 0, and reduce is
-        linear: the integer residuals of the scaled rows share one scale."""
+        """x in self lies in other iff other's residual of x is 0, and the
+        residual is linear: those of the scaled rows share one scale."""
         self._check_compat(other)
         return self.where_zero([other.scaled_residual(u)[0] for u in self.scaled_rows])
 
@@ -435,7 +383,7 @@ class Subspace:
                 and self.pivots == other.pivots and self.scaled_rows == other.scaled_rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.rows))
+        return hash((self.field, self.ambient_dim, self.scaled_rows))
 
     def __repr__(self):
         body = ", ".join("(" + ", ".join(str(a) for a in r) + ")"

@@ -94,7 +94,11 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
             raise ParseError(f"table entry indices out of range: {entry}")
         comps = {}
         for item in entry[2:]:
-            if not isinstance(item, list) or len(item) != 3 or not all(map(_is_int, item)):
+            # one type test per component: plain ints pass the first, other
+            # int subclasses but bool the second
+            if not (isinstance(item, list) and len(item) == 3
+                    and (type(item[0]) is type(item[1]) is type(item[2]) is int
+                         or all(map(_is_int, item)))):
                 raise ParseError(f"component must be [k, num, den] of integers: {item!r} "
                                  f"in table entry {entry}")
             k, num, den = item

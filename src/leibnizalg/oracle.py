@@ -213,17 +213,18 @@ def reduce_mod_p(L: LeibnizAlgebra, p: int):
 
     Admissible only when every denominator is a unit mod p and the Leibniz
     identity still holds after reduction; inadmissible instances are skipped,
-    never silently altered.
+    never silently altered.  Every denominator is a unit exactly when their
+    lcm d is, and the entry c / d of the scaled table is then c d^-1 mod p.
     """
     if L.field.modulus is not None:
         raise UnsupportedField("reduce_mod_p expects a rational table")
-    F = Field(p)
-    try:
-        table = [[[F.scalar(c.numerator, c.denominator) for c in v] for v in row]
-                 for row in L.table]
-    except ZeroDivisionError:
+    F, (d, T) = Field(p), L.scaled_table()
+    if d % p == 0:
         return None
-    Lp = LeibnizAlgebra(F, L.dim, table, L.labels)
+    inv = pow(d, -1, p)
+    Lp = LeibnizAlgebra.from_products(F, L.dim, {(i, j): {k: c * inv for k, c in v}
+                                                 for i, row in enumerate(T)
+                                                 for j, v in enumerate(row)}, L.labels)
     if not check_leibniz(Lp).passed:
         return None
     return Lp

@@ -36,7 +36,7 @@ from .errors import (
     PremiseViolation,
     Unsupported,
 )
-from .exactlin import Subspace, nullspace, scaled_comb
+from .exactlin import Subspace, from_scaled, nullspace, scaled_comb
 from .reports import VerificationReport
 
 
@@ -474,18 +474,20 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
 
     I is an ideal, so R_n maps I into I, and R_n is nilpotent on I exactly
     when its stable image there is zero.  Witnesses name each failing n with
-    the matrix of R_n|_I in I's basis, as a tuple of rows.
+    the matrix of R_n|_I in I's basis, as a tuple of rows, read off the
+    scaled products of the rows as restrict reads them.
     """
+    F, d = L.field, L.scaled_table()[0]
     witnesses = []
-    for nvec in NB_in_L.rows:
-        if _stable_image(L, I, nvec).dim == 0:
+    for x, px, nvec in zip(NB_in_L.scaled_rows, NB_in_L.pivots, NB_in_L.rows):
+        if _stable_image(L, I, x).dim == 0:
             continue
         cols = []
-        for u in I.rows:
-            c = I.coords(L.bracket(u, nvec))
-            if c is None:
+        for u, pu in zip(I.scaled_rows, I.pivots):
+            w = L.scaled_bracket(u, x)
+            if not I.contains(w):
                 raise InternalInconsistency("kernel is not invariant under right multiplication")
-            cols.append(c)
+            cols.append(from_scaled(F, [w[pc] for pc in I.pivots], d * u[pu] * x[px]))
         witnesses.append({"n": nvec, "restricted_matrix": tuple(zip(*cols))})
     return (not witnesses), witnesses
 

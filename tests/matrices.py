@@ -5,6 +5,8 @@ chains and solves its linear systems on scaled integer rows; these textbook
 loops on field elements are kept independent of all three.
 """
 
+from fractions import Fraction
+
 
 def identity(F, n):
     return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
@@ -68,8 +70,9 @@ def rref(F, rows, ncols):
         if pr is None:
             continue
         rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-        inv = F.inv(rows[piv_r][piv_c])
-        rows[piv_r] = [F.mul(inv, a) for a in rows[piv_r]]
+        a0 = rows[piv_r][piv_c]
+        inv = 1 / Fraction(a0) if p is None else pow(a0, -1, p)
+        rows[piv_r] = [_reduce(F, inv * a) for a in rows[piv_r]]
         nz = [(j, b) for j, b in enumerate(rows[piv_r]) if b]
         for r in range(nrows):
             row = rows[r]
@@ -98,7 +101,7 @@ def nullspace(F, rows, ncols):
         v = [F.zero] * ncols
         v[fc] = F.one
         for prow, pc in zip(r, pivots):
-            v[pc] = F.neg(prow[fc])
+            v[pc] = _reduce(F, -prow[fc])
         basis.append(tuple(v))
     return basis
 

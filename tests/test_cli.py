@@ -315,18 +315,27 @@ def test_parser_is_built_once_and_each_run_sees_its_own_arguments(capsys, tmp_pa
 
 def test_a_loaded_file_builds_no_dense_table(capsys, tmp_path, monkeypatch):
     # every verb on a source file reads the loaded algebra through its
-    # scaled table only: its dense table is never built
+    # scaled table only: its dense table is never built, and no algebra is
+    # built from a dense table or forms a product as field elements
+    from leibnizalg.core import LeibnizAlgebra
     from leibnizalg.oracle import reduce_mod_p
 
     loaded, load = [], cli.load_algebra
     monkeypatch.setattr(cli, "load_algebra", lambda path: loaded.append(load(path)) or loaded[-1])
     L = corpus.build("example1+sl2").algebra
-    for i, M in enumerate((L, reduce_mod_p(L, 3))):
-        path = tmp_path / f"{i}.json"
+    paths = [tmp_path / f"{i}.json" for i in range(2)]
+    for path, M in zip(paths, (L, reduce_mod_p(L, 3))):
         path.write_text(dumps_algebra(M))
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a verb built an algebra from a dense table or a Fraction product")
+
+    monkeypatch.setattr(LeibnizAlgebra, "__init__", dense)
+    monkeypatch.setattr(LeibnizAlgebra, "bracket", dense)
+    for path in paths:
         for verb, (_, _, handler) in cli.VERBS.items():
             if handler is not None:
-                cli.run(["--format", "json", verb, str(path)])
+                assert cli.run(["--format", "json", verb, str(path)]) in (0, 3), verb
     capsys.readouterr()
     assert len(loaded) == 2 * (len(cli.VERBS) - 1)
     assert all(M._table is None for M in loaded)

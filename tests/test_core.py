@@ -30,14 +30,10 @@ from leibnizalg.core import (
     restrict,
 )
 from leibnizalg.errors import AmbientMismatch, FieldMismatch, NotAnIdeal, NotASubalgebra
-from leibnizalg.exactlin import QQ, Field, Subspace, unit_vec, vec_add, zero_vec
+from leibnizalg.exactlin import QQ, Field, Subspace, unit_vec, zero_vec
 from leibnizalg.fileformat import dumps_algebra, loads_algebra
 from leibnizalg.oracle import reduce_mod_p
 from leibnizalg.reports import VerificationReport
-
-
-def vec_scale(F, c, u):
-    return tuple(F.mul(c, a) for a in u)
 
 
 def ex1():
@@ -84,7 +80,7 @@ def _check_leibniz_reference(L):
             for k in range(L.dim):
                 ek = L.basis_vector(k)
                 lhs = L.bracket(ei, L.bracket(ej, ek))
-                rhs = tuple(F.sub(a, b) for a, b in
+                rhs = tuple(matrices._reduce(F, a - b) for a, b in
                             zip(L.bracket(L.bracket(ei, ej), ek),
                                 L.bracket(L.bracket(ei, ek), ej)))
                 if lhs != rhs:
@@ -138,9 +134,10 @@ P61 = (1 << 61) - 1     # a prime just below 2^61
 def _rescaled(L, scales):
     """L in the basis f_i = scales[i] e_i, where c_ij^k becomes
     c_ij^k s_i s_j / s_k: still Leibniz, with large entries."""
-    F, n = L.field, L.dim
-    return LeibnizAlgebra(F, n, [[[F.mul(L.table[i][j][k],
-                                         F.mul(F.mul(scales[i], scales[j]), F.inv(scales[k])))
+    F, n, p = L.field, L.dim, L.field.modulus
+    inv = [1 / s if p is None else pow(s, -1, p) for s in scales]
+    return LeibnizAlgebra(F, n, [[[matrices._reduce(F, L.table[i][j][k] * scales[i] * scales[j]
+                                                    * inv[k])
                                    for k in range(n)] for j in range(n)] for i in range(n)],
                           L.labels)
 
@@ -150,7 +147,7 @@ def _perturbed(L, rng, shifts):
     table = [[list(v) for v in row] for row in L.table]
     for c in shifts:
         i, j, k = (rng.randrange(L.dim) for _ in range(3))
-        table[i][j][k] = L.field.add(table[i][j][k], c)
+        table[i][j][k] = matrices._reduce(L.field, table[i][j][k] + c)
     return LeibnizAlgebra(L.field, L.dim, table, L.labels)
 
 
@@ -297,11 +294,10 @@ def table_and_vectors(draw, n_max=4):
 def test_bracket_is_bilinear_extension_of_table(case):
     L, u, v = case
     F = L.field
-    expect = zero_vec(F, L.dim)
-    for i in range(L.dim):
-        for j in range(L.dim):
-            expect = vec_add(F, expect, vec_scale(F, F.mul(u[i], v[j]), L.table[i][j]))
-    assert L.bracket(u, v) == expect
+    pairs = [(i, j) for i in range(L.dim) for j in range(L.dim)]
+    expect = matrices.comb(F, L.dim, [u[i] * v[j] for i, j in pairs],
+                           [L.table[i][j] for i, j in pairs])
+    assert L.bracket(u, v) == tuple(expect)
 
 
 @st.composite
@@ -553,10 +549,8 @@ def test_quotient_well_defined_under_section_shifts():
         for _ in range(5):
             reps = []
             for s in qp.section:
-                shift = zero_vec(QQ, L.dim)
-                for g in I.rows:
-                    shift = vec_add(QQ, shift, vec_scale(QQ, Fraction(rng.randint(-3, 3)), g))
-                reps.append(vec_add(QQ, s, shift))
+                shift = matrices.comb(QQ, L.dim, [rng.randint(-3, 3) for _ in I.rows], I.rows)
+                reps.append([a + b for a, b in zip(s, shift)])
             table = [[qp.project_vector(L.bracket(a, b)) for b in reps] for a in reps]
             assert tuple(tuple(v for v in row) for row in table) == qp.quotient.table
 

@@ -28,7 +28,7 @@ from leibnizalg.core import (
     restrict,
 )
 from leibnizalg.errors import InternalInconsistency, Unsupported
-from leibnizalg.exactlin import QQ, Field, Subspace, lin_comb, unit_vec
+from leibnizalg.exactlin import QQ, Field, Subspace, unit_vec
 from leibnizalg.radicals import (
     Theorem2Report,
     find_complement_B,
@@ -171,7 +171,7 @@ def _nilradical_reference(L):
             return space
         cols = [[cond(matrices.right_mult(L, u)) for cond in conds] for u in space.rows]
         ker = matrices.nullspace(F, matrices.transpose(cols, len(conds)), space.dim)
-        return Subspace.span(F, n, [space.combine(k) for k in ker])
+        return Subspace.span(F, n, [matrices.comb(F, n, k, space.rows) for k in ker])
 
     R = radical(L).subspace
     C = cut(R, [partial(matrices.trace, F)]
@@ -233,7 +233,7 @@ def _radical_reference(L):
     rad = matrices.nullspace(QQ, [matrices.matvec(QQ, G, d) for d in D.rows], lam.dim)
     # the preimage of span(rad): I plus the section lifts of its rows
     return Subspace.span(QQ, L.dim, list(qp.ideal.rows)
-                         + [lin_comb(QQ, L.dim, r, qp.section) for r in rad])
+                         + [matrices.comb(QQ, L.dim, r, qp.section) for r in rad])
 
 
 def test_radical_equals_the_killing_pullback_reference(monkeypatch):
@@ -605,27 +605,35 @@ def _complement_reference(L, qp):
     F, I = L.field, qp.ideal
     if not I.dim:
         return L.full_space()
+    red = partial(matrices._reduce, F)
+
+    def coords(v):
+        # the RREF rows of I are 1 at their pivot columns and 0 at the others'
+        assert I.contains(v)
+        return [v[pc] for pc in I.pivots]
+
     comp, lam = qp.section, qp.quotient.table
     m, d = len(comp), I.dim
-    acts = [[I.coords(L.bracket(g, c)) for c in comp] for g in I.rows]  # [g_r, c_t]
+    acts = [[coords(L.bracket(g, c)) for c in comp] for g in I.rows]  # [g_r, c_t]
     rows = []
     for s in range(m):
         for t in range(m):
-            lift = lin_comb(F, L.dim, lam[s][t], comp)
-            i_st = I.coords([F.sub(a, b) for a, b in zip(L.bracket(comp[s], comp[t]), lift)])
+            lift = matrices.comb(F, L.dim, lam[s][t], comp)
+            i_st = coords([red(a - b) for a, b in zip(L.bracket(comp[s], comp[t]), lift)])
             for k in range(d):
                 row = [F.zero] * (m * d) + [i_st[k]]
                 for r in range(d):
-                    row[s * d + r] = F.add(row[s * d + r], acts[r][t][k])
+                    row[s * d + r] = red(row[s * d + r] + acts[r][t][k])
                 for u in range(m):
-                    row[u * d + k] = F.sub(row[u * d + k], lam[s][t][u])
+                    row[u * d + k] = red(row[u * d + k] - lam[s][t][u])
                 rows.append(row)
     ker = matrices.nullspace(F, rows, m * d + 1)
     if not ker or not ker[-1][-1]:
         return None
     a = ker[-1]
-    return Subspace.span(F, L.dim, [[F.add(x, y) for x, y in
-                                     zip(comp[s], I.combine(a[s * d:(s + 1) * d]))]
+    return Subspace.span(F, L.dim, [[red(x + y) for x, y in
+                                     zip(comp[s], matrices.comb(F, L.dim, a[s * d:(s + 1) * d],
+                                                                I.rows))]
                                     for s in range(m)])
 
 

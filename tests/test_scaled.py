@@ -1,4 +1,4 @@
-"""The scaled-integer kernel over Q against the Fraction algorithms it replaced.
+"""The scaled-integer kernel against the field-element algorithms it replaced.
 
 Brackets, spans, sums, residuals, membership, coordinates, bracket spans and
 the ideal and subalgebra tests run on integer numerators over a common
@@ -6,9 +6,13 @@ denominator.  The references below are the earlier Fraction versions of the
 same algorithms, kept verbatim in spirit: one vector at a time, Fraction
 arithmetic throughout.  The char-0 radicals read their trace functionals off
 the scaled table and test nilpotency by image chains; these are compared with
-traces and powers of operator matrices (tests/matrices.py).
+traces and powers of operator matrices (tests/matrices.py).  The algebras
+that quotient, restrict, direct_sum and reduce_mod_p build from the scaled
+table, and the subspaces and witnesses read off it, are compared with their
+earlier constructions on field elements, over Q and over F_p.
 """
 
+import random
 from bisect import bisect
 from fractions import Fraction
 
@@ -17,10 +21,34 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matrices
-from leibnizalg.core import LeibnizAlgebra, bracket_span, ideal_closure, is_ideal, is_subalgebra
-from leibnizalg.errors import AmbientMismatch
+from dense import dense_basis
+from leibnizalg import corpus
+from leibnizalg.core import (
+    LeibnizAlgebra,
+    bracket_span,
+    check_leibniz,
+    derived_series,
+    direct_sum,
+    embed_subspace,
+    ideal_closure,
+    is_ideal,
+    is_subalgebra,
+    leibniz_kernel,
+    quotient,
+    restrict,
+)
+from leibnizalg.errors import AmbientMismatch, BudgetExceeded
 from leibnizalg.exactlin import QQ, Field, Subspace, from_scaled, to_scaled
-from leibnizalg.radicals import _stable_image, _traces
+from leibnizalg.oracle import reduce_mod_p
+from leibnizalg.radicals import (
+    _complement_B,
+    _complement_subalgebra,
+    _right_action_on_kernel_nilpotent,
+    _stable_image,
+    _traces,
+    nilradical,
+    radical,
+)
 
 
 # ---------------------------------------------------------------- Fraction references
@@ -200,6 +228,7 @@ def test_span_and_sum_match_the_fraction_insertion(case):
     assert S.rows == ref and all(all_fractions(r) for r in S.rows)
     # the scaled form is canonical: equal to the one built from the RREF rows
     assert S == Subspace(QQ, n, ref) and S.scaled_rows == Subspace(QQ, n, ref).scaled_rows
+    assert hash(S) == hash(Subspace(QQ, n, ref))
     ref_sum = ref_insert(n, ref, more)
     assert (S + T).rows == ref_sum and S + T == Subspace(QQ, n, ref_sum)
     assert (S + T).rows == Subspace.span(QQ, n, vecs + more).rows
@@ -214,10 +243,13 @@ def test_reduce_contains_and_coords_match_the_fraction_elimination(case, inside)
     ref = ref_insert(n, (), vecs)
     if inside and ref:
         v = list(ref_lin_comb(n, v[:len(ref)], ref))
-    r = S.reduce(v)
+    r = from_scaled(QQ, *S.scaled_residual(v))
     assert r == ref_reduce(ref, v) and all_fractions(r)
     assert S.contains(v) == ref_contains(ref, v)
-    assert S.coords(v) == ref_coords(ref, v)
+    if S.contains(v):
+        # a member's coordinates in the RREF basis are its entries at the
+        # pivot columns, which restrict and theorem 2's witness read
+        assert tuple(v) == ref_lin_comb(n, ref_coords(ref, v), ref)
 
 
 @given(algebras(), st.data())
@@ -261,9 +293,11 @@ def test_traces_match_the_trace_of_the_product(L, data):
 
 
 def _restricted_operator(L, V, x):
-    """The matrix of R_x on the R_x-invariant V, in V's RREF basis."""
-    cols = [V.coords(L.bracket(u, x)) for u in V.rows]
-    return [[c[r] for c in cols] for r in range(V.dim)]
+    """The matrix of R_x on the R_x-invariant V, in V's RREF basis: the
+    coordinates of a vector of V are its entries at the pivot columns."""
+    cols = [L.bracket(u, x) for u in V.rows]
+    assert all(V.contains(c) for c in cols)
+    return [[c[pc] for c in cols] for pc in V.pivots]
 
 
 @st.composite
@@ -318,7 +352,7 @@ def nilpotent_conjugate(draw, max_dim=6):
         if i == j:
             continue
         E, E_inv = matrices.identity(F, n), matrices.identity(F, n)
-        E[i][j], E_inv[i][j] = c, F.neg(c)
+        E[i][j], E_inv[i][j] = c, matrices._reduce(F, -c)
         M = matrices.matmul(F, matrices.matmul(F, E, M), E_inv)
     return F, M
 
@@ -334,8 +368,174 @@ def test_stable_image_of_a_conjugate_of_strictly_upper(case):
     assert _stable_image(L, L.full_space(), x).dim == 0
     assert _stable_image(L, V, x).dim == 0
     # adding the identity makes M invertible: the chain stops at V at once
-    shifted = [[F.add(a, F.one if i == j else F.zero) for j, a in enumerate(r)]
+    shifted = [[matrices._reduce(F, a + int(i == j)) for j, a in enumerate(r)]
                for i, r in enumerate(M)]
     L = _acting_by(F, shifted)
     assert _stable_image(L, L.full_space(), x) == V
     assert _stable_image(L, V, x) == V
+
+
+# ---------------------------------------------------------------- algebras built from the scaled table
+
+def ref_residual(F, rows, v):
+    """v less its entry at each pivot column times that RREF row, in F."""
+    res = list(v)
+    for row in rows:
+        c = res[next(j for j, a in enumerate(row) if a)]
+        res = [matrices._reduce(F, a - c * b) for a, b in zip(res, row)]
+    return res
+
+
+def ref_coords_in(F, A, v):
+    assert not any(ref_residual(F, A.rows, v))
+    return tuple(v[pc] for pc in A.pivots)
+
+
+def ref_quotient(L, J):
+    """L/J on the units at J's non-pivot columns, from the residuals of the
+    brackets of the section; returns the algebra and the projection."""
+    F, piv = L.field, set(J.pivots)
+
+    def coset(v):
+        return tuple(a for c, a in enumerate(ref_residual(F, J.rows, v)) if c not in piv)
+
+    section = J.complement_basis()
+    table = [[coset(L.bracket(s, t)) for t in section] for s in section]
+    labels = [label + "~" for c, label in enumerate(L.labels) if c not in piv]
+    return LeibnizAlgebra(F, len(section), table, labels), coset
+
+
+def ref_restrict(L, A):
+    table = [[ref_coords_in(L.field, A, L.bracket(u, v)) for v in A.rows] for u in A.rows]
+    return LeibnizAlgebra(L.field, A.dim, table, [f"b{i+1}" for i in range(A.dim)])
+
+
+def ref_direct_sum(A, B):
+    F, n = A.field, A.dim + B.dim
+    table = [[[F.zero] * n for _ in range(n)] for _ in range(n)]
+    for M, off in ((A, 0), (B, A.dim)):
+        for i in range(M.dim):
+            for j in range(M.dim):
+                for k in range(M.dim):
+                    table[off + i][off + j][off + k] = M.table[i][j][k]
+    return LeibnizAlgebra(F, n, table, list(A.labels) + list(B.labels))
+
+
+def ref_reduce_mod_p(L, p):
+    F = Field(p)
+    try:
+        table = [[[F.scalar(c.numerator, c.denominator) for c in v] for v in row]
+                 for row in L.table]
+    except ZeroDivisionError:
+        return None
+    Lp = LeibnizAlgebra(F, L.dim, table, L.labels)
+    return Lp if check_leibniz(Lp).passed else None
+
+
+def ref_embed(A, S):
+    F, n = A.field, A.ambient_dim
+    return Subspace.span(F, n, [matrices.comb(F, n, r, A.rows) for r in S.rows])
+
+
+def ref_witnesses(L, I, X):
+    """(n, matrix of R_n on I) for each RREF row n of X with R_n|_I not
+    nilpotent, the matrix from I-coordinates of the brackets."""
+    F, out = L.field, []
+    for n in X.rows:
+        cols = [ref_coords_in(F, I, L.bracket(u, n)) for u in I.rows]
+        M = [[c[r] for c in cols] for r in range(I.dim)]
+        if not matrices.is_nilpotent(F, M):
+            out.append({"n": n, "restricted_matrix": tuple(zip(*cols))})
+    return out
+
+
+def _types(x):
+    if isinstance(x, (tuple, list)):
+        return [_types(a) for a in x]
+    return type(x)
+
+
+def assert_same_algebra(M, R, name):
+    assert M.field == R.field and M.dim == R.dim, name
+    assert M.scaled_table() == R.scaled_table(), name
+    assert M.labels == R.labels, name
+    assert M.table == R.table and _types(M.table) == _types(R.table), name
+
+
+BUDGET = 3000       # subspaces for the scan of verify's B search
+
+
+def reference_cases():
+    """Every corpus entry in its sparse basis and in two dense bases, over Q
+    and in its admissible reductions mod 2, 3 and 5; the reductions are
+    checked against the entrywise reference on the way."""
+    for e in corpus.standard_entries():
+        for L in (e.algebra, *(dense_basis(e.algebra, random.Random(s)) for s in (1, 2))):
+            yield e.name, L
+            for p in (2, 3, 5):
+                Lp = reduce_mod_p(L, p)
+                ref = ref_reduce_mod_p(L, p)
+                assert (Lp is None) == (ref is None), (e.name, p)
+                if Lp is not None:
+                    assert_same_algebra(Lp, ref, (e.name, p))
+                    yield f"{e.name} mod {p}", Lp
+
+
+def _verify_B(L, I):
+    """The B that verify runs theorem 2 on, or None."""
+    try:
+        return _complement_B(quotient(L, I), _complement_subalgebra(L, I), BUDGET)[0]
+    except BudgetExceeded:
+        return None
+
+
+def test_algebras_from_the_scaled_table_match_the_field_element_constructions():
+    count = 0
+    for name, L in reference_cases():
+        F = L.field
+        I = leibniz_kernel(L)
+        N = nilradical(L).subspace
+        R = radical(L).subspace
+        B = _verify_B(L, I)
+        spaces = [S for S in (I, N, R, B, L.full_space()) if S is not None]
+        for J in (I, N, R):
+            qp = quotient(L, J)
+            ref, coset = ref_quotient(L, J)
+            assert_same_algebra(qp.quotient, ref, (name, J))
+            for v in [L.basis_vector(i) for i in range(L.dim)] + [r for S in spaces for r in S.rows]:
+                w = qp.project_vector(v)
+                assert w == coset(v) and _types(w) == _types(coset(v)), (name, v)
+            for S in spaces:
+                assert qp.project_subspace(S) == Subspace.span(F, ref.dim,
+                                                               [coset(r) for r in S.rows]), name
+        for A in spaces:
+            LA = restrict(L, A)
+            assert_same_algebra(LA, ref_restrict(L, A), (name, A))
+            ones = Subspace.span(F, A.dim, [[1] * A.dim])
+            for S in (LA.full_space(), leibniz_kernel(LA), derived_series(LA)[:2][-1], ones):
+                assert embed_subspace(A, S) == ref_embed(A, S), (name, A, S)
+        for X in spaces:
+            holds, witnesses = _right_action_on_kernel_nilpotent(L, I, X)
+            ref = ref_witnesses(L, I, X)
+            assert witnesses == ref and _types(witnesses[:1]) == _types(ref[:1]), (name, X)
+            assert holds == (not ref)
+        Q = quotient(L, I).quotient
+        assert_same_algebra(direct_sum(L, Q), ref_direct_sum(L, Q), name)
+        assert_same_algebra(direct_sum(Q, L), ref_direct_sum(Q, L), name)
+        count += 1
+    assert count > 80
+
+
+@pytest.mark.parametrize("entry, p, expect", [
+    (Fraction(1, 6), 2, None), (Fraction(1, 6), 3, None), (Fraction(1, 6), 5, 1),
+    (Fraction(2, 4), 2, None), (Fraction(2, 4), 3, 2), (Fraction(2, 4), 5, 3),
+    (Fraction(5, 3), 2, 1), (Fraction(5, 3), 3, None), (Fraction(5, 3), 5, 0),
+])
+def test_reduce_mod_p_reads_the_denominators_off_d(entry, p, expect):
+    # [x, x] = entry y: nilpotent, so Leibniz mod every p; a reduction
+    # exists iff p divides no denominator, that is, not d
+    L = LeibnizAlgebra.from_products(QQ, 2, {(0, 0): {1: entry}})
+    Lp = reduce_mod_p(L, p)
+    assert (Lp is None) == (expect is None) == (ref_reduce_mod_p(L, p) is None)
+    if Lp is not None:
+        assert Lp.table[0][0] == (0, expect) and Lp == ref_reduce_mod_p(L, p)
