@@ -34,7 +34,6 @@ from .errors import (
     InternalInconsistency,
     NotAnIdeal,
     NotASubalgebra,
-    PremiseViolation,
     TheoremViolation,
     Unsupported,
     UnsupportedField,

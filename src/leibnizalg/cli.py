@@ -5,7 +5,8 @@ it as text or JSON, so the two formats always carry identical verdicts and
 subspace bases.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 unsupported field or budget.
+3 unsupported field or budget, and 141 (128 + SIGPIPE, as a shell reports
+for cat) when standard output is closed before the report is written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -32,7 +34,7 @@ from .core import (
     lower_central_series,
     quotient,
 )
-from .errors import BudgetExceeded, NotAnIdeal, PremiseViolation, Unsupported
+from .errors import BudgetExceeded, NotAnIdeal, Unsupported
 from .exactlin import Subspace
 from .fileformat import ParseError, dumps_algebra, load_algebra
 from .radicals import find_complement_B, frattini_ideal, nilradical, radical, verify
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_CLOSED_STDOUT = 141
 
 
 def _render_text(obj, indent=0):
@@ -271,7 +274,7 @@ def run(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except (ParseError, NotAnIdeal, PremiseViolation) as e:
+    except (ParseError, NotAnIdeal) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (Unsupported, BudgetExceeded) as e:
@@ -300,7 +303,15 @@ def _dispatch(args) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, as cat does, with stdout on
+        # devnull so that the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

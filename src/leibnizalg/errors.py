@@ -39,7 +39,3 @@ class BudgetExceeded(RuntimeError):
 class TheoremViolation(RuntimeError):
     """An exhaustively-verified theorem failed on concrete data; this can only
     mean an implementation bug and must abort."""
-
-
-class PremiseViolation(ValueError):
-    """A theorem verification was invoked on data violating its premises."""

@@ -29,13 +29,7 @@ from .core import (
     quotient,
     restrict,
 )
-from .errors import (
-    BudgetExceeded,
-    InternalInconsistency,
-    NotASubalgebra,
-    PremiseViolation,
-    Unsupported,
-)
+from .errors import BudgetExceeded, InternalInconsistency, Unsupported
 from .exactlin import Subspace, from_scaled, nullspace, scaled_comb
 from .reports import VerificationReport
 
@@ -282,16 +276,14 @@ def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     computable over Q meets the premises.
     """
     qp = quotient(L, leibniz_kernel(L))
-    return _complement_B(qp, _complement_subalgebra(L, qp.ideal), budget)[0]
+    return _complement_B(qp, _complement_subalgebra(L, qp.ideal), budget)
 
 
 def _complement_B(qp: QuotientPresentation, S, budget: int):
     """find_complement_B on qp.parent, with qp the quotient by the kernel I
     and S the complement subalgebra of I, or None if I has none; then other
-    candidates are searched, over Q a list of at most one.  Returns
-    (B, premises): premises is theorem 2's premise dict that the search
-    checked on B, for verify_theorem2 to reuse, or None when nothing was
-    searched (B is S) or nothing was found (B is None).
+    candidates are searched, over Q a list of at most one, and the first on
+    which no premise of theorem 2 fails (_theorem2_failure) is returned.
 
     The complement subalgebra of I (B cap I = 0) always qualifies, and is
     tried before these.  If Q = L/I is nilpotent, the candidate is the
@@ -311,24 +303,15 @@ def _complement_B(qp: QuotientPresentation, S, budget: int):
     lies in I_0 cap I_1 = 0.
     """
     if S is not None:
-        return S, None      # I + S = L and I cap S = 0, so both premises hold
+        return S            # I + S = L and I cap S = 0, so every premise holds
     L, I = qp.parent, qp.ideal
     if L.field.modulus is not None:
         candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
     else:
         candidates = ([_complement_subalgebra(L, _fitting_one(L, I))]
                       if is_nilpotent(qp.quotient) else [])
-    for B in candidates:
-        if B is None:
-            continue
-        premises = {}
-        for name, holds, _ in _theorem2_premises(L, I, B, budget):
-            if not holds:
-                break
-            premises[name] = holds
-        else:
-            return B, premises
-    return None, None
+    return next((B for B in candidates
+                 if B is not None and _theorem2_failure(L, I, B, budget) is None), None)
 
 
 def _fitting_one(L: LeibnizAlgebra, I: Subspace) -> Subspace:
@@ -410,45 +393,33 @@ def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
     return B
 
 
-def _theorem2_premises(L, I, B, budget):
-    """Theorem 2's premises on a subalgebra B, in order and lazily, as
-    (name, holds, message if it fails)."""
-    yield "I_plus_B_is_L", (I + B) == L.full_space(), "I + B is not all of L"
+def _theorem2_failure(L: LeibnizAlgebra, I: Subspace, B: Subspace, budget: int):
+    """The message of the first of theorem 2's premises that fails on the
+    subspace B of L, in order: B is a subalgebra, I + B = L, and I cap B lies
+    in phi(B); None when all three hold."""
+    if not is_subalgebra(L, B):
+        return "B is not a subalgebra"
+    if I + B != L.full_space():
+        return "I + B is not all of L"
     IB = I & B
+    if not IB.dim:
+        return None         # 0 is in any phi(B)
     try:
-        holds = IB.dim == 0 or IB <= frattini_ideal(L, budget, B)   # 0 is in any phi(B)
+        phi = frattini_ideal(L, budget, B)
     except Unsupported:
-        raise Unsupported(
-            "cannot verify I cap B <= phi(B): Frattini ideal of B not computable") from None
-    yield "I_cap_B_in_frattini_of_B", holds, "I cap B is not inside the Frattini ideal of B"
+        return "cannot verify I cap B <= phi(B): Frattini ideal of B not computable"
+    return None if IB <= phi else "I cap B is not inside the Frattini ideal of B"
 
 
-def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
-                    NQ: Subspace, B: Subspace, budget: int,
-                    checked: dict | None = None) -> Theorem2Report:
+def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, N_of,
+                    B: Subspace) -> Theorem2Report:
     """Check N(L/I) = (I + N(B))/I, and that it equals N(L)/I exactly when
     every basis element n of N(B) has nilpotent right multiplication on I.
-    qp is the quotient by I, NL is N(L) and NQ is N(L/I).  checked holds
-    the premises that _complement_B's search already found true on B; when
-    it is None they are checked here.
+    qp is the quotient by I, N_of maps an algebra to its nilradical
+    (verify's table), and B meets theorem 2's premises (_theorem2_failure).
     """
-    I = qp.ideal
-    try:
-        LB = restrict(L, B)
-    except NotASubalgebra:
-        raise PremiseViolation("B is not a subalgebra") from None
-    premises = {"B_is_subalgebra": True}
-    if checked is not None:
-        premises.update(checked)
-    else:
-        for name, holds, failure in _theorem2_premises(L, I, B, budget):
-            premises[name] = holds
-            if not holds:
-                raise PremiseViolation(failure)
-
-    # B = L/I as algebras when their tables agree, and then N(B) is N(L/I)
-    NB = NQ if LB == qp.quotient else nilradical(LB, budget).subspace
-    NB_in_L = embed_subspace(B, NB)
+    I, NQ, NL = qp.ideal, N_of(qp.quotient), N_of(L)
+    NB_in_L = embed_subspace(B, N_of(restrict(L, B)))
     rhs = qp.project_subspace(I + NB_in_L)
     condition, condition_witnesses = _right_action_on_kernel_nilpotent(L, I, NB_in_L)
     details = {
@@ -458,7 +429,8 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace,
         "basis_level_check_only": L.field.modulus is not None,
     }
     return Theorem2Report(
-        premises_ok=premises,
+        premises_ok={"B_is_subalgebra": True, "I_plus_B_is_L": True,
+                     "I_cap_B_in_frattini_of_B": True},
         lhs=NQ,
         rhs=rhs,
         formula_equal=NQ == rhs,
@@ -492,17 +464,18 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
     return (not witnesses), witnesses
 
 
-def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace, NQ: Subspace,
-                  S, budget: int) -> VerificationReport:
+def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, N_of, S, budget: int):
     """If I is inside the Frattini ideal, then N(L/I) = N(L)/I.  qp is the
-    quotient by I, NL is N(L), NQ is N(L/I) and S is the complement
-    subalgebra of I, or None if I has none.
+    quotient by I, N_of maps an algebra to its nilradical (verify's table)
+    and S is the complement subalgebra of I, or None if I has none.  Returns
+    {"skipped": message} when phi(L) is needed and not computable.
 
     I is an ideal, so it lies in phi(L) exactly when it lies in every maximal
     subalgebra.  I = 0 does.  For I != 0, S is a proper subalgebra with
     S + I = L; S lies in a maximal subalgebra M, and I <= M would give
     M >= S + I = L, so the premise fails, with S as the witness.  phi(L) is
-    computed only when neither rule decides.
+    computed only when neither rule decides, and N(L/I) only when the
+    premise holds.
     """
     I = qp.ideal
     name = "nilradical-of-quotient-under-frattini-premise"
@@ -516,11 +489,11 @@ def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, NL: Subspace, NQ:
         try:
             details["frattini"] = phi = frattini_ideal(L, budget)
         except Unsupported:
-            raise Unsupported("Frattini ideal of L not computable") from None
+            return {"skipped": "Frattini ideal of L not computable"}
         if not I <= phi:
             details["notice"] = "premise I <= phi(L) fails; statement not applicable"
             return VerificationReport(name=name, passed=True, applicable=False, details=details)
-    rhs = qp.project_subspace(NL)
+    NQ, rhs = N_of(qp.quotient), qp.project_subspace(N_of(L))
     return VerificationReport(
         name=name,
         passed=NQ == rhs,
@@ -545,13 +518,14 @@ def verify_prop3(L: LeibnizAlgebra, R: Subspace, N: Subspace) -> VerificationRep
 
 
 def verify_corollary(L: LeibnizAlgebra, R: Subspace, N: Subspace) -> VerificationReport:
-    """[R,R] inside N and nilpotent; L solvable iff [L,L] nilpotent (char 0)."""
+    """[R,R] inside N and nilpotent; L solvable iff [L,L] nilpotent (char 0).
+    L is solvable exactly when its certified radical R is all of L."""
+    full = L.full_space()
     RR = bracket_span(L, R, R)
-    derived = derived_series(L)       # [L,L] is derived[1], or 0 = derived[0] when L = 0
     # spans of all products of a subalgebra are closed under the bracket
     contained = RR <= N
     rr_nilpotent = is_nilpotent(L, RR)
-    equivalence = (derived[-1].dim == 0) == is_nilpotent(L, derived[:2][-1])
+    equivalence = (R == full) == is_nilpotent(L, bracket_span(L, full, full))
     return VerificationReport(
         name="derived-radical-nilpotency-corollary",
         passed=contained and rr_nilpotent and equivalence,
@@ -564,31 +538,36 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
            budget: int = oracle.DEFAULT_BUDGET) -> dict:
     """The paper's checks on L combined into one verdict.
 
-    I, L/I, N(L), N(L/I) and the complement subalgebra S of I, and over Q
-    the radical R(L), are computed once.  Lemma 1 (which reads S as its
-    witness), theorem 2 (for B, or else for the B that find_complement_B
-    finds, S when there is one), proposition 3 and the corollary then run in
-    that order as steps that read them.  A step that raises Unsupported or
-    PremiseViolation is reported as {"skipped": message}, and so are
-    proposition 3 and the corollary over F_p; the others as their reports.  The verdict is "fail"
-    when a check that ran did not pass, else "pass".
+    I, L/I and the complement subalgebra S of I, and over Q the radical
+    R(L), are computed once.  Nilradicals are kept in one table for the
+    call, keyed by the algebra (its field and scaled table), so N(L), N(L/I)
+    and N(B) are computed once per distinct table, N(L) first and the others
+    when a step reads them.  Lemma 1 (which reads S as its witness), theorem
+    2 (for B, or else for the B that find_complement_B finds, S when there
+    is one), proposition 3 and the corollary then run in that order.  A B
+    given here is checked against theorem 2's premises first.  A step whose
+    premise fails or that cannot be computed is reported as
+    {"skipped": message}, and so are proposition 3 and the corollary over
+    F_p; the others as their reports.  The verdict is "fail" when a check
+    that ran did not pass, else "pass".
     """
-    def attempt(step, *args):
-        try:
-            return step(*args)
-        except (Unsupported, PremiseViolation) as e:
-            return {"skipped": str(e)}
+    nilradicals = {}
+
+    def N_of(M):
+        if M not in nilradicals:
+            nilradicals[M] = nilradical(M, budget).subspace
+        return nilradicals[M]
 
     qp = quotient(L, leibniz_kernel(L))
-    NL = nilradical(L, budget).subspace       # over F_p the first budget check is on L
-    NQ = nilradical(qp.quotient, budget).subspace
+    NL = N_of(L)            # over F_p the first budget check is on L
     S = _complement_subalgebra(L, qp.ideal)
-    report = {"lemma1": attempt(verify_lemma1, L, qp, NL, NQ, S, budget)}
-    checked = None
+    report = {"lemma1": verify_lemma1(L, qp, N_of, S, budget)}
     if B is None:
-        B, checked = _complement_B(qp, S, budget)
-    report["theorem2"] = ({"skipped": "no complement subalgebra B found"} if B is None
-                          else attempt(verify_theorem2, L, qp, NL, NQ, B, budget, checked))
+        B = _complement_B(qp, S, budget)
+        failure = None if B is not None else "no complement subalgebra B found"
+    else:
+        failure = _theorem2_failure(L, qp.ideal, B, budget)
+    report["theorem2"] = {"skipped": failure} if failure else verify_theorem2(L, qp, N_of, B)
     if L.field.modulus is None:
         R = radical(L).subspace
         report["prop3"] = verify_prop3(L, R, NL)

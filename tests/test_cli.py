@@ -1,10 +1,14 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import leibnizalg
 from leibnizalg import cli, corpus
 from leibnizalg.fileformat import MAX_DIM, dumps_algebra
 
@@ -339,3 +343,22 @@ def test_a_loaded_file_builds_no_dense_table(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     assert len(loaded) == 2 * (len(cli.VERBS) - 1)
     assert all(M._table is None for M in loaded)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_ends_quietly(fmt):
+    # the console script's main(), in a process whose stdout pipe has no
+    # reader left: no traceback, and neither the failure nor the usage code
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(leibnizalg.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    try:
+        proc = subprocess.run([sys.executable, "-c", "from leibnizalg.cli import main; main()",
+                               "--format", fmt, "verify", "example1"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode not in (1, 2)

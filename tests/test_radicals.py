@@ -516,8 +516,8 @@ def test_theorem2_restricts_only_for_the_nilradical_of_B(monkeypatch, case):
 def test_verify_checks_theorem2_premises_once_for_the_searched_B(monkeypatch):
     # nilcyclic2 + sl2 mod 3: I = span(x2) has no complement, and the search
     # finds B = L, which is not nilpotent and meets I.  The search checks
-    # I cap B <= phi(B) on B's restriction, and verify_theorem2 reuses that
-    # verdict: B's table is restricted once there and once for N(B)
+    # I cap B <= phi(B) on B's restriction, and verify_theorem2 assumes the
+    # premises: B's table is restricted once there and once for N(B)
     from leibnizalg import radicals
     from leibnizalg.oracle import reduce_mod_p
 
@@ -693,11 +693,38 @@ def test_theorem2_lie_algebra_all_true():
     assert rep.formula_equal and rep.nilpotency_condition and rep.kernel_quotient_equal
 
 
-def test_theorem2_premise_violation():
+def premise_case(name):
+    """(L, B) for each premise of theorem 2 that a given B can fail, in order."""
+    from leibnizalg.oracle import reduce_mod_p
+
     L = corpus.example1().algebra
-    # I + B != L
-    assert verify(L, span_of(L, L.basis_vector(1)))["theorem2"] == {
-        "skipped": "I + B is not all of L"}
+    if name == "not-a-subalgebra":          # [x, x] = x2 lies outside span(x)
+        return L, span_of(L, L.basis_vector(0))
+    if name == "I+B-not-L":                 # B = I = span(x2)
+        return L, span_of(L, L.basis_vector(1))
+    if name == "frattini-of-B-over-Q":      # B = L is not nilpotent over Q
+        L = corpus.with_simple_summand(corpus.example1()).algebra
+        return L, L.full_space()
+    L = reduce_mod_p(L, 3)                  # B = L, whose Frattini ideal is 0
+    return L, L.full_space()
+
+
+PREMISE_MESSAGES = {
+    "not-a-subalgebra": "B is not a subalgebra",
+    "I+B-not-L": "I + B is not all of L",
+    "frattini-of-B-over-Q": "cannot verify I cap B <= phi(B): Frattini ideal of B not computable",
+    "not-in-frattini-of-B": "I cap B is not inside the Frattini ideal of B",
+}
+
+
+@pytest.mark.parametrize("name", list(PREMISE_MESSAGES))
+def test_theorem2_premise_violation(name):
+    # a B the caller gives is checked before theorem 2 runs; the other
+    # checks still run and pass
+    L, B = premise_case(name)
+    rep = verify(L, B)
+    assert rep["theorem2"] == {"skipped": PREMISE_MESSAGES[name]}
+    assert rep["verdict"] == "pass"
 
 
 def test_theorem2_condition_matches_quotient_equality_everywhere():
@@ -755,21 +782,6 @@ def test_lemma1_runs_everywhere_and_its_witness_supplements_the_kernel():
     assert witnesses >= 15
 
 
-def test_theorem2_skipped_when_B_is_not_a_subalgebra():
-    # [x, x] = x2 lies outside span(x); the other checks still run
-    L = corpus.example1().algebra
-    rep = verify(L, span_of(L, L.basis_vector(0)))
-    assert rep["theorem2"] == {"skipped": "B is not a subalgebra"}
-    assert rep["verdict"] == "pass"
-
-
-def test_theorem2_skipped_when_frattini_of_B_not_computable_over_q():
-    # B = L meets I = span{x2}, and example1 + sl2 is not nilpotent
-    L = corpus.with_simple_summand(corpus.example1()).algebra
-    assert verify(L, L.full_space())["theorem2"] == {
-        "skipped": "cannot verify I cap B <= phi(B): Frattini ideal of B not computable"}
-
-
 def test_lemma1_example1_premise_fails_over_fp():
     from leibnizalg.oracle import reduce_mod_p
 
@@ -799,6 +811,23 @@ def test_corollary_examples():
     for name in ("example1", "sl2", "abelian-3", "affine2", "example2-2-1"):
         rep = verify(corpus.build(name).algebra)["corollary"]
         assert rep.passed, name
+
+
+def test_corollary_reads_solvability_from_the_radical():
+    # the reference is the derived series of L reaching zero, and [L, L] its
+    # second term, on every Q corpus entry in its basis and two dense ones
+    from leibnizalg.radicals import verify_corollary
+
+    for e in corpus.standard_entries():
+        for L in (e.algebra, *(dense_basis(e.algebra, random.Random(s)) for s in (1, 2))):
+            derived = derived_series(L)
+            solvable = derived[-1].dim == 0
+            R, N = radical(L).subspace, nilradical(L).subspace
+            assert (R == L.full_space()) == solvable, e.name
+            rep = verify_corollary(L, R, N)
+            reference = solvable == is_nilpotent(L, derived[:2][-1])
+            assert rep.details["solvable_iff_derived_nilpotent"] == reference, e.name
+            assert rep.passed, e.name
 
 
 def test_prop3_and_corollary_across_corpus():
@@ -1022,8 +1051,15 @@ def test_verify_verdict_is_the_one_the_cli_reports(monkeypatch, capsys):
 
 
 def counting_case(name):
+    from leibnizalg.oracle import reduce_mod_p
+
     if name == "example2-6-3 dense":
         return dense_basis(corpus.example2(6, 3).algebra, random.Random(13))
+    if name == "example1+sl2 dense":
+        return dense_basis(corpus.with_simple_summand(corpus.example1()).algebra,
+                           random.Random(1))
+    if name == "sl2 mod 3":
+        return reduce_mod_p(corpus.sl2().algebra, 3)
     return corpus.build(name).algebra
 
 
@@ -1035,26 +1071,35 @@ def counting(calls, f):
     return counted
 
 
-@pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg", "nilcyclic2"])
+# distinct tables among L, L/I and B: L/I has L's table when I = 0; the B of
+# nilcyclic2, whose I has no complement, is L; the complement of I has the
+# table of L/I in its canonical basis on example1 and dense example2-6-3, but
+# not on dense example1+sl2, where the nilradicals differ in coordinates
+DISTINCT_TABLES = {"heisenberg": 1, "sl2 mod 3": 1, "nilcyclic2": 2, "example1": 2,
+                   "example2-6-3 dense": 2, "example1+sl2 dense": 3}
+
+
+@pytest.mark.parametrize("name", list(DISTINCT_TABLES))
 def test_verify_computes_each_nilradical_once(monkeypatch, name):
-    # one call each for L and L/I, and one for B unless B has the table of
-    # L/I, whose nilradical then serves as N(B); nilcyclic2's I has no
-    # complement, and its B is L
+    # one call per distinct table, N(L) first
     from leibnizalg import radicals
 
     L = counting_case(name)
     calls = []
 
     def counted(M, *args):
-        calls.append(M.dim)
+        calls.append(M)
         return nilradical(M, *args)
 
     monkeypatch.setattr(radicals, "nilradical", counted)
-    assert verify(L)["verdict"] == "pass"
+    report = verify(L)
+    assert report["verdict"] == "pass"
     qp, B = quotient(L, leibniz_kernel(L)), find_complement_B(L)
-    reused = restrict(L, B) == qp.quotient
-    assert reused == (name != "nilcyclic2")
-    assert calls == [L.dim, qp.quotient.dim] + ([] if reused else [B.dim])
+    assert calls == list(dict.fromkeys([L, qp.quotient, restrict(L, B)]))
+    assert len(calls) == DISTINCT_TABLES[name]
+    NB = nilradical(restrict(L, B)).subspace
+    assert report["theorem2"].details["N_of_B_in_L"] == embed_subspace(B, NB)
+    assert report["theorem2"].lhs == nilradical(qp.quotient).subspace
 
 
 @pytest.mark.parametrize("name", ["example2-6-3 dense", "heisenberg", "example1+sl2"])

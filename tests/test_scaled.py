@@ -484,7 +484,7 @@ def reference_cases():
 def _verify_B(L, I):
     """The B that verify runs theorem 2 on, or None."""
     try:
-        return _complement_B(quotient(L, I), _complement_subalgebra(L, I), BUDGET)[0]
+        return _complement_B(quotient(L, I), _complement_subalgebra(L, I), BUDGET)
     except BudgetExceeded:
         return None
 
