@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -38,7 +37,7 @@ from .errors import BudgetExceeded, NotAnIdeal, Unsupported
 from .exactlin import Subspace
 from .fileformat import ParseError, dumps_algebra, load_algebra
 from .radicals import find_complement_B, frattini_ideal, nilradical, radical, verify
-from .reports import _jsonable
+from .reports import _jsonable, dumps_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -85,7 +84,7 @@ def _fmt_vector(v) -> str:
 
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(_jsonable(report), indent=2))
+        print(dumps_json(report))
     else:
         print("\n".join(_render_text(_jsonable(report, _fmt_vector))))
 

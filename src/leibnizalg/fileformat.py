@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .core import LeibnizAlgebra
 from .exactlin import Field, _is_int
+from .reports import dumps_json
 
 
 # Largest dim a file may declare; the table has dim^3 entries.
@@ -64,7 +65,7 @@ def algebra_to_dict(L: LeibnizAlgebra) -> dict:
 
 
 def dumps_algebra(L: LeibnizAlgebra) -> str:
-    return json.dumps(algebra_to_dict(L), indent=2) + "\n"
+    return dumps_json(algebra_to_dict(L)) + "\n"
 
 
 def algebra_from_dict(d: dict) -> LeibnizAlgebra:

@@ -1,21 +1,28 @@
 """Ground truth by exhaustive enumeration over small prime fields.
 
 Subspaces of F_p^n are enumerated exactly once via their RREF canonical forms,
-grouped by pivot-column pattern; everything else (ideal lattices, brute-force
-nilradical / radical / Frattini ideal) filters or folds that stream.  The
-nilpotency and solvability verdicts on the ideals are inherited where the
-lattice decides them: walking the ideals by descending dimension, an ideal
-inside one that is nilpotent (solvable) is too, one that contains an ideal
-that is not is not either, and only the rest run their series (_holding).
-The sum-of-all-nilpotent-ideals construction asserts, on concrete data, that
-the sum is itself a nilpotent ideal containing every nilpotent ideal; a
-failure aborts because it could only be an implementation bug.
+grouped by pivot-column pattern (_pivot_patterns); everything else (ideal
+lattices, brute-force nilradical / radical / Frattini ideal) filters or folds
+that stream.  The scan walks the patterns once: within a pattern each row
+ranges over its own list of choices, and the candidates are their product.
+The 2n products of a row with the basis are formed once per distinct row and
+the product of two rows once per ordered pair, so a row shared by many
+candidates is bracketed once; a product is tested against a candidate by its
+RREF residual at the pattern's free columns, and only the subalgebras are
+built as Subspaces.  The nilpotency and solvability verdicts on the ideals are
+inherited where the lattice decides them: walking the ideals by descending
+dimension, an ideal inside one that is nilpotent (solvable) is too, one that
+contains an ideal that is not is not either, and only the rest run their
+series (_holding).  The sum-of-all-nilpotent-ideals construction asserts, on
+concrete data, that the sum is itself a nilpotent ideal containing every
+nilpotent ideal; a failure aborts because it could only be an implementation
+bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
@@ -25,7 +32,6 @@ from .core import (
     is_ideal,
     is_nilpotent,
     is_solvable,
-    is_subalgebra,
     largest_contained_ideal,
 )
 from .errors import BudgetExceeded, TheoremViolation, UnsupportedField
@@ -47,27 +53,40 @@ def check_budget(n: int, p: int, budget: int = DEFAULT_BUDGET) -> int:
     return total
 
 
-def enumerate_subspaces(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
-    """Every subspace of F_p^n exactly once, by pivot-column pattern.
+def _pivot_patterns(n: int, p: int) -> Iterator[tuple]:
+    """(pivots, choices) for every pivot-column pattern of F_p^n, the zero
+    space's () first, then by dimension and pivot columns.
 
-    Rows are built directly in RREF: pivot entries 1, zeros below/above pivots,
-    free entries ranging over F_p at positions right of each pivot and outside
-    the pivot columns.
+    choices[r] lists every RREF row r can be: entry 1 at its pivot column,
+    0 at the other pivot columns and left of its pivot, and every value of
+    F_p at each free position, the last varying fastest.  The subspaces of a
+    pattern are product(*choices), each once.
     """
-    check_budget(n, p, budget)
-    F = Field(p)
-    yield Subspace.zero(F, n)
+    yield (), ()
     for k in range(1, n + 1):
         for pivots in combinations(range(n), k):
-            free_pos = [(r, c) for r in range(k)
-                        for c in range(pivots[r] + 1, n) if c not in pivots]
-            for vals in product(range(p), repeat=len(free_pos)):
-                rows = [[0] * n for _ in range(k)]
-                for r, pc in enumerate(pivots):
-                    rows[r][pc] = 1
-                for (r, c), v in zip(free_pos, vals):
-                    rows[r][c] = v
-                yield Subspace._from_scaled(F, n, map(tuple, rows), pivots)
+            choices = []
+            for pc in pivots:
+                free = [c for c in range(pc + 1, n) if c not in pivots]
+                rows = []
+                for vals in product(range(p), repeat=len(free)):
+                    row = [0] * n
+                    row[pc] = 1
+                    for c, v in zip(free, vals):
+                        row[c] = v
+                    rows.append(tuple(row))
+                choices.append(rows)
+            yield pivots, choices
+
+
+def enumerate_subspaces(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
+    """Every subspace of F_p^n exactly once, built directly in RREF from the
+    pivot-column patterns of _pivot_patterns."""
+    check_budget(n, p, budget)
+    F = Field(p)
+    for pivots, choices in _pivot_patterns(n, p):
+        for rows in product(*choices):
+            yield Subspace._from_scaled(F, n, rows, pivots)
 
 
 @dataclass(frozen=True)
@@ -114,16 +133,62 @@ def scan(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> LatticeScan:
 # 16 entries keep them all with room to spare
 @lru_cache(maxsize=16)
 def _scan_cached(L: LeibnizAlgebra) -> LatticeScan:
-    p = L.field.modulus
-    total = subspace_count(L.dim, p)
-    subalgebras = [S for S in enumerate_subspaces(L.dim, p, total) if is_subalgebra(L, S)]
-    ideals = [S for S in subalgebras if is_ideal(L, S)]     # every ideal is a subalgebra
+    total = subspace_count(L.dim, L.field.modulus)
+    subalgebras, ideals = _subalgebras_and_ideals(L)
     solvable = _holding(L, ideals, is_solvable, [])
     # a nilpotent ideal is solvable: one that contains a non-solvable ideal is not nilpotent
     known = set(solvable)
     nilpotent = _holding(L, ideals, is_nilpotent, [J for J in ideals if J not in known])
     return LatticeScan(L, total, tuple(subalgebras), tuple(ideals), nilpotent, solvable,
                        _maximal(L, subalgebras))
+
+
+def _subalgebras_and_ideals(L: LeibnizAlgebra) -> tuple:
+    """(subalgebras, ideals) of L, each in enumeration order, from one walk
+    over the pivot patterns (_pivot_patterns).
+
+    Both tests are the definitions: every ordered pair of rows of a
+    candidate is bracketed, and on a subalgebra each row with every basis
+    vector on both sides.  Within the call, the 2n products of a row with
+    the basis (unit_products) are formed once per distinct row, and the
+    product of rows a, b once per ordered pair, as sum_j b_j [a, e_j].  A
+    product w lies in the span of RREF rows row_m with pivot columns p_m
+    exactly when w - sum_m w[p_m] row_m, zero at the pivot columns, is zero
+    at the others.  Only the subalgebras are built as Subspaces.
+    """
+    F, n, p = L.field, L.dim, L.field.modulus
+    unit_products = cache(L.unit_products)
+
+    @cache
+    def bracket(a, b):
+        w = [0] * n
+        for bj, aj in zip(b, unit_products(a)[0]):
+            if bj:
+                for k, c in enumerate(aj):
+                    w[k] += bj * c
+        return [c % p for c in w]
+
+    def inside(w):
+        # rows, pivots and free: the candidate and its pattern's free columns
+        terms = [(x, row) for x, row in zip(map(w.__getitem__, pivots), rows) if x]
+        for c in free:
+            t = w[c]
+            for x, row in terms:
+                t -= x * row[c]
+            if t % p:
+                return False
+        return True
+
+    subalgebras, ideals = [], []
+    for pivots, choices in _pivot_patterns(n, p):
+        free = [c for c in range(n) if c not in pivots]
+        for rows in product(*choices):
+            if all(inside(bracket(a, b)) for a in rows for b in rows):
+                S = Subspace._from_scaled(F, n, rows, pivots)
+                subalgebras.append(S)
+                if all(inside(w) for a in rows for side in unit_products(a) for w in side):
+                    ideals.append(S)
+    return subalgebras, ideals
 
 
 def _holding(L: LeibnizAlgebra, ideals: list, holds, failed: list) -> tuple:

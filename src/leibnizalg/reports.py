@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+
+from .exactlin import Subspace
 
 
 def scalar_to_json(a):
@@ -31,8 +34,6 @@ def _jsonable(x, vector=None):
     With `vector` (the text rendering), each vector, that is a tuple of
     scalars, and each row of a subspace becomes vector(row); a matrix is a
     tuple of such rows."""
-    from .exactlin import Subspace
-
     if vector and isinstance(x, tuple) and x and all(type(a) in (int, Fraction) for a in x):
         return vector(x)
     if isinstance(x, RowsInJson):
@@ -49,6 +50,49 @@ def _jsonable(x, vector=None):
     if is_dataclass(x):
         return {f.name: _jsonable(getattr(x, f.name), vector) for f in fields(x)}
     return x
+
+
+def dumps_json(x) -> str:
+    """json.dumps(_jsonable(x), indent=2), written in one walk over x with
+    no JSON-ready copy (CPython encodes with indent in pure Python).  Each
+    list and object is joined from its items' texts, so the pieces alive at
+    once are few.  Dict keys must be str."""
+    return _json_text(x, "\n")
+
+
+def _json_text(x, nl: str) -> str:
+    """The JSON text of x, its nested lines indented after nl, by the exact
+    type of x and of each value inside it, as _jsonable converts them."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in x]) + nl + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        # a key that is not a str raises TypeError in encode_basestring_ascii
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
+    if t is Fraction:
+        return _json_text([x.numerator, x.denominator], nl)
+    if t is RowsInJson:
+        return _json_text(x.subspace.rows, nl)      # its entries are int or Fraction
+    if t is Subspace:
+        return _json_text({"ambient_dim": x.ambient_dim, "basis": x.rows}, nl)
+    if is_dataclass(t):
+        return _json_text({f.name: getattr(x, f.name) for f in fields(x)}, nl)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 @dataclass

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from dense import dense_basis
 from lattice_reference import reference_scan
 from leibnizalg import corpus, direct_sum, oracle
 from leibnizalg.core import (
@@ -84,7 +87,10 @@ def test_scan_matches_the_brute_force_reference():
     nsl = direct_sum(corpus.nilcyclic2().algebra, corpus.sl2().algebra)
     cases.append(("nilcyclic2+sl2", 3, reduce_mod_p(nsl, 3)))
     assert len(cases) == 31
-    for name, p, Lp in cases:
+    # the same reductions in dense bases, whose tables fill most products
+    dense = [(f"{name} dense {seed}", p, dense_basis(Lp, random.Random(seed)))
+             for name, p, Lp in cases[:-1] for seed in (1, 2)]
+    for name, p, Lp in cases + dense:
         oracle._scan_cached.cache_clear()
         assert scan(Lp) == reference_scan(Lp), (name, p)
 
@@ -92,8 +98,8 @@ def test_scan_matches_the_brute_force_reference():
 def test_scan_runs_once_per_algebra(monkeypatch):
     oracle._scan_cached.cache_clear()
     enumerations = []
-    real = oracle.enumerate_subspaces
-    monkeypatch.setattr(oracle, "enumerate_subspaces",
+    real = oracle._pivot_patterns
+    monkeypatch.setattr(oracle, "_pivot_patterns",
                         lambda *a: enumerations.append(a) or real(*a))
     L = reduce_mod_p(corpus.heisenberg().algebra, 2)
     relabelled = LeibnizAlgebra(L.field, L.dim, L.table, ["x", "y", "z"])

@@ -1,0 +1,80 @@
+import argparse
+import json
+from fractions import Fraction
+
+import pytest
+
+from leibnizalg import cli, corpus
+from leibnizalg.core import LeibnizAlgebra
+from leibnizalg.errors import BudgetExceeded, NotAnIdeal, Unsupported
+from leibnizalg.exactlin import QQ, Field, Subspace
+from leibnizalg.fileformat import algebra_to_dict, dumps_algebra
+from leibnizalg.oracle import reduce_mod_p
+from leibnizalg.reports import RowsInJson, VerificationReport, _jsonable, dumps_json
+
+
+def reference(x):
+    return json.dumps(_jsonable(x), indent=2)
+
+
+def corpus_and_reductions():
+    """The corpus entries and their admissible reductions mod 2 and mod 3."""
+    out = []
+    for name in corpus.BUILDERS:
+        L = corpus.build(name).algebra
+        out.append((name, L))
+        out.extend((f"{name} mod {p}", Lp) for p in (2, 3)
+                   if (Lp := reduce_mod_p(L, p)) is not None)
+    return out
+
+
+def test_writer_matches_json_dumps_on_every_verb_payload():
+    # each verb's handler builds the payload that cli._emit writes
+    args = argparse.Namespace(budget=10 ** 6, by=None, b=None)
+    algebras = corpus_and_reductions()
+    assert len(algebras) == 33
+    written = 0
+    for name, L in algebras:
+        for verb, (_, _, handler) in cli.VERBS.items():
+            if handler is None:
+                continue
+            try:
+                result = handler(L, args)
+            except (Unsupported, BudgetExceeded, NotAnIdeal):
+                continue
+            payload = result[0] if isinstance(result, tuple) else result
+            assert dumps_json(payload) == reference(payload), (name, verb)
+            written += 1
+    assert written > 300
+    listing = {"builders": sorted(corpus.BUILDERS)}     # `corpus` with no name
+    assert dumps_json(listing) == reference(listing)
+
+
+def test_writer_matches_json_dumps_on_edge_cases():
+    S = Subspace(QQ, 3, [[1, Fraction(-1, 2), 0], [0, 0, 1]])
+    cases = [
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}], "d": [{"e": []}]},
+        "ünïcode label", {"basis": ["α", "β\n\"q\""]},
+        Fraction(3, 4), [Fraction(-1, 2), 0, Fraction(5)],
+        [True, 1, False, 0, None], {"flag": True, "count": 1, "none": None},
+        ((1, 2), (3, 4)), (((Fraction(1, 3),),),),
+        S, RowsInJson(S), Subspace.zero(Field(2), 2), [RowsInJson(Subspace.full(Field(3), 2))],
+        VerificationReport("check", True, details={"S": S}, witnesses=[(1, 0)]),
+        10 ** 40, -7,
+    ]
+    for x in cases:
+        assert dumps_json(x) == reference(x), x
+
+
+@pytest.mark.parametrize("x", [1.5, {1, 2}, {"a": object()}, {1: "int key"}])
+def test_writer_rejects_what_it_does_not_write(x):
+    with pytest.raises(TypeError):
+        dumps_json(x)
+
+
+def test_dumps_algebra_bytes_are_those_of_json_dumps():
+    algebras = [L for _, L in corpus_and_reductions()]
+    algebras.append(LeibnizAlgebra.from_products(QQ, 2, {(0, 0): {1: Fraction(1, 2)}},
+                                                 ["α", "β"]))
+    for L in algebras:
+        assert dumps_algebra(L) == json.dumps(algebra_to_dict(L), indent=2) + "\n", L
