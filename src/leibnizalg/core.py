@@ -12,14 +12,21 @@ products read off the scaled table as integers over a known scale.  Field
 elements are made only for what goes back to a caller: the dense table,
 LeibnizAlgebra.bracket, project_vector and the sides of a failing triple.
 
-No operator matrix is built: a right or left multiplication acts only through
-brackets, most of them formed on integer vectors from the scaled table
-(scaled_bracket).  The 2n products of one vector with the basis, which the
+Every product goes through one operator, LeibnizAlgebra.products: the
+products of a vector U with the basis on one side, d [U, e_j] or d [e_j, U]
+for all j, as sparse integer vectors.  For a unit vector they are read
+straight off T (its row, or its column from the transposed table built once
+per algebra); for any other U they are formed in one pass over T and kept in
+a memo of the algebra bounded by MEMO_CAP integers.  Any other product is
+formed from them by linearity (LeibnizAlgebra.by_linearity):
+[a, b] = sum_j b_j [a, e_j] = sum_i a_i [e_i, b], and bracket_span takes
+the side with fewer rows, so each row's products are formed once.  The
 ideal tests, the ideal closure, the centre and the largest contained ideal
-read, come from one pass over the table (unit_products), not from 2n
-brackets.  The Leibniz identity is checked on packed ints: each scaled
-product is one int with a B-bit digit per component, B large enough that the
-digits of every triple's sum are unique (_leibniz_failures).
+read the products of a row directly, and the kernel of squares sums four
+table entries per pair.  No operator matrix is built.  The Leibniz identity
+is checked on packed ints: each scaled product is one int with a B-bit digit
+per component, B large enough that the digits of every triple's sum are
+unique (_leibniz_failures).
 
 Convention is right Leibniz throughout: [x,[y,z]] = [[x,y],z] - [[x,z],y],
 i.e. every y -> [y,x] is a derivation.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -50,6 +58,16 @@ from .exactlin import (
 )
 from .reports import VerificationReport
 
+# the sides of LeibnizAlgebra.products: [U, e_j] and [e_j, U]
+RIGHT, LEFT = 0, 1
+
+# the most integers one algebra keeps in its memo (LeibnizAlgebra.products),
+# counting each vector's n components and each product entry (k, c) once
+# (_cost); the products of the unit vectors are the table itself
+MEMO_CAP = 1 << 14
+
+_entry = itemgetter(1)      # (k, c) is kept when c != 0
+
 
 class LeibnizAlgebra:
     """Finite-dimensional algebra with bracket [e_i, e_j] = sum_k c[i][j][k] e_k.
@@ -64,7 +82,8 @@ class LeibnizAlgebra:
     at the field and (d, T), which is canonical for a table, not at the labels.
     """
 
-    __slots__ = ("field", "dim", "labels", "_table", "_scaled", "_full")
+    __slots__ = ("field", "dim", "labels", "_table", "_scaled", "_full", "_columns", "_memo",
+                 "_stored")
 
     def __init__(self, field: Field, dim: int, table, labels: Optional[Sequence[str]] = None):
         self.field = field
@@ -80,7 +99,8 @@ class LeibnizAlgebra:
                     if not field.is_element(c):
                         raise TypeError(_not_an_element(field, c, i, j))
         self.labels = _labels(labels, dim)
-        self._scaled = self._full = None
+        self._scaled = None
+        self._init_caches()
 
     @classmethod
     def from_products(cls, field: Field, dim: int, products: dict,
@@ -108,10 +128,15 @@ class LeibnizAlgebra:
         for i, j, k, c in entries:
             T[i][j].append((k, c.numerator * (d // c.denominator)))
         L = cls.__new__(cls)
-        L.field, L.dim, L._table, L._full = field, dim, None, None
+        L.field, L.dim, L._table = field, dim, None
         L._scaled = d, tuple(tuple(tuple(sorted(v)) for v in row) for row in T)
         L.labels = _labels(labels, dim)
+        L._init_caches()
         return L
+
+    def _init_caches(self):
+        self._full = self._columns = None
+        self._memo, self._stored = {}, 0
 
     @property
     def table(self) -> tuple:
@@ -147,44 +172,68 @@ class LeibnizAlgebra:
             raise AmbientMismatch("vector length != algebra dim")
         U, du = to_scaled(self.field, u)
         V, dv = to_scaled(self.field, v)
-        return from_scaled(self.field, self.scaled_bracket(U, V),
+        return from_scaled(self.field, self.by_linearity(V, self.products(U, RIGHT)),
                            du * dv * self.scaled_table()[0])
 
-    def scaled_bracket(self, U: Sequence[int], V: Sequence[int]) -> list:
-        """d [U, V] for integer vectors U, V (residues over F_p), with d as in
-        scaled_table, over the nonzero U_i, V_j and table entries only."""
-        T = self.scaled_table()[1]
-        V_nz = [(j, b) for j, b in enumerate(V) if b]
+    def products(self, U: Sequence[int], side: int) -> tuple:
+        """The products of U with the basis on one side: (d [U, e_j])_j for
+        side RIGHT and (d [e_j, U])_j for side LEFT, for an integer vector U
+        (residues over F_p), d as in scaled_table.  Each product is its
+        nonzero entries (k, c) by increasing k.
+
+        The products of a unit vector e_i are read straight off the table:
+        row i of T on the right, column i on the left, the columns built once
+        per algebra.  Those of any other U are sum_i U_i times those of e_i,
+        kept in a memo of the algebra that holds at most MEMO_CAP integers
+        and drops its oldest products first.  The tuples returned are
+        shared: callers only read them."""
+        units = self._units(side)
+        n = self.dim
+        if U.count(0) == n - 1 and 1 in U:
+            return units[U.index(1)]
+        key = (side, U if type(U) is tuple else tuple(U))
+        out = self._memo.get(key)
+        if out is None:
+            acc = [[0] * n for _ in range(n)]
+            for a, unit_products in zip(U, units):
+                if a:
+                    for entries, w in zip(unit_products, acc):
+                        for k, c in entries:
+                            w[k] += a * c
+            p = self.field.modulus
+            if p is not None:
+                acc = [[c % p for c in w] for w in acc]
+            out = tuple(tuple(filter(_entry, enumerate(w))) for w in acc)
+            self._remember(key, out)
+        return out
+
+    def by_linearity(self, coeffs: Sequence[int], prods) -> list:
+        """sum_j coeffs[j] prods[j] as a dense integer vector (residues over
+        F_p), for prods as products returns them: [a, b] is
+        by_linearity(b, products(a, RIGHT)) = by_linearity(a, products(b, LEFT))."""
         out = [0] * self.dim
-        for a, row in zip(U, T):
-            if a:
-                for j, b in V_nz:
-                    c = a * b
-                    for k, t in row[j]:
-                        out[k] += c * t
+        for c, w in zip(coeffs, prods):
+            if c:
+                for k, x in w:
+                    out[k] += c * x
         p = self.field.modulus
         return out if p is None else [a % p for a in out]
 
-    def unit_products(self, U: Sequence[int]) -> tuple:
-        """(right, left) with right[j] = d [U, e_j] and left[j] = d [e_j, U]
-        for an integer vector U (residues over F_p), d as in scaled_table: the
-        2n products of U with the basis in one pass over U's nonzero entries
-        and row and column i of the scaled table for each of them."""
-        n, T = self.dim, self.scaled_table()[1]
-        right = [[0] * n for _ in range(n)]
-        left = [[0] * n for _ in range(n)]
-        for i, a in enumerate(U):
-            if a:
-                for Tij, Tj, right_j, left_j in zip(T[i], T, right, left):
-                    for k, c in Tij:
-                        right_j[k] += a * c
-                    for k, c in Tj[i]:
-                        left_j[k] += a * c
-        p = self.field.modulus
-        if p is not None:
-            right = [[a % p for a in w] for w in right]
-            left = [[a % p for a in w] for w in left]
-        return right, left
+    def _units(self, side: int) -> tuple:
+        T = self.scaled_table()[1]
+        if side == RIGHT:
+            return T
+        if self._columns is None:
+            self._columns = tuple(zip(*T))
+        return self._columns
+
+    def _remember(self, key, out: tuple):
+        memo = self._memo
+        memo[key] = out
+        self._stored += _cost(key, out)
+        while self._stored > MEMO_CAP:
+            key = next(iter(memo))
+            self._stored -= _cost(key, memo.pop(key))
 
     def full_space(self) -> Subspace:
         """L itself, built once: a Subspace never changes."""
@@ -204,6 +253,13 @@ class LeibnizAlgebra:
 
     def __repr__(self):
         return f"LeibnizAlgebra(dim {self.dim} over {self.field}, basis {list(self.labels)})"
+
+
+def _cost(key, out: tuple) -> int:
+    """What a memo item holds against MEMO_CAP: the n components of its
+    vector and the entries of its products, so an item whose products are
+    all zero costs n too."""
+    return len(key[1]) + sum(map(len, out))
 
 
 def _labels(labels: Optional[Sequence[str]], dim: int) -> tuple:
@@ -290,41 +346,54 @@ def _leibniz_failures(L: LeibnizAlgebra):
                     s += c * Qi[m]
                 if s and (p is None or any((((s + K) >> B * l & mask) - half) % p
                                            for l in range(n))):
-                    # both sides times d^2, as products of the scaled table
-                    sb, units = L.scaled_bracket, L.full_space().scaled_rows
-                    ei, ej, ek = units[i], units[j], units[k]
+                    # both sides times d^2, by linearity from the scaled table:
+                    # [e_i, [e_j, e_k]] from the right products of e_i, and
+                    # [[e_i, e_j], e_k] from the left products of e_k
+                    lin, units = L.by_linearity, L.full_space().scaled_rows
+                    ei, ej = L.products(units[i], RIGHT), L.products(units[j], RIGHT)
+                    lhs = lin(_dense(n, ej[k]), ei)
+                    rhs = [a - b for a, b in zip(lin(_dense(n, ei[j]), L.products(units[k], LEFT)),
+                                                 lin(_dense(n, ei[k]), L.products(units[j], LEFT)))]
                     yield {
                         "triple": (L.labels[i], L.labels[j], L.labels[k]),
                         "indices": (i, j, k),
-                        "lhs": from_scaled(F, sb(ei, sb(ej, ek)), d * d),
-                        "rhs": from_scaled(F, [a - b for a, b in zip(sb(sb(ei, ej), ek),
-                                                                     sb(sb(ei, ek), ej))], d * d),
+                        "lhs": from_scaled(F, lhs, d * d),
+                        "rhs": from_scaled(F, rhs, d * d),
                     }
 
 
 def bracket_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
-    """span{ [a,b] : a in basis(A), b in basis(B) } -- one-sided product."""
+    """span{ [a,b] : a in basis(A), b in basis(B) } -- one-sided product.
+    Every product is formed by linearity from the products with the basis
+    of the side with fewer rows: [a, b] = sum_j b_j [a, e_j], or
+    sum_i a_i [e_i, b]."""
     _check_ambient(L, A)
     _check_ambient(L, B)
     # scaled rows and products: a vector's scale does not change the span
-    return Subspace.span(L.field, L.dim, [L.scaled_bracket(a, b)
-                                          for a in A.scaled_rows for b in B.scaled_rows])
+    lin, rows_a, rows_b = L.by_linearity, A.scaled_rows, B.scaled_rows
+    if A.dim <= B.dim:
+        prods = (lin(b, R) for R in (L.products(a, RIGHT) for a in rows_a) for b in rows_b)
+    else:
+        prods = (lin(a, R) for R in (L.products(b, LEFT) for b in rows_b) for a in rows_a)
+    return Subspace.span(L.field, L.dim, prods)
 
 
 def is_subalgebra(L: LeibnizAlgebra, A: Subspace) -> bool:
-    """[a, b] in A for all basis rows a, b; stops at the first product outside A."""
+    """[a, b] in A for all basis rows a, b, by linearity from the right
+    products of a; stops at the first product outside A."""
     _check_ambient(L, A)
-    rows = A.scaled_rows
-    return all(A.contains(L.scaled_bracket(a, b)) for a in rows for b in rows)
+    rows, lin = A.scaled_rows, L.by_linearity
+    return all(A.contains(lin(b, R)) for R in (L.products(a, RIGHT) for a in rows) for b in rows)
 
 
 def is_ideal(L: LeibnizAlgebra, A: Subspace) -> bool:
     """[a, e_j] and [e_j, a] in A for all basis rows a and all j; stops at the
     first product outside A.  Rows and products are in scaled form, the 2n
-    products of a row from one unit_products pass."""
+    products of a row those of LeibnizAlgebra.products."""
     _check_ambient(L, A)
-    return all(A.contains(w) for a in A.scaled_rows
-               for side in L.unit_products(a) for w in side)
+    n = L.dim
+    return all(not w or A.contains(_dense(n, w)) for a in A.scaled_rows
+               for side in (RIGHT, LEFT) for w in L.products(a, side))
 
 
 def ideal_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:
@@ -333,16 +402,17 @@ def ideal_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:
     rows) with every basis vector on both sides, in scaled form, and the
     closure stops as soon as it is L, also in the middle of a round."""
     _check_ambient(L, S)
-    F, n = L.field, L.dim
+    n = L.dim
     V, new = S, S.scaled_rows
     while new and V.dim < n:
         grown = []
-        for w in (prod for u in new for pair in zip(*L.unit_products(u)) for prod in pair):
-            if not V.contains(w):
-                V = V + Subspace.span(F, n, [w])
-                if V.dim == n:
-                    return V
-                grown.append(w)
+        for u in new:
+            for w in _basis_products(L, u):
+                if not V.contains(w):
+                    V = V._insert((w,))
+                    if V.dim == n:
+                        return V
+                    grown.append(w)
         new = grown
     return V
 
@@ -355,12 +425,13 @@ def leibniz_kernel(L: LeibnizAlgebra) -> Subspace:
     verified to be an ideal; a failure can only mean the table is not Leibniz.
     """
     n = L.dim
-    units = L.full_space().scaled_rows
-    gens = [L.scaled_bracket(e, e) for e in units]
+    right = [L.products(e, RIGHT) for e in L.full_space().scaled_rows]
+    gens = [_dense(n, R[i]) for i, R in enumerate(right)]
+    # (e_i + e_j)^2 = e_i^2 + [e_i, e_j] + [e_j, e_i] + e_j^2: four table entries
     for i in range(n):
         for j in range(i + 1, n):
-            v = [a + b for a, b in zip(units[i], units[j])]
-            gens.append(L.scaled_bracket(v, v))
+            gens.append(L.by_linearity((1, 1, 1, 1), (right[i][i], right[i][j],
+                                                      right[j][i], right[j][j])))
     I = Subspace.span(L.field, n, gens)
     if not is_ideal(L, I):
         raise InternalInconsistency(
@@ -496,8 +567,9 @@ def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
 def restrict(L: LeibnizAlgebra, A: Subspace) -> LeibnizAlgebra:
     """The bracket of a subalgebra in A's canonical basis, from the coordinates
     in A of each product of basis rows; one outside A raises NotASubalgebra.
-    For scaled rows u, v that product is scaled_bracket(u, v) over
-    d u[pc_u] v[pc_v], and its coordinates are its entries at A's pivots.
+    For scaled rows u, v that product is d [u, v], formed by linearity from
+    the right products of u, over d u[pc_u] v[pc_v], and its coordinates
+    are its entries at A's pivots.
 
     Subspaces of the restricted algebra live in restricted coordinates; use
     embed_subspace / A.rows to map them back into L.  Needed only for N(B) in
@@ -508,8 +580,9 @@ def restrict(L: LeibnizAlgebra, A: Subspace) -> LeibnizAlgebra:
     rows = list(zip(A.scaled_rows, A.pivots))
     products = {}
     for a, (u, pu) in enumerate(rows):
+        right = L.products(u, RIGHT)
         for b, (v, pv) in enumerate(rows):
-            w = L.scaled_bracket(u, v)
+            w = L.by_linearity(v, right)
             if not A.contains(w):
                 raise NotASubalgebra("restriction to a non-subalgebra")
             products[a, b] = _over(F, ((k, w[pc]) for k, pc in enumerate(A.pivots)),
@@ -533,9 +606,9 @@ def embed_subspace(A: Subspace, S: Subspace) -> Subspace:
 
 def center(L: LeibnizAlgebra) -> Subspace:
     """{ x : [x, L] = [L, x] = 0 }: where e_i -> (d [e_i, e_j], d [e_j, e_i])_j
-    vanishes, with the integer products formed by unit_products."""
+    vanishes, with the integer products read off the table (products)."""
     full = L.full_space()
-    return full.where_zero([[a for pair in zip(*L.unit_products(u)) for w in pair for a in w]
+    return full.where_zero([[a for w in _basis_products(L, u) for a in w]
                             for u in full.scaled_rows])
 
 
@@ -548,11 +621,20 @@ def largest_contained_ideal(L: LeibnizAlgebra, K: Subspace) -> Subspace:
     while True:
         # each scaled row u maps to the integer residuals against V of
         # d [u, e_j] and d [e_j, u], all on V's one scale
-        W = V.where_zero([[a for pair in zip(*L.unit_products(u)) for w in pair
-                           for a in V.scaled_residual(w)[0]] for u in V.scaled_rows])
+        W = V.where_zero([[a for w in _basis_products(L, u) for a in V.scaled_residual(w)[0]]
+                          for u in V.scaled_rows])
         if W.dim == V.dim:
             return W
         V = W
+
+
+def _basis_products(L: LeibnizAlgebra, u: Sequence[int]):
+    """d [u, e_j] and d [e_j, u] for j = 0..n-1, in that order, as dense
+    integer vectors (residues over F_p)."""
+    n = L.dim
+    for pair in zip(L.products(u, RIGHT), L.products(u, LEFT)):
+        for w in pair:
+            yield _dense(n, w)
 
 
 def _check_ambient(L: LeibnizAlgebra, A: Subspace):

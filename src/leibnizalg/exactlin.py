@@ -16,13 +16,21 @@ kernel vectors, and where_zero takes the images of a subspace's scaled rows.
 Over Q the elimination runs on scaled integers, not on Fractions.  A vector
 v in scaled form is (ints, den) with v = ints / den (to_scaled and
 from_scaled convert).  A subspace holds each RREF row as a primitive integer
-row over its pivot entry (scaled_rows); reducing an integer vector against
-such rows takes one integer pass over the lcm of the pivot entries
-(scaled_residual), and a zero test (contains) needs no denominator at all.
-Spans and membership do not depend on a vector's scale, so integer vectors,
-such as the products LeibnizAlgebra.scaled_bracket forms from the scaled
-table, go in as they are.  Over F_p the scaled form of a vector is its
-residues, so the same routine runs on residues mod p.
+row over its pivot entry (scaled_rows), and a reduction plan for them: the
+lcm D of the pivot entries, and for each row its pivot column, D over its
+pivot entry and its nonzero off-pivot entries.  Reducing a vector against
+the rows is one pass over the off-pivot entries of the rows it meets
+(_reduce), with the result over D (scaled_residual), and a zero test
+(contains) needs no denominator at all.  _insert keeps the plan from one
+vector to the next, updating only the rows an insertion changes, and only
+when the next vector is reduced; it hands the plan to the subspace it
+builds, which completes it on first use, as a subspace built otherwise
+makes its whole plan.  Spans and membership do not depend on a vector's scale, so
+integer vectors, such as the products LeibnizAlgebra.products reads off the
+scaled table, go in as they are, with no scaling pass; zero vectors are
+dropped before any work.  Over F_p the scaled form of a vector
+is its residues, so the same routine runs on residues mod p; ints outside
+[0, p) are reduced on the way in.
 
 Field elements are built only at the edges of the library: from the input
 (Field.scalar, for the file loader and the CLI's vectors, and for the
@@ -38,6 +46,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import AmbientMismatch, FieldMismatch
@@ -149,13 +158,20 @@ def scaled_comb(field: Field, n: int, coeffs: Iterable[int],
     return out if p is None else [a % p for a in out]
 
 
+_INT = {int}
+
+
 def to_scaled(field: Field, v: Sequence) -> tuple:
     """The scaled form (ints, den) of v, with v = ints / den and den > 0.
 
     Over Q, den is the lcm of the entries' denominators; for an RREF row
-    this makes ints primitive with den at the pivot.  Over F_p the residues
-    stand for themselves and den is 1."""
-    if field.modulus is not None:
+    this makes ints primitive with den at the pivot, and an integer vector
+    is its own scaled form.  Over F_p ints are reduced to their residues,
+    which stand for themselves, and den is 1."""
+    p = field.modulus
+    if p is not None:
+        return [a % p for a in v], 1
+    if {*map(type, v)} <= _INT:
         return v, 1
     den = lcm(*[a.denominator for a in v])
     if den == 1:
@@ -177,33 +193,46 @@ def from_scaled(field: Field, ints: Sequence[int], den: int = 1) -> Vector:
     return tuple(a % p for a in ints)
 
 
-def _eliminate(w: Sequence[int], rows, pivots, p: Optional[int]) -> tuple:
-    """(r, D) with r / D = w - sum_i w[pc_i] * rows[i] / rows[i][pc_i]: the
-    residual of the integer vector w against scaled RREF rows (pivot columns
-    in pivots), zero at every pivot column.  Over Q, D is the lcm of the
-    pivot entries; over F_p it is 1, and w must hold residues.  Every other row
+def _reduce(w: Sequence, D: int, terms, p: Optional[int]) -> list:
+    """r with r / D = w - sum_i w[pc_i] rows[i] / rows[i][pc_i]: the residual
+    of w against scaled RREF rows, given by their reduction plan (D, terms)
+    (Subspace._reduction_plan), zero at every pivot column.  Every other row
     is zero at a row's pivot column, so w's own entries there are the
-    multipliers and one pass suffices."""
-    r = list(w)
-    if p is not None:
-        for row, pc in zip(rows, pivots):
-            c = w[pc]
-            if c:
-                for j, b in enumerate(row):
-                    if b:
-                        r[j] = (r[j] - c * b) % p
-        return r, 1
-    D = lcm(*[row[pc] for row, pc in zip(rows, pivots)])
-    if D != 1:
-        r = [D * a for a in r]
-    for row, pc in zip(rows, pivots):
+    multipliers, and one pass over each row's off-pivot entries suffices.
+    Over F_p the entries are reduced once, at the end, so w may hold any
+    ints."""
+    r = [D * a for a in w] if D != 1 else list(w)
+    for pc, m, off in terms:
         c = w[pc]
         if c:
-            c *= D // row[pc]
-            for j, b in enumerate(row):
-                if b:
-                    r[j] -= c * b
-    return r, D
+            r[pc] = 0
+            c *= m
+            for j, b in off:
+                r[j] -= c * b
+    return r if p is None else [a % p for a in r]
+
+
+_entry = itemgetter(1)      # (column, entry) is kept when entry != 0
+
+
+def _off(row, pc: int) -> tuple:
+    """The nonzero entries (column, entry) of a row right of its pivot
+    column pc; an RREF row is zero left of it and at every other pivot."""
+    return tuple(filter(_entry, enumerate(row[pc + 1:], pc + 1)))
+
+
+def _completed(rows, pivots, terms, p: Optional[int]) -> tuple:
+    """The reduction plan (D, terms) of scaled RREF rows, made from terms
+    that may hold None for the rows whose off-pivot entries are still to be
+    read: D is the lcm of the pivot entries, and each term is (pivot column,
+    D / pivot entry, off-pivot entries).  Over F_p the rows are monic, and
+    D and every multiplier are 1."""
+    terms = [t or (pc, 1, _off(r, pc)) for t, r, pc in zip(terms, rows, pivots)]
+    if p is not None:
+        return 1, terms
+    heads = [r[pc] for r, pc in zip(rows, pivots)]
+    D = lcm(*heads)
+    return D, [(pc, D // h, off) for (pc, _, off), h in zip(terms, heads)]
 
 
 def _normalize(r: list, pc: int, p: Optional[int]) -> tuple:
@@ -211,7 +240,7 @@ def _normalize(r: list, pc: int, p: Optional[int]) -> tuple:
     primitive with a positive pivot entry, over F_p monic."""
     if p is None:
         g = gcd(*r)
-        return tuple(a // (g if r[pc] > 0 else -g) for a in r)
+        return tuple([a // (g if r[pc] > 0 else -g) for a in r])
     inv = pow(r[pc], -1, p)
     return tuple(a * inv % p for a in r) if inv != 1 else tuple(r)
 
@@ -226,7 +255,7 @@ class Subspace:
     a view, built on first read of rows.
     """
 
-    __slots__ = ("field", "ambient_dim", "pivots", "scaled_rows", "_rows")
+    __slots__ = ("field", "ambient_dim", "pivots", "scaled_rows", "_rows", "_plan")
 
     def __init__(self, field: Field, ambient_dim: int, rref_rows: Iterable[Iterable]):
         self.field = field
@@ -235,14 +264,27 @@ class Subspace:
         self.pivots = tuple(next(c for c, a in enumerate(row) if a) for row in self._rows)
         self.scaled_rows = (self._rows if field.modulus is not None else
                             tuple(tuple(to_scaled(field, r)[0]) for r in self._rows))
+        self._plan = None
 
     @classmethod
-    def _from_scaled(cls, field: Field, ambient_dim: int, scaled, pivots) -> "Subspace":
+    def _from_scaled(cls, field: Field, ambient_dim: int, scaled, pivots, plan=None) -> "Subspace":
         S = cls.__new__(cls)
         S.field, S.ambient_dim = field, ambient_dim
         S.scaled_rows, S.pivots = tuple(scaled), tuple(pivots)
         S._rows = S.scaled_rows if field.modulus is not None else None
+        S._plan = plan
         return S
+
+    def _reduction_plan(self) -> tuple:
+        """The plan (D, terms) that reduces a vector against the rows
+        (_reduce), made on first use, in part from the terms the _insert that
+        made the rows kept (a plan (None, terms) is such a part)."""
+        plan = self._plan
+        if plan is None or plan[0] is None:
+            terms = plan[1] if plan is not None else [None] * self.dim
+            self._plan = plan = _completed(self.scaled_rows, self.pivots, terms,
+                                           self.field.modulus)
+        return plan
 
     @property
     def rows(self) -> tuple:
@@ -258,7 +300,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls._from_scaled(field, ambient_dim, (), ())
+        return cls._from_scaled(field, ambient_dim, (), (), (1, ()))
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -285,46 +327,69 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length != ambient dim")
         w, den = to_scaled(self.field, v)
-        r, D = _eliminate(w, self.scaled_rows, self.pivots, self.field.modulus)
-        return r, den * D
+        D, terms = self._reduction_plan()
+        return _reduce(w, D, terms, self.field.modulus), den * D
 
     def _insert(self, vectors: Iterable[Sequence]) -> "Subspace":
         """The span of these rows and the vectors, the only elimination here.
 
-        Each vector is reduced against the rows so far; a nonzero residual is
-        normalised, its pivot column is cleared from the other rows, and it
-        is inserted in pivot order, so the rows stay in RREF throughout.
-        Once the span is full, the remaining vectors are only length-checked.
-        All of it runs on the scaled form: a vector's scale does not change
-        its span.
+        Each vector is reduced against the rows so far (_reduce); a nonzero
+        residual is normalised, its pivot column is cleared from the other
+        rows, and it is inserted in pivot order, so the rows stay in RREF
+        throughout.  The reduction plan is kept between vectors: an
+        insertion marks the rows it changes, and only when the next nonzero
+        vector is to be reduced are their off-pivot entries read again and,
+        over Q, the lcm of the pivot entries and the multipliers recomputed.
+        The subspace built gets the plan as it stands, and completes it on
+        first use.  Zero vectors are dropped before any work, an integer
+        vector goes in as it is, and once the span is full the remaining
+        vectors are only length-checked.  All of it runs on the scaled form:
+        a vector's scale does not change its span.
         """
         F, n, p = self.field, self.ambient_dim, self.field.modulus
-        rows, pivots = list(self.scaled_rows), list(self.pivots)
+        D, terms = self._reduction_plan()
+        rows, dim = None, self.dim      # the rows are copied on the first insertion
         for v in vectors:
             if len(v) != n:
                 raise AmbientMismatch("vector length != ambient dim")
-            if len(rows) == n:
+            if dim == n or not any(v):
                 continue
-            res = _eliminate(to_scaled(F, v)[0], rows, pivots, p)[0]
+            if D is None:
+                D, terms = _completed(rows, pivots, terms, p)
+            # over F_p _reduce takes any ints
+            res = _reduce(v if p is not None else to_scaled(F, v)[0], D, terms, p)
             lead = next(filter(None, res), 0)       # the first nonzero entry
             if not lead:
                 continue
+            if rows is None:
+                rows, pivots, terms = list(self.scaled_rows), list(self.pivots), list(terms)
             pc = res.index(lead)
             res = _normalize(res, pc, p)
+            a = res[pc]
             for i, row in enumerate(rows):
-                if row[pc]:
-                    rows[i] = _normalize(_eliminate(row, (res,), (pc,), p)[0], pivots[i], p)
+                b = row[pc]
+                if b:
+                    # res is zero at the pivot of row, which keeps its pivot entry
+                    rows[i] = row = (_normalize([a * x - b * y for x, y in zip(row, res)],
+                                                pivots[i], p) if p is None
+                                     else tuple([(x - b * y) % p for x, y in zip(row, res)]))
+                    terms[i] = None
             k = bisect(pivots, pc)
             rows.insert(k, res)
             pivots.insert(k, pc)
-        return Subspace._from_scaled(F, n, rows, pivots)
+            terms.insert(k, None)
+            D = None            # the plan is completed before it is next used
+            dim += 1
+        if rows is None:
+            return self
+        return Subspace._from_scaled(F, n, rows, pivots, (D, tuple(terms)))
 
     def contains(self, v: Sequence) -> bool:
         """Is v in the subspace?  v is reduced as it is, with no scaled form
         to build: its scale does not change whether the residual is zero."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length != ambient dim")
-        return not any(_eliminate(v, self.scaled_rows, self.pivots, self.field.modulus)[0])
+        return not any(v) or not any(_reduce(v, *self._reduction_plan(), self.field.modulus))
 
     def leq(self, other: "Subspace") -> bool:
         """Is self inside other?  Each pivot column of a subspace of other
@@ -399,7 +464,7 @@ def nullspace(field: Field, ncols: int, rows: Iterable[Sequence[int]]) -> list:
     column pc of each row r; over F_p it holds 1 at fc and -r[fc] at pc."""
     R = Subspace.span(field, ncols, rows)
     p, scaled, pivots = field.modulus, R.scaled_rows, R.pivots
-    D = 1 if p is not None else lcm(*[r[pc] for r, pc in zip(scaled, pivots)])
+    D = R._reduction_plan()[0]
     piv, basis = set(pivots), []
     for fc in (c for c in range(ncols) if c not in piv):
         v = [0] * ncols

@@ -5,11 +5,13 @@ grouped by pivot-column pattern (_pivot_patterns); everything else (ideal
 lattices, brute-force nilradical / radical / Frattini ideal) filters or folds
 that stream.  The scan walks the patterns once: within a pattern each row
 ranges over its own list of choices, and the candidates are their product.
-The 2n products of a row with the basis are formed once per distinct row and
-the product of two rows once per ordered pair, so a row shared by many
-candidates is bracketed once; a product is tested against a candidate by its
-RREF residual at the pattern's free columns, and only the subalgebras are
-built as Subspaces.  The nilpotency and solvability verdicts on the ideals are
+The products of a row with the basis come from the algebra's product
+operator (LeibnizAlgebra.products), whose memo the series of the ideals
+share, and the product of two rows is formed from them by linearity and kept
+in an LRU bounded by MEMO_CAP integers, so a row shared by many candidates is
+bracketed once while it stays there; a product is tested against a candidate
+by its RREF residual at the pattern's free columns, and only the subalgebras
+are built as Subspaces.  The nilpotency and solvability verdicts on the ideals are
 inherited where the lattice decides them: walking the ideals by descending
 dimension, an ideal inside one that is nilpotent (solvable) is too, one that
 contains an ideal that is not is not either, and only the rest run their
@@ -22,12 +24,16 @@ bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
 from .core import (
+    LEFT,
+    MEMO_CAP,
+    RIGHT,
     LeibnizAlgebra,
+    _dense,
     check_leibniz,
     is_ideal,
     is_nilpotent,
@@ -149,24 +155,22 @@ def _subalgebras_and_ideals(L: LeibnizAlgebra) -> tuple:
 
     Both tests are the definitions: every ordered pair of rows of a
     candidate is bracketed, and on a subalgebra each row with every basis
-    vector on both sides.  Within the call, the 2n products of a row with
-    the basis (unit_products) are formed once per distinct row, and the
-    product of rows a, b once per ordered pair, as sum_j b_j [a, e_j].  A
-    product w lies in the span of RREF rows row_m with pivot columns p_m
-    exactly when w - sum_m w[p_m] row_m, zero at the pivot columns, is zero
-    at the others.  Only the subalgebras are built as Subspaces.
+    vector on both sides.  The products of a row with the basis are the
+    algebra's (LeibnizAlgebra.products), and the product of rows a, b is
+    sum_j b_j [a, e_j], kept for the call in an LRU of at most
+    MEMO_CAP // n products.  A product w lies in the span of RREF rows
+    row_m with pivot columns p_m exactly when w - sum_m w[p_m] row_m, zero
+    at the pivot columns, is zero at the others.  Only the subalgebras are
+    built as Subspaces.
     """
     F, n, p = L.field, L.dim, L.field.modulus
-    unit_products = cache(L.unit_products)
+    products, lin = L.products, L.by_linearity
 
-    @cache
-    def bracket(a, b):
-        w = [0] * n
-        for bj, aj in zip(b, unit_products(a)[0]):
-            if bj:
-                for k, c in enumerate(aj):
-                    w[k] += bj * c
-        return [c % p for c in w]
+    # rows recur across candidates: the products of two rows are kept, up to
+    # MEMO_CAP integers
+    @lru_cache(maxsize=MEMO_CAP // max(n, 1))
+    def pair(a, b):
+        return lin(b, products(a, RIGHT))
 
     def inside(w):
         # rows, pivots and free: the candidate and its pattern's free columns
@@ -183,10 +187,11 @@ def _subalgebras_and_ideals(L: LeibnizAlgebra) -> tuple:
     for pivots, choices in _pivot_patterns(n, p):
         free = [c for c in range(n) if c not in pivots]
         for rows in product(*choices):
-            if all(inside(bracket(a, b)) for a in rows for b in rows):
+            if all(inside(pair(a, b)) for a in rows for b in rows):
                 S = Subspace._from_scaled(F, n, rows, pivots)
                 subalgebras.append(S)
-                if all(inside(w) for a in rows for side in unit_products(a) for w in side):
+                if all(not w or inside(_dense(n, w))
+                       for a in rows for side in (RIGHT, LEFT) for w in products(a, side)):
                     ideals.append(S)
     return subalgebras, ideals
 

@@ -14,6 +14,8 @@ from itertools import product
 
 from . import oracle
 from .core import (
+    LEFT,
+    RIGHT,
     LeibnizAlgebra,
     QuotientPresentation,
     bracket_span,
@@ -28,6 +30,7 @@ from .core import (
     lower_central_series,
     quotient,
     restrict,
+    _dense,
 )
 from .errors import BudgetExceeded, InternalInconsistency, Unsupported
 from .exactlin import Subspace, from_scaled, nullspace, scaled_comb
@@ -84,9 +87,13 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
         R = _principal_ideal_sum(L, is_solvable, budget)
         return _certify(L, R, "principal-ideals", derived_series)
     full = L.full_space()
-    R = _cut(full, [_traces(L, L.unit_products(d)[1])
-                    for d in bracket_span(L, full, full).scaled_rows])
+    R = _cut(full, [_traces(L, _right_mult(L, d)) for d in bracket_span(L, full, full).scaled_rows])
     return _certify(L, R, "trace-form-char0", derived_series)
+
+
+def _right_mult(L: LeibnizAlgebra, x) -> list:
+    """The columns d [e_m, x] of d R_x, as dense integer vectors."""
+    return [_dense(L.dim, w) for w in L.products(x, LEFT)]
 
 
 def _traces(L: LeibnizAlgebra, cols) -> list:
@@ -118,9 +125,10 @@ def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
     ..., which stops once a term keeps its dimension.  V must be R_x-invariant,
     so each term lies in the one before; the result is zero exactly when R_x
     is nilpotent on V."""
-    X = Subspace.span(L.field, L.dim, [x])
+    left, lin = L.products(x, LEFT), L.by_linearity
     while True:
-        W = bracket_span(L, V, X)
+        # [v, x] = sum_i v_i [e_i, x], from the left products of x
+        W = Subspace.span(L.field, L.dim, [lin(v, left) for v in V.scaled_rows])
         if W.dim == V.dim:
             return V
         V = W
@@ -217,7 +225,7 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
     else:
         # tr(R_x) and tr(R_x R_y) for the basis y of L
         N, method = _cut(full, [_traces(L, units)]
-                         + [_traces(L, L.unit_products(y)[1]) for y in units]), "trace-form-char0"
+                         + [_traces(L, _right_mult(L, y)) for y in units]), "trace-form-char0"
     while True:
         bad = next((v for v in N.scaled_rows if _stable_image(L, full, v).dim), None)
         if bad is None:
@@ -225,10 +233,11 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
         if L.field.modulus is not None:
             raise InternalInconsistency(
                 "computed nilradical has a basis vector with non-nilpotent right multiplication")
-        # tr(R_x R_v^k) for k = 1..dim L, with R_v^k e_m by repeated products
-        cols, functionals = units, []
+        # tr(R_x R_v^k) for k = 1..dim L, with R_v^k e_m by repeated products,
+        # each by linearity from the left products of v
+        cols, functionals, left = units, [], L.products(bad, LEFT)
         for _ in range(L.dim):
-            cols = [L.scaled_bracket(c, bad) for c in cols]
+            cols = [L.by_linearity(c, left) for c in cols]
             functionals.append(_traces(L, cols))
         shrunk = _cut(N, functionals)
         if shrunk.dim >= N.dim:
@@ -343,7 +352,8 @@ def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
               - sum_u lam_stu sum_r a_ur g_r,
     which lies in I, is zero.  It is zero iff its entries at the pivot
     columns pc_k are, where c_u and every g_r but g_k vanish.  With
-    d[x, y] = scaled_bracket(x, y) and (res_st, D) I's integer residual of
+    d[x, y] the scaled product (read off the right products of x) and
+    (res_st, D) I's integer residual of
     d[c_s, c_t], lam_stu = res_st[npc_u] / (D d), so times D d the entry at
     pc_k is the integer equation
         D d[c_s, c_t][pc_k] + sum_r a_sr D d[g_r, c_t][pc_k]
@@ -355,17 +365,19 @@ def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
     F, p = L.field, L.field.modulus
     if not I.dim:
         return L.full_space()
-    units, piv = L.full_space().scaled_rows, set(I.pivots)
-    npc = [c for c in range(L.dim) if c not in piv]
+    n, units, piv = L.dim, L.full_space().scaled_rows, set(I.pivots)
+    npc = [c for c in range(n) if c not in piv]
     comp, gens = [units[c] for c in npc], I.scaled_rows
     m, d = len(comp), I.dim
     # at [t][k], the nonzero entries d[g_r, c_t][pc_k] as (r, entry)
+    gens_right = [L.products(g, RIGHT) for g in gens]
     acts = [[[(r, a[pc]) for r, a in enumerate(at) if a[pc]] for pc in I.pivots]
-            for at in ([L.scaled_bracket(g, c) for g in gens] for c in comp)]
+            for at in ([_dense(n, R[c]) for R in gens_right] for c in npc)]
     rows = []
     for s in range(m):
+        comp_right = L.products(comp[s], RIGHT)
         for t in range(m):
-            w = L.scaled_bracket(comp[s], comp[t])
+            w = _dense(n, comp_right[npc[t]])
             res, D = I.scaled_residual(w)
             lam = [res[c] for c in npc]
             lam_nz = any(lam)
@@ -454,9 +466,9 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
     for x, px, nvec in zip(NB_in_L.scaled_rows, NB_in_L.pivots, NB_in_L.rows):
         if _stable_image(L, I, x).dim == 0:
             continue
-        cols = []
+        cols, left = [], L.products(x, LEFT)
         for u, pu in zip(I.scaled_rows, I.pivots):
-            w = L.scaled_bracket(u, x)
+            w = L.by_linearity(u, left)
             if not I.contains(w):
                 raise InternalInconsistency("kernel is not invariant under right multiplication")
             cols.append(from_scaled(F, [w[pc] for pc in I.pivots], d * u[pu] * x[px]))

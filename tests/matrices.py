@@ -117,3 +117,27 @@ def comb(F, n, coeffs, vectors):
 
 def _reduce(F, a):
     return a if F.modulus is None else a % F.modulus
+
+
+def scaled_bracket(L, U, V):
+    """d [U, V] for integer vectors U, V (residues over F_p), d as in
+    L.scaled_table: the double sum over the nonzero U_i, V_j and the table
+    entries, as the library formed each product before it formed them by
+    linearity; kept as the reference for the library's products."""
+    T, p = L.scaled_table()[1], L.field.modulus
+    V_nz = [(j, b) for j, b in enumerate(V) if b]
+    out = [0] * L.dim
+    for a, row in zip(U, T):
+        if a:
+            for j, b in V_nz:
+                for k, t in row[j]:
+                    out[k] += a * b * t
+    return out if p is None else [a % p for a in out]
+
+
+def dense(n, entries):
+    """The integer vector of length n with the sparse entries (k, c)."""
+    v = [0] * n
+    for k, c in entries:
+        v[k] = c
+    return v

@@ -10,6 +10,8 @@ import matrices
 from dense import dense_basis
 from leibnizalg import corpus
 from leibnizalg.core import (
+    LEFT,
+    RIGHT,
     LeibnizAlgebra,
     bracket_span,
     center,
@@ -446,7 +448,7 @@ def test_ideal_closure_example2():
     assert got == span_of(L, L.basis_vector(1), L.basis_vector(2))
 
 
-def test_unit_products_match_the_brackets_with_each_basis_vector():
+def test_products_match_the_reference_brackets_with_each_basis_vector():
     # every corpus algebra in a dense basis, over Q and mod 2, 3 and 5, with
     # u = 0, each unit vector and random integer (residue) vectors
     rng = random.Random(41)
@@ -461,9 +463,19 @@ def test_unit_products_match_the_brackets_with_each_basis_vector():
             units = [[int(i == j) for j in range(n)] for i in range(n)]
             draw = (lambda: rng.randint(-3, 3)) if p is None else (lambda: rng.randrange(p))
             for u in [[0] * n, *units] + [[draw() for _ in range(n)] for _ in range(4)]:
-                right, left = L.unit_products(u)
-                assert right == [L.scaled_bracket(u, e_j) for e_j in units], (e.name, p, u)
-                assert left == [L.scaled_bracket(e_j, u) for e_j in units], (e.name, p, u)
+                right, left = L.products(u, RIGHT), L.products(u, LEFT)
+                # each product is its nonzero entries by increasing index, residues over F_p
+                for w in right + left:
+                    assert [k for k, _ in w] == sorted({k for k, _ in w})
+                    assert all(c and (p is None or 0 < c < p) for _, c in w)
+                assert [matrices.dense(n, w) for w in right] == [
+                    matrices.scaled_bracket(L, u, e_j) for e_j in units], (e.name, p, u)
+                assert [matrices.dense(n, w) for w in left] == [
+                    matrices.scaled_bracket(L, e_j, u) for e_j in units], (e.name, p, u)
+                # [u, v] by linearity from either side, as residues over F_p
+                v = [draw() for _ in range(n)]
+                assert (L.by_linearity(v, right) == matrices.scaled_bracket(L, u, v)
+                        == L.by_linearity(u, L.products(v, LEFT))), (e.name, p, u, v)
                 checked += 1
     assert checked > 300
 

@@ -98,6 +98,21 @@ def test_membership():
     assert Subspace.zero(QQ, 3).leq(a)
 
 
+def test_ints_outside_the_residues_are_reduced_mod_p():
+    F3 = Field(3)
+    # (3, 1) is (0, 1) mod 3: its span is the second axis, not an error
+    assert Subspace.span(F3, 2, [(3, 1)]) == Subspace.span(F3, 2, [(0, 1)])
+    assert Subspace.span(F3, 2, [(-1, 4)]) == Subspace.span(F3, 2, [(2, 1)])
+    assert Subspace.span(F3, 2, [(3, 6), (0, -3)]) == Subspace.zero(F3, 2)
+    # (0, 3) is the zero vector mod 3, so every subspace holds it
+    assert Subspace.zero(F3, 2).contains([0, 3])
+    assert not Subspace.zero(F3, 2).contains([0, 4])
+    line = Subspace.span(F3, 2, [(1, 1)])
+    assert line.contains([4, -2]) and not line.contains([3, 1])
+    r, D = line.scaled_residual([7, 3])
+    assert (r, D) == ([0, 2], 1) == line.scaled_residual([1, 0])
+
+
 def test_ambient_mismatch_raises():
     a = Subspace.full(QQ, 2)
     b = Subspace.full(QQ, 3)

@@ -158,9 +158,11 @@ scalars = st.one_of(st.just(Fraction(0)), st.just(0),
 
 @st.composite
 def vectors(draw, n):
-    kind = draw(st.sampled_from(["random", "random", "zero", "sparse"]))
+    kind = draw(st.sampled_from(["random", "random", "zero", "sparse", "ints"]))
     if kind == "zero":
-        return [Fraction(0)] * n
+        return [Fraction(0)] * n if draw(st.booleans()) else [0] * n
+    if kind == "ints":
+        return [draw(st.integers(-3, 3)) for _ in range(n)]
     if kind == "sparse" and n:
         v = [Fraction(0)] * n
         v[draw(st.integers(0, n - 1))] = draw(scalars.filter(bool))
@@ -220,9 +222,12 @@ def test_bracket_matches_the_fraction_bracket(L, data):
 
 
 @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), vector_lists(n),
-                                                     vector_lists(n))))
+                                                     vector_lists(n), vectors(n))))
 def test_span_and_sum_match_the_fraction_insertion(case):
-    n, vecs, more = case
+    # zero vectors, integer, Fraction and mixed vectors, and vectors after
+    # the span is full; then membership and residuals through the reduction
+    # plan that the sum kept from its insertions
+    n, vecs, more, v = case
     S, T = Subspace.span(QQ, n, vecs), Subspace.span(QQ, n, more)
     ref = ref_insert(n, (), vecs)
     assert S.rows == ref and all(all_fractions(r) for r in S.rows)
@@ -232,6 +237,13 @@ def test_span_and_sum_match_the_fraction_insertion(case):
     ref_sum = ref_insert(n, ref, more)
     assert (S + T).rows == ref_sum and S + T == Subspace(QQ, n, ref_sum)
     assert (S + T).rows == Subspace.span(QQ, n, vecs + more).rows
+    U = S + T
+    assert all(U.contains(w) for w in vecs + more)
+    assert U.contains(v) == ref_contains(ref_sum, v)
+    assert from_scaled(QQ, *U.scaled_residual(v)) == ref_reduce(ref_sum, v)
+    # the same answers from a subspace that builds its plan from its rows
+    fresh = Subspace(QQ, n, ref_sum)
+    assert fresh.contains(v) == U.contains(v) and fresh.scaled_residual(v) == U.scaled_residual(v)
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(vector_lists(n), vectors(n))),
