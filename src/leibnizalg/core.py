@@ -23,10 +23,18 @@ formed from them by linearity (LeibnizAlgebra.by_linearity):
 the side with fewer rows, so each row's products are formed once.  The
 ideal tests, the ideal closure, the centre and the largest contained ideal
 read the products of a row directly, and the kernel of squares sums four
-table entries per pair.  No operator matrix is built.  The Leibniz identity
-is checked on packed ints: each scaled product is one int with a B-bit digit
-per component, B large enough that the digits of every triple's sum are
-unique (_leibniz_failures).
+table entries per pair.  No operator matrix is built.  [L, L] is the span
+of the table's nonzero products, built once per algebra
+(LeibnizAlgebra.derived_space): bracket_span returns it for L with L, so
+every series of L starts from it, and is_ideal and is_subalgebra answer L
+itself with no product formed.
+
+The Leibniz identity is checked on packed ints (_leibniz_failures): each
+pair (j, k) is one int with a B-bit digit per left factor i and component
+l, B large enough that the digits are unique, so n^2 ints hold the
+identity at all n^3 basis triples, with no loop over the triples.  Over
+F_p one divisibility test and one mask per int decide whether every digit
+is 0 mod p, and only the ints that fail are unpacked into triples.
 
 Convention is right Leibniz throughout: [x,[y,z]] = [[x,y],z] - [[x,z],y],
 i.e. every y -> [y,x] is a derivation.
@@ -35,6 +43,7 @@ i.e. every y -> [y,x] is a derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -82,8 +91,8 @@ class LeibnizAlgebra:
     at the field and (d, T), which is canonical for a table, not at the labels.
     """
 
-    __slots__ = ("field", "dim", "labels", "_table", "_scaled", "_full", "_columns", "_memo",
-                 "_stored")
+    __slots__ = ("field", "dim", "labels", "_table", "_scaled", "_full", "_derived", "_columns",
+                 "_memo", "_stored")
 
     def __init__(self, field: Field, dim: int, table, labels: Optional[Sequence[str]] = None):
         self.field = field
@@ -127,6 +136,14 @@ class LeibnizAlgebra:
         T = [[[] for _ in range(dim)] for _ in range(dim)]
         for i, j, k, c in entries:
             T[i][j].append((k, c.numerator * (d // c.denominator)))
+        return cls._from_scaled(field, dim, d, T, labels)
+
+    @classmethod
+    def _from_scaled(cls, field: Field, dim: int, d: int, T,
+                     labels: Optional[Sequence[str]] = None) -> "LeibnizAlgebra":
+        """The algebra with scaled table (d, T), T[i][j] the nonzero entries
+        (k, c) of d [e_i, e_j] with distinct k, in any order; no entry is
+        checked."""
         L = cls.__new__(cls)
         L.field, L.dim, L._table = field, dim, None
         L._scaled = d, tuple(tuple(tuple(sorted(v)) for v in row) for row in T)
@@ -135,7 +152,7 @@ class LeibnizAlgebra:
         return L
 
     def _init_caches(self):
-        self._full = self._columns = None
+        self._full = self._derived = self._columns = None
         self._memo, self._stored = {}, 0
 
     @property
@@ -212,10 +229,9 @@ class LeibnizAlgebra:
         F_p), for prods as products returns them: [a, b] is
         by_linearity(b, products(a, RIGHT)) = by_linearity(a, products(b, LEFT))."""
         out = [0] * self.dim
-        for c, w in zip(coeffs, prods):
-            if c:
-                for k, x in w:
-                    out[k] += c * x
+        for c, w in compress(zip(coeffs, prods), coeffs):
+            for k, x in w:
+                out[k] += c * x
         p = self.field.modulus
         return out if p is None else [a % p for a in out]
 
@@ -240,6 +256,15 @@ class LeibnizAlgebra:
         if self._full is None:
             self._full = Subspace.full(self.field, self.dim)
         return self._full
+
+    def derived_space(self) -> Subspace:
+        """[L, L], built once: the span of the nonzero products d [e_i, e_j]
+        of the scaled table."""
+        if self._derived is None:
+            n, T = self.dim, self.scaled_table()[1]
+            self._derived = Subspace.span(self.field, n,
+                                          [_dense(n, v) for row in T for v in row if v])
+        return self._derived
 
     def zero_space(self) -> Subspace:
         return Subspace.zero(self.field, self.dim)
@@ -304,71 +329,174 @@ def check_leibniz(L: LeibnizAlgebra) -> VerificationReport:
 
 
 def _leibniz_failures(L: LeibnizAlgebra):
-    """The triples where the identity fails, lazily, each with both sides.
+    """The triples where the identity fails, in (i, j, k) order, lazily, each
+    with both sides.
 
     The test runs in ints on L.scaled_table: over F_p on the residues, over
     Q on the table times the lcm d of its denominators (the identity is
-    homogeneous of degree 2, so the same triples fail).  Each product
-    d [e_i, e_m] is packed into one int Q[i][m] = sum_l T[i][m][l] 2^(B l)
-    (Kronecker substitution), and triple (i, j, k) is tested by one sum
-        s = sum_m c_jk^m Q[i][m] - sum_m c_ij^m Q[m][k] + sum_m c_ik^m Q[m][j]
-    of big-int multiply-adds; the last two sums are read from one table P
-    per i, so a triple costs at most 2n of them.  Digit l of s in base 2^B is
-    d^2 times the e_l-component of [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] +
-    [[e_i,e_k],e_j], a sum of at most 3n products of two scaled entries, so
-    with M the largest |entry| it is at most 3n M^2 < 2^(B-1) in absolute
-    value.  Balanced base-2^B digits in (-2^(B-1), 2^(B-1)) are unique, so
-    over Q the triple holds iff s == 0, and over F_p iff every digit of s,
-    unpacked only when s != 0, is 0 mod p.  Both sides are bracketed for
-    failing triples only.
+    homogeneous of degree 2, so the same triples fail).  Each (j, k) is one
+    int S[j][k] whose base-2^B digit n i + l is d^2 times the e_l-component
+    of [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j], for every i at
+    once (Kronecker substitution).  With Q[i][m] = sum_l T[i][m][l] 2^(B l)
+    the product d [e_i, e_m] packed over l, Qc[m] = sum_i Q[i][m] 2^(B n i)
+    column m of the table packed over (i, l), and P_i[j][k] =
+    sum_m c_ij^m Q[m][k], which packs d^2 [[e_i, e_j], e_k] over l,
+        S[j][k] = sum_m c_jk^m Qc[m] + U[k][j] - U[j][k],
+        U[j][k] = sum_i P_i[j][k] 2^(B n i)        (_shifted_products).
+    U is formed a column of the table at a time: in a sparse column from
+    the P_i[j] as lists over k, in a dense one from each P_i[j] packed over
+    (k, l), a sum of at most n multiply-adds, whose blocks are moved into
+    place as byte strings.  So no loop runs over basis triples: on a dense
+    table 2 n^2 sums of at most n multiply-adds cover all n^3 of them.
+
+    Each digit is a sum of at most 3n products of two scaled entries, so with
+    M the largest |entry| it is at most bound = 3n M^2 < 2^(B-1) in absolute
+    value.  Balanced base-2^B digits in (-2^(B-1), 2^(B-1)) are unique, and
+    an int s of N such digits has |s| < 2^(B N - 1).  Over Q the triples at
+    (j, k) hold iff S[j][k] == 0.  Over F_p they hold iff every digit is
+    0 mod p, which one test decides (_packed_test):
+        s % p == 0 and not (s // p + K) & HIGH,
+    with c the bit length of bound // p, so that bound / p < 2^c, K = 2^c at
+    every digit, HIGH the bits c+1..B-1 of every digit, and B chosen with
+    p 2^c < 2^(B-1).  (Over either field B is then rounded up to whole
+    bytes, which keeps every bound.)  If every digit of s is 0 mod p, s // p
+    has the balanced digits e_t / p of the digits e_t of s, each in
+    (-2^c, 2^c), so adding K puts every digit in (0, 2^(c+1)) with no carry,
+    and no HIGH bit is set.  Conversely, let s = p q with no HIGH bit set in q + K.  Since
+    |q| < 2^(B N - 2) and 0 <= K < 2^(B N - 1), q + K lies in
+    (-2^(B N - 1), 2^(B N)); a negative value there has bit B N - 1 set in
+    two's complement, a HIGH bit, so q + K >= 0, and its digits f_t lie in
+    [0, 2^(c+1)).  Then q has the balanced digits f_t - 2^c, and s = p q the
+    digits p (f_t - 2^c), within p 2^c < 2^(B-1): by uniqueness these are
+    the digits of s, and each is 0 mod p.
+
+    Only the (j, k) that fail are unpacked, a block of n digits per i, each
+    block tested as S[j][k] is; both sides are bracketed for failing triples
+    only.
     """
     F, n, p = L.field, L.dim, L.field.modulus
     d, T = L.scaled_table()
     M = max((abs(c) for row in T for v in row for _, c in v), default=0)
-    B = (3 * n * M * M).bit_length() + 1
-    Q = [[sum(c << B * l for l, c in v) for v in row] for row in T]
-    half = 1 << B - 1       # added to each digit of s, makes them all nonnegative
-    K, mask = sum(half << B * l for l in range(n)), (1 << B) - 1
-    for i, Ti in enumerate(T):
-        Qi = Q[i]
-        # P[j][k] = sum_m c_ij^m Q[m][k]: the second sum of (i, j, k), the third of (i, k, j)
-        P = []
-        for Tij in Ti:
-            Pj = [0] * n
-            for m, c in Tij:
-                Pj = [a + c * b for a, b in zip(Pj, Q[m])]
-            P.append(Pj)
-        for j, Tj in enumerate(T):
-            Pj = P[j]
-            for k in range(n):
-                s = P[k][j] - Pj[k]
-                for m, c in Tj[k]:
-                    s += c * Qi[m]
-                if s and (p is None or any((((s + K) >> B * l & mask) - half) % p
-                                           for l in range(n))):
-                    # both sides times d^2, by linearity from the scaled table:
-                    # [e_i, [e_j, e_k]] from the right products of e_i, and
-                    # [[e_i, e_j], e_k] from the left products of e_k
-                    lin, units = L.by_linearity, L.full_space().scaled_rows
-                    ei, ej = L.products(units[i], RIGHT), L.products(units[j], RIGHT)
-                    lhs = lin(_dense(n, ej[k]), ei)
-                    rhs = [a - b for a, b in zip(lin(_dense(n, ei[j]), L.products(units[k], LEFT)),
-                                                 lin(_dense(n, ei[k]), L.products(units[j], LEFT)))]
-                    yield {
-                        "triple": (L.labels[i], L.labels[j], L.labels[k]),
-                        "indices": (i, j, k),
-                        "lhs": from_scaled(F, lhs, d * d),
-                        "rhs": from_scaled(F, rhs, d * d),
-                    }
+    bound = 3 * n * M * M
+    B = bound.bit_length() + 1 if p is None else (p << (bound // p).bit_length()).bit_length() + 1
+    B += -B % 8             # whole bytes, so that a block of n digits is a byte string
+    nB = n * B
+    Q = [[sum(c << B * l for l, c in v) if v else 0 for v in row] for row in T]
+    Qc = [sum(q << nB * i for i, q in enumerate(col) if q) for col in zip(*Q)]
+    Qr = [sum(q << nB * k for k, q in enumerate(row) if q) for row in Q]
+    K = _digits(1 << B - 1, n * n, B)       # makes every digit nonnegative
+    holds, failing = _packed_test(n * n, B, bound, p), []
+    # U is made a row at a time, and S[j][k] and S[k][j] are formed once rows
+    # j and k are made; an entry of U is dropped once used, so at most about
+    # n^2 / 4 of them are held at once
+    rows = []
+    for j, col in enumerate(zip(*T)):
+        Uj = _shifted_products(col, Q, Qr, K, nB)
+        formed = [(j, j, 0)]        # (j, k, U[k][j] - U[j][k])
+        for k, Uk in enumerate(rows):
+            u = Uk[j] - Uj[k]
+            Uk[j] = Uj[k] = None
+            formed += (j, k, u), (k, j, -u)
+        rows.append(Uj)
+        for a, b, s in formed:
+            for m, c in T[a][b]:
+                s += c * Qc[m]
+            if s and not holds(s):
+                failing.append((a, b, s))
+    if not failing:
+        return
+    block, mask = _packed_test(n, B, bound, p), (1 << nB) - 1
+    Kn = K & mask
+    triples = sorted((i, j, k) for j, k, s in failing
+                     for i, u in enumerate(_blocks(s + K, n, nB, mask)) if not block(u - Kn))
+    lin, units = L.by_linearity, L.full_space().scaled_rows
+    for i, j, k in triples:
+        # both sides times d^2, by linearity from the scaled table:
+        # [e_i, [e_j, e_k]] from the right products of e_i, and
+        # [[e_i, e_j], e_k] from the left products of e_k
+        ei, ej = L.products(units[i], RIGHT), L.products(units[j], RIGHT)
+        lhs = lin(_dense(n, ej[k]), ei)
+        rhs = [a - b for a, b in zip(lin(_dense(n, ei[j]), L.products(units[k], LEFT)),
+                                     lin(_dense(n, ei[k]), L.products(units[j], LEFT)))]
+        yield {
+            "triple": (L.labels[i], L.labels[j], L.labels[k]),
+            "indices": (i, j, k),
+            "lhs": from_scaled(F, lhs, d * d),
+            "rhs": from_scaled(F, rhs, d * d),
+        }
+
+
+def _shifted_products(col, Q, Qr, K: int, nB: int) -> list:
+    """U[j] of _leibniz_failures for column j of the table, col[i] = T[i][j]:
+    the list over k of U[j][k] = sum_i P_i[j][k] 2^(nB i), P_i[j][k] =
+    sum_m c_ij^m Q[m][k], with nB a whole number of bytes.
+
+    In a column where T[i][j] is nonzero for at most half of the i, each
+    such P_i[j] is a list over k, summed by Horner's rule over those i.  In
+    a denser column each P_i[j] is formed packed over (k, l), with digit
+    n k + l, as sum_m c_ij^m Qr[m], Qr[m] row m of the table packed over
+    (k, l), and moved into place as bytes: K, the offset 2^(B-1) at every
+    digit, makes each digit nonnegative with no carry, so block k of the
+    bytes of P_i[j] + K is P_i[j][k] plus the offset of one block, and
+    joining block k of every i gives the bytes of U[j][k] + K."""
+    n = len(col)
+    nonzero = [i for i, Tij in enumerate(col) if Tij]
+    if not nonzero:
+        return [0] * n
+    if 2 * len(nonzero) <= n:
+        acc, last = None, 0
+        for i in reversed(nonzero):
+            (m, c), *rest = col[i]
+            P = [c * b for b in Q[m]]
+            for m, c in rest:
+                P = [a + c * b for a, b in zip(P, Q[m])]
+            acc = P if acc is None else [(a << nB * (last - i)) + b for a, b in zip(acc, P)]
+            last = i
+        return [a << nB * last for a in acc] if last else acc
+    w = nB // 8
+    packed, unset = [], K.to_bytes(n * w, "little")
+    for Tij in col:
+        X = K
+        for m, c in Tij:
+            X += c * Qr[m]
+        packed.append(X.to_bytes(n * w, "little") if Tij else unset)
+    return [int.from_bytes(b"".join([X[a:a + w] for X in packed]), "little") - K
+            for a in range(0, n * w, w)]
+
+
+def _digits(x: int, N: int, B: int) -> int:
+    """x at each of N base-2^B digits."""
+    return x * (((1 << N * B) - 1) // ((1 << B) - 1))
+
+
+def _blocks(u: int, n: int, nB: int, mask: int):
+    """The n blocks of nB bits of u >= 0, lowest first."""
+    for _ in range(n):
+        yield u & mask
+        u >>= nB
+
+
+def _packed_test(N: int, B: int, bound: int, p):
+    """The test of _leibniz_failures for an int s of N balanced base-2^B
+    digits, each at most bound in absolute value: is every digit 0 (over Q)
+    or 0 mod p?"""
+    if p is None:
+        return lambda s: not s
+    c = (bound // p).bit_length()
+    K, HIGH = _digits(1 << c, N, B), _digits((1 << B) - (2 << c), N, B)
+    return lambda s: s % p == 0 and not (s // p + K) & HIGH
 
 
 def bracket_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """span{ [a,b] : a in basis(A), b in basis(B) } -- one-sided product.
-    Every product is formed by linearity from the products with the basis
+    [L, L] is L.derived_space(), read off the table once per algebra.  Any
+    other product is formed by linearity from the products with the basis
     of the side with fewer rows: [a, b] = sum_j b_j [a, e_j], or
     sum_i a_i [e_i, b]."""
     _check_ambient(L, A)
     _check_ambient(L, B)
+    if A.dim == B.dim == L.dim:
+        return L.derived_space()
     # scaled rows and products: a vector's scale does not change the span
     lin, rows_a, rows_b = L.by_linearity, A.scaled_rows, B.scaled_rows
     if A.dim <= B.dim:
@@ -380,8 +508,11 @@ def bracket_span(L: LeibnizAlgebra, A: Subspace, B: Subspace) -> Subspace:
 
 def is_subalgebra(L: LeibnizAlgebra, A: Subspace) -> bool:
     """[a, b] in A for all basis rows a, b, by linearity from the right
-    products of a; stops at the first product outside A."""
+    products of a; stops at the first product outside A.  L itself is one
+    with no product formed."""
     _check_ambient(L, A)
+    if A.dim == L.dim:
+        return True
     rows, lin = A.scaled_rows, L.by_linearity
     return all(A.contains(lin(b, R)) for R in (L.products(a, RIGHT) for a in rows) for b in rows)
 
@@ -389,9 +520,12 @@ def is_subalgebra(L: LeibnizAlgebra, A: Subspace) -> bool:
 def is_ideal(L: LeibnizAlgebra, A: Subspace) -> bool:
     """[a, e_j] and [e_j, a] in A for all basis rows a and all j; stops at the
     first product outside A.  Rows and products are in scaled form, the 2n
-    products of a row those of LeibnizAlgebra.products."""
+    products of a row those of LeibnizAlgebra.products.  L itself is one
+    with no product formed."""
     _check_ambient(L, A)
     n = L.dim
+    if A.dim == n:
+        return True
     return all(not w or A.contains(_dense(n, w)) for a in A.scaled_rows
                for side in (RIGHT, LEFT) for w in L.products(a, side))
 

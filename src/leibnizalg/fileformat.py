@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 
 from .core import LeibnizAlgebra
 from .exactlin import Field, _is_int
@@ -86,37 +87,87 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
         raise ParseError(f"basis has {len(basis)} labels, dim is {dim}")
     if not isinstance(raw, list):
         raise ParseError(f"table must be a list, got {raw!r}")
-    products = {}
+    # (d, T) in one pass over the entries, each component checked once
+    p = F.modulus
+    T = [[()] * dim for _ in range(dim)]
+    seen, den_lcm = set(), 1
     for entry in raw:
         if not isinstance(entry, list) or len(entry) < 3:
             raise ParseError(f"table entry must be a list [i, j, [k, num, den], ...]: {entry!r}")
         i, j = entry[0], entry[1]
         if not (_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"table entry indices out of range: {entry}")
-        comps = {}
-        for item in entry[2:]:
-            # one type test per component: plain ints pass the first, other
-            # int subclasses but bool the second
-            if not (isinstance(item, list) and len(item) == 3
-                    and (type(item[0]) is type(item[1]) is type(item[2]) is int
-                         or all(map(_is_int, item)))):
-                raise ParseError(f"component must be [k, num, den] of integers: {item!r} "
-                                 f"in table entry {entry}")
-            k, num, den = item
-            if not 0 <= k < dim:
-                raise ParseError(f"component index out of range: {item}")
-            if k in comps:
-                raise ParseError(f"duplicate component {k} in table entry {entry}")
-            try:
-                # an integer goes in as it is: over Q it makes no Fraction
-                comps[k] = num if den == 1 else F.scalar(num, den)
-            except ZeroDivisionError:
-                raise ParseError(f"denominator {den} is not invertible over {F}: "
-                                 f"component {item} of table entry {entry}") from None
-        if (i, j) in products:
+        # a failed check is worded by the scan of _checked_components
+        product = (_product(entry[2:], dim, p)
+                   or _product(_checked_components(entry, dim, F), dim, p))
+        if (i, j) in seen:
             raise ParseError(f"duplicate table entry for ({i}, {j})")
-        products[(i, j)] = comps
-    return LeibnizAlgebra.from_products(F, dim, products, basis)
+        seen.add((i, j))
+        T[i][j], den = product
+        if den != 1:
+            den_lcm = lcm(den_lcm, den)
+    if den_lcm != 1:
+        # every entry becomes an int, an int its own numerator over 1
+        T = [[[(k, c.numerator * (den_lcm // c.denominator)) for k, c in v] for v in row]
+             for row in T]
+    return LeibnizAlgebra._from_scaled(F, dim, den_lcm, T, basis)
+
+
+def _product(comps: list, dim: int, p):
+    """(v, den) for the components [k, num, den] of one table entry, all
+    plain ints: v the nonzero entries (k, c), c an int (a residue over F_p)
+    or a Fraction, and den the lcm of their denominators; None if a
+    component fails a check of _checked_components."""
+    v, ks, den_lcm = [], set(), 1
+    for item in comps:
+        if type(item) is not list or len(item) != 3:
+            return None
+        k, num, den = item
+        if not (type(k) is type(num) is type(den) is int and 0 <= k < dim) or k in ks:
+            return None
+        ks.add(k)
+        if den == 1:
+            c = num if p is None else num % p
+        elif p is not None:
+            if not den % p:
+                return None
+            c = num * pow(den, -1, p) % p
+        elif den:
+            c = Fraction(num, den)
+            if c.denominator == 1:
+                c = c.numerator
+            else:
+                den_lcm = lcm(den_lcm, c.denominator)
+        else:
+            return None
+        if c:
+            v.append((k, c))
+    return v, den_lcm
+
+
+def _checked_components(entry: list, dim: int, F: Field) -> list:
+    """The components of a table entry that failed a check of _product,
+    scanned one at a time: ParseError for the first that fails a check, in
+    the order type, index range, repeated index, denominator.  Components
+    that fail none, whose ints or lists are subclasses, come back as plain
+    [k, num, den] ints."""
+    p, seen, out = F.modulus, set(), []
+    for item in entry[2:]:
+        # bools are refused, other int subclasses accepted
+        if not (isinstance(item, list) and len(item) == 3 and all(map(_is_int, item))):
+            raise ParseError(f"component must be [k, num, den] of integers: {item!r} "
+                             f"in table entry {entry}")
+        k, num, den = item
+        if not 0 <= k < dim:
+            raise ParseError(f"component index out of range: {item}")
+        if k in seen:
+            raise ParseError(f"duplicate component {k} in table entry {entry}")
+        if (den if p is None else den % p) == 0:
+            raise ParseError(f"denominator {den} is not invertible over {F}: "
+                             f"component {item} of table entry {entry}")
+        seen.add(k)
+        out.append([int(k), int(num), int(den)])
+    return out
 
 
 def loads_algebra(text: str) -> LeibnizAlgebra:

@@ -78,22 +78,43 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
     as zero on every composition factor of L, so for r in rad g
     beta(r, [a,b]) = beta([r,a], b) = 0: rad g lies in A.  I is abelian, so
     R(L) is the preimage of rad g = A.  The functional x -> beta(x, d) of
-    each basis vector d of [L,L] is read off the scaled table (_traces), and
-    R(L) is cut from L by these functionals.  Over F_p, R(L) is the sum of
-    the solvable principal ideals (_principal_ideal_sum), with at most
-    `budget` projective points.
+    each scaled basis row d of [L,L] is G d, for the Gram matrix G of beta
+    on the basis of L (_gram), and R(L) is cut from L by these
+    functionals.  Over F_p, R(L) is the sum of the solvable principal
+    ideals (_principal_ideal_sum), with at most `budget` projective points.
     """
     if L.field.modulus is not None:
         R = _principal_ideal_sum(L, is_solvable, budget)
         return _certify(L, R, "principal-ideals", derived_series)
-    full = L.full_space()
-    R = _cut(full, [_traces(L, _right_mult(L, d)) for d in bracket_span(L, full, full).scaled_rows])
+    G = _gram(L)
+    R = _cut(L.full_space(), [[sum(a * b for a, b in zip(g, d) if a) for g in G]
+                              for d in L.derived_space().scaled_rows])
     return _certify(L, R, "trace-form-char0", derived_series)
 
 
-def _right_mult(L: LeibnizAlgebra, x) -> list:
-    """The columns d [e_m, x] of d R_x, as dense integer vectors."""
-    return [_dense(L.dim, w) for w in L.products(x, LEFT)]
+def _gram(L: LeibnizAlgebra) -> list:
+    """G[x][y] = d^2 tr(R_x R_y) over Q for the basis of L, d as in
+    L.scaled_table: the Gram matrix of the trace form, which is symmetric.
+
+    Column m of R_x is [e_m, e_x] = sum_l c_mx^l e_l, so
+    tr(R_x R_y) = sum_{l, m} c_lx^m c_my^l: one self-join of the scaled
+    table on (row, component), the entry at row l and component m of
+    d [e_l, e_x] meeting the entry at row m and component l of d [e_m, e_y]."""
+    n, T = L.dim, L.scaled_table()[1]
+    by_key = {}             # (row, component) -> [(column, entry)]
+    for l, row in enumerate(T):
+        for x, entries in enumerate(row):
+            for m, a in entries:
+                by_key.setdefault((l, m), []).append((x, a))
+    G = [[0] * n for _ in range(n)]
+    for (l, m), xs in by_key.items():
+        ys = by_key.get((m, l))
+        if ys:
+            for x, a in xs:
+                Gx = G[x]
+                for y, b in ys:
+                    Gx[y] += a * b
+    return G
 
 
 def _traces(L: LeibnizAlgebra, cols) -> list:
@@ -199,10 +220,11 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
         C = { x in L : tr(R_x) = 0 and beta(x, y) = 0 for all basis y of L },
     then, while some canonical basis vector v of C has non-nilpotent R_v, cut
     C with the linear conditions tr(R_x R_v^k) = 0 (k = 1..dim L) and repeat.
-    Every functional x -> tr(R_x M) is read off the scaled table (_traces),
-    with R_v^k e_m formed by repeated products, and R_v is nilpotent exactly
-    when the image chain L, [L, v], [[L, v], v], ... reaches zero
-    (_stable_image).
+    The functionals x -> beta(x, y) are the columns of the Gram matrix G of
+    beta (_gram); tr(R_x) and every tr(R_x R_v^k) are read off the scaled
+    table (_traces), with R_v^k e_m formed by repeated products, and R_v is
+    nilpotent exactly when the image chain L, [L, v], [[L, v], v], ...
+    reaches zero (_stable_image).
     Each cut removes v, so the dimension strictly decreases and the loop
     terminates.  The first cut lies in the beta-orthogonal of L, so in that
     of [L,L], which is the radical R.  N lies in every cut (R_x R_y and
@@ -223,9 +245,8 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
     if L.field.modulus is not None:
         N, method = _principal_ideal_sum(L, is_nilpotent, budget), "principal-ideals"
     else:
-        # tr(R_x) and tr(R_x R_y) for the basis y of L
-        N, method = _cut(full, [_traces(L, units)]
-                         + [_traces(L, _right_mult(L, y)) for y in units]), "trace-form-char0"
+        # tr(R_x), and tr(R_x R_y) for the basis y of L: the columns of G
+        N, method = _cut(full, [_traces(L, units), *zip(*_gram(L))]), "trace-form-char0"
     while True:
         bad = next((v for v in N.scaled_rows if _stable_image(L, full, v).dim), None)
         if bad is None:
@@ -359,8 +380,9 @@ def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
         D d[c_s, c_t][pc_k] + sum_r a_sr D d[g_r, c_t][pc_k]
             - sum_u res_st[npc_u] g_k[pc_k] a_uk = 0,
     m^2 d equations (zero ones skipped) for the m d unknowns a_sr, with
-    the constant term in the last column.  When I = 0 the complement is L,
-    with nothing to solve.
+    the constant term in the last column.  The equations are yielded to
+    nullspace one at a time, so only their RREF is held.  When I = 0 the
+    complement is L, with nothing to solve.
     """
     F, p = L.field, L.field.modulus
     if not I.dim:
@@ -373,29 +395,28 @@ def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
     gens_right = [L.products(g, RIGHT) for g in gens]
     acts = [[[(r, a[pc]) for r, a in enumerate(at) if a[pc]] for pc in I.pivots]
             for at in ([_dense(n, R[c]) for R in gens_right] for c in npc)]
-    rows = []
-    for s in range(m):
-        comp_right = L.products(comp[s], RIGHT)
-        for t in range(m):
-            w = _dense(n, comp_right[npc[t]])
-            res, D = I.scaled_residual(w)
-            lam = [res[c] for c in npc]
-            lam_nz = any(lam)
-            for k, pc in enumerate(I.pivots):
-                if not (w[pc] or acts[t][k] or lam_nz):
-                    continue        # every entry of the row would be 0
-                row = [0] * (m * d) + [D * w[pc]]
-                for r, a in acts[t][k]:
-                    row[s * d + r] = D * a
-                for u in range(m):
-                    row[u * d + k] -= lam[u] * gens[k][pc]
-                if p is not None:
-                    row = [a % p for a in row]
-                if any(row):
-                    rows.append(row)
+
+    def system():
+        for s in range(m):
+            comp_right = L.products(comp[s], RIGHT)
+            for t in range(m):
+                w = _dense(n, comp_right[npc[t]])
+                res, D = I.scaled_residual(w)
+                lam = [res[c] for c in npc]
+                lam_nz = any(lam)
+                for k, pc in enumerate(I.pivots):
+                    if not (w[pc] or acts[t][k] or lam_nz):
+                        continue        # every entry of the row would be 0
+                    row = [0] * (m * d) + [D * w[pc]]
+                    for r, a in acts[t][k]:
+                        row[s * d + r] = D * a
+                    for u in range(m):
+                        row[u * d + k] -= lam[u] * gens[k][pc]
+                    yield row if p is None else [a % p for a in row]
+
     # the constant column is last: a solution exists iff it is a free column,
     # and its kernel vector sets every other free unknown to 0
-    ker = nullspace(F, m * d + 1, rows)
+    ker = nullspace(F, m * d + 1, system())
     if not ker or not ker[-1][-1]:
         return None
     v = ker[-1]
@@ -537,7 +558,7 @@ def verify_corollary(L: LeibnizAlgebra, R: Subspace, N: Subspace) -> Verificatio
     # spans of all products of a subalgebra are closed under the bracket
     contained = RR <= N
     rr_nilpotent = is_nilpotent(L, RR)
-    equivalence = (R == full) == is_nilpotent(L, bracket_span(L, full, full))
+    equivalence = (R == full) == is_nilpotent(L, L.derived_space())
     return VerificationReport(
         name="derived-radical-nilpotency-corollary",
         passed=contained and rr_nilpotent and equivalence,

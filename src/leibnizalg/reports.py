@@ -52,6 +52,9 @@ def _jsonable(x, vector=None):
     return x
 
 
+_INT, _SCALARS = {int}, {int, Fraction}
+
+
 def dumps_json(x) -> str:
     """json.dumps(_jsonable(x), indent=2), written in one walk over x with
     no JSON-ready copy (CPython encodes with indent in pure Python).  Each
@@ -72,7 +75,17 @@ def _json_text(x, nl: str) -> str:
         if not x:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in x]) + nl + "]"
+        types = {*map(type, x)}
+        if types == _INT:
+            items = map(int.__repr__, x)
+        elif types <= _SCALARS:
+            # a vector of ints and Fractions, each Fraction [num, den] one level deeper
+            deeper = inner + "  "
+            items = [f"[{deeper}{v.numerator},{deeper}{v.denominator}{inner}]"
+                     if type(v) is Fraction else int.__repr__(v) for v in x]
+        else:
+            items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict:
         if not x:
             return "{}"

@@ -246,12 +246,23 @@ def test_verify_text_prints_the_theorem2_witness_matrix_by_rows(capsys):
     ["info", b'{"field": "Q", "dim": 1, "basis": ["e1"], "table": [[0, 0, [0, '
              + b"7" * 5000 + b', 1]]]}'],                      # was a ValueError, exit 1
     ["verify", "example1", "--b", "1e-10000000,0"],            # was expanded by Fraction
+    ["info", {**GOOD, "table": [[0, 0, [0, True, 1]]]}],       # a bool is no integer
+    ["info", {**GOOD, "table": [[0, 0, [-1, 1, 1]]]}],         # k < 0
+    ["info", {**GOOD, "table": [[0, 0, [2, 1, 1]]]}],          # k = dim
+    ["info", {**GOOD, "table": [[2, 0, [0, 1, 1]]]}],          # i = dim
+    ["info", {**GOOD, "table": [[0, -1, [0, 1, 1]]]}],         # j < 0
+    ["info", {**GOOD, "table": [[0, 0, [0, 1, 1]], [0, 0, [1, 1, 1]]]}],  # (0, 0) twice
+    ["info", {**GOOD, "field": "F3", "table": [[0, 0, [1, 1, 6]]]}],     # 6 = 0 mod 3
+    ["info", {**GOOD, "table": [[0, 0, [1, 1, 0], [5, 1, 1]]]}],          # the first failure
+    ["info", {**GOOD, "table": [[0, 0, [0, 1, 1], [1, 1], [0, 1, 1]]]}],  # counts, in order
 ], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector",
         "modulus-above-bound", "dim-above-cap", "int-labels", "string-basis", "directory",
         "not-utf8", "corpus-out-missing-dir", "budget-zero", "budget-negative",
         "duplicate-component", "deeply-nested-json", "empty-b", "empty-by", "big-int-literal",
-        "exponent-component"])
-def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
+        "exponent-component", "bool-component", "negative-k", "k-at-dim", "i-at-dim",
+        "negative-j", "duplicate-entry", "den-zero-mod-p", "bad-den-before-bad-k",
+        "short-component-after-good"])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, request, args):
     # a dict or bytes argument is written to a file first; "{tmp}" is tmp_path.
     # Each is refused before any work that grows with the input's numbers
     def as_arg(a):
@@ -268,6 +279,33 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, args):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith("error: ")
+    message = LOADER_MESSAGES.get(request.node.callspec.id)
+    assert message is None or err == f"error: {message}\n"
+
+
+# The loader's words for each check on a table entry, which every row of
+# the test above that reaches that check must print exactly
+LOADER_MESSAGES = {
+    "zero-den": "denominator 0 is not invertible over Q: component [1, 1, 0] of table "
+                "entry [0, 0, [1, 1, 0]]",
+    "float-num": "component must be [k, num, den] of integers: [1, 0.5, 1] in table "
+                 "entry [0, 0, [1, 0.5, 1]]",
+    "entry-not-list": "table entry must be a list [i, j, [k, num, den], ...]: 5",
+    "duplicate-component": "duplicate component 1 in table entry [0, 0, [1, 1, 1], [1, 2, 1]]",
+    "bool-component": "component must be [k, num, den] of integers: [0, True, 1] in table "
+                      "entry [0, 0, [0, True, 1]]",
+    "negative-k": "component index out of range: [-1, 1, 1]",
+    "k-at-dim": "component index out of range: [2, 1, 1]",
+    "i-at-dim": "table entry indices out of range: [2, 0, [0, 1, 1]]",
+    "negative-j": "table entry indices out of range: [0, -1, [0, 1, 1]]",
+    "duplicate-entry": "duplicate table entry for (0, 0)",
+    "den-zero-mod-p": "denominator 6 is not invertible over F3: component [1, 1, 6] of table "
+                      "entry [0, 0, [1, 1, 6]]",
+    "bad-den-before-bad-k": "denominator 0 is not invertible over Q: component [1, 1, 0] of "
+                            "table entry [0, 0, [1, 1, 0], [5, 1, 1]]",
+    "short-component-after-good": "component must be [k, num, den] of integers: [1, 1] in "
+                                  "table entry [0, 0, [0, 1, 1], [1, 1], [0, 1, 1]]",
+}
 
 
 @pytest.mark.parametrize("verb", ["nilradical", "radical", "verify", "info", "kernel", "liesation",

@@ -119,10 +119,58 @@ def test_check_leibniz_matches_reference_on_random_tables(L):
 
 
 def test_check_leibniz_matches_reference_on_corpus():
+    # the gate packs every left factor i of a (j, k) into one int: tables
+    # perturbed in 3 entries, in a dense basis, fail at triples spread over
+    # several i and several (j, k), and the full report, in (i, j, k) order,
+    # must match the reference
+    rng = random.Random(11)
+    spread = 0
     for e in corpus.standard_entries():
         algebras = [e.algebra] + [reduce_mod_p(e.algebra, p) for p in (2, 3)]
         for L in filter(None, algebras):
             assert check_leibniz(L) == _check_leibniz_reference(L), (e.name, L.field)
+        D = dense_basis(e.algebra, rng)
+        for L in filter(None, [D] + [reduce_mod_p(D, p) for p in (2, 3, 5)]):
+            p = L.field.modulus
+            shifts = [Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) if p is None
+                      else rng.randrange(1, p) for _ in range(3)]
+            broken = _perturbed(L, rng, shifts)
+            rep = check_leibniz(broken)
+            assert rep == _check_leibniz_reference(broken), (e.name, L.field)
+            triples = [w["indices"] for w in rep.witnesses]
+            assert triples == sorted(triples)
+            spread += (len({i for i, _, _ in triples}) > 1
+                       and len({(j, k) for _, j, k in triples}) > 1)
+    assert spread >= 30
+
+
+def test_check_leibniz_sees_a_failing_digit_of_an_int_divisible_by_p():
+    # [e1,e1] = e1, [e1,e2] = e1 + e2, [e2,e2] = e1 + e2 over F_2.  At
+    # (j, k) = (e1, e2) the identity holds for i = e1 and fails for i = e2.
+    # The packed int of (e1, e2) is 0 mod 2 whatever the digit width, since
+    # its lowest digit, the e1-component of the identity at (e1, e1, e2)
+    # over Z, is 2: only the digit test of the quotient by p (the HIGH bits)
+    # sees the odd digit of i = e2.
+    L = LeibnizAlgebra.from_products(Field(2), 2, {(0, 0): {0: 1}, (0, 1): {0: 1, 1: 1},
+                                                   (1, 1): {0: 1, 1: 1}})
+    T = L.scaled_table()[1]
+
+    def over_z(u, v):
+        out = [0, 0]
+        for a, ua in enumerate(u):
+            for b, vb in enumerate(v):
+                for k, c in T[a][b]:
+                    out[k] += ua * vb * c
+        return out
+
+    e1, e2 = (1, 0), (0, 1)
+    lowest = (over_z(e1, over_z(e1, e2))[0] - over_z(over_z(e1, e1), e2)[0]
+              + over_z(over_z(e1, e2), e1)[0])
+    assert lowest == 2
+    rep = check_leibniz(L)
+    assert rep == _check_leibniz_reference(L)
+    failing = [w["indices"] for w in rep.witnesses]
+    assert (1, 0, 1) in failing and (0, 0, 1) not in failing
 
 
 # check_leibniz packs each scaled product d [e_i, e_m] into one int of B-bit

@@ -88,3 +88,20 @@ def test_parse_errors():
                            "table": [[0, 0, [5, 1, 1]]]})
     with pytest.raises(ParseError):
         algebra_from_dict({"field": "F4", "dim": 1, "basis": ["x"], "table": []})
+
+
+def test_loader_makes_every_scaled_entry_an_int():
+    # 4/2 is the integer 2, so the table's denominator is 1; an int subclass
+    # other than bool, and a list subclass, are read as plain ints
+    class Int(int):
+        pass
+
+    class Component(list):
+        pass
+
+    doc = {"field": "Q", "dim": 2, "basis": ["x", "y"],
+           "table": [[0, 0, [1, 4, 2]], [1, 0, Component([Int(1), Int(3), Int(1)])]]}
+    L = algebra_from_dict(doc)
+    assert L.scaled_table() == (1, ((((1, 2),), ()), (((1, 3),), ())))
+    assert all(type(c) is int for row in L.scaled_table()[1] for v in row for _, c in v)
+    assert L == algebra_from_dict({**doc, "table": [[0, 0, [1, 2, 1]], [1, 0, [1, 3, 1]]]})

@@ -7,8 +7,11 @@ over the nonzero entries of both vectors and the scaled table
 compared with the same computation on reference products: bracket spans in
 both orientations, the subalgebra and ideal tests, restriction, the kernel
 of squares, ideal closures, stable images and the lattice scan's lists of
-subalgebras and ideals.  The algebras are the corpus entries in their sparse
-basis and in a dense one, over Q and in their reductions mod 2, 3 and 5.
+subalgebras and ideals.  [L, L], read off the table, and the Gram matrix of
+the trace form are compared with the span of the reference products and with
+traces of products of the field matrices of tests/matrices.py.  The
+algebras are the corpus entries in their sparse basis and in a dense one,
+over Q and in their reductions mod 2, 3 and 5.
 """
 
 import random
@@ -31,7 +34,7 @@ from leibnizalg.core import (
 )
 from leibnizalg.exactlin import Subspace, subspace_count
 from leibnizalg.oracle import _subalgebras_and_ideals, enumerate_subspaces, reduce_mod_p
-from leibnizalg.radicals import _stable_image, nilradical, radical
+from leibnizalg.radicals import _gram, _stable_image, nilradical, radical
 
 
 def sb(L, u, v):
@@ -151,6 +154,18 @@ def test_every_product_path_matches_the_reference_products(name, L):
         if ref_is_ideal(L, V):
             for x in [draw_vector(L, rng) for _ in range(3)] + list(units(L))[:3]:
                 assert _stable_image(L, V, x) == ref_stable_image(L, V, x), (V, x)
+    # [L, L] is read off the table once per algebra, and L itself is an
+    # ideal and a subalgebra with no product formed
+    F, n, full = L.field, L.dim, Subspace.full(L.field, L.dim)
+    assert bracket_span(L, full, full) is L.derived_space() == ref_bracket_span(L, full, full)
+    assert is_ideal(L, full) and is_subalgebra(L, full)
+    # _gram(L)[x][y] is d^2 tr(R_x R_y), from the field matrices of R_x and R_y
+    d, R = L.scaled_table()[0], [matrices.right_mult(L, e) for e in full.rows]
+    G = _gram(L)
+    for x in range(n):
+        for y in range(n):
+            t = matrices.trace_of_product(F, R[x], R[y]) * d * d
+            assert G[x][y] == t if F.modulus is None else G[x][y] % F.modulus == t, (x, y)
 
 
 SCAN_CASES = [(name, L) for name, L in CASES

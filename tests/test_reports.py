@@ -61,6 +61,10 @@ def test_writer_matches_json_dumps_on_edge_cases():
         S, RowsInJson(S), Subspace.zero(Field(2), 2), [RowsInJson(Subspace.full(Field(3), 2))],
         VerificationReport("check", True, details={"S": S}, witnesses=[(1, 0)]),
         10 ** 40, -7,
+        # vectors, written in one join: all ints, ints and Fractions, and
+        # lists where a bool or a nested list takes the item-by-item path
+        [1, -2, 10 ** 30], (Fraction(7, 3), -4, Fraction(-10 ** 20, 3)), [Fraction(1, 2)],
+        [1, True], [[Fraction(-1, 2)], [0]], {"v": [0, Fraction(2, 5)]},
     ]
     for x in cases:
         assert dumps_json(x) == reference(x), x
