@@ -136,13 +136,15 @@ def _validate(L, args):
 
 
 def _info(L, args):
+    solvable = is_solvable(L)
     return {
         "field": str(L.field),
         "dim": L.dim,
         "basis": list(L.labels),
         "is_lie": is_lie(L),
-        "is_solvable": is_solvable(L),
-        "is_nilpotent": is_nilpotent(L),
+        "is_solvable": solvable,
+        # a nilpotent algebra is solvable
+        "is_nilpotent": solvable and is_nilpotent(L),
         "kernel_dim": leibniz_kernel(L).dim,
         "center": center(L),
     }

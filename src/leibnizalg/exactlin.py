@@ -37,7 +37,8 @@ Field elements are built only at the edges of the library: from the input
 products c / scale that from_products takes where core builds an algebra
 from another's scaled table), and where values go back to a caller, as
 Subspace.rows, LeibnizAlgebra.table and LeibnizAlgebra.bracket, and in the
-witnesses and payloads of the reports.
+witnesses and payloads of the reports; the JSON writer prints a subspace from
+its scaled rows.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ class Subspace:
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
         n = ambient_dim
-        return cls._from_scaled(field, n, [tuple(int(i == j) for j in range(n)) for i in range(n)],
+        return cls._from_scaled(field, n, [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)],
                                 range(n))
 
     @property
@@ -416,11 +417,15 @@ class Subspace:
         """{ sum_i c_i scaled_rows[i] : sum_i c_i images[i] = 0 }: the subspace
         on which the linear map sending scaled_rows[i] to images[i] vanishes.
         The images are integer vectors (residues over F_p) on one common
-        scale, and the kernel vectors combine the scaled rows in integers."""
+        scale, and the kernel vectors combine the scaled rows in integers.  On
+        the full space the scaled rows are the unit vectors, so the kernel
+        vectors are spanned as they are, with no combination formed."""
         if len(images) != self.dim:
             raise AmbientMismatch("need one image per basis row")
         F, n, rows = self.field, self.ambient_dim, self.scaled_rows
         ker = nullspace(F, self.dim, list(zip(*images)))
+        if self.dim == n:
+            return Subspace.span(F, n, ker)
         return Subspace.span(F, n, [scaled_comb(F, n, k, rows) for k in ker])
 
     def intersect(self, other: "Subspace") -> "Subspace":

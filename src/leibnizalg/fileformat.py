@@ -70,6 +70,13 @@ def dumps_algebra(L: LeibnizAlgebra) -> str:
 
 
 def algebra_from_dict(d: dict) -> LeibnizAlgebra:
+    F, dim, basis, raw = _header(d)
+    return LeibnizAlgebra._from_scaled(F, dim, *_scaled_table(raw, dim, F), basis)
+
+
+def _header(d: dict) -> tuple:
+    """(field, dim, labels, table entries) of a document, all but the
+    entries checked."""
     try:
         F = field_from_str(d["field"])
         dim = d["dim"]
@@ -87,7 +94,12 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
         raise ParseError(f"basis has {len(basis)} labels, dim is {dim}")
     if not isinstance(raw, list):
         raise ParseError(f"table must be a list, got {raw!r}")
-    # (d, T) in one pass over the entries, each component checked once
+    return F, dim, basis, raw
+
+
+def _scaled_table(raw: list, dim: int, F: Field) -> tuple:
+    """The scaled table (d, T) of the table entries, in one pass over them,
+    each component checked once."""
     p = F.modulus
     T = [[()] * dim for _ in range(dim)]
     seen, den_lcm = set(), 1
@@ -110,7 +122,7 @@ def algebra_from_dict(d: dict) -> LeibnizAlgebra:
         # every entry becomes an int, an int its own numerator over 1
         T = [[[(k, c.numerator * (den_lcm // c.denominator)) for k, c in v] for v in row]
              for row in T]
-    return LeibnizAlgebra._from_scaled(F, dim, den_lcm, T, basis)
+    return den_lcm, T
 
 
 def _product(comps: list, dim: int, p):
@@ -171,6 +183,11 @@ def _checked_components(entry: list, dim: int, F: Field) -> list:
 
 
 def loads_algebra(text: str) -> LeibnizAlgebra:
+    return algebra_from_dict(_document(text))
+
+
+def _document(text: str) -> dict:
+    """The parsed JSON object of an algebra file's text."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as e:
@@ -181,12 +198,17 @@ def loads_algebra(text: str) -> LeibnizAlgebra:
         raise ParseError(f"invalid number: {str(e).partition(';')[0]}") from None
     if not isinstance(d, dict):
         raise ParseError("top level must be an object")
-    return algebra_from_dict(d)
+    return d
 
 
 def load_algebra(path) -> LeibnizAlgebra:
+    """The algebra of a file.  The text is dropped once parsed, and the
+    document once the scaled table is built, before the algebra copies it."""
     with open(path, encoding="utf-8") as f:
-        return loads_algebra(f.read())
+        F, dim, basis, raw = _header(_document(f.read()))
+    d, T = _scaled_table(raw, dim, F)
+    del raw
+    return LeibnizAlgebra._from_scaled(F, dim, d, T, basis)
 
 
 def save_algebra(L: LeibnizAlgebra, path):

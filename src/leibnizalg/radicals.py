@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
 from . import oracle
 from .core import (
@@ -87,7 +88,7 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
         R = _principal_ideal_sum(L, is_solvable, budget)
         return _certify(L, R, "principal-ideals", derived_series)
     G = _gram(L)
-    R = _cut(L.full_space(), [[sum(a * b for a, b in zip(g, d) if a) for g in G]
+    R = _cut(L.full_space(), [[sum(map(mul, g, d)) for g in G]
                               for d in L.derived_space().scaled_rows])
     return _certify(L, R, "trace-form-char0", derived_series)
 
@@ -136,9 +137,13 @@ def _cut(C: Subspace, functionals) -> Subspace:
     """{ x in C : f . x = 0 for every functional f } over Q, each f an integer
     vector of coefficients on the basis of L, known up to scale: the images
     f . r of C's scaled rows r are integers, and the scale of one functional
-    does not change where it vanishes."""
-    return C.where_zero([[sum(a * b for a, b in zip(f, r) if a) for f in functionals]
-                         for r in C.scaled_rows])
+    does not change where it vanishes.  On the whole of L the scaled rows are
+    the unit vectors and f . e_i is f[i], so the images are the functionals
+    transposed, and no dot product is formed; a proper C takes one per row
+    and functional."""
+    if C.dim == C.ambient_dim:
+        return C.where_zero(list(zip(*functionals)) or [()] * C.dim)
+    return C.where_zero([[sum(map(mul, f, r)) for f in functionals] for r in C.scaled_rows])
 
 
 def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .exactlin import Subspace
 
@@ -59,7 +60,8 @@ def dumps_json(x) -> str:
     """json.dumps(_jsonable(x), indent=2), written in one walk over x with
     no JSON-ready copy (CPython encodes with indent in pure Python).  Each
     list and object is joined from its items' texts, so the pieces alive at
-    once are few.  Dict keys must be str."""
+    once are few.  A subspace is written from its scaled rows, with no
+    Fraction built (_rows_text).  Dict keys must be str."""
     return _json_text(x, "\n")
 
 
@@ -100,12 +102,34 @@ def _json_text(x, nl: str) -> str:
     if t is Fraction:
         return _json_text([x.numerator, x.denominator], nl)
     if t is RowsInJson:
-        return _json_text(x.subspace.rows, nl)      # its entries are int or Fraction
+        return _rows_text(x.subspace, nl)
     if t is Subspace:
-        return _json_text({"ambient_dim": x.ambient_dim, "basis": x.rows}, nl)
+        return _json_text({"ambient_dim": x.ambient_dim, "basis": RowsInJson(x)}, nl)
     if is_dataclass(t):
         return _json_text({f.name: getattr(x, f.name) for f in fields(x)}, nl)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _rows_text(S: Subspace, nl: str) -> str:
+    """The JSON text of S.rows, written from the scaled rows unless the rows
+    are already built.  Over Q the entry a of a scaled row r is a / r[pc],
+    pc its pivot column, written [num, den] as a Fraction is: a and r[pc]
+    over their gcd, so 0 is [0, 1].  Over F_p the rows are the scaled rows
+    and always built."""
+    if S._rows is not None:
+        return _json_text(S._rows, nl)      # their entries are int or Fraction
+    if not S.pivots:
+        return "[]"
+    inner = nl + "  "
+    entry, deeper = inner + "  ", inner + "    "
+    rows = []
+    for r, pc in zip(S.scaled_rows, S.pivots):
+        h, items = r[pc], []
+        for a in r:
+            g = gcd(a, h)
+            items.append(f"[{deeper}{a // g},{deeper}{h // g}{entry}]")
+        rows.append("[" + entry + ("," + entry).join(items) + inner + "]")
+    return "[" + inner + ("," + inner).join(rows) + nl + "]"
 
 
 @dataclass

@@ -6,6 +6,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import matrices
 from dense import dense_basis
@@ -28,9 +30,10 @@ from leibnizalg.core import (
     restrict,
 )
 from leibnizalg.errors import InternalInconsistency, Unsupported
-from leibnizalg.exactlin import QQ, Field, Subspace, unit_vec
+from leibnizalg.exactlin import QQ, Field, Subspace, nullspace, scaled_comb, unit_vec
 from leibnizalg.radicals import (
     Theorem2Report,
+    _cut,
     find_complement_B,
     frattini_ideal,
     nilradical,
@@ -131,6 +134,46 @@ def test_nilradical_sl2_zero_and_abelian_full():
     assert nilradical(corpus.sl2().algebra).subspace.dim == 0
     L = corpus.abelian(4).algebra
     assert nilradical(L).subspace == L.full_space()
+
+
+def _dot_product_cut(C, functionals):
+    """The cut of C as where_zero formed it before the whole-space path: the
+    images f . r of every scaled row r, and the kernel vectors combining the
+    scaled rows."""
+    F, n, rows = C.field, C.ambient_dim, C.scaled_rows
+    images = [[sum(a * b for a, b in zip(f, r)) for f in functionals] for r in rows]
+    ker = nullspace(F, C.dim, list(zip(*images)))
+    return Subspace.span(F, n, [scaled_comb(F, n, k, rows) for k in ker])
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=n + 2),
+    st.sampled_from(["random", "empty", "zeros"]))))
+def test_whole_space_cut_matches_the_dot_product_cut(case):
+    n, functionals, kind = case
+    if kind == "empty":
+        functionals = []
+    elif kind == "zeros":
+        functionals = [[0] * n for _ in functionals]
+    full = Subspace.full(QQ, n)
+    cut = _cut(full, functionals)
+    assert cut == _dot_product_cut(full, functionals)
+    if kind != "random":
+        assert cut == full
+    # a proper subspace takes the dot-product path, with the same answer
+    C = Subspace.span(QQ, n, [[1] * n]) if n else full
+    assert _cut(C, functionals) == _dot_product_cut(C, functionals)
+
+
+def test_radical_of_an_abelian_algebra_cuts_with_no_functionals():
+    # [L, L] = 0, so the cut has no functionals and keeps all of L
+    L = corpus.abelian(3).algebra
+    assert L.derived_space().dim == 0
+    res = radical(L)
+    assert res.subspace == L.full_space()
+    assert res.method == "trace-form-char0"
+    assert res.certificates and all(res.certificates.values())
 
 
 def four_cycle(lie):

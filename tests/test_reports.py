@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leibnizalg import cli, corpus
 from leibnizalg.core import LeibnizAlgebra
@@ -68,6 +70,37 @@ def test_writer_matches_json_dumps_on_edge_cases():
     ]
     for x in cases:
         assert dumps_json(x) == reference(x), x
+
+
+@st.composite
+def written_subspaces(draw):
+    """A subspace over Q, F_2, F_3 or F_5 as the library builds it, with no
+    rows built yet: a span of vectors with negative and fractional entries,
+    the zero space (dimension 0) or the full space."""
+    F = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+    n = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["span", "zero", "full"]))
+    if kind == "zero":
+        return Subspace.zero(F, n)
+    if kind == "full":
+        return Subspace.full(F, n)
+    if F.modulus is None:
+        entry = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+    else:
+        entry = st.integers(0, F.modulus - 1)
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1))
+    return Subspace.span(F, n, vectors)
+
+
+@given(written_subspaces(), st.sampled_from(["subspace", "rows", "report"]))
+def test_writer_matches_json_dumps_on_subspaces_written_from_scaled_rows(S, form):
+    x = {"subspace": S, "rows": RowsInJson(S), "report": {"S": S, "method": "m", "ok": True}}[form]
+    text = dumps_json(x)
+    # written from the scaled rows: the rows as field elements are not built
+    assert S.field.modulus is not None or S._rows is None
+    assert text == reference(x)
+    # and the same once the rows are built
+    assert dumps_json(x) == text
 
 
 @pytest.mark.parametrize("x", [1.5, {1, 2}, {"a": object()}, {1: "int key"}])
