@@ -103,8 +103,9 @@ def _load_source(source: str):
         raise ParseError(f"cannot read {source!r}: not UTF-8 ({e.reason})") from None
 
 
-# a vector component: an integer, n/d or a plain decimal, with no exponent
-_COMPONENT = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)")
+# a vector component: an integer, n/d or a plain decimal in ASCII digits,
+# with no exponent
+_COMPONENT = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)", re.ASCII)
 
 
 def _parse_span(L, text: str) -> Subspace:

@@ -4,10 +4,10 @@ quotients, the kernel of squares, liesation, the centre.
 
 An algebra's state is its scaled table (d, T): the table times the lcm d of
 its denominators (d = 1 over F_p), with T[i][j] the nonzero entries (k, c)
-of d [e_i, e_j] by increasing k.  from_products, and with it the file
-loader, builds (d, T) directly; the dense table of field elements is a
-cached view, built only when something reads LeibnizAlgebra.table.
-quotient, restrict and direct_sum also build with from_products, from
+of d [e_i, e_j] by increasing k.  Every constructor (the dense one,
+from_products and the file loader) builds (d, T) at once and keeps nothing
+else; the dense table is a cached view, built when LeibnizAlgebra.table is
+read.  quotient, restrict and direct_sum build with from_products, from
 products read off the scaled table as integers over a known scale.  Field
 elements are made only for what goes back to a caller: the dense table,
 LeibnizAlgebra.bracket, project_vector and the sides of a failing triple.
@@ -81,12 +81,12 @@ _entry = itemgetter(1)      # (k, c) is kept when c != 0
 class LeibnizAlgebra:
     """Finite-dimensional algebra with bracket [e_i, e_j] = sum_k c[i][j][k] e_k.
 
-    Its state is the scaled table (d, T) of scaled_table, which every
-    algorithm reads; from_products builds it directly from a sparse map.
-    The dense table, table[i][j] = component vector of [e_i, e_j], is a
-    cached view of it, built on first read; the constructor takes a dense
-    table and keeps it as given, after checking that every entry passes
-    Field.is_element.  Whether the Leibniz identity actually holds is checked
+    Its one state is the scaled table (d, T) of scaled_table, which every
+    algorithm reads.  The constructor builds it from a dense table,
+    table[i][j] = component vector of [e_i, e_j], each entry checked with
+    Field.is_element, and from_products from a sparse map; neither keeps
+    what it was given.  table is a cached view of (d, T), Fractions over Q
+    and residues over F_p.  Whether the Leibniz identity holds is checked
     by check_leibniz, not assumed at construction.  Equality and hashing look
     at the field and (d, T), which is canonical for a table, not at the labels.
     """
@@ -95,29 +95,27 @@ class LeibnizAlgebra:
                  "_memo", "_stored")
 
     def __init__(self, field: Field, dim: int, table, labels: Optional[Sequence[str]] = None):
-        self.field = field
-        self.dim = dim
-        self._table = tuple(tuple(tuple(v) for v in row) for row in table)
-        if len(self._table) != dim or any(len(row) != dim for row in self._table):
+        table = [[tuple(v) for v in row] for row in table]
+        if len(table) != dim or any(len(row) != dim for row in table):
             raise ValueError("table must be dim x dim")
-        for i, row in enumerate(self._table):
+        for i, row in enumerate(table):
             for j, v in enumerate(row):
                 if len(v) != dim:
                     raise ValueError("product vectors must have length dim")
                 for c in v:
                     if not field.is_element(c):
                         raise TypeError(_not_an_element(field, c, i, j))
-        self.labels = _labels(labels, dim)
-        self._scaled = None
-        self._init_caches()
+        ints, d = to_scaled(field, [c for row in table for v in row for c in v])
+        # the vectors, and then the rows, as consecutive runs of dim
+        T = [tuple(compress(enumerate(v), v)) for v in zip(*[iter(ints)] * dim)]
+        self._init(field, dim, d, zip(*[iter(T)] * dim), labels)
 
     @classmethod
     def from_products(cls, field: Field, dim: int, products: dict,
                       labels: Optional[Sequence[str]] = None) -> "LeibnizAlgebra":
         """Build from a sparse {(i, j): {k: scalar}} map; omitted products are 0.
         An int scalar is mapped into the field; any other, a bool too, must be
-        an element.  An index i, j or k outside [0, dim) raises ValueError.
-        (d, T) is built straight from the map, with no dense table."""
+        an element.  An index i, j or k outside [0, dim) raises ValueError."""
         for (i, j), comps in products.items():
             if not all(0 <= x < dim for x in (i, j, *comps)):
                 raise ValueError(f"index outside [0, {dim}) in entry ({i}, {j}): {comps}")
@@ -145,20 +143,21 @@ class LeibnizAlgebra:
         (k, c) of d [e_i, e_j] with distinct k, in any order; no entry is
         checked."""
         L = cls.__new__(cls)
-        L.field, L.dim, L._table = field, dim, None
-        L._scaled = d, tuple(tuple(tuple(sorted(v)) for v in row) for row in T)
-        L.labels = _labels(labels, dim)
-        L._init_caches()
+        L._init(field, dim, d, [[tuple(sorted(v)) if v else () for v in row] for row in T], labels)
         return L
 
-    def _init_caches(self):
-        self._full = self._derived = self._columns = None
+    def _init(self, field: Field, dim: int, d: int, T, labels):
+        """Set the state to (d, T), T[i][j] in increasing k, and the caches empty."""
+        self.field, self.dim = field, dim
+        self._scaled = d, tuple(map(tuple, T))
+        self.labels = _labels(labels, dim)
+        self._table = self._full = self._derived = self._columns = None
         self._memo, self._stored = {}, 0
 
     @property
     def table(self) -> tuple:
-        """The dense table, table[i][j] = component vector of [e_i, e_j]: as
-        the constructor received it, or built from (d, T) on first read."""
+        """The dense table, table[i][j] = component vector of [e_i, e_j]:
+        a view of (d, T), built on first read."""
         if self._table is None:
             F, n = self.field, self.dim
             d, T = self._scaled
@@ -174,13 +173,6 @@ class LeibnizAlgebra:
         """(d, T): the table times the lcm d of its denominators (1 over F_p),
         with T[i][j] the nonzero entries (k, c) of d [e_i, e_j] by increasing
         k, all held in tuples."""
-        if self._scaled is None:
-            n = self.dim
-            ints, d = to_scaled(self.field, [c for row in self._table for v in row for c in v])
-            T = tuple(tuple(tuple((k, c) for k, c in
-                                  enumerate(ints[(i * n + j) * n:(i * n + j + 1) * n]) if c)
-                            for j in range(n)) for i in range(n))
-            self._scaled = d, T
         return self._scaled
 
     def bracket(self, u: Sequence, v: Sequence):
@@ -585,7 +577,11 @@ class QuotientPresentation:
     parent: LeibnizAlgebra
     ideal: Subspace
     quotient: LeibnizAlgebra
-    section: list               # quotient basis -> parent vectors
+
+    @property
+    def section(self) -> list:
+        """The quotient basis as parent vectors, built on each read."""
+        return self.ideal.complement_basis()
 
     def project_vector(self, v: Sequence):
         return from_scaled(self.quotient.field, *_coset_scaled(self.ideal, v))
@@ -622,7 +618,7 @@ def quotient(L: LeibnizAlgebra, J: Subspace) -> QuotientPresentation:
                 w, D = _coset_scaled(J, _dense(n, T[s][t]))
                 products[a, b] = _over(F, enumerate(w), D * d)
     Q = LeibnizAlgebra.from_products(F, len(npc), products, [L.labels[c] + "~" for c in npc])
-    return QuotientPresentation(L, J, Q, J.complement_basis())
+    return QuotientPresentation(L, J, Q)
 
 
 def liesation(L: LeibnizAlgebra) -> QuotientPresentation:

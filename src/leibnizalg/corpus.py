@@ -165,8 +165,8 @@ def with_simple_summand(entry: CorpusEntry) -> CorpusEntry:
     L = direct_sum(A, S)
 
     def embed(sub: Subspace) -> Subspace:
-        z = (L.field.zero,) * S.dim
-        return Subspace.span(L.field, L.dim, [tuple(r) + z for r in sub.rows])
+        z = (0,) * S.dim
+        return Subspace.span(L.field, L.dim, [r + z for r in sub.scaled_rows])
 
     expected = {}
     for key in ("kernel", "nilradical", "radical"):

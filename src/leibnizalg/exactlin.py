@@ -16,7 +16,8 @@ kernel vectors, and where_zero takes the images of a subspace's scaled rows.
 Over Q the elimination runs on scaled integers, not on Fractions.  A vector
 v in scaled form is (ints, den) with v = ints / den (to_scaled and
 from_scaled convert).  A subspace holds each RREF row as a primitive integer
-row over its pivot entry (scaled_rows), and a reduction plan for them: the
+row over its pivot entry (scaled_rows), its only form of the rows (rows is
+a view), and a reduction plan for them: the
 lcm D of the pivot entries, and for each row its pivot column, D over its
 pivot entry and its nonzero off-pivot entries.  Reducing a vector against
 the rows is one pass over the off-pivot entries of the rows it meets
@@ -37,8 +38,9 @@ Field elements are built only at the edges of the library: from the input
 products c / scale that from_products takes where core builds an algebra
 from another's scaled table), and where values go back to a caller, as
 Subspace.rows, LeibnizAlgebra.table and LeibnizAlgebra.bracket, and in the
-witnesses and payloads of the reports; the JSON writer prints a subspace from
-its scaled rows.
+witnesses and payloads of the reports.  The JSON writers print a subspace
+from its scaled rows and an algebra from its scaled table, so equal objects
+are written alike however they were built.
 """
 
 from __future__ import annotations
@@ -250,10 +252,12 @@ class Subspace:
     """A subspace of F^n held as its canonical RREF row basis (no zero rows),
     with the pivot column of each row.
 
-    Row i is held in scaled form, scaled_rows[i] / scaled_rows[i][pivots[i]]:
-    over Q a primitive integer row, over F_p the row itself.  All of the
-    linear algebra runs on the scaled rows; the rows as field elements are
-    a view, built on first read of rows.
+    Its one state is that basis in scaled form, row i being
+    scaled_rows[i] / scaled_rows[i][pivots[i]]: over Q a primitive integer
+    row, over F_p the row itself.  The constructor keeps only the scaled
+    form of the rows it is given, each row scaled as _normalize scales it;
+    it trusts the rows to be otherwise in RREF.  All of the linear algebra
+    runs on the scaled rows; rows is a view of them, built on first read.
     """
 
     __slots__ = ("field", "ambient_dim", "pivots", "scaled_rows", "_rows", "_plan")
@@ -261,10 +265,11 @@ class Subspace:
     def __init__(self, field: Field, ambient_dim: int, rref_rows: Iterable[Iterable]):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rows = tuple(tuple(r) for r in rref_rows)
-        self.pivots = tuple(next(c for c, a in enumerate(row) if a) for row in self._rows)
-        self.scaled_rows = (self._rows if field.modulus is not None else
-                            tuple(tuple(to_scaled(field, r)[0]) for r in self._rows))
+        rows = [to_scaled(field, tuple(r))[0] for r in rref_rows]
+        self.pivots = tuple(next(c for c, a in enumerate(r) if a) for r in rows)
+        self.scaled_rows = tuple(_normalize(r, pc, field.modulus)
+                                 for r, pc in zip(rows, self.pivots))
+        self._rows = self.scaled_rows if field.modulus is not None else None
         self._plan = None
 
     @classmethod

@@ -1,12 +1,14 @@
 """Algebra file format: a JSON text document with fields
 
-    field : "Q" or "F<p>"
+    field : "Q" or "F<p>", p in ASCII digits
     dim   : integer, at most MAX_DIM
     basis : list of dim strings, the labels
     table : sparse list of entries [i, j, [k, num, den], [k, num, den], ...]
 
 Indices are 0-based; omitted products are zero; num/den are exact integers
-(den = 1 over a prime field).  Round-trip (parse after print) is the identity.
+(den = 1 over a prime field), taken in any order and terms.  Both ways run
+on the scaled table, written in lowest terms by increasing k: round-trip
+(parse after print) is the identity, and equal algebras are written alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .core import LeibnizAlgebra
 from .exactlin import Field, _is_int
@@ -32,7 +34,7 @@ class ParseError(ValueError):
 def field_from_str(s: str) -> Field:
     if s == "Q":
         return Field()
-    m = re.fullmatch(r"F(\d+)", s)
+    m = re.fullmatch(r"F([0-9]+)", s)
     if not m:
         raise ParseError(f"bad field {s!r}: expected 'Q' or 'F<p>'")
     try:
@@ -42,21 +44,12 @@ def field_from_str(s: str) -> Field:
 
 
 def algebra_to_dict(L: LeibnizAlgebra) -> dict:
-    table = []
-    z = L.field.zero
-    for i in range(L.dim):
-        for j in range(L.dim):
-            v = L.table[i][j]
-            comps = []
-            for k, c in enumerate(v):
-                if c == z:
-                    continue
-                if isinstance(c, Fraction):
-                    comps.append([k, c.numerator, c.denominator])
-                else:
-                    comps.append([k, int(c), 1])
-            if comps:
-                table.append([i, j] + comps)
+    """The document of L, from its scaled table (d, T): each entry (k, c) of
+    T[i][j] is the component [k, c/g, d/g], g = gcd(c, d), of the table
+    entry [i, j, ...], as a Fraction c/d would be written."""
+    d, T = L.scaled_table()
+    table = [[i, j, *([k, c // g, d // g] for k, c in v for g in (gcd(c, d),))]
+             for i, row in enumerate(T) for j, v in enumerate(row) if v]
     return {
         "field": str(L.field),
         "dim": L.dim,
@@ -66,10 +59,14 @@ def algebra_to_dict(L: LeibnizAlgebra) -> dict:
 
 
 def dumps_algebra(L: LeibnizAlgebra) -> str:
+    """The text of L's file: algebra_to_dict as json.dumps(..., indent=2)
+    writes it, and a newline."""
     return dumps_json(algebra_to_dict(L)) + "\n"
 
 
 def algebra_from_dict(d: dict) -> LeibnizAlgebra:
+    """The algebra of a parsed document, its scaled table built straight
+    from the table entries (_scaled_table); no dense table is made."""
     F, dim, basis, raw = _header(d)
     return LeibnizAlgebra._from_scaled(F, dim, *_scaled_table(raw, dim, F), basis)
 
@@ -99,8 +96,7 @@ def _header(d: dict) -> tuple:
 
 def _scaled_table(raw: list, dim: int, F: Field) -> tuple:
     """The scaled table (d, T) of the table entries, in one pass over them,
-    each component checked once."""
-    p = F.modulus
+    each component checked once (_product)."""
     T = [[()] * dim for _ in range(dim)]
     seen, den_lcm = set(), 1
     for entry in raw:
@@ -109,9 +105,7 @@ def _scaled_table(raw: list, dim: int, F: Field) -> tuple:
         i, j = entry[0], entry[1]
         if not (_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"table entry indices out of range: {entry}")
-        # a failed check is worded by the scan of _checked_components
-        product = (_product(entry[2:], dim, p)
-                   or _product(_checked_components(entry, dim, F), dim, p))
+        product = _product(entry, dim, F)
         if (i, j) in seen:
             raise ParseError(f"duplicate table entry for ({i}, {j})")
         seen.add((i, j))
@@ -125,61 +119,43 @@ def _scaled_table(raw: list, dim: int, F: Field) -> tuple:
     return den_lcm, T
 
 
-def _product(comps: list, dim: int, p):
-    """(v, den) for the components [k, num, den] of one table entry, all
-    plain ints: v the nonzero entries (k, c), c an int (a residue over F_p)
-    or a Fraction, and den the lcm of their denominators; None if a
-    component fails a check of _checked_components."""
-    v, ks, den_lcm = [], set(), 1
-    for item in comps:
-        if type(item) is not list or len(item) != 3:
-            return None
-        k, num, den = item
-        if not (type(k) is type(num) is type(den) is int and 0 <= k < dim) or k in ks:
-            return None
+def _product(entry: list, dim: int, F: Field) -> tuple:
+    """(v, den) for the components [k, num, den] of one table entry: v the
+    nonzero entries (k, c), c an int (a residue over F_p) or a Fraction, den
+    the lcm of their denominators.  Each component is checked once, in the
+    order type (bools refused, other int subclasses read as plain ints),
+    index range, repeated index, denominator; ParseError at the first failure."""
+    p, v, ks, den_lcm = F.modulus, [], set(), 1
+    for item in entry[2:]:
+        if (type(item) is list and len(item) == 3
+                and type(item[0]) is type(item[1]) is type(item[2]) is int):
+            k, num, den = item
+        elif isinstance(item, list) and len(item) == 3 and all(map(_is_int, item)):
+            k, num, den = map(int, item)        # int subclasses, read as plain ints
+        else:
+            raise ParseError(f"component must be [k, num, den] of integers: {item!r} "
+                             f"in table entry {entry}")
+        if not 0 <= k < dim:
+            raise ParseError(f"component index out of range: {item}")
+        if k in ks:
+            raise ParseError(f"duplicate component {item[0]} in table entry {entry}")
         ks.add(k)
         if den == 1:
             c = num if p is None else num % p
+        elif (den if p is None else den % p) == 0:
+            raise ParseError(f"denominator {item[2]} is not invertible over {F}: "
+                             f"component {item} of table entry {entry}")
         elif p is not None:
-            if not den % p:
-                return None
             c = num * pow(den, -1, p) % p
-        elif den:
+        else:
             c = Fraction(num, den)
             if c.denominator == 1:
                 c = c.numerator
             else:
                 den_lcm = lcm(den_lcm, c.denominator)
-        else:
-            return None
         if c:
             v.append((k, c))
     return v, den_lcm
-
-
-def _checked_components(entry: list, dim: int, F: Field) -> list:
-    """The components of a table entry that failed a check of _product,
-    scanned one at a time: ParseError for the first that fails a check, in
-    the order type, index range, repeated index, denominator.  Components
-    that fail none, whose ints or lists are subclasses, come back as plain
-    [k, num, den] ints."""
-    p, seen, out = F.modulus, set(), []
-    for item in entry[2:]:
-        # bools are refused, other int subclasses accepted
-        if not (isinstance(item, list) and len(item) == 3 and all(map(_is_int, item))):
-            raise ParseError(f"component must be [k, num, den] of integers: {item!r} "
-                             f"in table entry {entry}")
-        k, num, den = item
-        if not 0 <= k < dim:
-            raise ParseError(f"component index out of range: {item}")
-        if k in seen:
-            raise ParseError(f"duplicate component {k} in table entry {entry}")
-        if (den if p is None else den % p) == 0:
-            raise ParseError(f"denominator {den} is not invertible over {F}: "
-                             f"component {item} of table entry {entry}")
-        seen.add(k)
-        out.append([int(k), int(num), int(den)])
-    return out
 
 
 def loads_algebra(text: str) -> LeibnizAlgebra:

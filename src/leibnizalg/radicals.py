@@ -341,7 +341,8 @@ def _complement_B(qp: QuotientPresentation, S, budget: int):
         return S            # I + S = L and I cap S = 0, so every premise holds
     L, I = qp.parent, qp.ideal
     if L.field.modulus is not None:
-        candidates = sorted(oracle.scan(L, budget).subalgebras, key=lambda S: (S.dim, S.rows))
+        candidates = sorted(oracle.scan(L, budget).subalgebras,
+                            key=lambda S: (S.dim, S.scaled_rows))
     else:
         candidates = ([_complement_subalgebra(L, _fitting_one(L, I))]
                       if is_nilpotent(qp.quotient) else [])

@@ -111,13 +111,12 @@ def _json_text(x, nl: str) -> str:
 
 
 def _rows_text(S: Subspace, nl: str) -> str:
-    """The JSON text of S.rows, written from the scaled rows unless the rows
-    are already built.  Over Q the entry a of a scaled row r is a / r[pc],
-    pc its pivot column, written [num, den] as a Fraction is: a and r[pc]
-    over their gcd, so 0 is [0, 1].  Over F_p the rows are the scaled rows
-    and always built."""
-    if S._rows is not None:
-        return _json_text(S._rows, nl)      # their entries are int or Fraction
+    """The JSON text of S.rows, written from the scaled rows alone.  Over
+    F_p the rows are the scaled rows.  Over Q the entry a of a scaled row r
+    is a / r[pc], pc its pivot column, written [num, den] as a Fraction is:
+    a and r[pc] over their gcd, so 0 is [0, 1]."""
+    if S.field.modulus is not None:
+        return _json_text(S.scaled_rows, nl)
     if not S.pivots:
         return "[]"
     inner = nl + "  "

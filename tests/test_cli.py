@@ -255,13 +255,15 @@ def test_verify_text_prints_the_theorem2_witness_matrix_by_rows(capsys):
     ["info", {**GOOD, "field": "F3", "table": [[0, 0, [1, 1, 6]]]}],     # 6 = 0 mod 3
     ["info", {**GOOD, "table": [[0, 0, [1, 1, 0], [5, 1, 1]]]}],          # the first failure
     ["info", {**GOOD, "table": [[0, 0, [0, 1, 1], [1, 1], [0, 1, 1]]]}],  # counts, in order
+    ["info", {**GOOD, "field": "F\uff13"}],                    # was read as F3
+    ["quotient", "--by", "\u0660,\u0660,\u0661", "heisenberg"],  # was read as (0, 0, 1)
 ], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector",
         "modulus-above-bound", "dim-above-cap", "int-labels", "string-basis", "directory",
         "not-utf8", "corpus-out-missing-dir", "budget-zero", "budget-negative",
         "duplicate-component", "deeply-nested-json", "empty-b", "empty-by", "big-int-literal",
         "exponent-component", "bool-component", "negative-k", "k-at-dim", "i-at-dim",
         "negative-j", "duplicate-entry", "den-zero-mod-p", "bad-den-before-bad-k",
-        "short-component-after-good"])
+        "short-component-after-good", "non-ascii-field", "non-ascii-component"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, request, args):
     # a dict or bytes argument is written to a file first; "{tmp}" is tmp_path.
     # Each is refused before any work that grows with the input's numbers
@@ -284,8 +286,11 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, request, args):
 
 
 # The loader's words for each check on a table entry, which every row of
-# the test above that reaches that check must print exactly
+# the test above that reaches that check must print exactly, and those of
+# the field and vector component checks for digits outside ASCII
 LOADER_MESSAGES = {
+    "non-ascii-field": "bad field 'F\uff13': expected 'Q' or 'F<p>'",
+    "non-ascii-component": "bad component '\u0660' in vector '\u0660,\u0660,\u0661'",
     "zero-den": "denominator 0 is not invertible over Q: component [1, 1, 0] of table "
                 "entry [0, 0, [1, 1, 0]]",
     "float-num": "component must be [k, num, den] of integers: [1, 0.5, 1] in table "

@@ -272,13 +272,40 @@ def _typed(table):
     return [[[(type(c), c) for c in v] for v in row] for row in table]
 
 
+def _rebuilds(L):
+    """L built again from its dense table of field elements: by from_products
+    with every component, zeros too, in decreasing k; by the constructor on
+    ints where an entry is integral; by loading its file; and by loading a
+    file whose components are in decreasing k and unreduced (over F_p also
+    unreduced mod p), with an explicit zero at k = 0."""
+    F, n, p = L.field, L.dim, L.field.modulus
+    products = {(i, j): {k: v[k] for k in reversed(range(n))}
+                for i, row in enumerate(L.table) for j, v in enumerate(row)}
+    dense = [[[c.numerator if c.denominator == 1 else c for c in v] for v in row]
+             for row in L.table]
+    comps = lambda v: [[k, 3 * c.numerator, 3 * c.denominator] if p is None else
+                       [k, (c + p) * (p + 1), p + 1]        # (c + p) (p + 1) / (p + 1) = c
+                       for k, c in reversed([*enumerate(v)]) if c or k == 0]
+    entries = [[i, j, *comps(v)] for i, row in enumerate(L.table) for j, v in enumerate(row)
+               if any(v)]
+    unreduced = json.dumps({"field": str(F), "dim": n, "basis": list(L.labels), "table": entries})
+    return (LeibnizAlgebra.from_products(F, n, products, L.labels),
+            LeibnizAlgebra(F, n, dense, L.labels),
+            loads_algebra(dumps_algebra(L)), loads_algebra(unreduced))
+
+
 def test_three_ways_to_build_an_algebra_agree():
-    # from_products, the constructor on the dense table and a file round trip
-    # give equal algebras with equal hashes and identical (d, T) and tables
+    # from_products, the dense constructor and the loader all keep only the
+    # scaled table: they give equal algebras with equal hashes, identical
+    # (d, T) and files, and the same table view, Fractions over Q and
+    # residues over F_p
     algebras = []
     for name in sorted(corpus.BUILDERS):
         L = corpus.build(name).algebra
-        algebras += [L] + list(filter(None, (reduce_mod_p(L, p) for p in (2, 3))))
+        for M in [L] + [reduce_mod_p(L, p) for p in (2, 3, 5)]:
+            if M is not None:
+                algebras += [M, dense_basis(M, random.Random(f"{name} {M.field}"))]
+    assert {str(L.field) for L in algebras} == {"Q", "F2", "F3", "F5"}
     # a non-reduced negative denominator, an explicit zero, components out of
     # order and, over F_3, 3 = 0
     hand = {
@@ -296,13 +323,13 @@ def test_three_ways_to_build_an_algebra_agree():
         d, T = L.scaled_table()
         assert all(c for row in T for v in row for _, c in v)
         assert all([k for k, _ in v] == sorted({k for k, _ in v}) for row in T for v in row)
-        products = {(i, j): dict(enumerate(v)) for i, row in enumerate(L.table)
-                    for j, v in enumerate(row)}
-        for M in (LeibnizAlgebra.from_products(L.field, L.dim, products, L.labels),
-                  LeibnizAlgebra(L.field, L.dim, L.table, L.labels),
-                  loads_algebra(dumps_algebra(L))):
+        text = dumps_algebra(L)
+        element = Fraction if L.field.modulus is None else int
+        assert {type(c) for row in L.table for v in row for c in v} <= {element}, L
+        for M in _rebuilds(L):
             assert M == L and hash(M) == hash(L), (L, M)
             assert M.scaled_table() == (d, T) and _typed(M.table) == _typed(L.table)
+            assert dumps_algebra(M) == text, (L, M)
 
 
 def test_from_products_rejects_indices_outside_the_basis():
@@ -323,6 +350,12 @@ def test_constructor_rejects_entries_outside_the_field():
     for out_of_range in (3, -1):
         with pytest.raises(TypeError):
             LeibnizAlgebra(Field(3), 1, [[[out_of_range]]])
+    # dim^3 entries in all, but one vector too long and one too short
+    with pytest.raises(ValueError, match="length dim"):
+        LeibnizAlgebra(QQ, 2, [[[1, 0, 1], [1]], [[0, 0], [0, 0]]])
+    # the first failing vector decides: an entry outside the field before a short vector
+    with pytest.raises(TypeError, match=r"\[e1, e1\]"):
+        LeibnizAlgebra(Field(3), 2, [[[0, 5], [1]], [[0, 0], [0, 0]]])
     assert LeibnizAlgebra(QQ, 1, [[[Fraction(1, 2)]]]).table == (((Fraction(1, 2),),),)
     assert LeibnizAlgebra(QQ, 1, [[[2]]]).table == (((2,),),)
     assert LeibnizAlgebra(Field(3), 1, [[[2]]]).table == (((2,),),)
