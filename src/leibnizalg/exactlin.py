@@ -254,23 +254,19 @@ class Subspace:
 
     Its one state is that basis in scaled form, row i being
     scaled_rows[i] / scaled_rows[i][pivots[i]]: over Q a primitive integer
-    row, over F_p the row itself.  The constructor keeps only the scaled
-    form of the rows it is given, each row scaled as _normalize scales it;
-    it trusts the rows to be otherwise in RREF.  All of the linear algebra
-    runs on the scaled rows; rows is a view of them, built on first read.
+    row, over F_p the row itself.  The constructor builds it as the span of
+    the rows it is given, which need not be in RREF.  All of the linear
+    algebra runs on the scaled rows; rows is a view of them, built on first
+    read.
     """
 
     __slots__ = ("field", "ambient_dim", "pivots", "scaled_rows", "_rows", "_plan")
 
-    def __init__(self, field: Field, ambient_dim: int, rref_rows: Iterable[Iterable]):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        rows = [to_scaled(field, tuple(r))[0] for r in rref_rows]
-        self.pivots = tuple(next(c for c, a in enumerate(r) if a) for r in rows)
-        self.scaled_rows = tuple(_normalize(r, pc, field.modulus)
-                                 for r, pc in zip(rows, self.pivots))
-        self._rows = self.scaled_rows if field.modulus is not None else None
-        self._plan = None
+    def __init__(self, field: Field, ambient_dim: int, rows: Iterable[Iterable]):
+        S = Subspace.span(field, ambient_dim, [tuple(r) for r in rows])
+        self.field, self.ambient_dim = field, ambient_dim
+        self.pivots, self.scaled_rows = S.pivots, S.scaled_rows
+        self._rows, self._plan = S._rows, S._plan
 
     @classmethod
     def _from_scaled(cls, field: Field, ambient_dim: int, scaled, pivots, plan=None) -> "Subspace":

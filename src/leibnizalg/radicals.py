@@ -43,7 +43,7 @@ class CertifiedIdeal:
     """A radical or nilradical with the certificates that were checked on it."""
 
     subspace: Subspace
-    method: str      # "trace-form-char0" over Q, "principal-ideals" over F_p
+    method: str      # "trace-form-char0" over Q; "trace-form" or "principal-ideals" over F_p
     certificates: dict = field(default_factory=dict)
 
 
@@ -95,7 +95,8 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
 
 def _gram(L: LeibnizAlgebra) -> list:
     """G[x][y] = d^2 tr(R_x R_y) over Q for the basis of L, d as in
-    L.scaled_table: the Gram matrix of the trace form, which is symmetric.
+    L.scaled_table, and an int congruent to tr(R_x R_y) mod p over F_p: the
+    Gram matrix of the trace form, which is symmetric.
 
     Column m of R_x is [e_m, e_x] = sum_l c_mx^l e_l, so
     tr(R_x R_y) = sum_{l, m} c_lx^m c_my^l: one self-join of the scaled
@@ -120,7 +121,8 @@ def _gram(L: LeibnizAlgebra) -> list:
 
 def _traces(L: LeibnizAlgebra, cols) -> list:
     """d (tr(R_{e_i} M))_i over Q, for the integer matrix M with columns cols
-    and d as in L.scaled_table: the functional x -> tr(R_x M), up to scale.
+    and d as in L.scaled_table, and ints congruent to the traces mod p over
+    F_p: the functional x -> tr(R_x M), up to scale.
 
     The m-th entry of R_{e_i} M e_m = [M e_m, e_i] is sum_l M_lm [e_l, e_i]_m,
     so the traces are read off the nonzero entries of the scaled table."""
@@ -134,13 +136,14 @@ def _traces(L: LeibnizAlgebra, cols) -> list:
 
 
 def _cut(C: Subspace, functionals) -> Subspace:
-    """{ x in C : f . x = 0 for every functional f } over Q, each f an integer
-    vector of coefficients on the basis of L, known up to scale: the images
-    f . r of C's scaled rows r are integers, and the scale of one functional
-    does not change where it vanishes.  On the whole of L the scaled rows are
-    the unit vectors and f . e_i is f[i], so the images are the functionals
-    transposed, and no dot product is formed; a proper C takes one per row
-    and functional."""
+    """{ x in C : f . x = 0 for every functional f } over Q and F_p, each f an
+    integer vector of coefficients on the basis of L, known up to scale: the
+    images f . r of C's scaled rows r are integers, and the scale of one
+    functional does not change where it vanishes.  Over F_p the images are
+    taken mod p where they are reduced, in the nullspace, so f may hold any
+    ints.  On the whole of L the scaled rows are the unit vectors and f . e_i
+    is f[i], so the images are the functionals transposed, and no dot
+    product is formed; a proper C takes one per row and functional."""
     if C.dim == C.ambient_dim:
         return C.where_zero(list(zip(*functionals)) or [()] * C.dim)
     return C.where_zero([[sum(map(mul, f, r)) for f in functionals] for r in C.scaled_rows])
@@ -160,58 +163,82 @@ def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
         V = W
 
 
-def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int) -> Subspace:
-    """Over F_p, the sum T of the principal ideals <v> on which holds(L, <v>)
-    is true: the nilradical for holds = is_nilpotent, the radical for
-    is_solvable.
+def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int,
+                         C: Subspace | None = None) -> Subspace:
+    """Over F_p, the sum T of the principal ideals <v>, for the projective
+    points v of C (default L), on which holds(L, <v>) is true: the nilradical
+    for holds = is_nilpotent, the radical for is_solvable.  C must hold the
+    largest ideal K on which holds is true, as L does and as the trace-form
+    cut of nilradical() holds N(L).
 
-    Sums of nilpotent (solvable) ideals are nilpotent (solvable), so the
-    largest such ideal K exists, and T lies in K.  T starts at the kernel I:
-    [L, I] = 0 gives [I, I] = 0, so I is a nilpotent ideal and lies in
-    N(L) <= R(L); holds(L, I) certifies it.  Only the projective points
-    that are zero at every pivot column of T are tested, one per coset
-    v + T with v outside T: T's residual of v, up to scale.  If v is outside
-    K, <v> fails, and no point of v + T lies in K, because T does.  If v is
-    in K, <v> passes and joins T.  The pivot columns of T only grow as T
-    grows, so a point skipped earlier is never needed later, and T ends at
-    K.  An ideal that failed is not tested again.  BudgetExceeded if F_p^n
-    has more than `budget` projective points.
+    Sums of nilpotent (solvable) ideals are nilpotent (solvable), so K
+    exists, and T lies in K.  T starts at the kernel I: [L, I] = 0 gives
+    [I, I] = 0, so I is a nilpotent ideal and lies in N(L) <= R(L), so in
+    C; holds(L, I) certifies it.  As T lies in K, it lies in C, and each
+    pivot column of T is one of C's: the points of C are those with a 1 at
+    the first nonzero coefficient on C's rows, and a point's coefficient on
+    a row is its entry at the row's pivot column.  Only the points that are
+    zero at every pivot column of T are tested, one per coset v + T with v
+    in C outside T: T's residual of v, up to scale, which lies in C.  If v
+    is outside K, <v> fails, and no point of v + T lies in K, because T
+    does.  If v is in K, <v> passes and joins T.  The pivot columns of T
+    only grow as T grows, so a point skipped earlier is never needed later,
+    and T ends at K.  An ideal that failed is not tested again.
+    BudgetExceeded if C has more than `budget` projective points.
     """
-    n, p = L.dim, L.field.modulus
-    count = (p ** n - 1) // (p - 1)
-    if count > budget:
-        raise BudgetExceeded(
-            f"F_{p}^{n} has {count} projective points, above the budget of {budget}")
+    F, n, p = L.field, L.dim, L.field.modulus
     full = L.full_space()
-    if holds(L):
+    C = full if C is None else C
+    m = C.dim
+    count = (p ** m - 1) // (p - 1)
+    if count > budget:
+        where = f"F_{p}^{n}" if m == n else f"the trace-form cut, of dim {m} in F_{p}^{n},"
+        raise BudgetExceeded(
+            f"{where} has {count} projective points, above the budget of {budget}")
+    if m == n and holds(L):
         return full
+    # L is outside K: it fails the test, or C, which holds K, is not L
     failed, total = {full}, leibniz_kernel(L)
     if not holds(L, total):
         raise InternalInconsistency("the kernel fails the test of the radical it seeds")
-    for c in range(n):
-        for tail in product(range(p), repeat=n - c - 1):
-            v = (0,) * c + (1,) + tail
-            if any(v[pc] for pc in total.pivots):
+    if not total <= C:
+        raise InternalInconsistency("the kernel lies outside the subspace searched")
+    rows, row_of = C.scaled_rows, {pc: i for i, pc in enumerate(C.pivots)}
+    skip = [row_of[pc] for pc in total.pivots]
+    for c in range(m):
+        for tail in product(range(p), repeat=m - c - 1):
+            a = (0,) * c + (1,) + tail
+            if any(a[i] for i in skip):
                 continue
-            J = ideal_closure(L, Subspace.span(L.field, n, [v]))
+            v = a if m == n else scaled_comb(F, n, a, rows)    # L's rows are the units
+            J = ideal_closure(L, Subspace.span(F, n, [v]))
             if J in failed:
                 continue
             if holds(L, J):
                 total = total + J
+                skip = [row_of[pc] for pc in total.pivots]
             else:
                 failed.add(J)
     return total
+
+
+def _certificates(L: LeibnizAlgebra, S: Subspace, series) -> dict:
+    """The certificates of _certify on S, in order, up to the first false one:
+    S is an ideal, then `series` reaches zero on it."""
+    certs = {"is_ideal": is_ideal(L, S)}
+    if certs["is_ideal"]:
+        certs[f"{series.__name__}_reaches_zero"] = series(L, S)[-1].dim == 0
+    return certs
 
 
 def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedIdeal:
     """Certify that S is an ideal on which `series` (derived_series for the
     radical, lower_central_series for the nilradical), taken inside L,
     reaches zero; the series certificate is named after the series function."""
-    certs = {"is_ideal": is_ideal(L, S)}
+    certs = _certificates(L, S, series)
     if not certs["is_ideal"]:
         raise InternalInconsistency(f"{method}: the computed subspace is not an ideal")
     key = f"{series.__name__}_reaches_zero"
-    certs[key] = series(L, S)[-1].dim == 0
     if not certs[key]:
         raise InternalInconsistency(f"{method}: certificate {key} failed")
     return CertifiedIdeal(S, method, certs)
@@ -220,7 +247,7 @@ def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedId
 def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> CertifiedIdeal:
     """Largest nilpotent ideal.
 
-    Char 0: the nilradical is carved out of L with the trace form
+    Over Q and F_p, N(L) is carved out of L with the trace form
     beta(x, y) = tr(R_x R_y) of radical() and its refinements: start from
         C = { x in L : tr(R_x) = 0 and beta(x, y) = 0 for all basis y of L },
     then, while some canonical basis vector v of C has non-nilpotent R_v, cut
@@ -230,35 +257,44 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
     table (_traces), with R_v^k e_m formed by repeated products, and R_v is
     nilpotent exactly when the image chain L, [L, v], [[L, v], v], ...
     reaches zero (_stable_image).
-    Each cut removes v, so the dimension strictly decreases and the loop
-    terminates.  The first cut lies in the beta-orthogonal of L, so in that
-    of [L,L], which is the radical R.  N lies in every cut (R_x R_y and
-    R_x R_v^k shift the flag L > N > N^2 > ... for x in N), so the loop runs
-    inside R, where the nilradical is exactly the set of x whose right
-    multiplication (on all of L) is nilpotent, and ends at N.
 
-    Over F_p, N(L) is the sum of the nilpotent principal ideals
-    (_principal_ideal_sum), with at most `budget` projective points, and the
-    same loop runs on it with no cut: a basis vector with non-nilpotent R_v
-    aborts.  Over either field the loop's exit, every basis vector of N with
-    nilpotent R_v, is the certificate right_mult_nilpotent_per_basis_vector,
-    after the certificates that N is an ideal and that its lower central
-    series reaches zero.
+    N lies in C and in every refinement, in every characteristic.  The terms
+    N^k of N's lower central series are right ideals of L: from
+    [[a, b], c] = [a, [b, c]] + [[a, c], b], [N^{k+1}, L] <= N^{k+1} by
+    induction.  So for x in N, R_y(N^k) <= N^k, R_x(L) <= N and
+    R_x(N^k) <= N^{k+1}: R_x, R_x R_y and R_x R_v^k map L into N and N^k
+    into N^{k+1}.  They are nilpotent, so their traces vanish over any field.
+
+    Char 0: each cut removes v, so the dimension strictly decreases and the
+    loop terminates.  The first cut lies in the beta-orthogonal of L, so in
+    that of [L,L], which is the radical R.  The loop runs inside R, where
+    the nilradical is exactly the set of x whose right multiplication (on
+    all of L) is nilpotent, and ends at N; a cut that does not shrink raises.
+
+    Over F_p a cut can stall: on span(x, v_1..v_p) with [v_i, x] = v_i and
+    [x, v_i] = -v_i, R_x is the identity on span(v), every tr(R_x^k) is
+    p = 0, and x stays in C, while N = span(v).  When the loop ends, C is
+    N if it is an ideal whose lower central series reaches zero: a
+    nilpotent ideal lies in N, and N lies in C.  That is the method
+    "trace-form".  When a cut stalls or C fails either certificate, N is the
+    sum of the nilpotent principal ideals of the points of C
+    (_principal_ideal_sum), with at most `budget` projective points of C,
+    and a basis vector of that sum with non-nilpotent R_v aborts: the method
+    "principal-ideals".
+
+    Over either field every basis vector of N has nilpotent R_v, the
+    certificate right_mult_nilpotent_per_basis_vector, after the
+    certificates that N is an ideal and that its lower central series
+    reaches zero.
     """
     full = L.full_space()
     units = full.scaled_rows
-    if L.field.modulus is not None:
-        N, method = _principal_ideal_sum(L, is_nilpotent, budget), "principal-ideals"
-    else:
-        # tr(R_x), and tr(R_x R_y) for the basis y of L: the columns of G
-        N, method = _cut(full, [_traces(L, units), *zip(*_gram(L))]), "trace-form-char0"
+    # tr(R_x), and tr(R_x R_y) for the basis y of L: the columns of G
+    N = _cut(full, [_traces(L, units), *zip(*_gram(L))])
     while True:
         bad = next((v for v in N.scaled_rows if _stable_image(L, full, v).dim), None)
         if bad is None:
             break
-        if L.field.modulus is not None:
-            raise InternalInconsistency(
-                "computed nilradical has a basis vector with non-nilpotent right multiplication")
         # tr(R_x R_v^k) for k = 1..dim L, with R_v^k e_m by repeated products,
         # each by linearity from the left products of v
         cols, functionals, left = units, [], L.products(bad, LEFT)
@@ -266,12 +302,25 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
             cols = [L.by_linearity(c, left) for c in cols]
             functionals.append(_traces(L, cols))
         shrunk = _cut(N, functionals)
-        if shrunk.dim >= N.dim:
+        if shrunk.dim == N.dim:
+            break
+        N = shrunk
+    per_basis_vector = "right_mult_nilpotent_per_basis_vector"
+    if L.field.modulus is None:
+        if bad is not None:
             raise InternalInconsistency(
                 "trace-form refinement failed to shrink the candidate nilradical")
-        N = shrunk
+        method = "trace-form-char0"
+    else:
+        certs = _certificates(L, N, lower_central_series) if bad is None else {}
+        if certs and all(certs.values()):
+            return CertifiedIdeal(N, "trace-form", {**certs, per_basis_vector: True})
+        N, method = _principal_ideal_sum(L, is_nilpotent, budget, N), "principal-ideals"
+        if any(_stable_image(L, full, v).dim for v in N.scaled_rows):
+            raise InternalInconsistency(
+                "computed nilradical has a basis vector with non-nilpotent right multiplication")
     res = _certify(L, N, method, lower_central_series)
-    res.certificates["right_mult_nilpotent_per_basis_vector"] = True
+    res.certificates[per_basis_vector] = True
     return res
 
 
@@ -598,7 +647,7 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
         return nilradicals[M]
 
     qp = quotient(L, leibniz_kernel(L))
-    NL = N_of(L)            # over F_p the first budget check is on L
+    NL = N_of(L)            # over F_p a budget check, in a fallback, is on L's cut first
     S = _complement_subalgebra(L, qp.ideal)
     report = {"lemma1": verify_lemma1(L, qp, N_of, S, budget)}
     if B is None:

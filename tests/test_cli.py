@@ -348,11 +348,16 @@ def test_parser_is_built_once_and_each_run_sees_its_own_arguments(capsys, tmp_pa
     from leibnizalg.oracle import reduce_mod_p
 
     assert cli.build_parser() is cli.build_parser()
+    # the trace-form cut of example2-3-1 mod 2 stalls at L: 15 points to sum
+    path = tmp_path / "ex231_f2.json"
+    path.write_text(dumps_algebra(reduce_mod_p(corpus.example2(3, 1).algebra, 2)))
+    assert run_cli(capsys, "--budget", "14", "nilradical", str(path))[0] == 3  # 15 points
+    assert run_cli(capsys, "--budget", "15", "nilradical", str(path))[0] == 0
+    assert run_cli(capsys, "nilradical", str(path))[0] == 0                    # default budget
+    # the cut decides example1 mod 3 and searches no point
     path = tmp_path / "ex1_f3.json"
     path.write_text(dumps_algebra(reduce_mod_p(corpus.example1().algebra, 3)))
-    assert run_cli(capsys, "--budget", "3", "nilradical", str(path))[0] == 3   # 4 points
-    assert run_cli(capsys, "--budget", "4", "nilradical", str(path))[0] == 0
-    assert run_cli(capsys, "nilradical", str(path))[0] == 0                    # default budget
+    assert run_cli(capsys, "--budget", "1", "nilradical", str(path))[0] == 0
     assert run_cli(capsys, "kernel", "example1") == (0, "kernel:\n  span{(0, 1)}\n")
     code, out = run_cli(capsys, "--format", "json", "info", "example1")
     assert code == 0 and json.loads(out)["kernel_dim"] == 1

@@ -975,7 +975,7 @@ def test_fp_radicals_and_verify_beyond_the_scan():
     t0 = time.time()
     res = nilradical(L8)
     assert time.time() - t0 < 5.0
-    assert res.method == "principal-ideals" and all(res.certificates.values())
+    assert res.method == "trace-form" and all(res.certificates.values())
     N6, N2 = (nilradical_oracle(fp_direct_sum(name)) for name in ("example2-2-1+sl2", "example1"))
     assert res.subspace == span_of(L8, *[r + (0, 0) for r in N6.rows],
                                    *[(0,) * 6 + r for r in N2.rows])
@@ -996,11 +996,12 @@ def test_fp_radicals_and_verify_agree_with_the_oracle_on_the_summands_mod_3():
     from leibnizalg.oracle import nilradical_oracle, radical_oracle
 
     L8 = fp_direct_sum("example2-2-1+sl2", "example1", p=3)
-    for compute, oracle_of in ((nilradical, nilradical_oracle), (radical, radical_oracle)):
+    for compute, oracle_of, method in ((nilradical, nilradical_oracle, "trace-form"),
+                                       (radical, radical_oracle, "principal-ideals")):
         t0 = time.time()
         res = compute(L8)
         assert time.time() - t0 < 1.0, compute.__name__
-        assert res.method == "principal-ideals" and all(res.certificates.values())
+        assert res.method == method and all(res.certificates.values())
         A6, A2 = (oracle_of(fp_direct_sum(name, p=3)) for name in ("example2-2-1+sl2", "example1"))
         assert res.subspace == span_of(L8, *[r + (0, 0) for r in A6.rows],
                                        *[(0,) * 6 + r for r in A2.rows])
@@ -1009,67 +1010,215 @@ def test_fp_radicals_and_verify_agree_with_the_oracle_on_the_summands_mod_3():
     assert time.time() - t0 < 1.0
 
 
-@pytest.mark.parametrize("names, compute, most", [
-    pytest.param(("example2-2-1+sl2",), nilradical, 200, id="nilradical-200"),
-    pytest.param(("example2-2-1+sl2",), radical, 50, id="radical-50"),
-    pytest.param(("example1+sl2",), nilradical, 160, id="example1+sl2-nilradical-160"),
-    pytest.param(("example2-2-1+sl2", "example1"), nilradical, 800, id="dim8-nilradical-800"),
-    pytest.param(("example2-2-1+sl2", "example1"), radical, 200, id="dim8-radical-200")])
-def test_fp_radicals_close_one_point_per_coset(monkeypatch, names, compute, most):
-    # only the points zero at every pivot column of the running sum are
-    # closed; closing every point outside the sum formed 3,902 (nilradical)
-    # and 3,877 (radical) closures on example2-2-1+sl2 mod 5.  The sum starts
-    # at the kernel: from 0 it closed 657 points for example1+sl2, and 3,908
-    # (nilradical) and 779 (radical) for the dim-8 sum
+def stalled_cut_algebra(p):
+    """span(x, v_1..v_p) over F_p with [v_i, x] = v_i and [x, v_i] = -v_i, a Lie
+    algebra: R_x is the identity on span(v), so tr(R_x^k) = p = 0 for every
+    k, and no trace-form cut removes x, while N = span(v)."""
+    products = {}
+    for i in range(1, p + 1):
+        products[i, 0], products[0, i] = {i: 1}, {i: -1}
+    return LeibnizAlgebra.from_products(Field(p), p + 1, products)
+
+
+def witt_algebra(p):
+    """W(1) over F_p: basis e_-1..e_{p-2} at 0..p-1, [e_i, e_j] = (j - i) e_{i+j}.
+    For p = 5 it is simple, and the trace-form loop ends at the span of the
+    e_i with i != 0, whose right multiplications shift the degree and are
+    nilpotent, but which is not an ideal."""
+    products = {}
+    for a in range(p):
+        for b in range(p):
+            if a + b - 1 < p and (b - a) % p:
+                products[a, b] = {a + b - 1: (b - a) % p}
+    return LeibnizAlgebra.from_products(Field(p), p, products)
+
+
+def fp_principal_nilradical(L):
+    """The sum of the nilpotent principal ideals over all of F_p^n, the sum
+    the fallback of nilradical() makes inside its cut."""
+    from leibnizalg import oracle, radicals
+
+    return radicals._principal_ideal_sum(L, is_nilpotent, oracle.DEFAULT_BUDGET)
+
+
+# (names, p) of the inputs on which nilradical summed principal ideals before
+# its trace-form cut was taken over F_p; the cut decides each of them now
+CUT_DECIDED = [(("example2-2-1+sl2",), 5), (("example1+sl2",), 5),
+               (("example2-2-1+sl2", "example1"), 5), (("example1",), 3),
+               (("example1+sl2",), 3), (("example2-2-1",), 3), (("example2-2-1+sl2",), 2)]
+
+
+def test_the_cut_decides_the_inputs_the_principal_ideal_tests_used(monkeypatch):
     from leibnizalg import radicals
 
     calls = []
     monkeypatch.setattr(radicals, "ideal_closure", counting(calls, radicals.ideal_closure))
-    compute(fp_direct_sum(*names, p=5))
+    for names, p in CUT_DECIDED:
+        res = nilradical(fp_direct_sum(*names, p=p), budget=1)
+        assert res.method == "trace-form" and all(res.certificates.values()), (names, p)
+    assert calls == []
+
+
+def stalled_cut_plus_affine2():
+    return direct_sum(stalled_cut_algebra(3), fp_direct_sum("affine2", p=3))
+
+
+@pytest.mark.parametrize("build, compute, most", [
+    pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", p=5), fp_principal_nilradical, 200,
+                 id="nilradical-200"),
+    pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", p=5), radical, 50, id="radical-50"),
+    pytest.param(partial(fp_direct_sum, "example1+sl2", p=5), fp_principal_nilradical, 160,
+                 id="example1+sl2-nilradical-160"),
+    pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", "example1", p=5),
+                 fp_principal_nilradical, 800, id="dim8-nilradical-800"),
+    pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", "example1", p=5), radical, 200,
+                 id="dim8-radical-200"),
+    pytest.param(stalled_cut_plus_affine2, nilradical, 100, id="stalled-cut-nilradical-100")])
+def test_fp_radicals_close_one_point_per_coset(monkeypatch, build, compute, most):
+    # only the points zero at every pivot column of the running sum are
+    # closed; closing every point outside the sum formed 3,902 (nilradical)
+    # and 3,877 (radical) closures on example2-2-1+sl2 mod 5.  The sum starts
+    # at the kernel: from 0 it closed 657 points for example1+sl2, and 3,908
+    # (nilradical) and 779 (radical) for the dim-8 sum.  The sums of
+    # nilpotent ideals are made over all of F_5^n, as nilradical's fallback
+    # makes them inside its cut.  The stalled cut of L_3 + affine2 mod 3 has
+    # dim 5: nilradical closes 85 of its points, against 248 of F_3^6
+    from leibnizalg import radicals
+
+    L = build()
+    calls = []
+    monkeypatch.setattr(radicals, "ideal_closure", counting(calls, radicals.ideal_closure))
+    compute(L)
     assert 0 < len(calls) <= most
 
 
-@pytest.mark.parametrize("holds, compute", [("is_nilpotent", nilradical),
-                                            ("is_solvable", radical)])
-def test_fp_radical_certifies_the_kernel_it_starts_from(monkeypatch, holds, compute):
+@pytest.mark.parametrize("holds, compute, name, p", [
+    pytest.param("is_nilpotent", nilradical, "example2-3-1", 2, id="is_nilpotent-nilradical"),
+    pytest.param("is_solvable", radical, "example1", 3, id="is_solvable-radical")])
+def test_fp_radical_certifies_the_kernel_it_starts_from(monkeypatch, holds, compute, name, p):
+    # the trace-form cut of example2-3-1 mod 2 stalls: [x_i, y] = x_i for
+    # i = 2, 3 gives tr(R_y^k) = 2 = 0, so nilradical sums principal ideals
     from leibnizalg import radicals
 
     monkeypatch.setattr(radicals, holds, lambda L, A=None: False)
     with pytest.raises(InternalInconsistency, match="kernel"):
-        compute(fp_direct_sum("example1", p=3))
+        compute(fp_direct_sum(name, p=p))
 
 
-@pytest.mark.parametrize("holds, compute", [("is_nilpotent", nilradical),
-                                            ("is_solvable", radical)])
-def test_fp_radical_keeping_a_failing_closure_is_caught(monkeypatch, holds, compute):
+@pytest.mark.parametrize("holds, compute, name, p", [
+    pytest.param("is_nilpotent", nilradical, "example2-3-1", 2, id="is_nilpotent-nilradical"),
+    pytest.param("is_solvable", radical, "example1+sl2", 3, id="is_solvable-radical")])
+def test_fp_radical_keeping_a_failing_closure_is_caught(monkeypatch, holds, compute, name, p):
     # a test that passes every proper closure keeps sl2's, which is neither
-    # nilpotent nor solvable mod 3; the certificate must abort
+    # nilpotent nor solvable mod 3, and the closure span(y, x_2, x_3) of y
+    # in example2-3-1 mod 2, which is not nilpotent; the certificate must
+    # abort
     from leibnizalg import radicals
-    from leibnizalg.oracle import reduce_mod_p
 
-    Lp = reduce_mod_p(corpus.build("example1+sl2").algebra, 3)
+    Lp = fp_direct_sum(name, p=p)
     compute(Lp)
     monkeypatch.setattr(radicals, holds, lambda L, A=None: A is not None)
     with pytest.raises(InternalInconsistency):
         compute(Lp)
 
 
-@pytest.mark.parametrize("holds, compute", [("is_nilpotent", nilradical),
-                                            ("is_solvable", radical)])
-def test_fp_radical_tests_each_closure_once(monkeypatch, holds, compute):
+@pytest.mark.parametrize("holds, compute, name, p", [
+    pytest.param("is_nilpotent", nilradical, "example2-3-1+sl2", 2, id="is_nilpotent-nilradical"),
+    pytest.param("is_solvable", radical, "example1+sl2", 3, id="is_solvable-radical")])
+def test_fp_radical_tests_each_closure_once(monkeypatch, holds, compute, name, p):
     # a closure equal to one that failed is not tested again, and one that
     # passed joins the sum, so each ideal is tested at most once: L, then
-    # distinct proper ideals (in sl2's 13 points mod 3, sl2 once)
+    # distinct proper ideals (in sl2's 13 points mod 3, sl2 once).  The
+    # nilradical of example2-3-1 + sl2 mod 2 is summed inside a stalled cut
     from leibnizalg import oracle, radicals
-    from leibnizalg.oracle import reduce_mod_p
 
-    Lp = reduce_mod_p(corpus.build("example1+sl2").algebra, 3)
+    Lp = fp_direct_sum(*name.split("+"), p=p)
     tested = []
     real = getattr(radicals, holds)
     monkeypatch.setattr(radicals, holds, lambda L, A=None: tested.append(A) or real(L, A))
     compute(Lp)
     proper = [A for A in tested if A is not None]
-    assert len(set(proper)) == len(proper) and set(proper) <= set(oracle.scan(Lp).ideals)
+    assert proper and len(set(proper)) == len(proper) and set(proper) <= set(oracle.scan(Lp).ideals)
+
+
+PAIRED = ("sl2", "example1", "nilcyclic2", "heisenberg", "affine2", "example2-2-1",
+          "example2-1-0")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fp_nilradical_equals_the_oracle(p):
+    # every admissible corpus reduction with at most 60,000 subspaces, in its
+    # own basis and a dense one, the sums of two of PAIRED under the same
+    # cap, and L_p.  The cut decides all but example2(3, 1) mod 2, where
+    # tr(R_y^k) = 2 = 0, and L_p, where the principal ideals are summed.
+    # N(A + B) = N(A) + N(B): the projections of a nilpotent ideal of a
+    # direct sum are nilpotent ideals of the summands, so the sums are
+    # checked against the oracle of each summand
+    from itertools import combinations_with_replacement
+
+    from leibnizalg.exactlin import subspace_count
+    from leibnizalg.oracle import nilradical_oracle, reduce_mod_p
+
+    def check(name, L, N, stalls):
+        res = nilradical(L)
+        assert res.subspace == N and all(res.certificates.values()), name
+        assert res.method == ("principal-ideals" if stalls else "trace-form"), name
+
+    for e in corpus.standard_entries():
+        Lp = reduce_mod_p(e.algebra, p)
+        if Lp is None or subspace_count(Lp.dim, p) > 60_000:
+            continue
+        for basis, M in (("own", Lp), ("dense", dense_basis(Lp, random.Random(1)))):
+            check((e.name, basis), M, nilradical_oracle(M), (e.name, p) == ("example2(n=3,r=1)", 2))
+    for a, b in combinations_with_replacement(PAIRED, 2):
+        L = fp_direct_sum(a, b, p=p)
+        if L is None or subspace_count(L.dim, p) > 60_000:
+            continue
+        Na, Nb = (nilradical_oracle(fp_direct_sum(name, p=p)) for name in (a, b))
+        da = Na.ambient_dim
+        N = span_of(L, *[r + (0,) * (L.dim - da) for r in Na.rows],
+                    *[(0,) * da + r for r in Nb.rows])
+        check((a, b), L, N, False)
+    # span(v) is N(L_p); the oracle confirms it up to L_3 (F_5^6 has more
+    # subspaces than its budget)
+    L = stalled_cut_algebra(p)
+    N = span_of(L, *L.full_space().scaled_rows[1:])
+    if p < 5:
+        assert nilradical_oracle(L) == N
+    check("L_p", L, N, True)
+
+
+def test_fp_nilradical_falls_back_when_the_cut_is_no_ideal(monkeypatch):
+    # W(1) mod 5 is simple, so N = 0, but the trace-form loop ends at the
+    # span of e_i, i != 0, which is not an ideal
+    from leibnizalg import radicals
+    from leibnizalg.oracle import nilradical_oracle
+
+    L = witt_algebra(5)
+    assert check_leibniz(L).passed
+    certificates, real = [], radicals._certificates
+    monkeypatch.setattr(radicals, "_certificates",
+                        lambda *args: certificates.append(real(*args)) or certificates[-1])
+    res = nilradical(L)
+    assert certificates[0] == {"is_ideal": False}
+    assert res.subspace == nilradical_oracle(L) == L.zero_space()
+    assert res.method == "principal-ideals" and all(res.certificates.values())
+
+
+def test_fp_first_cut_reads_the_trace_of_each_right_multiplication(monkeypatch):
+    # span(x, v_1, v_2) mod 5 with [v_1, x] = v_1, [v_2, x] = 2 v_2 (a Lie
+    # algebra): beta vanishes, as tr(R_x^2) = 1 + 4 = 0, and tr(R_x) = 3
+    # alone cuts x, so the first cut is N = span(v) and no refinement is made
+    from leibnizalg import radicals
+
+    products = {(1, 0): {1: 1}, (0, 1): {1: -1}, (2, 0): {2: 2}, (0, 2): {2: -2}}
+    L = LeibnizAlgebra.from_products(Field(5), 3, products)
+    assert all(a % 5 == 0 for row in radicals._gram(L) for a in row)
+    cuts = []
+    monkeypatch.setattr(radicals, "_cut", counting(cuts, radicals._cut))
+    res = nilradical(L)
+    assert res.subspace == span_of(L, (0, 1, 0), (0, 0, 1)) and res.method == "trace-form"
+    assert len(cuts) == 1
 
 
 def test_fp_budget_bounds_the_projective_points():
@@ -1077,10 +1226,15 @@ def test_fp_budget_bounds_the_projective_points():
     from leibnizalg.oracle import reduce_mod_p
 
     Lp = reduce_mod_p(corpus.example2(2, 1).algebra, 3)      # 13 points of F_3^3
-    for compute in (nilradical, radical):
-        with pytest.raises(BudgetExceeded, match="13 projective points"):
-            compute(Lp, 12)
-        assert compute(Lp, 13).method == "principal-ideals"
+    with pytest.raises(BudgetExceeded, match="13 projective points"):
+        radical(Lp, 12)
+    assert radical(Lp, 13).method == "principal-ideals"
+    # the cut of L_3 + affine2 mod 3 removes affine2's x and stalls at dim 5:
+    # its 121 points are searched, not the 364 of F_3^6
+    L = direct_sum(stalled_cut_algebra(3), fp_direct_sum("affine2", p=3))
+    with pytest.raises(BudgetExceeded, match="dim 5 in F_3\\^6, has 121 projective points"):
+        nilradical(L, 120)
+    assert nilradical(L, 121).method == "principal-ideals"
 
 
 def test_verify_verdict_is_the_one_the_cli_reports(monkeypatch, capsys):

@@ -130,6 +130,9 @@ def test_a_subspace_given_int_rows_is_written_as_its_span():
         S, T = Subspace(F, 2, [row]), Subspace.span(F, 2, [[1, 0]])
         assert S == T and hash(S) == hash(T) and S.scaled_rows == T.scaled_rows, F
         assert S.rows == T.rows and dumps_json(S) == dumps_json(T), F
+    # rows not in RREF give their span
+    S = Subspace(QQ, 2, [[1, 1], [0, 1]])
+    assert S == Subspace.full(QQ, 2) and S.contains([1, 0])
 
 
 @pytest.mark.parametrize("x", [1.5, {1, 2}, {"a": object()}, {1: "int key"}])
