@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="output format")
     p.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
-                   help="over F_p: projective points of F_p^n for radical, and of "
-                        "the trace-form cut for nilradical when it sums principal "
+                   help="over F_p: projective points of the trace-form cut when "
+                        "a nilradical, also one that radical takes, sums principal "
                         "ideals; subspaces for the scans of frattini, oracle-scan "
                         "and verify's fallbacks")
     sub = p.add_subparsers(dest="verb", required=True)

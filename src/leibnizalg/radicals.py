@@ -10,7 +10,7 @@ InternalInconsistency: no result is ever returned uncertified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import count, product
 from operator import mul
 
 from . import oracle
@@ -25,7 +25,6 @@ from .core import (
     ideal_closure,
     is_ideal,
     is_nilpotent,
-    is_solvable,
     is_subalgebra,
     leibniz_kernel,
     lower_central_series,
@@ -43,7 +42,9 @@ class CertifiedIdeal:
     """A radical or nilradical with the certificates that were checked on it."""
 
     subspace: Subspace
-    method: str      # "trace-form-char0" over Q; "trace-form" or "principal-ideals" over F_p
+    # "trace-form-char0" over Q; over F_p "trace-form" or "principal-ideals"
+    # for the nilradical, and "nilradicals" for the radical
+    method: str
     certificates: dict = field(default_factory=dict)
 
 
@@ -53,7 +54,7 @@ class Theorem2Report:
     lhs: Subspace                    # N(L/I), in quotient coordinates
     rhs: Subspace                    # (I + N(B))/I, in quotient coordinates
     formula_equal: bool
-    nilpotency_condition: bool       # R_n|_I nilpotent for all basis n of N(B)
+    nilpotency_condition: bool       # R_n|_I nilpotent for all n in N(B)
     kernel_quotient_equal: bool      # N(L/I) == N(L)/I
     details: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
@@ -81,12 +82,26 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
     R(L) is the preimage of rad g = A.  The functional x -> beta(x, d) of
     each scaled basis row d of [L,L] is G d, for the Gram matrix G of beta
     on the basis of L (_gram), and R(L) is cut from L by these
-    functionals.  Over F_p, R(L) is the sum of the solvable principal
-    ideals (_principal_ideal_sum), with at most `budget` projective points.
+    functionals.
+
+    Over F_p, R(L) is built from nilradicals, the method "nilradicals".  If
+    the derived series of L reaches 0, R = L, and that series is the
+    certificate.  Otherwise K_0 = N(L), and K_{j+1} is the preimage in L of
+    N(L/K_j), its rows lifted through the section of quotient(L, K_j) at
+    K_j's non-pivot columns and added to K_j; when N(L/K_j) = 0, R = K_j.
+    Each K_j is a solvable ideal: K_0 is nilpotent, and K_{j+1}/K_j is
+    nilpotent.  A product of two ideals of a Leibniz algebra is an ideal, so
+    the derived series of R(L)/K_j is a series of ideals of L/K_j; if
+    R(L)/K_j != 0, its last nonzero term is an abelian ideal of L/K_j, which
+    lies in N(L/K_j).  So when N(L/K_j) = 0, R(L) lies in K_j, and K_j,
+    being solvable, is R(L).  The proof holds in every characteristic, and
+    the dimension grows at every step, so the loop ends.  Besides the
+    certificates of _certify, quotient_nilradical_zero records the
+    N(L/K_j) = 0 the loop ended on.  A budget can be exceeded only in a
+    nilradical fallback on L or on some L/K_j, and the message names it.
     """
     if L.field.modulus is not None:
-        R = _principal_ideal_sum(L, is_solvable, budget)
-        return _certify(L, R, "principal-ideals", derived_series)
+        return _radical_from_nilradicals(L, budget)
     G = _gram(L)
     R = _cut(L.full_space(), [[sum(map(mul, g, d)) for g in G]
                               for d in L.derived_space().scaled_rows])
@@ -163,44 +178,62 @@ def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
         V = W
 
 
-def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int,
-                         C: Subspace | None = None) -> Subspace:
-    """Over F_p, the sum T of the principal ideals <v>, for the projective
-    points v of C (default L), on which holds(L, <v>) is true: the nilradical
-    for holds = is_nilpotent, the radical for is_solvable.  C must hold the
-    largest ideal K on which holds is true, as L does and as the trace-form
-    cut of nilradical() holds N(L).
+def _radical_from_nilradicals(L: LeibnizAlgebra, budget: int) -> CertifiedIdeal:
+    """radical() over F_p: L if its derived series, taken once and kept as
+    the certificate, reaches 0; else the K_j at which N(L/K_j) = 0."""
+    series = derived_series(L)
+    if series[-1].dim == 0:
+        R, NQ = L.full_space(), L.zero_space()      # L/L = 0 has nilradical 0
+    else:
+        # M = L/R on the section S of the quotient, starting at R = 0
+        series, R, M, S, name = None, L.zero_space(), L, L.full_space(), "N(L)"
+        for j in count():
+            try:
+                NQ = nilradical(M, budget).subspace
+            except BudgetExceeded as e:
+                raise BudgetExceeded(f"{name}: {e}") from None
+            if not NQ.dim:
+                break
+            R = R + embed_subspace(S, NQ)       # K_j, the preimage of N(M)
+            qp = quotient(L, R)
+            M, S = qp.quotient, Subspace.span(L.field, L.dim, qp.section)
+            name = f"N(L/K_{j}), with K_{j} of dim {R.dim} in F_{L.field.modulus}^{L.dim}"
+    res = _certify(L, R, "nilradicals", derived_series, series)
+    res.certificates["quotient_nilradical_zero"] = NQ.dim == 0
+    return res
 
-    Sums of nilpotent (solvable) ideals are nilpotent (solvable), so K
-    exists, and T lies in K.  T starts at the kernel I: [L, I] = 0 gives
-    [I, I] = 0, so I is a nilpotent ideal and lies in N(L) <= R(L), so in
-    C; holds(L, I) certifies it.  As T lies in K, it lies in C, and each
-    pivot column of T is one of C's: the points of C are those with a 1 at
-    the first nonzero coefficient on C's rows, and a point's coefficient on
-    a row is its entry at the row's pivot column.  Only the points that are
-    zero at every pivot column of T are tested, one per coset v + T with v
-    in C outside T: T's residual of v, up to scale, which lies in C.  If v
-    is outside K, <v> fails, and no point of v + T lies in K, because T
-    does.  If v is in K, <v> passes and joins T.  The pivot columns of T
-    only grow as T grows, so a point skipped earlier is never needed later,
-    and T ends at K.  An ideal that failed is not tested again.
-    BudgetExceeded if C has more than `budget` projective points.
+
+def _principal_ideal_sum(L: LeibnizAlgebra, budget: int, C: Subspace) -> Subspace:
+    """Over F_p, the sum T of the nilpotent principal ideals <v> for the
+    projective points v of C, the fallback of nilradical() inside its
+    trace-form cut.  C must hold N(L), as every cut does, and must not be a
+    nilpotent L, which the cut decides.
+
+    Sums of nilpotent ideals are nilpotent, so T lies in N(L).  T starts at
+    the kernel I: [L, I] = 0 gives [I, I] = 0, so I is a nilpotent ideal and
+    lies in N(L), so in C; is_nilpotent(L, I) certifies it.  As T lies in
+    N(L), it lies in C, and each pivot column of T is one of C's: the points
+    of C are those with a 1 at the first nonzero coefficient on C's rows,
+    and a point's coefficient on a row is its entry at the row's pivot
+    column.  Only the points that are zero at every pivot column of T are
+    tested, one per coset v + T with v in C outside T: T's residual of v,
+    up to scale, which lies in C.  If v is outside N(L), <v> fails, and no
+    point of v + T lies in N(L), because T does.  If v is in N(L), <v>
+    passes and joins T.  The pivot columns of T only grow as T grows, so a
+    point skipped earlier is never needed later, and T ends at N(L).  An
+    ideal that failed is not tested again.  BudgetExceeded if C has more
+    than `budget` projective points.
     """
     F, n, p = L.field, L.dim, L.field.modulus
-    full = L.full_space()
-    C = full if C is None else C
     m = C.dim
-    count = (p ** m - 1) // (p - 1)
-    if count > budget:
-        where = f"F_{p}^{n}" if m == n else f"the trace-form cut, of dim {m} in F_{p}^{n},"
-        raise BudgetExceeded(
-            f"{where} has {count} projective points, above the budget of {budget}")
-    if m == n and holds(L):
-        return full
-    # L is outside K: it fails the test, or C, which holds K, is not L
-    failed, total = {full}, leibniz_kernel(L)
-    if not holds(L, total):
-        raise InternalInconsistency("the kernel fails the test of the radical it seeds")
+    points = (p ** m - 1) // (p - 1)
+    if points > budget:
+        raise BudgetExceeded(f"the trace-form cut, of dim {m} in F_{p}^{n}, has {points} "
+                             f"projective points, above the budget of {budget}")
+    # L is outside N(L): it is not nilpotent, or C, which holds N(L), is not L
+    failed, total = {L.full_space()}, leibniz_kernel(L)
+    if not is_nilpotent(L, total):
+        raise InternalInconsistency("the kernel that seeds the nilradical is not nilpotent")
     if not total <= C:
         raise InternalInconsistency("the kernel lies outside the subspace searched")
     rows, row_of = C.scaled_rows, {pc: i for i, pc in enumerate(C.pivots)}
@@ -210,11 +243,10 @@ def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int,
             a = (0,) * c + (1,) + tail
             if any(a[i] for i in skip):
                 continue
-            v = a if m == n else scaled_comb(F, n, a, rows)    # L's rows are the units
-            J = ideal_closure(L, Subspace.span(F, n, [v]))
+            J = ideal_closure(L, Subspace.span(F, n, [scaled_comb(F, n, a, rows)]))
             if J in failed:
                 continue
-            if holds(L, J):
+            if is_nilpotent(L, J):
                 total = total + J
                 skip = [row_of[pc] for pc in total.pivots]
             else:
@@ -222,20 +254,23 @@ def _principal_ideal_sum(L: LeibnizAlgebra, holds, budget: int,
     return total
 
 
-def _certificates(L: LeibnizAlgebra, S: Subspace, series) -> dict:
+def _certificates(L: LeibnizAlgebra, S: Subspace, series, terms=None) -> dict:
     """The certificates of _certify on S, in order, up to the first false one:
-    S is an ideal, then `series` reaches zero on it."""
+    S is an ideal, then `series` reaches zero on it; terms, when given, are
+    that series of S, already taken."""
     certs = {"is_ideal": is_ideal(L, S)}
     if certs["is_ideal"]:
-        certs[f"{series.__name__}_reaches_zero"] = series(L, S)[-1].dim == 0
+        terms = series(L, S) if terms is None else terms
+        certs[f"{series.__name__}_reaches_zero"] = terms[-1].dim == 0
     return certs
 
 
-def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series) -> CertifiedIdeal:
+def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series, terms=None) -> CertifiedIdeal:
     """Certify that S is an ideal on which `series` (derived_series for the
     radical, lower_central_series for the nilradical), taken inside L,
-    reaches zero; the series certificate is named after the series function."""
-    certs = _certificates(L, S, series)
+    reaches zero; the series certificate is named after the series function.
+    terms, when given, are that series of S, already taken."""
+    certs = _certificates(L, S, series, terms)
     if not certs["is_ideal"]:
         raise InternalInconsistency(f"{method}: the computed subspace is not an ideal")
     key = f"{series.__name__}_reaches_zero"
@@ -315,7 +350,7 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
         certs = _certificates(L, N, lower_central_series) if bad is None else {}
         if certs and all(certs.values()):
             return CertifiedIdeal(N, "trace-form", {**certs, per_basis_vector: True})
-        N, method = _principal_ideal_sum(L, is_nilpotent, budget, N), "principal-ideals"
+        N, method = _principal_ideal_sum(L, budget, N), "principal-ideals"
         if any(_stable_image(L, full, v).dim for v in N.scaled_rows):
             raise InternalInconsistency(
                 "computed nilradical has a basis vector with non-nilpotent right multiplication")
@@ -502,7 +537,7 @@ def _theorem2_failure(L: LeibnizAlgebra, I: Subspace, B: Subspace, budget: int):
 def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, N_of,
                     B: Subspace) -> Theorem2Report:
     """Check N(L/I) = (I + N(B))/I, and that it equals N(L)/I exactly when
-    every basis element n of N(B) has nilpotent right multiplication on I.
+    every n in N(B) has nilpotent right multiplication on I.
     qp is the quotient by I, N_of maps an algebra to its nilradical
     (verify's table), and B meets theorem 2's premises (_theorem2_failure).
     """
@@ -514,7 +549,6 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, N_of,
         "kernel": I,
         "N_of_L": NL,
         "N_of_B_in_L": NB_in_L,
-        "basis_level_check_only": L.field.modulus is not None,
     }
     return Theorem2Report(
         premises_ok={"B_is_subalgebra": True, "I_plus_B_is_L": True,
@@ -530,13 +564,31 @@ def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, N_of,
 
 
 def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
-    """Is R_n|_I nilpotent for every canonical basis vector n of N(B)?
+    """Is R_n|_I nilpotent for every n in N(B)?
 
-    I is an ideal, so R_n maps I into I, and R_n is nilpotent on I exactly
-    when its stable image there is zero.  Witnesses name each failing n with
-    the matrix of R_n|_I in I's basis, as a tuple of rows, read off the
-    scaled products of the rows as restrict reads them.
+    I is an ideal, so R_n maps I into I, and the terms I_0 = I,
+    I_{k+1} = [I_k, N(B)] decrease.  If I_k = 0, every product of k of the
+    R_n vanishes on I, so each R_n|_I is nilpotent.  Conversely
+    R_[a,b] = R_b R_a - R_a R_b, so the R_n|_I form a Lie algebra of
+    operators; when each of them is nilpotent, the associative algebra they
+    generate is nilpotent (Jacobson's theorem on weakly closed sets), its
+    products of dim I factors vanish on I, and the terms reach 0.  The
+    condition is so decided on all of N(B), whatever its basis; over F_p a
+    basis of nilpotent R_n can span a non-nilpotent one.  When the terms
+    stall, the witnesses name each canonical basis vector n of N(B) with
+    R_n|_I not nilpotent (its stable image there is not zero), with the
+    matrix of R_n|_I in I's basis, as a tuple of rows, read off the scaled
+    products of the rows as restrict reads them; when there is none, the
+    witness is the stalled term V != 0, with [V, N(B)] = V.
     """
+    V = I
+    while V.dim:
+        W = bracket_span(L, V, NB_in_L)
+        if W.dim == V.dim:
+            break
+        V = W
+    if not V.dim:
+        return True, []
     F, d = L.field, L.scaled_table()[0]
     witnesses = []
     for x, px, nvec in zip(NB_in_L.scaled_rows, NB_in_L.pivots, NB_in_L.rows):
@@ -549,7 +601,7 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
                 raise InternalInconsistency("kernel is not invariant under right multiplication")
             cols.append(from_scaled(F, [w[pc] for pc in I.pivots], d * u[pu] * x[px]))
         witnesses.append({"n": nvec, "restricted_matrix": tuple(zip(*cols))})
-    return (not witnesses), witnesses
+    return False, witnesses or [{"stalled_term": V}]
 
 
 def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, N_of, S, budget: int):

@@ -362,7 +362,9 @@ def test_certificate_keys_in_order(p):
     assert list(nilradical(L).certificates) == [
         "is_ideal", "lower_central_series_reaches_zero",
         "right_mult_nilpotent_per_basis_vector"]
-    assert list(radical(L).certificates) == ["is_ideal", "derived_series_reaches_zero"]
+    # over F_p the radical also records that N(L/R) = 0, where its loop ended
+    assert list(radical(L).certificates) == ["is_ideal", "derived_series_reaches_zero"] + (
+        [] if p is None else ["quotient_nilradical_zero"])
 
 
 def test_nilradical_certificates_always_pass():
@@ -781,6 +783,70 @@ def test_theorem2_condition_matches_quotient_equality_everywhere():
         assert rep.nilpotency_condition == rep.kernel_quotient_equal, name
 
 
+def heisenberg_on_a_plane(rebased):
+    """h = span(x, y, z) acting on M = span(m1, m2) over F_2: [x, y] = [y, x] = z,
+    [m2, x] = m1, [m1, y] = m2, [m1, z] = m1 and [m2, z] = m2.  With rebased,
+    the same algebra in the basis (x, y, x + y + z, m1, m2)."""
+    F2 = Field(2)
+    L = LeibnizAlgebra.from_products(F2, 5, {(0, 1): {2: 1}, (1, 0): {2: 1}, (4, 0): {3: 1},
+                                            (3, 1): {4: 1}, (3, 2): {3: 1}, (4, 2): {4: 1}})
+    if not rebased:
+        return L
+    # f_3 = x + y + z, and z = f_1 + f_2 + f_3 over F_2
+    P = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+
+    def in_f_basis(v):
+        return [(v[c] + (v[2] if c < 2 else 0)) % 2 for c in range(5)]
+
+    return LeibnizAlgebra(F2, 5, [[in_f_basis(L.bracket(P[a], P[b])) for b in range(5)]
+                                  for a in range(5)])
+
+
+@pytest.mark.parametrize("rebased", [False, True])
+def test_theorem2_condition_does_not_depend_on_the_basis(rebased):
+    # N(B) = h, and R_z is the identity on I = M.  In the basis (x, y, z) the
+    # basis vector z fails; in (x, y, x + y + z) each of R_x, R_y and
+    # R_{x+y+z} is nilpotent on M, but the series M, [M, h], ... stalls at M
+    L = heisenberg_on_a_plane(rebased)
+    assert check_leibniz(L).passed
+    rep = verify(L)
+    t = rep["theorem2"]
+    assert rep["verdict"] == "pass" and isinstance(t, Theorem2Report)
+    assert t.formula_equal and not t.nilpotency_condition and not t.kernel_quotient_equal
+    assert t.details["N_of_B_in_L"] == span_of(L, *L.full_space().scaled_rows[:3])
+    M = span_of(L, *L.full_space().scaled_rows[3:])
+    if rebased:
+        assert t.witnesses == [{"stalled_term": M}]
+    else:
+        assert t.witnesses == [{"n": (0, 0, 1, 0, 0), "restricted_matrix": ((1, 0), (0, 1))}]
+
+
+def test_theorem2_verdict_agrees_across_dense_bases():
+    # every admissible corpus reduction mod 2, 3 and 5 with at most 60,000
+    # subspaces, in three dense bases: the verdict and theorem 2's booleans
+    # are those of its own basis
+    from leibnizalg.exactlin import subspace_count
+    from leibnizalg.oracle import reduce_mod_p
+
+    def booleans(L):
+        rep = verify(L)
+        t = rep["theorem2"]
+        return rep["verdict"], (t if isinstance(t, dict) else
+                                (t.formula_equal, t.nilpotency_condition, t.kernel_quotient_equal))
+
+    cases = 0
+    for p in (2, 3, 5):
+        for e in corpus.standard_entries():
+            Lp = reduce_mod_p(e.algebra, p)
+            if Lp is None or subspace_count(Lp.dim, p) > 60_000:
+                continue
+            expect = booleans(Lp)
+            for seed in (1, 2, 3):
+                assert booleans(dense_basis(Lp, random.Random(seed))) == expect, (e.name, p, seed)
+            cases += 1
+    assert cases == 32
+
+
 # ---------------------------------------------------------------- frattini premise case
 
 def test_lemma1_nilcyclic2():
@@ -988,16 +1054,16 @@ def test_fp_radicals_and_verify_beyond_the_scan():
 
 
 def test_fp_radicals_and_verify_agree_with_the_oracle_on_the_summands_mod_3():
-    # F_3^8 has 3,280 projective points, and one per coset of the running sum
-    # is closed: each verb answers in well under a second.  Both radicals of a
-    # direct sum are the sums of the summands' radicals, which the scan finds
+    # F_3^8 has 3,280 projective points, and neither radical searches them:
+    # each verb answers in well under a second.  Both radicals of a direct
+    # sum are the sums of the summands' radicals, which the scan finds
     import time
 
     from leibnizalg.oracle import nilradical_oracle, radical_oracle
 
     L8 = fp_direct_sum("example2-2-1+sl2", "example1", p=3)
     for compute, oracle_of, method in ((nilradical, nilradical_oracle, "trace-form"),
-                                       (radical, radical_oracle, "principal-ideals")):
+                                       (radical, radical_oracle, "nilradicals")):
         t0 = time.time()
         res = compute(L8)
         assert time.time() - t0 < 1.0, compute.__name__
@@ -1038,7 +1104,7 @@ def fp_principal_nilradical(L):
     the fallback of nilradical() makes inside its cut."""
     from leibnizalg import oracle, radicals
 
-    return radicals._principal_ideal_sum(L, is_nilpotent, oracle.DEFAULT_BUDGET)
+    return radicals._principal_ideal_sum(L, oracle.DEFAULT_BUDGET, L.full_space())
 
 
 # (names, p) of the inputs on which nilradical summed principal ideals before
@@ -1066,20 +1132,16 @@ def stalled_cut_plus_affine2():
 @pytest.mark.parametrize("build, compute, most", [
     pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", p=5), fp_principal_nilradical, 200,
                  id="nilradical-200"),
-    pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", p=5), radical, 50, id="radical-50"),
     pytest.param(partial(fp_direct_sum, "example1+sl2", p=5), fp_principal_nilradical, 160,
                  id="example1+sl2-nilradical-160"),
     pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", "example1", p=5),
                  fp_principal_nilradical, 800, id="dim8-nilradical-800"),
-    pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", "example1", p=5), radical, 200,
-                 id="dim8-radical-200"),
     pytest.param(stalled_cut_plus_affine2, nilradical, 100, id="stalled-cut-nilradical-100")])
 def test_fp_radicals_close_one_point_per_coset(monkeypatch, build, compute, most):
     # only the points zero at every pivot column of the running sum are
-    # closed; closing every point outside the sum formed 3,902 (nilradical)
-    # and 3,877 (radical) closures on example2-2-1+sl2 mod 5.  The sum starts
-    # at the kernel: from 0 it closed 657 points for example1+sl2, and 3,908
-    # (nilradical) and 779 (radical) for the dim-8 sum.  The sums of
+    # closed; closing every point outside the sum formed 3,902 closures on
+    # example2-2-1+sl2 mod 5.  The sum starts at the kernel: from 0 it closed
+    # 657 points for example1+sl2, and 3,908 for the dim-8 sum.  The sums of
     # nilpotent ideals are made over all of F_5^n, as nilradical's fallback
     # makes them inside its cut.  The stalled cut of L_3 + affine2 mod 3 has
     # dim 5: nilradical closes 85 of its points, against 248 of F_3^6
@@ -1092,9 +1154,22 @@ def test_fp_radicals_close_one_point_per_coset(monkeypatch, build, compute, most
     assert 0 < len(calls) <= most
 
 
+@pytest.mark.parametrize("names", [("example2-2-1+sl2",), ("example2-2-1+sl2", "example1")])
+def test_fp_radical_forms_no_closure(monkeypatch, names):
+    # the radical closed up to 50 and 200 principal ideals of these mod 5
+    # when it summed the solvable ones; from nilradicals, whose cuts decide
+    # them, it closes none
+    from leibnizalg import radicals
+
+    calls = []
+    monkeypatch.setattr(radicals, "ideal_closure", counting(calls, radicals.ideal_closure))
+    res = radical(fp_direct_sum(*names, p=5))
+    assert res.method == "nilradicals" and all(res.certificates.values())
+    assert calls == []
+
+
 @pytest.mark.parametrize("holds, compute, name, p", [
-    pytest.param("is_nilpotent", nilradical, "example2-3-1", 2, id="is_nilpotent-nilradical"),
-    pytest.param("is_solvable", radical, "example1", 3, id="is_solvable-radical")])
+    pytest.param("is_nilpotent", nilradical, "example2-3-1", 2, id="is_nilpotent-nilradical")])
 def test_fp_radical_certifies_the_kernel_it_starts_from(monkeypatch, holds, compute, name, p):
     # the trace-form cut of example2-3-1 mod 2 stalls: [x_i, y] = x_i for
     # i = 2, 3 gives tr(R_y^k) = 2 = 0, so nilradical sums principal ideals
@@ -1106,13 +1181,11 @@ def test_fp_radical_certifies_the_kernel_it_starts_from(monkeypatch, holds, comp
 
 
 @pytest.mark.parametrize("holds, compute, name, p", [
-    pytest.param("is_nilpotent", nilradical, "example2-3-1", 2, id="is_nilpotent-nilradical"),
-    pytest.param("is_solvable", radical, "example1+sl2", 3, id="is_solvable-radical")])
+    pytest.param("is_nilpotent", nilradical, "example2-3-1", 2, id="is_nilpotent-nilradical")])
 def test_fp_radical_keeping_a_failing_closure_is_caught(monkeypatch, holds, compute, name, p):
-    # a test that passes every proper closure keeps sl2's, which is neither
-    # nilpotent nor solvable mod 3, and the closure span(y, x_2, x_3) of y
-    # in example2-3-1 mod 2, which is not nilpotent; the certificate must
-    # abort
+    # a test that passes every proper closure keeps the closure
+    # span(y, x_2, x_3) of y in example2-3-1 mod 2, which is not nilpotent;
+    # the certificate must abort
     from leibnizalg import radicals
 
     Lp = fp_direct_sum(name, p=p)
@@ -1122,14 +1195,27 @@ def test_fp_radical_keeping_a_failing_closure_is_caught(monkeypatch, holds, comp
         compute(Lp)
 
 
+def test_fp_radical_aborts_when_a_quotient_nilradical_is_all_of_it(monkeypatch):
+    # example1 + sl2 mod 3 is not solvable: were N(L/K_0) reported as all of
+    # L/K_0, the loop would end at R = L, whose derived series stalls at sl2
+    from leibnizalg import radicals
+
+    Lp = fp_direct_sum("example1", "sl2", p=3)
+    assert radical(Lp).subspace.dim == 2
+    real = radicals.nilradical
+    monkeypatch.setattr(radicals, "nilradical", lambda M, budget: real(M, budget) if M is Lp
+                        else radicals.CertifiedIdeal(M.full_space(), "corrupted"))
+    with pytest.raises(InternalInconsistency, match="derived_series_reaches_zero"):
+        radical(Lp)
+
+
 @pytest.mark.parametrize("holds, compute, name, p", [
-    pytest.param("is_nilpotent", nilradical, "example2-3-1+sl2", 2, id="is_nilpotent-nilradical"),
-    pytest.param("is_solvable", radical, "example1+sl2", 3, id="is_solvable-radical")])
+    pytest.param("is_nilpotent", nilradical, "example2-3-1+sl2", 2, id="is_nilpotent-nilradical")])
 def test_fp_radical_tests_each_closure_once(monkeypatch, holds, compute, name, p):
     # a closure equal to one that failed is not tested again, and one that
-    # passed joins the sum, so each ideal is tested at most once: L, then
-    # distinct proper ideals (in sl2's 13 points mod 3, sl2 once).  The
-    # nilradical of example2-3-1 + sl2 mod 2 is summed inside a stalled cut
+    # passed joins the sum, so each ideal is tested at most once: distinct
+    # proper ideals.  The nilradical of example2-3-1 + sl2 mod 2 is summed
+    # inside a stalled cut
     from leibnizalg import oracle, radicals
 
     Lp = fp_direct_sum(*name.split("+"), p=p)
@@ -1188,6 +1274,70 @@ def test_fp_nilradical_equals_the_oracle(p):
     check("L_p", L, N, True)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fp_radical_equals_the_oracle(p):
+    # the inputs of test_fp_nilradical_equals_the_oracle.  R(A + B) =
+    # R(A) + R(B): the projections of a solvable ideal of a direct sum are
+    # solvable ideals of the summands, so the sums are checked against the
+    # oracle of each summand
+    from itertools import combinations_with_replacement
+
+    from leibnizalg.exactlin import subspace_count
+    from leibnizalg.oracle import radical_oracle, reduce_mod_p
+
+    def check(name, L, R):
+        res = radical(L)
+        assert res.subspace == R and all(res.certificates.values()), name
+        assert res.method == "nilradicals", name
+
+    for e in corpus.standard_entries():
+        Lp = reduce_mod_p(e.algebra, p)
+        if Lp is None or subspace_count(Lp.dim, p) > 60_000:
+            continue
+        for basis, M in (("own", Lp), ("dense", dense_basis(Lp, random.Random(1)))):
+            check((e.name, basis), M, radical_oracle(M))
+    for a, b in combinations_with_replacement(PAIRED, 2):
+        L = fp_direct_sum(a, b, p=p)
+        if L is None or subspace_count(L.dim, p) > 60_000:
+            continue
+        Ra, Rb = (radical_oracle(fp_direct_sum(name, p=p)) for name in (a, b))
+        da = Ra.ambient_dim
+        R = span_of(L, *[r + (0,) * (L.dim - da) for r in Ra.rows],
+                    *[(0,) * da + r for r in Rb.rows])
+        check((a, b), L, R)
+    # L_p is solvable: [L_p, L_p] = span(v) is abelian
+    L = stalled_cut_algebra(p)
+    if p < 5:
+        assert radical_oracle(L) == L.full_space()
+    check("L_p", L, L.full_space())
+
+
+def test_fp_radical_budget_names_the_nilradical_it_was_spent_on(monkeypatch):
+    # L_3 + sl2 mod 3 is not solvable, and the first cut, of N(L), stalls at
+    # span(x, v): its 40 points are searched under the budget
+    from leibnizalg import radicals
+    from leibnizalg.errors import BudgetExceeded
+
+    L = direct_sum(stalled_cut_algebra(3), fp_direct_sum("sl2", p=3))
+    assert not is_solvable(L) and nilradical(L).method == "principal-ideals"
+    with pytest.raises(BudgetExceeded, match="^N\\(L\\): the trace-form cut, of dim 4 in "
+                                             "F_3\\^7, has 40 projective points"):
+        radical(L, 39)
+    assert radical(L, 40).subspace == span_of(L, *L.full_space().scaled_rows[:4])
+    # a budget spent on a quotient names it: K_0 = N(L) = span(v)
+    real = radicals.nilradical
+
+    def spent_on_quotients(M, budget):
+        if M is L:
+            return real(M, budget)
+        raise BudgetExceeded("the trace-form cut")
+
+    monkeypatch.setattr(radicals, "nilradical", spent_on_quotients)
+    with pytest.raises(BudgetExceeded, match="^N\\(L/K_0\\), with K_0 of dim 3 in F_3\\^7: "
+                                             "the trace-form cut$"):
+        radical(L, 40)
+
+
 def test_fp_nilradical_falls_back_when_the_cut_is_no_ideal(monkeypatch):
     # W(1) mod 5 is simple, so N = 0, but the trace-form loop ends at the
     # span of e_i, i != 0, which is not an ideal
@@ -1225,10 +1375,10 @@ def test_fp_budget_bounds_the_projective_points():
     from leibnizalg.errors import BudgetExceeded
     from leibnizalg.oracle import reduce_mod_p
 
-    Lp = reduce_mod_p(corpus.example2(2, 1).algebra, 3)      # 13 points of F_3^3
-    with pytest.raises(BudgetExceeded, match="13 projective points"):
-        radical(Lp, 12)
-    assert radical(Lp, 13).method == "principal-ideals"
+    # example2(2, 1) mod 3 is solvable: its radical searches none of the 13
+    # points of F_3^3
+    Lp = reduce_mod_p(corpus.example2(2, 1).algebra, 3)
+    assert radical(Lp, 1).method == "nilradicals"
     # the cut of L_3 + affine2 mod 3 removes affine2's x and stalls at dim 5:
     # its 121 points are searched, not the 364 of F_3^6
     L = direct_sum(stalled_cut_algebra(3), fp_direct_sum("affine2", p=3))
