@@ -224,9 +224,9 @@ VERBS = {
                lambda L, args: {"lower_central": lower_central_series(L),
                                 "derived": derived_series(L)}),
     "nilradical": ("largest nilpotent ideal, with certificates", (),
-                   lambda L, args: _certified("nilradical", nilradical(L, args.budget))),
+                   lambda L, args: _certified("nilradical", nilradical(L))),
     "radical": ("largest solvable ideal, with certificates", (),
-                lambda L, args: _certified("radical", radical(L, args.budget))),
+                lambda L, args: _certified("radical", radical(L))),
     "frattini": ("Frattini ideal (nilpotent algebras, or F_p under budget)", (),
                  lambda L, args: {"frattini": frattini_ideal(L, args.budget)}),
     "quotient": ("quotient algebra by an ideal (default: the kernel)",
@@ -254,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="output format")
     p.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
-                   help="over F_p: projective points of the trace-form cut when "
-                        "a nilradical, also one that radical takes, sums principal "
-                        "ideals; subspaces for the scans of frattini, oracle-scan "
-                        "and verify's fallbacks")
+                   help="subspaces for the scans of frattini, oracle-scan and "
+                        "verify's fallbacks")
     sub = p.add_subparsers(dest="verb", required=True)
     for name, (help_, arguments, handler) in VERBS.items():
         sp = sub.add_parser(name, help=help_)

@@ -10,7 +10,7 @@ InternalInconsistency: no result is ever returned uncertified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, product
+from functools import cache
 from operator import mul
 
 from . import oracle
@@ -22,7 +22,6 @@ from .core import (
     bracket_span,
     derived_series,
     embed_subspace,
-    ideal_closure,
     is_ideal,
     is_nilpotent,
     is_subalgebra,
@@ -32,7 +31,7 @@ from .core import (
     restrict,
     _dense,
 )
-from .errors import BudgetExceeded, InternalInconsistency, Unsupported
+from .errors import InternalInconsistency, Unsupported
 from .exactlin import Subspace, from_scaled, nullspace, scaled_comb
 from .reports import VerificationReport
 
@@ -42,7 +41,7 @@ class CertifiedIdeal:
     """A radical or nilradical with the certificates that were checked on it."""
 
     subspace: Subspace
-    # "trace-form-char0" over Q; over F_p "trace-form" or "principal-ideals"
+    # "trace-form-char0" over Q; over F_p "trace-form" or "right-mult-radical"
     # for the nilradical, and "nilradicals" for the radical
     method: str
     certificates: dict = field(default_factory=dict)
@@ -65,7 +64,7 @@ class Theorem2Report:
         return self.formula_equal and self.nilpotency_condition == self.kernel_quotient_equal
 
 
-def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> CertifiedIdeal:
+def radical(L: LeibnizAlgebra) -> CertifiedIdeal:
     """Largest solvable ideal.
 
     Char 0: R(L) = { x in L : beta(x, d) = 0 for every d in [L,L] }, with the
@@ -97,15 +96,26 @@ def radical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certified
     being solvable, is R(L).  The proof holds in every characteristic, and
     the dimension grows at every step, so the loop ends.  Besides the
     certificates of _certify, quotient_nilradical_zero records the
-    N(L/K_j) = 0 the loop ended on.  A budget can be exceeded only in a
-    nilradical fallback on L or on some L/K_j, and the message names it.
+    N(L/K_j) = 0 the loop ended on.
     """
-    if L.field.modulus is not None:
-        return _radical_from_nilradicals(L, budget)
-    G = _gram(L)
-    R = _cut(L.full_space(), [[sum(map(mul, g, d)) for g in G]
-                              for d in L.derived_space().scaled_rows])
-    return _certify(L, R, "trace-form-char0", derived_series)
+    if L.field.modulus is None:
+        G = _gram(L)
+        R = _cut(L.full_space(), [[sum(map(mul, g, d)) for g in G]
+                                  for d in L.derived_space().scaled_rows])
+        return _certify(L, R, "trace-form-char0", derived_series)
+    series = derived_series(L)
+    if series[-1].dim == 0:
+        R, NQ = L.full_space(), L.zero_space()      # L/L = 0 has nilradical 0
+    else:
+        # M = L/R on the section S of the quotient, starting at R = 0
+        series, R, M, S = None, L.zero_space(), L, L.full_space()
+        while (NQ := nilradical(M).subspace).dim:
+            R = R + embed_subspace(S, NQ)       # K_j, the preimage of N(M)
+            qp = quotient(L, R)
+            M, S = qp.quotient, Subspace.span(L.field, L.dim, qp.section)
+    res = _certify(L, R, "nilradicals", derived_series, series)
+    res.certificates["quotient_nilradical_zero"] = NQ.dim == 0
+    return res
 
 
 def _gram(L: LeibnizAlgebra) -> list:
@@ -178,80 +188,75 @@ def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
         V = W
 
 
-def _radical_from_nilradicals(L: LeibnizAlgebra, budget: int) -> CertifiedIdeal:
-    """radical() over F_p: L if its derived series, taken once and kept as
-    the certificate, reaches 0; else the K_j at which N(L/K_j) = 0."""
-    series = derived_series(L)
-    if series[-1].dim == 0:
-        R, NQ = L.full_space(), L.zero_space()      # L/L = 0 has nilradical 0
-    else:
-        # M = L/R on the section S of the quotient, starting at R = 0
-        series, R, M, S, name = None, L.zero_space(), L, L.full_space(), "N(L)"
-        for j in count():
-            try:
-                NQ = nilradical(M, budget).subspace
-            except BudgetExceeded as e:
-                raise BudgetExceeded(f"{name}: {e}") from None
-            if not NQ.dim:
-                break
-            R = R + embed_subspace(S, NQ)       # K_j, the preimage of N(M)
-            qp = quotient(L, R)
-            M, S = qp.quotient, Subspace.span(L.field, L.dim, qp.section)
-            name = f"N(L/K_{j}), with K_{j} of dim {R.dim} in F_{L.field.modulus}^{L.dim}"
-    res = _certify(L, R, "nilradicals", derived_series, series)
-    res.certificates["quotient_nilradical_zero"] = NQ.dim == 0
-    return res
+def _right_mult_algebra(L: LeibnizAlgebra) -> Subspace:
+    """Over F_p, the unital associative algebra A^1 that the R_{e_i} generate,
+    in F_p^(n^2), a matrix by its columns in turn: span(1) closed under
+    a -> R_{e_i} a (column m is [a e_m, e_i]), each round on what the last added."""
+    n, lin = L.dim, L.by_linearity
+    lefts = [L.products(e, LEFT) for e in L.full_space().scaled_rows]
+    new = [[int(k == m) for m in range(n) for k in range(n)]]
+    A = Subspace.span(L.field, n * n, new)
+    while new:
+        grown = []
+        for w in ([c for m in range(0, n * n, n) for c in lin(a[m:m + n], left)]
+                  for a in new for left in lefts):
+            if not A.contains(w):
+                A = A._insert((w,))
+                grown.append(w)
+        new = grown
+    return A
 
 
-def _principal_ideal_sum(L: LeibnizAlgebra, budget: int, C: Subspace) -> Subspace:
-    """Over F_p, the sum T of the nilpotent principal ideals <v> for the
-    projective points v of C, the fallback of nilradical() inside its
-    trace-form cut.  C must hold N(L), as every cut does, and must not be a
-    nilpotent L, which the cut decides.
+def _g(M, q: int, p: int) -> int:
+    """g(M) = (tr(M^q) mod q p) / q, for M a list of integer rows and q a power
+    of p, by squaring; a trace not divisible by q raises InternalInconsistency."""
+    def times(X, Y):
+        cols = list(zip(*Y))
+        return [[sum(map(mul, r, c)) % (q * p) for c in cols] for r in X]
 
-    Sums of nilpotent ideals are nilpotent, so T lies in N(L).  T starts at
-    the kernel I: [L, I] = 0 gives [I, I] = 0, so I is a nilpotent ideal and
-    lies in N(L), so in C; is_nilpotent(L, I) certifies it.  As T lies in
-    N(L), it lies in C, and each pivot column of T is one of C's: the points
-    of C are those with a 1 at the first nonzero coefficient on C's rows,
-    and a point's coefficient on a row is its entry at the row's pivot
-    column.  Only the points that are zero at every pivot column of T are
-    tested, one per coset v + T with v in C outside T: T's residual of v,
-    up to scale, which lies in C.  If v is outside N(L), <v> fails, and no
-    point of v + T lies in N(L), because T does.  If v is in N(L), <v>
-    passes and joins T.  The pivot columns of T only grow as T grows, so a
-    point skipped earlier is never needed later, and T ends at N(L).  An
-    ideal that failed is not tested again.  BudgetExceeded if C has more
-    than `budget` projective points.
-    """
-    F, n, p = L.field, L.dim, L.field.modulus
-    m = C.dim
-    points = (p ** m - 1) // (p - 1)
-    if points > budget:
-        raise BudgetExceeded(f"the trace-form cut, of dim {m} in F_{p}^{n}, has {points} "
-                             f"projective points, above the budget of {budget}")
-    # L is outside N(L): it is not nilpotent, or C, which holds N(L), is not L
-    failed, total = {L.full_space()}, leibniz_kernel(L)
-    if not is_nilpotent(L, total):
-        raise InternalInconsistency("the kernel that seeds the nilradical is not nilpotent")
-    if not total <= C:
-        raise InternalInconsistency("the kernel lies outside the subspace searched")
-    rows, row_of = C.scaled_rows, {pc: i for i, pc in enumerate(C.pivots)}
-    skip = [row_of[pc] for pc in total.pivots]
-    for c in range(m):
-        for tail in product(range(p), repeat=m - c - 1):
-            a = (0,) * c + (1,) + tail
-            if any(a[i] for i in skip):
-                continue
-            J = ideal_closure(L, Subspace.span(F, n, [scaled_comb(F, n, a, rows)]))
-            if J in failed:
-                continue
-            if is_nilpotent(L, J):
-                total = total + J
-                skip = [row_of[pc] for pc in total.pivots]
-            else:
-                failed.add(J)
-    return total
+    def power(k):
+        if k == 1:
+            return M
+        H = power(k // 2)
+        H = times(H, H)
+        return times(H, M) if k % 2 else H
+
+    t = sum(r[i] for i, r in enumerate(power(q))) % (q * p)
+    if t % q:
+        raise InternalInconsistency(f"tr(M^{q}) = {t} mod {q * p} is not divisible by {q}")
+    return t // q
+
+
+def _radical_cut(L: LeibnizAlgebra, C: Subspace) -> Subspace:
+    """Over F_p, { x in C : R_x in Rad(A) }, A the associative algebra of the
+    right multiplications, by Cohen, Ivanyos and Wales (1997, "Finding the
+    radical of an algebra of linear transformations", J. Pure Appl. Algebra
+    117/118): Rad(A) = Rad(A^1) (_right_mult_algebra) is I_l, the last l with
+    p^l <= n, of I_-1 = A^1, I_i = { a in I_(i-1) : g_i(a b) = 0 for all b in
+    A^1 }, with g_i(M) = (tr(M'^(p^i)) mod p^(i+1)) / p^i for the lift M' of
+    M to [0, p) (_g).  Each I_i is an ideal, and g_i is linear on I_(i-1).
+    So C is cut to { x : R_x in I_0 } by the functionals tr(R_x b)
+    (_traces), then to { x : R_x in I_i } by g_i(R_x b) on its scaled rows
+    x.  R_x b lies in I_(i-1), and its coordinates on A^1's monic RREF rows
+    are its entries at their pivot columns, so g_i is taken once per RREF
+    row of the span of the R_x b and read off on each by linearity."""
+    F, n, p, lin = L.field, L.dim, L.field.modulus, L.by_linearity
+    A = _right_mult_algebra(L)
+    rows, cols, held = A.scaled_rows, range(0, n * n, n), {pc - pc % n for pc in A.pivots}
+    X, q = _cut(C, [_traces(L, [b[m:m + n] for m in cols]) for b in rows]), p
+    while q <= n and X.dim:
+        lefts = [L.products(x, LEFT) for x in X.scaled_rows]
+        # each R_x b's entries at A^1's pivot columns, from the columns holding them
+        coords = [[col[pc - pc % n][pc % n] for pc in A.pivots]
+                  for col in ({m: lin(b[m:m + n], left) for m in held}
+                              for left in lefts for b in rows)]
+        W = Subspace.span(F, A.dim, coords)
+        # tr(M^q) = tr((M^T)^q), and the rows of M^T are the columns of M
+        values = [_g([a[m:m + n] for m in cols], q, p)
+                  for a in (scaled_comb(F, n * n, u, rows) for u in W.scaled_rows)]
+        g = [sum(c[pc] * v for pc, v in zip(W.pivots, values)) % p for c in coords]
+        X, q = X.where_zero([g[r:r + len(rows)] for r in range(0, len(g), len(rows))]), q * p
+    return X
 
 
 def _certificates(L: LeibnizAlgebra, S: Subspace, series, terms=None) -> dict:
@@ -279,7 +284,7 @@ def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series, terms=None) ->
     return CertifiedIdeal(S, method, certs)
 
 
-def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> CertifiedIdeal:
+def nilradical(L: LeibnizAlgebra) -> CertifiedIdeal:
     """Largest nilpotent ideal.
 
     Over Q and F_p, N(L) is carved out of L with the trace form
@@ -311,11 +316,13 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
     p = 0, and x stays in C, while N = span(v).  When the loop ends, C is
     N if it is an ideal whose lower central series reaches zero: a
     nilpotent ideal lies in N, and N lies in C.  That is the method
-    "trace-form".  When a cut stalls or C fails either certificate, N is the
-    sum of the nilpotent principal ideals of the points of C
-    (_principal_ideal_sum), with at most `budget` projective points of C,
-    and a basis vector of that sum with non-nilpotent R_v aborts: the method
-    "principal-ideals".
+    "trace-form".  When a cut stalls or C fails either certificate, N is
+    { x in C : R_x in Rad(A) } for the associative algebra A that the right
+    multiplications generate (_radical_cut), the method "right-mult-radical".
+    In every characteristic N = J = { x : R_x in Rad(A) }: J is an ideal, as
+    R_[x,y] = R_y R_x - R_x R_y, and nilpotent, as J^(k+1) = R_J(J^k) lies
+    in Rad(A)^k(L).  By the above, the ideal of A that R_N generates lowers
+    the filtration L >= N >= N^2 >= ... by one step, so it lies in Rad(A).
 
     Over either field every basis vector of N has nilpotent R_v, the
     certificate right_mult_nilpotent_per_basis_vector, after the
@@ -350,7 +357,7 @@ def nilradical(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET) -> Certif
         certs = _certificates(L, N, lower_central_series) if bad is None else {}
         if certs and all(certs.values()):
             return CertifiedIdeal(N, "trace-form", {**certs, per_basis_vector: True})
-        N, method = _principal_ideal_sum(L, budget, N), "principal-ideals"
+        N, method = _radical_cut(L, N), "right-mult-radical"
         if any(_stable_image(L, full, v).dim for v in N.scaled_rows):
             raise InternalInconsistency(
                 "computed nilradical has a basis vector with non-nilpotent right multiplication")
@@ -691,15 +698,9 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
     F_p; the others as their reports.  The verdict is "fail" when a check
     that ran did not pass, else "pass".
     """
-    nilradicals = {}
-
-    def N_of(M):
-        if M not in nilradicals:
-            nilradicals[M] = nilradical(M, budget).subspace
-        return nilradicals[M]
-
+    N_of = cache(lambda M: nilradical(M).subspace)
     qp = quotient(L, leibniz_kernel(L))
-    NL = N_of(L)            # over F_p a budget check, in a fallback, is on L's cut first
+    NL = N_of(L)
     S = _complement_subalgebra(L, qp.ideal)
     report = {"lemma1": verify_lemma1(L, qp, N_of, S, budget)}
     if B is None:

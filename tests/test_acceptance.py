@@ -209,13 +209,14 @@ def test_criterion_11_fp_verify_on_2825_subspaces(tmp_path, capsys):
     # example2-2-1+sl2 mod 2: dim 6, 2,825 subspaces; `verify` cuts N(L) and
     # N(L/I) by the trace form, and the kernel has a complement, so nothing is
     # scanned.  The cut of example2-3-1 mod 2 stalls (tr(R_y^k) = 2 = 0), and
-    # its N(L) is the sum of the nilpotent principal ideals inside the cut
+    # its N(L) is taken inside the cut from the radical of the associative
+    # algebra of right multiplications
     from leibnizalg import cli, oracle
     from leibnizalg.fileformat import save_algebra
 
     info = oracle._scan_cached.cache_info
     ok, t0 = True, time.time()
-    for name, method in (("example2-2-1+sl2", "trace-form"), ("example2-3-1", "principal-ideals")):
+    for name, method in (("example2-2-1+sl2", "trace-form"), ("example2-3-1", "right-mult-radical")):
         Lp = reduce_mod_p(corpus.build(name).algebra, 2)
         path = tmp_path / f"{name}-F2.json"
         save_algebra(Lp, path)

@@ -345,16 +345,18 @@ def test_non_leibniz_gate_stops_at_the_first_failing_triple(capsys, tmp_path):
 
 
 def test_parser_is_built_once_and_each_run_sees_its_own_arguments(capsys, tmp_path):
+    from leibnizalg.exactlin import subspace_count
     from leibnizalg.oracle import reduce_mod_p
 
     assert cli.build_parser() is cli.build_parser()
-    # the trace-form cut of example2-3-1 mod 2 stalls at L: 15 points to sum
+    # the scan of example2-3-1 mod 2 walks the 67 subspaces of F_2^4
     path = tmp_path / "ex231_f2.json"
     path.write_text(dumps_algebra(reduce_mod_p(corpus.example2(3, 1).algebra, 2)))
-    assert run_cli(capsys, "--budget", "14", "nilradical", str(path))[0] == 3  # 15 points
-    assert run_cli(capsys, "--budget", "15", "nilradical", str(path))[0] == 0
-    assert run_cli(capsys, "nilradical", str(path))[0] == 0                    # default budget
-    # the cut decides example1 mod 3 and searches no point
+    assert subspace_count(4, 2) == 67
+    assert run_cli(capsys, "--budget", "66", "oracle-scan", str(path))[0] == 3
+    assert run_cli(capsys, "--budget", "67", "oracle-scan", str(path))[0] == 0
+    assert run_cli(capsys, "oracle-scan", str(path))[0] == 0                   # default budget
+    # nilradical takes no budget: the cut decides example1 mod 3
     path = tmp_path / "ex1_f3.json"
     path.write_text(dumps_algebra(reduce_mod_p(corpus.example1().algebra, 3)))
     assert run_cli(capsys, "--budget", "1", "nilradical", str(path))[0] == 0

@@ -1099,14 +1099,6 @@ def witt_algebra(p):
     return LeibnizAlgebra.from_products(Field(p), p, products)
 
 
-def fp_principal_nilradical(L):
-    """The sum of the nilpotent principal ideals over all of F_p^n, the sum
-    the fallback of nilradical() makes inside its cut."""
-    from leibnizalg import oracle, radicals
-
-    return radicals._principal_ideal_sum(L, oracle.DEFAULT_BUDGET, L.full_space())
-
-
 # (names, p) of the inputs on which nilradical summed principal ideals before
 # its trace-form cut was taken over F_p; the cut decides each of them now
 CUT_DECIDED = [(("example2-2-1+sl2",), 5), (("example1+sl2",), 5),
@@ -1118,9 +1110,9 @@ def test_the_cut_decides_the_inputs_the_principal_ideal_tests_used(monkeypatch):
     from leibnizalg import radicals
 
     calls = []
-    monkeypatch.setattr(radicals, "ideal_closure", counting(calls, radicals.ideal_closure))
+    monkeypatch.setattr(radicals, "_radical_cut", counting(calls, radicals._radical_cut))
     for names, p in CUT_DECIDED:
-        res = nilradical(fp_direct_sum(*names, p=p), budget=1)
+        res = nilradical(fp_direct_sum(*names, p=p))
         assert res.method == "trace-form" and all(res.certificates.values()), (names, p)
     assert calls == []
 
@@ -1129,70 +1121,34 @@ def stalled_cut_plus_affine2():
     return direct_sum(stalled_cut_algebra(3), fp_direct_sum("affine2", p=3))
 
 
-@pytest.mark.parametrize("build, compute, most", [
-    pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", p=5), fp_principal_nilradical, 200,
-                 id="nilradical-200"),
-    pytest.param(partial(fp_direct_sum, "example1+sl2", p=5), fp_principal_nilradical, 160,
-                 id="example1+sl2-nilradical-160"),
-    pytest.param(partial(fp_direct_sum, "example2-2-1+sl2", "example1", p=5),
-                 fp_principal_nilradical, 800, id="dim8-nilradical-800"),
-    pytest.param(stalled_cut_plus_affine2, nilradical, 100, id="stalled-cut-nilradical-100")])
-def test_fp_radicals_close_one_point_per_coset(monkeypatch, build, compute, most):
-    # only the points zero at every pivot column of the running sum are
-    # closed; closing every point outside the sum formed 3,902 closures on
-    # example2-2-1+sl2 mod 5.  The sum starts at the kernel: from 0 it closed
-    # 657 points for example1+sl2, and 3,908 for the dim-8 sum.  The sums of
-    # nilpotent ideals are made over all of F_5^n, as nilradical's fallback
-    # makes them inside its cut.  The stalled cut of L_3 + affine2 mod 3 has
-    # dim 5: nilradical closes 85 of its points, against 248 of F_3^6
-    from leibnizalg import radicals
-
-    L = build()
-    calls = []
-    monkeypatch.setattr(radicals, "ideal_closure", counting(calls, radicals.ideal_closure))
-    compute(L)
-    assert 0 < len(calls) <= most
-
-
 @pytest.mark.parametrize("names", [("example2-2-1+sl2",), ("example2-2-1+sl2", "example1")])
 def test_fp_radical_forms_no_closure(monkeypatch, names):
     # the radical closed up to 50 and 200 principal ideals of these mod 5
     # when it summed the solvable ones; from nilradicals, whose cuts decide
-    # them, it closes none
+    # them, it takes no radical of the right multiplications
     from leibnizalg import radicals
 
     calls = []
-    monkeypatch.setattr(radicals, "ideal_closure", counting(calls, radicals.ideal_closure))
+    monkeypatch.setattr(radicals, "_radical_cut", counting(calls, radicals._radical_cut))
     res = radical(fp_direct_sum(*names, p=5))
     assert res.method == "nilradicals" and all(res.certificates.values())
     assert calls == []
 
 
-@pytest.mark.parametrize("holds, compute, name, p", [
-    pytest.param("is_nilpotent", nilradical, "example2-3-1", 2, id="is_nilpotent-nilradical")])
-def test_fp_radical_certifies_the_kernel_it_starts_from(monkeypatch, holds, compute, name, p):
-    # the trace-form cut of example2-3-1 mod 2 stalls: [x_i, y] = x_i for
-    # i = 2, 3 gives tr(R_y^k) = 2 = 0, so nilradical sums principal ideals
+@pytest.mark.parametrize("build", [partial(fp_direct_sum, "example2-3-1", p=2),
+                                   partial(witt_algebra, 5)],
+                         ids=["example2-3-1-mod-2", "W(1)-mod-5"])
+def test_fp_nilradical_keeping_the_cut_is_caught(monkeypatch, build):
+    # the cut of example2-3-1 mod 2 stalls at L, which is not nilpotent, and
+    # that of W(1) mod 5 is no ideal; were the radical of the right
+    # multiplications to keep the cut, a certificate must abort
     from leibnizalg import radicals
 
-    monkeypatch.setattr(radicals, holds, lambda L, A=None: False)
-    with pytest.raises(InternalInconsistency, match="kernel"):
-        compute(fp_direct_sum(name, p=p))
-
-
-@pytest.mark.parametrize("holds, compute, name, p", [
-    pytest.param("is_nilpotent", nilradical, "example2-3-1", 2, id="is_nilpotent-nilradical")])
-def test_fp_radical_keeping_a_failing_closure_is_caught(monkeypatch, holds, compute, name, p):
-    # a test that passes every proper closure keeps the closure
-    # span(y, x_2, x_3) of y in example2-3-1 mod 2, which is not nilpotent;
-    # the certificate must abort
-    from leibnizalg import radicals
-
-    Lp = fp_direct_sum(name, p=p)
-    compute(Lp)
-    monkeypatch.setattr(radicals, holds, lambda L, A=None: A is not None)
+    L = build()
+    assert nilradical(L).method == "right-mult-radical"
+    monkeypatch.setattr(radicals, "_radical_cut", lambda L, C: C)
     with pytest.raises(InternalInconsistency):
-        compute(Lp)
+        nilradical(L)
 
 
 def test_fp_radical_aborts_when_a_quotient_nilradical_is_all_of_it(monkeypatch):
@@ -1203,59 +1159,37 @@ def test_fp_radical_aborts_when_a_quotient_nilradical_is_all_of_it(monkeypatch):
     Lp = fp_direct_sum("example1", "sl2", p=3)
     assert radical(Lp).subspace.dim == 2
     real = radicals.nilradical
-    monkeypatch.setattr(radicals, "nilradical", lambda M, budget: real(M, budget) if M is Lp
+    monkeypatch.setattr(radicals, "nilradical", lambda M: real(M) if M is Lp
                         else radicals.CertifiedIdeal(M.full_space(), "corrupted"))
     with pytest.raises(InternalInconsistency, match="derived_series_reaches_zero"):
         radical(Lp)
-
-
-@pytest.mark.parametrize("holds, compute, name, p", [
-    pytest.param("is_nilpotent", nilradical, "example2-3-1+sl2", 2, id="is_nilpotent-nilradical")])
-def test_fp_radical_tests_each_closure_once(monkeypatch, holds, compute, name, p):
-    # a closure equal to one that failed is not tested again, and one that
-    # passed joins the sum, so each ideal is tested at most once: distinct
-    # proper ideals.  The nilradical of example2-3-1 + sl2 mod 2 is summed
-    # inside a stalled cut
-    from leibnizalg import oracle, radicals
-
-    Lp = fp_direct_sum(*name.split("+"), p=p)
-    tested = []
-    real = getattr(radicals, holds)
-    monkeypatch.setattr(radicals, holds, lambda L, A=None: tested.append(A) or real(L, A))
-    compute(Lp)
-    proper = [A for A in tested if A is not None]
-    assert proper and len(set(proper)) == len(proper) and set(proper) <= set(oracle.scan(Lp).ideals)
 
 
 PAIRED = ("sl2", "example1", "nilcyclic2", "heisenberg", "affine2", "example2-2-1",
           "example2-1-0")
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_fp_nilradical_equals_the_oracle(p):
-    # every admissible corpus reduction with at most 60,000 subspaces, in its
-    # own basis and a dense one, the sums of two of PAIRED under the same
-    # cap, and L_p.  The cut decides all but example2(3, 1) mod 2, where
-    # tr(R_y^k) = 2 = 0, and L_p, where the principal ideals are summed.
-    # N(A + B) = N(A) + N(B): the projections of a nilpotent ideal of a
-    # direct sum are nilpotent ideals of the summands, so the sums are
-    # checked against the oracle of each summand
+def fp_nilradical_cases(p):
+    """(name, L, N, stalls) over F_p: every admissible corpus reduction with
+    at most 60,000 subspaces, in its own basis and a dense one, the sums of
+    two of PAIRED under the same cap, and L_p, with N = N(L) and stalls
+    whether nilradical's cut fails to decide L.  The cut decides all but
+    example2(3, 1) mod 2, where tr(R_y^k) = 2 = 0, and L_p.  N(A + B) =
+    N(A) + N(B): the projections of a nilpotent ideal of a direct sum are
+    nilpotent ideals of the summands, so N of a sum is read off the oracle
+    of each summand."""
     from itertools import combinations_with_replacement
 
     from leibnizalg.exactlin import subspace_count
     from leibnizalg.oracle import nilradical_oracle, reduce_mod_p
-
-    def check(name, L, N, stalls):
-        res = nilradical(L)
-        assert res.subspace == N and all(res.certificates.values()), name
-        assert res.method == ("principal-ideals" if stalls else "trace-form"), name
 
     for e in corpus.standard_entries():
         Lp = reduce_mod_p(e.algebra, p)
         if Lp is None or subspace_count(Lp.dim, p) > 60_000:
             continue
         for basis, M in (("own", Lp), ("dense", dense_basis(Lp, random.Random(1)))):
-            check((e.name, basis), M, nilradical_oracle(M), (e.name, p) == ("example2(n=3,r=1)", 2))
+            yield ((e.name, basis), M, nilradical_oracle(M),
+                   (e.name, p) == ("example2(n=3,r=1)", 2))
     for a, b in combinations_with_replacement(PAIRED, 2):
         L = fp_direct_sum(a, b, p=p)
         if L is None or subspace_count(L.dim, p) > 60_000:
@@ -1264,14 +1198,79 @@ def test_fp_nilradical_equals_the_oracle(p):
         da = Na.ambient_dim
         N = span_of(L, *[r + (0,) * (L.dim - da) for r in Na.rows],
                     *[(0,) * da + r for r in Nb.rows])
-        check((a, b), L, N, False)
+        yield (a, b), L, N, False
     # span(v) is N(L_p); the oracle confirms it up to L_3 (F_5^6 has more
     # subspaces than its budget)
     L = stalled_cut_algebra(p)
     N = span_of(L, *L.full_space().scaled_rows[1:])
     if p < 5:
         assert nilradical_oracle(L) == N
-    check("L_p", L, N, True)
+    yield "L_p", L, N, True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fp_nilradical_equals_the_oracle(p):
+    # the cut decides every input of fp_nilradical_cases but those whose cut
+    # stalls, where the radical of the right multiplications is taken
+    for name, L, N, stalls in fp_nilradical_cases(p):
+        res = nilradical(L)
+        assert res.subspace == N and all(res.certificates.values()), name
+        assert res.method == ("right-mult-radical" if stalls else "trace-form"), name
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_radical_cut_from_the_whole_space_equals_the_oracle(p):
+    # { x in L : R_x in Rad(A) } is N(L) whatever the cut it is taken in, so
+    # taken in all of L it equals the oracle on every input of
+    # fp_nilradical_cases, on h + M over F_2 in both bases, and on W(1) mod
+    # 5 and 7, which is simple, so N = 0 (the oracle confirms it mod 5)
+    from leibnizalg import radicals
+    from leibnizalg.oracle import nilradical_oracle
+
+    cases = [(name, L, N) for name, L, N, _ in fp_nilradical_cases(p)]
+    if p == 2:
+        cases += [(("h + M", rebased), L, nilradical_oracle(L)) for rebased in (False, True)
+                  for L in [heisenberg_on_a_plane(rebased)]]
+    if p == 5:
+        cases += [("W(1) mod 5", witt_algebra(5), nilradical_oracle(witt_algebra(5))),
+                  ("W(1) mod 7", witt_algebra(7), witt_algebra(7).zero_space())]
+    for name, L, N in cases:
+        assert radicals._radical_cut(L, L.full_space()) == N, name
+
+
+def found_semidirect():
+    """L_3 + (F_3^3)^3 over F_3 (dim 13, a Lie algebra), L_3 = span(x, v_1,
+    v_2, v_3) acting on the right of three copies of F_3^3: x by diag(0, 1,
+    2) on each, v_i by the cyclic shift on copy i and by 0 on the others.
+    The first cut is all of L and no refinement shrinks it; N is the 9
+    module vectors, as each R_(v_i) is invertible on copy i."""
+    products = {}
+    for i in range(1, 4):
+        products[i, 0], products[0, i] = {i: 1}, {i: -1}
+        for j in range(3):
+            w = 1 + 3 * i + j
+            if j:
+                products[w, 0], products[0, w] = {w: j}, {w: -j}
+            shifted = 1 + 3 * i + (j + 1) % 3
+            products[w, i], products[i, w] = {shifted: 1}, {shifted: -1}
+    return LeibnizAlgebra.from_products(Field(3), 13, products)
+
+
+@pytest.mark.parametrize("build, dim_n", [
+    *[pytest.param(partial(stalled_cut_algebra, p), p, id=f"L_{p}") for p in (2, 3, 5, 7)],
+    pytest.param(found_semidirect, 9, id="L_3+(F_3^3)^3")])
+def test_fp_nilradical_of_a_stalled_cut_is_the_right_mult_radical(build, dim_n):
+    # on L_p the cut stalls at L; the enumeration of its points that this
+    # replaced took 150 s on L_7 and ran past 100 s on L_3 + (F_3^3)^3
+    import time
+
+    L = build()
+    assert check_leibniz(L).passed
+    t0 = time.time()
+    res = nilradical(L)
+    assert time.time() - t0 < 5.0
+    assert res.method == "right-mult-radical" and all(res.certificates.values())
+    assert res.subspace == span_of(L, *L.full_space().scaled_rows[L.dim - dim_n:])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1312,30 +1311,21 @@ def test_fp_radical_equals_the_oracle(p):
     check("L_p", L, L.full_space())
 
 
-def test_fp_radical_budget_names_the_nilradical_it_was_spent_on(monkeypatch):
+def test_fp_radical_with_a_stalled_first_cut_takes_no_budget(monkeypatch):
     # L_3 + sl2 mod 3 is not solvable, and the first cut, of N(L), stalls at
-    # span(x, v): its 40 points are searched under the budget
+    # span(x, v): its 40 points were searched under a budget.  radical takes
+    # none and hands none to the nilradicals it takes
     from leibnizalg import radicals
-    from leibnizalg.errors import BudgetExceeded
 
     L = direct_sum(stalled_cut_algebra(3), fp_direct_sum("sl2", p=3))
-    assert not is_solvable(L) and nilradical(L).method == "principal-ideals"
-    with pytest.raises(BudgetExceeded, match="^N\\(L\\): the trace-form cut, of dim 4 in "
-                                             "F_3\\^7, has 40 projective points"):
-        radical(L, 39)
-    assert radical(L, 40).subspace == span_of(L, *L.full_space().scaled_rows[:4])
-    # a budget spent on a quotient names it: K_0 = N(L) = span(v)
-    real = radicals.nilradical
-
-    def spent_on_quotients(M, budget):
-        if M is L:
-            return real(M, budget)
-        raise BudgetExceeded("the trace-form cut")
-
-    monkeypatch.setattr(radicals, "nilradical", spent_on_quotients)
-    with pytest.raises(BudgetExceeded, match="^N\\(L/K_0\\), with K_0 of dim 3 in F_3\\^7: "
-                                             "the trace-form cut$"):
-        radical(L, 40)
+    assert not is_solvable(L) and nilradical(L).method == "right-mult-radical"
+    real, seen = radicals.nilradical, []
+    monkeypatch.setattr(radicals, "nilradical", lambda M: seen.append(M.dim) or real(M))
+    res = radical(L)
+    assert res.subspace == span_of(L, *L.full_space().scaled_rows[:4])
+    assert res.method == "nilradicals" and all(res.certificates.values())
+    # N(L) = span(v), N(L/K_0) = span(x) and N(L/K_1) = N(sl2) = 0
+    assert seen == [7, 4, 3]
 
 
 def test_fp_nilradical_falls_back_when_the_cut_is_no_ideal(monkeypatch):
@@ -1352,7 +1342,7 @@ def test_fp_nilradical_falls_back_when_the_cut_is_no_ideal(monkeypatch):
     res = nilradical(L)
     assert certificates[0] == {"is_ideal": False}
     assert res.subspace == nilradical_oracle(L) == L.zero_space()
-    assert res.method == "principal-ideals" and all(res.certificates.values())
+    assert res.method == "right-mult-radical" and all(res.certificates.values())
 
 
 def test_fp_first_cut_reads_the_trace_of_each_right_multiplication(monkeypatch):
@@ -1372,19 +1362,18 @@ def test_fp_first_cut_reads_the_trace_of_each_right_multiplication(monkeypatch):
 
 
 def test_fp_budget_bounds_the_projective_points():
-    from leibnizalg.errors import BudgetExceeded
-    from leibnizalg.oracle import reduce_mod_p
+    from leibnizalg.oracle import nilradical_oracle, reduce_mod_p
 
     # example2(2, 1) mod 3 is solvable: its radical searches none of the 13
     # points of F_3^3
     Lp = reduce_mod_p(corpus.example2(2, 1).algebra, 3)
-    assert radical(Lp, 1).method == "nilradicals"
-    # the cut of L_3 + affine2 mod 3 removes affine2's x and stalls at dim 5:
-    # its 121 points are searched, not the 364 of F_3^6
-    L = direct_sum(stalled_cut_algebra(3), fp_direct_sum("affine2", p=3))
-    with pytest.raises(BudgetExceeded, match="dim 5 in F_3\\^6, has 121 projective points"):
-        nilradical(L, 120)
-    assert nilradical(L, 121).method == "principal-ideals"
+    assert radical(Lp).method == "nilradicals"
+    # the cut of L_3 + affine2 mod 3 removes one vector of affine2 and stalls
+    # at dim 5, and N is taken inside it with no point searched
+    L = stalled_cut_plus_affine2()
+    res = nilradical(L)
+    assert res.method == "right-mult-radical" and all(res.certificates.values())
+    assert res.subspace == nilradical_oracle(L)
 
 
 def test_verify_verdict_is_the_one_the_cli_reports(monkeypatch, capsys):
