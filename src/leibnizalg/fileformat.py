@@ -81,8 +81,8 @@ def _header(d: dict) -> tuple:
         raw = d["table"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"missing or malformed field: {e}") from None
-    if not _is_int(dim):
-        raise ParseError(f"dim must be an integer, got {dim!r}")
+    if not _is_int(dim) or dim < 0:
+        raise ParseError(f"dim must be a nonnegative integer, got {dim!r}")
     if dim > MAX_DIM:
         raise ParseError(f"dim {dim} is above the cap of {MAX_DIM}")
     if not (isinstance(basis, list) and all(isinstance(b, str) for b in basis)):

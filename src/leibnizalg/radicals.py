@@ -41,8 +41,8 @@ class CertifiedIdeal:
     """A radical or nilradical with the certificates that were checked on it."""
 
     subspace: Subspace
-    # "trace-form-char0" over Q; over F_p "trace-form" or "right-mult-radical"
-    # for the nilradical, and "nilradicals" for the radical
+    # "trace-form" or "right-mult-radical" for the nilradical over either
+    # field; "trace-form-char0" over Q and "nilradicals" over F_p for the radical
     method: str
     certificates: dict = field(default_factory=dict)
 
@@ -189,9 +189,10 @@ def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
 
 
 def _right_mult_algebra(L: LeibnizAlgebra) -> Subspace:
-    """Over F_p, the unital associative algebra A^1 that the R_{e_i} generate,
-    in F_p^(n^2), a matrix by its columns in turn: span(1) closed under
-    a -> R_{e_i} a (column m is [a e_m, e_i]), each round on what the last added."""
+    """The unital associative algebra A^1 that the R_{e_i} generate, over Q
+    or F_p, in F^(n^2), a matrix by its columns in turn: span(1) closed
+    under a -> R_{e_i} a (column m is [a e_m, e_i]), each round on what the
+    last added."""
     n, lin = L.dim, L.by_linearity
     lefts = [L.products(e, LEFT) for e in L.full_space().scaled_rows]
     new = [[int(k == m) for m in range(n) for k in range(n)]]
@@ -228,23 +229,25 @@ def _g(M, q: int, p: int) -> int:
 
 
 def _radical_cut(L: LeibnizAlgebra, C: Subspace) -> Subspace:
-    """Over F_p, { x in C : R_x in Rad(A) }, A the associative algebra of the
-    right multiplications, by Cohen, Ivanyos and Wales (1997, "Finding the
-    radical of an algebra of linear transformations", J. Pure Appl. Algebra
-    117/118): Rad(A) = Rad(A^1) (_right_mult_algebra) is I_l, the last l with
-    p^l <= n, of I_-1 = A^1, I_i = { a in I_(i-1) : g_i(a b) = 0 for all b in
-    A^1 }, with g_i(M) = (tr(M'^(p^i)) mod p^(i+1)) / p^i for the lift M' of
-    M to [0, p) (_g).  Each I_i is an ideal, and g_i is linear on I_(i-1).
-    So C is cut to { x : R_x in I_0 } by the functionals tr(R_x b)
-    (_traces), then to { x : R_x in I_i } by g_i(R_x b) on its scaled rows
-    x.  R_x b lies in I_(i-1), and its coordinates on A^1's monic RREF rows
-    are its entries at their pivot columns, so g_i is taken once per RREF
-    row of the span of the R_x b and read off on each by linearity."""
+    """{ x in C : R_x in Rad(A) }, A the associative algebra of the right
+    multiplications, over Q or F_p: Rad(A) = Rad(A^1) (_right_mult_algebra)
+    is I_l of I_-1 = A^1, I_i = { a in I_(i-1) : g_i(a b) = 0 for all b in
+    A^1 }.  Over Q, l = 0 and g_0 = tr (Dickson's criterion: each a in the
+    ideal I_0 has tr(a^k) = 0 for k >= 1, so it is nilpotent).  Over F_p
+    (Cohen, Ivanyos and Wales 1997, "Finding the radical of an algebra of
+    linear transformations", J. Pure Appl. Algebra 117/118) l is the last
+    with p^l <= n, and g_i(M) = (tr(M'^(p^i)) mod p^(i+1)) / p^i for the
+    lift M' of M to [0, p) (_g); g_i is linear on I_(i-1).  So C is cut to
+    { x : R_x in I_0 } by the functionals tr(R_x b) (_traces), then to
+    { x : R_x in I_i } by g_i(R_x b) on its scaled rows x.  R_x b lies in
+    I_(i-1), and its coordinates on A^1's monic RREF rows are its entries
+    at their pivot columns, so g_i is taken once per RREF row of the span
+    of the R_x b and read off on each by linearity."""
     F, n, p, lin = L.field, L.dim, L.field.modulus, L.by_linearity
     A = _right_mult_algebra(L)
     rows, cols, held = A.scaled_rows, range(0, n * n, n), {pc - pc % n for pc in A.pivots}
     X, q = _cut(C, [_traces(L, [b[m:m + n] for m in cols]) for b in rows]), p
-    while q <= n and X.dim:
+    while p is not None and q <= n and X.dim:
         lefts = [L.products(x, LEFT) for x in X.scaled_rows]
         # each R_x b's entries at A^1's pivot columns, from the columns holding them
         coords = [[col[pc - pc % n][pc % n] for pc in A.pivots]
@@ -305,24 +308,25 @@ def nilradical(L: LeibnizAlgebra) -> CertifiedIdeal:
     R_x(N^k) <= N^{k+1}: R_x, R_x R_y and R_x R_v^k map L into N and N^k
     into N^{k+1}.  They are nilpotent, so their traces vanish over any field.
 
-    Char 0: each cut removes v, so the dimension strictly decreases and the
-    loop terminates.  The first cut lies in the beta-orthogonal of L, so in
-    that of [L,L], which is the radical R.  The loop runs inside R, where
-    the nilradical is exactly the set of x whose right multiplication (on
-    all of L) is nilpotent, and ends at N; a cut that does not shrink raises.
-
-    Over F_p a cut can stall: on span(x, v_1..v_p) with [v_i, x] = v_i and
-    [x, v_i] = -v_i, R_x is the identity on span(v), every tr(R_x^k) is
-    p = 0, and x stays in C, while N = span(v).  When the loop ends, C is
-    N if it is an ideal whose lower central series reaches zero: a
-    nilpotent ideal lies in N, and N lies in C.  That is the method
-    "trace-form".  When a cut stalls or C fails either certificate, N is
-    { x in C : R_x in Rad(A) } for the associative algebra A that the right
-    multiplications generate (_radical_cut), the method "right-mult-radical".
-    In every characteristic N = J = { x : R_x in Rad(A) }: J is an ideal, as
+    One ending serves both fields.  When the loop ends, C is N if it is an
+    ideal whose lower central series reaches zero: a nilpotent ideal lies
+    in N, and N lies in C.  That is the method "trace-form".  When a cut
+    stalls or C fails either certificate, N is { x in C : R_x in Rad(A) }
+    for the associative algebra A that the right multiplications generate
+    (_radical_cut), the method "right-mult-radical".  In every
+    characteristic N = J = { x : R_x in Rad(A) }: J is an ideal, as
     R_[x,y] = R_y R_x - R_x R_y, and nilpotent, as J^(k+1) = R_J(J^k) lies
     in Rad(A)^k(L).  By the above, the ideal of A that R_N generates lowers
     the filtration L >= N >= N^2 >= ... by one step, so it lies in Rad(A).
+
+    Over Q no cut stalls: v lies in C, so tr(R_v) = 0, and were every
+    tr(R_x R_v^k) = tr(R_v^(k+1)) also 0 at x = v, R_v would be nilpotent
+    by Newton's identities.  The first cut lies in the beta-orthogonal of
+    [L,L], the radical R, inside which N is the set of x with nilpotent
+    R_x, so the loop ends at N.  Over F_p a cut can stall: on
+    span(x, v_1..v_p) with [v_i, x] = v_i and [x, v_i] = -v_i, R_x is the
+    identity on span(v), every tr(R_x^k) is p = 0, and x stays in C, while
+    N = span(v).
 
     Over either field every basis vector of N has nilpotent R_v, the
     certificate right_mult_nilpotent_per_basis_vector, after the
@@ -348,20 +352,14 @@ def nilradical(L: LeibnizAlgebra) -> CertifiedIdeal:
             break
         N = shrunk
     per_basis_vector = "right_mult_nilpotent_per_basis_vector"
-    if L.field.modulus is None:
-        if bad is not None:
-            raise InternalInconsistency(
-                "trace-form refinement failed to shrink the candidate nilradical")
-        method = "trace-form-char0"
-    else:
-        certs = _certificates(L, N, lower_central_series) if bad is None else {}
-        if certs and all(certs.values()):
-            return CertifiedIdeal(N, "trace-form", {**certs, per_basis_vector: True})
-        N, method = _radical_cut(L, N), "right-mult-radical"
-        if any(_stable_image(L, full, v).dim for v in N.scaled_rows):
-            raise InternalInconsistency(
-                "computed nilradical has a basis vector with non-nilpotent right multiplication")
-    res = _certify(L, N, method, lower_central_series)
+    certs = _certificates(L, N, lower_central_series) if bad is None else {}
+    if certs and all(certs.values()):
+        return CertifiedIdeal(N, "trace-form", {**certs, per_basis_vector: True})
+    N = _radical_cut(L, N)
+    if any(_stable_image(L, full, v).dim for v in N.scaled_rows):
+        raise InternalInconsistency(
+            "computed nilradical has a basis vector with non-nilpotent right multiplication")
+    res = _certify(L, N, "right-mult-radical", lower_central_series)
     res.certificates[per_basis_vector] = True
     return res
 

@@ -200,7 +200,7 @@ def test_criterion_10_nilradical_at_dim17():
     entry = corpus.example2(16, 8)
     res = nilradical(entry.algebra)
     ok = res.subspace == entry.expected["nilradical"]["value"]
-    ok &= res.method == "trace-form-char0" and all(res.certificates.values())
+    ok &= res.method == "trace-form" and all(res.certificates.values())
     elapsed = time.time() - t0
     report("10 nilradical-at-dim17", ok and elapsed < 10.0, elapsed)
 

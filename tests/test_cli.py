@@ -159,6 +159,11 @@ def test_corpus_list_and_emit(capsys, tmp_path):
     assert json.loads(target.read_text())["dim"] == 2
 
 
+def test_corpus_entry_on_stdout_is_its_file_text(capsys):
+    code, out = run_cli(capsys, "corpus", "example1")
+    assert code == 0 and out == dumps_algebra(corpus.example1().algebra)
+
+
 def test_json_and_text_verdicts_identical(capsys, ex1_file):
     code_j, out_j = run_cli(capsys, "--format", "json", "verify", ex1_file)
     code_t, out_t = run_cli(capsys, "verify", ex1_file)
@@ -257,18 +262,26 @@ def test_verify_text_prints_the_theorem2_witness_matrix_by_rows(capsys):
     ["info", {**GOOD, "table": [[0, 0, [0, 1, 1], [1, 1], [0, 1, 1]]]}],  # counts, in order
     ["info", {**GOOD, "field": "F\uff13"}],                    # was read as F3
     ["quotient", "--by", "\u0660,\u0660,\u0661", "heisenberg"],  # was read as (0, 0, 1)
+    ["info", {**GOOD, "dim": -1}],                             # was "basis has 2 labels"
+    ["info", {k: v for k, v in GOOD.items() if k != "table"}],  # no table
+    ["info", {**GOOD, "table": {"0": 1}}],                     # table not a list
+    ["info", [GOOD]],                                          # top level a list
+    ["quotient", "example1", "--by", "1,0,0"],                 # 3 components for dim 2
+    ["corpus", "nosuch"],                                      # unknown corpus name
 ], ids=["zero-den", "dim-not-int", "dim-float", "float-num", "entry-not-list", "bad-by-vector",
         "modulus-above-bound", "dim-above-cap", "int-labels", "string-basis", "directory",
         "not-utf8", "corpus-out-missing-dir", "budget-zero", "budget-negative",
         "duplicate-component", "deeply-nested-json", "empty-b", "empty-by", "big-int-literal",
         "exponent-component", "bool-component", "negative-k", "k-at-dim", "i-at-dim",
         "negative-j", "duplicate-entry", "den-zero-mod-p", "bad-den-before-bad-k",
-        "short-component-after-good", "non-ascii-field", "non-ascii-component"])
+        "short-component-after-good", "non-ascii-field", "non-ascii-component",
+        "negative-dim", "missing-key", "table-not-list", "top-level-list", "by-wrong-length",
+        "unknown-corpus-name"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, request, args):
-    # a dict or bytes argument is written to a file first; "{tmp}" is tmp_path.
+    # a dict, list or bytes argument is written to a file first; "{tmp}" is tmp_path.
     # Each is refused before any work that grows with the input's numbers
     def as_arg(a):
-        if isinstance(a, (dict, bytes)):
+        if isinstance(a, (dict, list, bytes)):
             path = tmp_path / "bad.json"
             path.write_bytes(a if isinstance(a, bytes) else json.dumps(a).encode())
             return str(path)
@@ -286,9 +299,16 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, request, args):
 
 
 # The loader's words for each check on a table entry, which every row of
-# the test above that reaches that check must print exactly, and those of
-# the field and vector component checks for digits outside ASCII
+# the test above that reaches that check must print exactly, those of the
+# field and vector component checks for digits outside ASCII, and those of
+# the header, vector length and corpus name checks
 LOADER_MESSAGES = {
+    "negative-dim": "dim must be a nonnegative integer, got -1",
+    "missing-key": "missing or malformed field: 'table'",
+    "table-not-list": "table must be a list, got {'0': 1}",
+    "top-level-list": "top level must be an object",
+    "by-wrong-length": "vector '1,0,0' has 3 components, need 2",
+    "unknown-corpus-name": "unknown corpus name 'nosuch'",
     "non-ascii-field": "bad field 'F\uff13': expected 'Q' or 'F<p>'",
     "non-ascii-component": "bad component '\u0660' in vector '\u0660,\u0660,\u0661'",
     "zero-den": "denominator 0 is not invertible over Q: component [1, 1, 0] of table "

@@ -199,7 +199,46 @@ def test_nilradical_refinement_cuts_what_trace_forms_miss(lie):
     L = four_cycle(lie)
     res = nilradical(L)
     assert res.subspace == span_of(L, *[L.basis_vector(i) for i in range(4)])
-    assert res.method == "trace-form-char0" and all(res.certificates.values())
+    assert res.method == "trace-form" and all(res.certificates.values())
+
+
+def test_q_nilradical_falls_back_to_the_right_mult_radical(monkeypatch):
+    # were the certificates of the final cut to fail, N is taken inside it
+    # as { x : R_x in Rad(A) }, which over Q is its first level alone
+    from leibnizalg import radicals
+
+    L = four_cycle(True)
+    N = nilradical(L).subspace
+    failed, real = [], radicals._certificates
+
+    def fail_once(*args):
+        if failed:
+            return real(*args)
+        failed.append(True)
+        return {"is_ideal": False}
+
+    monkeypatch.setattr(radicals, "_certificates", fail_once)
+    res = nilradical(L)
+    assert failed and res.subspace == N
+    assert res.method == "right-mult-radical" and all(res.certificates.values())
+
+
+@pytest.mark.parametrize("lie", [False, True])
+def test_nilradical_refinement_decides_a_dense_sum_with_simple_summands(monkeypatch, lie):
+    # the first cut of C4 + example1 + 3 sl2 in a dense basis keeps a vector
+    # whose R_v is not nilpotent, and the refinement cuts it down to N; the
+    # radical of the right multiplications takes over ten times as long here
+    from leibnizalg import radicals
+
+    L = direct_sum(four_cycle(lie), corpus.example1().algebra)
+    for _ in range(3):
+        L = direct_sum(L, corpus.sl2().algebra)
+    L = dense_basis(L, random.Random(0))
+    cuts = []
+    monkeypatch.setattr(radicals, "_cut", counting(cuts, radicals._cut))
+    res = nilradical(L)
+    assert len(cuts) > 1 and res.subspace.dim == 5
+    assert res.method == "trace-form" and all(res.certificates.values())
 
 
 def _nilradical_reference(L):
@@ -260,6 +299,16 @@ def test_nilradical_equals_the_radical_first_reference_without_the_radical(monke
     for name, L, expect in cases:
         res = nilradical(L)
         assert res.subspace == expect and all(res.certificates.values()), name
+
+
+def test_q_radical_cut_from_the_whole_space_is_the_nilradical():
+    # over Q, Rad(A) = { a in A : tr(a b) = 0 for all b in A } (Dickson), so
+    # the first level of the right-multiplication radical, taken in all of
+    # L, is N(L)
+    from leibnizalg import radicals
+
+    for name, L in nilradical_reference_cases():
+        assert radicals._radical_cut(L, L.full_space()) == nilradical(L).subspace, name
 
 
 def _radical_reference(L):
@@ -897,6 +946,23 @@ def test_lemma1_example1_premise_fails_over_fp():
     Lp = reduce_mod_p(corpus.example1().algebra, 3)
     rep = verify(Lp)["lemma1"]
     assert not rep.applicable and rep.passed
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lemma1_premise_fails_on_the_frattini_ideal(p):
+    # example1 + nilcyclic2 mod p, basis e1..e4: I = span(e2, e4) has no
+    # complement subalgebra, so phi(L) = span(e4) is computed, and I is not
+    # inside it
+    from leibnizalg.oracle import frattini_oracle
+
+    L = fp_direct_sum("example1", "nilcyclic2", p=p)
+    report = verify(L)
+    rep = report["lemma1"]
+    assert "complement" not in rep.details
+    assert not rep.applicable and rep.passed
+    assert rep.details["frattini"] == frattini_oracle(L)
+    assert not rep.details["kernel"] <= rep.details["frattini"]
+    assert report["verdict"] == "pass"
 
 
 # ---------------------------------------------------------------- prop 3 / corollary
