@@ -45,7 +45,6 @@ from .exactlin import (
 )
 from .radicals import (
     CertifiedIdeal,
-    Theorem2Report,
     find_complement_B,
     frattini_ideal,
     nilradical,

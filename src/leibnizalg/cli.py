@@ -69,8 +69,6 @@ def _render_text(obj, indent=0):
                 lines.extend(item)
             else:
                 lines.append(f"{pad}- {v}")
-    else:
-        lines.append(f"{pad}{obj}")
     return lines
 
 

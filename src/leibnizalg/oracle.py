@@ -42,6 +42,7 @@ from .core import (
 )
 from .errors import BudgetExceeded, TheoremViolation, UnsupportedField
 from .exactlin import Field, Subspace, subspace_count
+from .reports import RowsInJson
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -112,8 +113,6 @@ class LatticeScan:
     maximal_subalgebras: tuple = ()
 
     def to_dict(self) -> dict:
-        from .reports import RowsInJson
-
         return {
             "field": str(self.algebra.field),
             "dim": self.algebra.dim,

@@ -47,23 +47,6 @@ class CertifiedIdeal:
     certificates: dict = field(default_factory=dict)
 
 
-@dataclass
-class Theorem2Report:
-    premises_ok: dict
-    lhs: Subspace                    # N(L/I), in quotient coordinates
-    rhs: Subspace                    # (I + N(B))/I, in quotient coordinates
-    formula_equal: bool
-    nilpotency_condition: bool       # R_n|_I nilpotent for all n in N(B)
-    kernel_quotient_equal: bool      # N(L/I) == N(L)/I
-    details: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        """The formula holds, and the condition holds iff N(L/I) = N(L)/I."""
-        return self.formula_equal and self.nilpotency_condition == self.kernel_quotient_equal
-
-
 def radical(L: LeibnizAlgebra) -> CertifiedIdeal:
     """Largest solvable ideal.
 
@@ -174,15 +157,16 @@ def _cut(C: Subspace, functionals) -> Subspace:
     return C.where_zero([[sum(map(mul, f, r)) for f in functionals] for r in C.scaled_rows])
 
 
-def _stable_image(L: LeibnizAlgebra, V: Subspace, x) -> Subspace:
-    """The stable image of R_x on V: the last term of V, [V, x], [[V, x], x],
-    ..., which stops once a term keeps its dimension.  V must be R_x-invariant,
-    so each term lies in the one before; the result is zero exactly when R_x
-    is nilpotent on V."""
-    left, lin = L.products(x, LEFT), L.by_linearity
+def _stable_image(L: LeibnizAlgebra, V: Subspace, *xs) -> Subspace:
+    """The stable image of the right multiplications by xs on V: the last
+    term of V, [V, X], [[V, X], X], ..., X = span(xs), which stops once a
+    term keeps its dimension.  V must be invariant under each R_x, so each
+    term lies in the one before.  For one x the result is zero exactly when
+    R_x is nilpotent on V."""
+    lefts, lin = [L.products(x, LEFT) for x in xs], L.by_linearity
     while True:
         # [v, x] = sum_i v_i [e_i, x], from the left products of x
-        W = Subspace.span(L.field, L.dim, [lin(v, left) for v in V.scaled_rows])
+        W = Subspace.span(L.field, L.dim, [lin(v, left) for left in lefts for v in V.scaled_rows])
         if W.dim == V.dim:
             return V
         V = W
@@ -540,31 +524,30 @@ def _theorem2_failure(L: LeibnizAlgebra, I: Subspace, B: Subspace, budget: int):
 
 
 def verify_theorem2(L: LeibnizAlgebra, qp: QuotientPresentation, N_of,
-                    B: Subspace) -> Theorem2Report:
+                    B: Subspace) -> VerificationReport:
     """Check N(L/I) = (I + N(B))/I, and that it equals N(L)/I exactly when
     every n in N(B) has nilpotent right multiplication on I.
     qp is the quotient by I, N_of maps an algebra to its nilradical
-    (verify's table), and B meets theorem 2's premises (_theorem2_failure).
+    (verify's table), and B meets theorem 2's premises (_theorem2_failure),
+    so the report is applicable.  It passes when the formula holds and the
+    condition holds iff N(L/I) = N(L)/I.  Its details name I, B, N(L),
+    N(B) in L's coordinates, both sides (lhs = N(L/I), rhs = (I + N(B))/I,
+    in quotient coordinates) and the three verdicts; its witnesses are the
+    condition's (_right_action_on_kernel_nilpotent).
     """
     I, NQ, NL = qp.ideal, N_of(qp.quotient), N_of(L)
     NB_in_L = embed_subspace(B, N_of(restrict(L, B)))
     rhs = qp.project_subspace(I + NB_in_L)
-    condition, condition_witnesses = _right_action_on_kernel_nilpotent(L, I, NB_in_L)
-    details = {
-        "kernel": I,
-        "N_of_L": NL,
-        "N_of_B_in_L": NB_in_L,
-    }
-    return Theorem2Report(
-        premises_ok={"B_is_subalgebra": True, "I_plus_B_is_L": True,
-                     "I_cap_B_in_frattini_of_B": True},
-        lhs=NQ,
-        rhs=rhs,
-        formula_equal=NQ == rhs,
-        nilpotency_condition=condition,
-        kernel_quotient_equal=NQ == qp.project_subspace(NL),
-        details=details,
-        witnesses=condition_witnesses,
+    condition, witnesses = _right_action_on_kernel_nilpotent(L, I, NB_in_L)
+    formula_equal, quotients_equal = NQ == rhs, NQ == qp.project_subspace(NL)
+    return VerificationReport(
+        name="nilradical-of-quotient-from-B",
+        passed=formula_equal and condition == quotients_equal,
+        details={"kernel": I, "B": B, "N_of_L": NL, "N_of_B_in_L": NB_in_L,
+                 "lhs": NQ, "rhs": rhs, "formula_equal": formula_equal,
+                 "nilpotency_condition": condition,
+                 "kernel_quotient_equal": quotients_equal},
+        witnesses=witnesses,
     )
 
 
@@ -572,7 +555,8 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
     """Is R_n|_I nilpotent for every n in N(B)?
 
     I is an ideal, so R_n maps I into I, and the terms I_0 = I,
-    I_{k+1} = [I_k, N(B)] decrease.  If I_k = 0, every product of k of the
+    I_{k+1} = [I_k, N(B)] decrease to a stable term V (_stable_image over
+    the basis of N(B)).  If I_k = 0, every product of k of the
     R_n vanishes on I, so each R_n|_I is nilpotent.  Conversely
     R_[a,b] = R_b R_a - R_a R_b, so the R_n|_I form a Lie algebra of
     operators; when each of them is nilpotent, the associative algebra they
@@ -586,12 +570,7 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
     products of the rows as restrict reads them; when there is none, the
     witness is the stalled term V != 0, with [V, N(B)] = V.
     """
-    V = I
-    while V.dim:
-        W = bracket_span(L, V, NB_in_L)
-        if W.dim == V.dim:
-            break
-        V = W
+    V = _stable_image(L, I, *NB_in_L.scaled_rows)
     if not V.dim:
         return True, []
     F, d = L.field, L.scaled_table()[0]
@@ -693,8 +672,8 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
     given here is checked against theorem 2's premises first.  A step whose
     premise fails or that cannot be computed is reported as
     {"skipped": message}, and so are proposition 3 and the corollary over
-    F_p; the others as their reports.  The verdict is "fail" when a check
-    that ran did not pass, else "pass".
+    F_p; every step that ran as its VerificationReport.  The verdict is
+    "fail" when a check that ran did not pass, else "pass".
     """
     N_of = cache(lambda M: nilradical(M).subspace)
     qp = quotient(L, leibniz_kernel(L))

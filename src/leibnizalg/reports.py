@@ -31,7 +31,8 @@ class RowsInJson:
 
 def _jsonable(x, vector=None):
     """JSON-ready copy of a payload.  A dataclass instance becomes its fields in
-    declaration order, so a property (such as Theorem2Report.passed) stays out.
+    declaration order (a VerificationReport: name, passed, applicable,
+    details, witnesses); a property would stay out.
     With `vector` (the text rendering), each vector, that is a tuple of
     scalars, and each row of a subspace becomes vector(row); a matrix is a
     tuple of such rows."""

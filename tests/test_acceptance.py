@@ -26,13 +26,13 @@ from leibnizalg.errors import InternalInconsistency
 from leibnizalg.exactlin import QQ, Subspace
 from leibnizalg.oracle import nilradical_oracle, reduce_mod_p, scan
 from leibnizalg.radicals import (
-    Theorem2Report,
     find_complement_B,
     frattini_ideal,
     nilradical,
     radical,
     verify,
 )
+from leibnizalg.reports import VerificationReport
 
 
 def report(criterion, ok, elapsed=None):
@@ -83,18 +83,18 @@ def test_criterion_3_theorem2_formula():
     L1 = corpus.example1().algebra
     B1 = Subspace.span(QQ, 2, [(Fraction(1), Fraction(-1))])
     rep1 = verify(L1, B1)["theorem2"]
-    ok &= rep1.formula_equal
+    ok &= rep1.details["formula_equal"]
     L2 = corpus.example2(2, 1).algebra
     B2 = Subspace.span(QQ, 3, [L2.basis_vector(0), L2.basis_vector(2)])
     rep2 = verify(L2, B2)["theorem2"]
-    ok &= rep2.formula_equal
+    ok &= rep2.details["formula_equal"]
     for e in char0_entries():
         B = find_complement_B(e.algebra)
         if B is None:
             continue
         rep = verify(e.algebra, B)["theorem2"]
-        ok &= rep.formula_equal
-        ok &= rep.nilpotency_condition == rep.kernel_quotient_equal
+        ok &= rep.details["formula_equal"]
+        ok &= rep.details["nilpotency_condition"] == rep.details["kernel_quotient_equal"]
     elapsed = time.time() - t0
     report("3 theorem2-formula", ok and elapsed < 10.0, elapsed)
 
@@ -260,7 +260,7 @@ def test_criterion_13_verify_runs_theorem2_off_the_standard_complement():
         t0 = time.time()
         rep = verify(L)
         elapsed = time.time() - t0
-        ok = isinstance(rep["theorem2"], Theorem2Report) and rep["verdict"] == "pass"
+        ok = isinstance(rep["theorem2"], VerificationReport) and rep["verdict"] == "pass"
         report(f"13 verify-runs-theorem2 {name}", ok and elapsed < 5.0, elapsed)
 
 
@@ -272,7 +272,7 @@ def test_criterion_14_verify_sparse_dim64():
     rep = verify(L)
     elapsed = time.time() - t0
     t2 = rep["theorem2"]
-    ok = rep["verdict"] == "pass" and isinstance(t2, Theorem2Report) and t2.passed
+    ok = rep["verdict"] == "pass" and isinstance(t2, VerificationReport) and t2.passed
     ok &= (t2.details["kernel"].dim, rep["lemma1"].details["complement"].dim) == (32, 32)
     report("14 verify-sparse-dim64", ok and elapsed < 10.0, elapsed)
 

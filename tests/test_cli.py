@@ -56,8 +56,9 @@ def test_verify_example1_reproduces_counterexample(capsys, ex1_file):
     code, out = run_cli(capsys, "--format", "json", "verify", ex1_file)
     assert code == 0
     rep = json.loads(out)
-    assert rep["theorem2"]["formula_equal"] is True
-    assert rep["theorem2"]["kernel_quotient_equal"] is False
+    assert rep["theorem2"]["passed"] is True
+    assert rep["theorem2"]["details"]["formula_equal"] is True
+    assert rep["theorem2"]["details"]["kernel_quotient_equal"] is False
     assert rep["verdict"] == "pass"
 
 
@@ -170,8 +171,10 @@ def test_json_and_text_verdicts_identical(capsys, ex1_file):
     assert code_j == code_t == 0
     rep = json.loads(out_j)
     assert f"verdict: {rep['verdict']}" in out_t
-    assert f"formula_equal: {rep['theorem2']['formula_equal']}" in out_t
-    assert f"kernel_quotient_equal: {rep['theorem2']['kernel_quotient_equal']}" in out_t
+    t2 = rep["theorem2"]
+    assert f"passed: {t2['passed']}" in out_t
+    assert f"formula_equal: {t2['details']['formula_equal']}" in out_t
+    assert f"kernel_quotient_equal: {t2['details']['kernel_quotient_equal']}" in out_t
     # subspace bases agree between formats
     assert "span{(0, 1)}" in out_t  # the kernel, as exact fractions
     assert rep["theorem2"]["details"]["kernel"]["basis"] == [[[0, 1], [1, 1]]]
