@@ -274,78 +274,60 @@ def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series, terms=None) ->
 def nilradical(L: LeibnizAlgebra) -> CertifiedIdeal:
     """Largest nilpotent ideal.
 
-    Over Q and F_p, N(L) is carved out of L with the trace form
-    beta(x, y) = tr(R_x R_y) of radical() and its refinements: start from
-        C = { x in L : tr(R_x) = 0 and beta(x, y) = 0 for all basis y of L },
-    then, while some canonical basis vector v of C has non-nilpotent R_v, cut
-    C with the linear conditions tr(R_x R_v^k) = 0 (k = 1..dim L) and repeat.
-    The functionals x -> beta(x, y) are the columns of the Gram matrix G of
-    beta (_gram); tr(R_x) and every tr(R_x R_v^k) are read off the scaled
-    table (_traces), with R_v^k e_m formed by repeated products, and R_v is
-    nilpotent exactly when the image chain L, [L, v], [[L, v], v], ...
-    reaches zero (_stable_image).
+    Over Q and F_p, N(L) is found in two steps with the trace form
+    beta(x, y) = tr(R_x R_y) of radical().  The first is the cut
+        C = { x in L : tr(R_x) = 0 and beta(x, y) = 0 for all basis y of L }:
+    the functionals x -> beta(x, y) are the columns of the Gram matrix G of
+    beta (_gram), and tr(R_x) is read off the scaled table (_traces).
 
-    N lies in C and in every refinement, in every characteristic.  The terms
-    N^k of N's lower central series are right ideals of L: from
+    N lies in C, in every characteristic.  The terms N^k of N's lower
+    central series are right ideals of L: from
     [[a, b], c] = [a, [b, c]] + [[a, c], b], [N^{k+1}, L] <= N^{k+1} by
     induction.  So for x in N, R_y(N^k) <= N^k, R_x(L) <= N and
-    R_x(N^k) <= N^{k+1}: R_x, R_x R_y and R_x R_v^k map L into N and N^k
-    into N^{k+1}.  They are nilpotent, so their traces vanish over any field.
+    R_x(N^k) <= N^{k+1}: R_x and R_x R_y map L into N and N^k into N^{k+1}.
+    They are nilpotent, so their traces vanish over any field.
 
-    One ending serves both fields.  When the loop ends, C is N if it is an
-    ideal whose lower central series reaches zero: a nilpotent ideal lies
-    in N, and N lies in C.  That is the method "trace-form".  When a cut
-    stalls or C fails either certificate, N is { x in C : R_x in Rad(A) }
-    for the associative algebra A that the right multiplications generate
-    (_radical_cut), the method "right-mult-radical".  In every
-    characteristic N = J = { x : R_x in Rad(A) }: J is an ideal, as
+    C is an ideal, in every characteristic.  For the kernel I of L,
+    [L, I] = 0 (as in radical()), so R_i = 0 for i in I, and
+    [z, x] + [x, z] lies in I, so R_[z,x] = -R_[x,z].  From
+    R_[y,z] = R_z R_y - R_y R_z and the cyclic invariance of the trace,
+        tr(R_[x,z] R_y) = tr(R_x R_y R_z - R_x R_z R_y) = tr(R_x R_[z,y]),
+    so beta([x, z], y) = beta(x, [z, y]) = -beta([z, x], y): the kernel of
+    beta is an ideal.  tr vanishes on every R_[y,z], a commutator, so on
+    [L, L], which holds [L, C] and [C, L].  So only nilpotency decides
+    whether C is N: when C is an ideal whose lower central series reaches
+    zero, C is N, as a nilpotent ideal lies in N.  That is the method
+    "trace-form".
+
+    The first cut can keep vectors outside N: on the 4-cycle algebra, where
+    x acts on Q^4 by a cyclic permutation, tr(R_x) = tr(R_x^2) = 0; on
+    span(x, v_1..v_p) over F_p with [v_i, x] = v_i and [x, v_i] = -v_i,
+    R_x is the identity on span(v) and every tr(R_x^k) is p = 0.  Then the
+    second step takes N = { x in C : R_x in Rad(A) } for the associative
+    algebra A that the right multiplications generate (_radical_cut), the
+    method "right-mult-radical".  In every characteristic
+    N = J = { x : R_x in Rad(A) }: J is an ideal, as
     R_[x,y] = R_y R_x - R_x R_y, and nilpotent, as J^(k+1) = R_J(J^k) lies
     in Rad(A)^k(L).  By the above, the ideal of A that R_N generates lowers
     the filtration L >= N >= N^2 >= ... by one step, so it lies in Rad(A).
 
-    Over Q no cut stalls: v lies in C, so tr(R_v) = 0, and were every
-    tr(R_x R_v^k) = tr(R_v^(k+1)) also 0 at x = v, R_v would be nilpotent
-    by Newton's identities.  The first cut lies in the beta-orthogonal of
-    [L,L], the radical R, inside which N is the set of x with nilpotent
-    R_x, so the loop ends at N.  Over F_p a cut can stall: on
-    span(x, v_1..v_p) with [v_i, x] = v_i and [x, v_i] = -v_i, R_x is the
-    identity on span(v), every tr(R_x^k) is p = 0, and x stays in C, while
-    N = span(v).
-
-    Over either field every basis vector of N has nilpotent R_v, the
-    certificate right_mult_nilpotent_per_basis_vector, after the
-    certificates that N is an ideal and that its lower central series
-    reaches zero.
+    Either way every basis vector of N has nilpotent R_v, the certificate
+    right_mult_nilpotent_per_basis_vector, checked after the certificates
+    that N is an ideal and that its lower central series reaches zero;
+    R_v is nilpotent exactly when the image chain L, [L, v], [[L, v], v], ...
+    reaches zero (_stable_image).
     """
     full = L.full_space()
-    units = full.scaled_rows
     # tr(R_x), and tr(R_x R_y) for the basis y of L: the columns of G
-    N = _cut(full, [_traces(L, units), *zip(*_gram(L))])
-    while True:
-        bad = next((v for v in N.scaled_rows if _stable_image(L, full, v).dim), None)
-        if bad is None:
-            break
-        # tr(R_x R_v^k) for k = 1..dim L, with R_v^k e_m by repeated products,
-        # each by linearity from the left products of v
-        cols, functionals, left = units, [], L.products(bad, LEFT)
-        for _ in range(L.dim):
-            cols = [L.by_linearity(c, left) for c in cols]
-            functionals.append(_traces(L, cols))
-        shrunk = _cut(N, functionals)
-        if shrunk.dim == N.dim:
-            break
-        N = shrunk
-    per_basis_vector = "right_mult_nilpotent_per_basis_vector"
-    certs = _certificates(L, N, lower_central_series) if bad is None else {}
-    if certs and all(certs.values()):
-        return CertifiedIdeal(N, "trace-form", {**certs, per_basis_vector: True})
-    N = _radical_cut(L, N)
+    N, method = _cut(full, [_traces(L, full.scaled_rows), *zip(*_gram(L))]), "trace-form"
+    certs = _certificates(L, N, lower_central_series)
+    if not all(certs.values()):
+        N, method = _radical_cut(L, N), "right-mult-radical"
+        certs = _certify(L, N, method, lower_central_series).certificates
     if any(_stable_image(L, full, v).dim for v in N.scaled_rows):
         raise InternalInconsistency(
             "computed nilradical has a basis vector with non-nilpotent right multiplication")
-    res = _certify(L, N, "right-mult-radical", lower_central_series)
-    res.certificates[per_basis_vector] = True
-    return res
+    return CertifiedIdeal(N, method, {**certs, "right_mult_nilpotent_per_basis_vector": True})
 
 
 def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET,

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import leibnizalg
-from leibnizalg import cli, corpus
+from leibnizalg import cli, corpus, direct_sum
 from leibnizalg.fileformat import MAX_DIM, dumps_algebra
 
 
@@ -112,6 +112,33 @@ def test_find_b_example1(capsys):
     rep = json.loads(out)
     assert rep["found"] is True
     assert rep["B"]["basis"] == [[[1, 1], [-1, 1]]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_q_find_b_and_verify_when_there_is_no_b(capsys, tmp_path, fmt):
+    # nilcyclic2 + sl2 over Q: I = span(x2) has no complement, and L/I is not
+    # nilpotent, so no B qualifies; L is not nilpotent, so phi(L) is not
+    # computable over Q either
+    path = tmp_path / "nilcyclic2+sl2.json"
+    path.write_text(dumps_algebra(direct_sum(corpus.build("nilcyclic2").algebra,
+                                             corpus.build("sl2").algebra)))
+    note = ("no complement subalgebra of the kernel I exists, nor a nilpotent "
+            "subalgebra B with L = I + B and I cap B inside [B,B]")
+    lemma1, theorem2 = "Frattini ideal of L not computable", "no complement subalgebra B found"
+    code, found = run_cli(capsys, "--format", fmt, "find-b", str(path))
+    assert code == 0
+    code_verify, verified = run_cli(capsys, "--format", fmt, "verify", str(path))
+    assert code_verify == 0
+    if fmt == "json":
+        assert json.loads(found) == {"found": False, "B": None, "note": note}
+        rep = json.loads(verified)
+        assert rep["lemma1"] == {"skipped": lemma1} and rep["theorem2"] == {"skipped": theorem2}
+        assert rep["verdict"] == "pass"
+    else:
+        assert found == f"found: False\nB: None\nnote: {note}\n"
+        assert verified.startswith(f"lemma1:\n  skipped: {lemma1}\n"
+                                   f"theorem2:\n  skipped: {theorem2}\n")
+        assert verified.endswith("verdict: pass\n")
 
 
 def test_oracle_scan(capsys, tmp_path):

@@ -31,7 +31,13 @@ from leibnizalg.core import (
     quotient,
     restrict,
 )
-from leibnizalg.errors import AmbientMismatch, FieldMismatch, NotAnIdeal, NotASubalgebra
+from leibnizalg.errors import (
+    AmbientMismatch,
+    FieldMismatch,
+    InternalInconsistency,
+    NotAnIdeal,
+    NotASubalgebra,
+)
 from leibnizalg.exactlin import QQ, Field, Subspace, unit_vec, zero_vec
 from leibnizalg.fileformat import dumps_algebra, loads_algebra
 from leibnizalg.oracle import reduce_mod_p
@@ -800,6 +806,30 @@ def test_restrict_and_series_check_the_ambient_of_a_zero_subspace():
             f(L, Subspace.zero(QQ, L.dim + 1))
         with pytest.raises(FieldMismatch):
             f(L, Subspace.zero(Field(3), L.dim))
+
+
+def test_tables_vectors_and_operands_of_the_wrong_shape_or_field_are_rejected():
+    L = ex1()
+    with pytest.raises(ValueError, match="dim x dim"):
+        LeibnizAlgebra(QQ, 2, [[(0, 0)]])
+    with pytest.raises(ValueError, match="one label per basis vector"):
+        LeibnizAlgebra.from_products(QQ, 2, {}, ["a"])
+    with pytest.raises(AmbientMismatch):
+        L.bracket((1, 0, 0), (1, 0))
+    with pytest.raises(FieldMismatch):
+        direct_sum(L, reduce_mod_p(L, 3))
+    with pytest.raises(AmbientMismatch):
+        embed_subspace(L.full_space(), Subspace.zero(QQ, 3))
+
+
+def test_leibniz_kernel_of_a_table_breaking_the_identity_is_no_ideal():
+    # [e1, e3] = -e2, [e3, e1] = -e1, [e3, e3] = -e3: the squares span
+    # span(e3, e1 + e2), and [e1, e3] = -e2 lies outside it
+    L = LeibnizAlgebra.from_products(QQ, 3, {(0, 2): {1: -1}, (2, 0): {0: -1},
+                                             (2, 2): {2: -1}})
+    assert not check_leibniz(L).passed
+    with pytest.raises(InternalInconsistency, match="span of squares is not an ideal"):
+        leibniz_kernel(L)
 
 
 def test_embed_roundtrip():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matrices
-from leibnizalg.errors import AmbientMismatch
+from leibnizalg.errors import AmbientMismatch, FieldMismatch
 from leibnizalg.exactlin import (
     PRIME_BOUND,
     QQ,
@@ -120,6 +120,12 @@ def test_ambient_mismatch_raises():
         a.sum(b)
     with pytest.raises(AmbientMismatch):
         a.contains((QQ.zero,) * 3)
+    with pytest.raises(AmbientMismatch):
+        a.scaled_residual((1, 2, 3))
+    with pytest.raises(AmbientMismatch):
+        a.where_zero([(1,)])
+    with pytest.raises(FieldMismatch):
+        a.sum(Subspace.full(F5, 2))
 
 
 def test_complement_of_axis():

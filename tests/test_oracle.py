@@ -63,6 +63,16 @@ def test_oracle_rejects_rational_algebras():
         nilradical_oracle(corpus.example1().algebra)
 
 
+def test_reduce_mod_p_takes_rational_tables_that_stay_leibniz():
+    with pytest.raises(UnsupportedField):
+        reduce_mod_p(reduce_mod_p(corpus.example1().algebra, 3), 3)
+    # [e1, e3] = -e2, [e3, e1] = -e1, [e3, e3] = -e3 breaks the identity over
+    # Q, and mod 2, 3 and 5 alike
+    L = LeibnizAlgebra.from_products(QQ, 3, {(0, 2): {1: -1}, (2, 0): {0: -1},
+                                             (2, 2): {2: -1}})
+    assert [reduce_mod_p(L, p) for p in (2, 3, 5)] == [None] * 3
+
+
 def _subalgebras_by_span(Lp):
     """Every subalgebra, in enumeration order, tested by the product span."""
     return [S for S in enumerate_subspaces(Lp.dim, Lp.field.modulus)
@@ -204,7 +214,7 @@ def test_oracle_agrees_with_fp_algorithm_path():
     assert len(cases) == 32
     for name, p, Lp in cases:
         N, R = nilradical(Lp), radical(Lp)
-        # the trace-form cut of example2(3, 1) mod 2 stalls: tr(R_y^k) = 2 = 0
+        # the trace-form cut of example2(3, 1) mod 2 keeps y: tr(R_y^k) = 2 = 0
         stalled = (name, p) == ("example2(n=3,r=1)", 2)
         assert N.method == ("right-mult-radical" if stalled else "trace-form"), (name, p)
         assert R.method == "nilradicals", (name, p)

@@ -192,17 +192,17 @@ def hemisemidirect():
 
 @pytest.mark.parametrize("lie", [False, True])
 def test_nilradical_refinement_cuts_what_trace_forms_miss(lie):
-    # tr(A) = tr(A^2) = 0 although A is invertible, so the base trace-form
-    # cut keeps x; only tr(R_u R_x^3) = tr(A^4) = 4 removes it.  The
-    # nilradical is V.
+    # tr(A) = tr(A^2) = 0 although A is invertible, so the trace-form cut
+    # keeps x; the radical of the right multiplications, inside the cut,
+    # removes it.  The nilradical is V.
     L = four_cycle(lie)
     res = nilradical(L)
     assert res.subspace == span_of(L, *[L.basis_vector(i) for i in range(4)])
-    assert res.method == "trace-form" and all(res.certificates.values())
+    assert res.method == "right-mult-radical" and all(res.certificates.values())
 
 
 def test_q_nilradical_falls_back_to_the_right_mult_radical(monkeypatch):
-    # were the certificates of the final cut to fail, N is taken inside it
+    # were the certificates of the trace-form cut to fail, N is taken inside it
     # as { x : R_x in Rad(A) }, which over Q is its first level alone
     from leibnizalg import radicals
 
@@ -224,20 +224,66 @@ def test_q_nilradical_falls_back_to_the_right_mult_radical(monkeypatch):
 
 @pytest.mark.parametrize("lie", [False, True])
 def test_nilradical_refinement_decides_a_dense_sum_with_simple_summands(monkeypatch, lie):
-    # the first cut of C4 + example1 + 3 sl2 in a dense basis keeps a vector
-    # whose R_v is not nilpotent, and the refinement cuts it down to N; the
-    # radical of the right multiplications takes over ten times as long here
+    # the cut of C4 + example1 + 3 sl2 in a dense basis keeps a vector whose
+    # R_v is not nilpotent, and the radical of the right multiplications,
+    # taken once, cuts it down to N
     from leibnizalg import radicals
 
     L = direct_sum(four_cycle(lie), corpus.example1().algebra)
     for _ in range(3):
         L = direct_sum(L, corpus.sl2().algebra)
     L = dense_basis(L, random.Random(0))
-    cuts = []
-    monkeypatch.setattr(radicals, "_cut", counting(cuts, radicals._cut))
+    calls = []
+    monkeypatch.setattr(radicals, "_radical_cut", counting(calls, radicals._radical_cut))
     res = nilradical(L)
-    assert len(cuts) > 1 and res.subspace.dim == 5
-    assert res.method == "trace-form" and all(res.certificates.values())
+    assert calls == ["_radical_cut"] and res.subspace.dim == 5
+    assert res.method == "right-mult-radical" and all(res.certificates.values())
+
+
+def test_radical_cut_runs_on_the_four_cycles_and_on_no_corpus_entry(monkeypatch):
+    # the trace-form cut is N on every Q corpus entry, in its own basis and
+    # in three dense ones, and on the hemisemidirect cases; on both 4-cycles
+    # it keeps x, and the radical of the right multiplications is taken once
+    from leibnizalg import radicals
+
+    calls = []
+    monkeypatch.setattr(radicals, "_radical_cut", counting(calls, radicals._radical_cut))
+    for name, L in nilradical_reference_cases():
+        calls.clear()
+        res = nilradical(L)
+        expect = ["_radical_cut"] if name.startswith("4-cycle") else []
+        assert calls == expect and all(res.certificates.values()), name
+        assert res.method == ("right-mult-radical" if expect else "trace-form"), name
+
+
+def test_first_nilradical_cut_is_an_ideal(monkeypatch):
+    # tr(R_[x,z] R_y) = tr(R_x R_[z,y]), R_[z,x] = -R_[x,z], and tr vanishes
+    # on [L, L]: in every characteristic the cut is an ideal, and only its
+    # nilpotency decides whether it is N
+    from leibnizalg import radicals
+
+    cases = nilradical_reference_cases() + small_reductions() + [
+        (f"{family.__name__}({p})", family(p))
+        for family in (stalled_cut_algebra, witt_algebra) for p in (2, 3, 5, 7)]
+    cuts, real = [], radicals._certificates
+    monkeypatch.setattr(radicals, "_certificates",
+                        lambda L, S, *rest: cuts.append(S) or real(L, S, *rest))
+    for name, L in cases:
+        cuts.clear()
+        nilradical(L)
+        assert is_ideal(L, cuts[0]), name
+
+
+@pytest.mark.parametrize("lie", [None, False, True])
+def test_nilradical_raises_on_a_basis_vector_with_non_nilpotent_right_mult(monkeypatch, lie):
+    # the check ends both methods: example1 is decided by its cut, the
+    # 4-cycles by the radical of the right multiplications
+    from leibnizalg import radicals
+
+    L = corpus.example1().algebra if lie is None else four_cycle(lie)
+    monkeypatch.setattr(radicals, "_stable_image", lambda L, V, *xs: V)
+    with pytest.raises(InternalInconsistency, match="non-nilpotent right multiplication"):
+        nilradical(L)
 
 
 def _nilradical_reference(L):
@@ -1196,9 +1242,8 @@ def stalled_cut_algebra(p):
 
 def witt_algebra(p):
     """W(1) over F_p: basis e_-1..e_{p-2} at 0..p-1, [e_i, e_j] = (j - i) e_{i+j}.
-    For p = 5 it is simple, and the trace-form loop ends at the span of the
-    e_i with i != 0, whose right multiplications shift the degree and are
-    nilpotent, but which is not an ideal."""
+    For p = 5 it is simple, and tr(R_x) and the trace form vanish on it, so
+    the trace-form cut keeps all of W(1), which is not nilpotent."""
     products = {}
     for a in range(p):
         for b in range(p):
@@ -1247,9 +1292,9 @@ def test_fp_radical_forms_no_closure(monkeypatch, names):
                                    partial(witt_algebra, 5)],
                          ids=["example2-3-1-mod-2", "W(1)-mod-5"])
 def test_fp_nilradical_keeping_the_cut_is_caught(monkeypatch, build):
-    # the cut of example2-3-1 mod 2 stalls at L, which is not nilpotent, and
-    # that of W(1) mod 5 is no ideal; were the radical of the right
-    # multiplications to keep the cut, a certificate must abort
+    # the cuts of example2-3-1 mod 2 and W(1) mod 5 keep all of L, which is
+    # not nilpotent; were the radical of the right multiplications to keep
+    # the cut, a certificate must abort
     from leibnizalg import radicals
 
     L = build()
@@ -1381,8 +1426,8 @@ def found_semidirect():
     """L_3 + (F_3^3)^3 over F_3 (dim 13, a Lie algebra), L_3 = span(x, v_1,
     v_2, v_3) acting on the right of three copies of F_3^3: x by diag(0, 1,
     2) on each, v_i by the cyclic shift on copy i and by 0 on the others.
-    The first cut is all of L and no refinement shrinks it; N is the 9
-    module vectors, as each R_(v_i) is invertible on copy i."""
+    The first cut is all of L; N is the 9 module vectors, as each R_(v_i)
+    is invertible on copy i."""
     products = {}
     for i in range(1, 4):
         products[i, 0], products[0, i] = {i: 1}, {i: -1}
@@ -1468,8 +1513,8 @@ def test_fp_radical_with_a_stalled_first_cut_takes_no_budget(monkeypatch):
 
 
 def test_fp_nilradical_falls_back_when_the_cut_is_no_ideal(monkeypatch):
-    # W(1) mod 5 is simple, so N = 0, but the trace-form loop ends at the
-    # span of e_i, i != 0, which is not an ideal
+    # W(1) mod 5 is simple, so N = 0, but the trace-form cut keeps all of
+    # W(1), an ideal that is not nilpotent
     from leibnizalg import radicals
     from leibnizalg.oracle import nilradical_oracle
 
@@ -1479,7 +1524,7 @@ def test_fp_nilradical_falls_back_when_the_cut_is_no_ideal(monkeypatch):
     monkeypatch.setattr(radicals, "_certificates",
                         lambda *args: certificates.append(real(*args)) or certificates[-1])
     res = nilradical(L)
-    assert certificates[0] == {"is_ideal": False}
+    assert certificates[0] == {"is_ideal": True, "lower_central_series_reaches_zero": False}
     assert res.subspace == nilradical_oracle(L) == L.zero_space()
     assert res.method == "right-mult-radical" and all(res.certificates.values())
 
@@ -1487,7 +1532,8 @@ def test_fp_nilradical_falls_back_when_the_cut_is_no_ideal(monkeypatch):
 def test_fp_first_cut_reads_the_trace_of_each_right_multiplication(monkeypatch):
     # span(x, v_1, v_2) mod 5 with [v_1, x] = v_1, [v_2, x] = 2 v_2 (a Lie
     # algebra): beta vanishes, as tr(R_x^2) = 1 + 4 = 0, and tr(R_x) = 3
-    # alone cuts x, so the first cut is N = span(v) and no refinement is made
+    # alone cuts x, so the first cut is N = span(v), with no second cut inside
+    # it by the radical of the right multiplications
     from leibnizalg import radicals
 
     products = {(1, 0): {1: 1}, (0, 1): {1: -1}, (2, 0): {2: 2}, (0, 2): {2: -2}}
