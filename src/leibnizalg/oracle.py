@@ -9,23 +9,26 @@ The products of a row with the basis come from the algebra's product
 operator (LeibnizAlgebra.products), whose memo the series of the ideals
 share, and the product of two rows is formed from them by linearity and kept
 in an LRU bounded by MEMO_CAP integers, so a row shared by many candidates is
-bracketed once while it stays there; a product is tested against a candidate
-by its RREF residual at the pattern's free columns, and only the subalgebras
-are built as Subspaces.  The nilpotency and solvability verdicts on the ideals are
-inherited where the lattice decides them: walking the ideals by descending
-dimension, an ideal inside one that is nilpotent (solvable) is too, one that
-contains an ideal that is not is not either, and only the rest run their
-series (_holding).  The sum-of-all-nilpotent-ideals construction asserts, on
-concrete data, that the sum is itself a nilpotent ideal containing every
-nilpotent ideal; a failure aborts because it could only be an implementation
-bug.
+bracketed once while it stays there.  The scan has one membership and
+containment test, the RREF residual at a span's free columns (_span_test):
+a product is tested against a candidate by it, and T <= M by it on T's rows
+(_within); only the subalgebras are built as Subspaces.  The nilpotency and
+solvability verdicts on the ideals are inherited where the lattice decides
+them: walking the ideals by descending dimension, an ideal inside one that
+is nilpotent (solvable) is too, one that contains an ideal that is not is
+not either, and only the rest run their series (_holding).  The scan lists
+every nilpotent (solvable) ideal, so Theorem 1 holds on L exactly when the
+list has an element containing every other, and that element is the sum of
+them all, the nilradical (radical).  The oracles take the listed ideal of
+largest dimension and assert that it contains every other (_largest); a
+failure aborts because it could only be an implementation bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Iterator
 
 from .core import (
@@ -35,7 +38,6 @@ from .core import (
     LeibnizAlgebra,
     _dense,
     check_leibniz,
-    is_ideal,
     is_nilpotent,
     is_solvable,
     largest_contained_ideal,
@@ -142,10 +144,44 @@ def _scan_cached(L: LeibnizAlgebra) -> LatticeScan:
     subalgebras, ideals = _subalgebras_and_ideals(L)
     solvable = _holding(L, ideals, is_solvable, [])
     # a nilpotent ideal is solvable: one that contains a non-solvable ideal is not nilpotent
-    known = set(solvable)
-    nilpotent = _holding(L, ideals, is_nilpotent, [J for J in ideals if J not in known])
-    return LatticeScan(L, total, tuple(subalgebras), tuple(ideals), nilpotent, solvable,
+    nilpotent = _holding(L, ideals, is_nilpotent, [J for J, s in zip(ideals, solvable) if not s])
+    return LatticeScan(L, total, tuple(subalgebras), tuple(ideals),
+                       tuple(compress(ideals, nilpotent)), tuple(compress(ideals, solvable)),
                        _maximal(L, subalgebras))
+
+
+def _span_test(pivots, n: int, p: int):
+    """inside(w, rows): is w, a vector of residues mod p, in the span of
+    monic RREF rows of F_p^n with these pivot columns?  Exactly when
+    w - sum_m w[pivots[m]] rows[m], zero at the pivot columns, is 0 mod p at
+    the others; most products are 0, and a nonzero w that is 0 at every
+    pivot column is outside."""
+    free = [c for c in range(n) if c not in pivots]
+
+    def inside(w, rows):
+        if not any(w):
+            return True
+        terms = [(x, row) for x, row in zip(map(w.__getitem__, pivots), rows) if x]
+        if not terms:
+            return False
+        for c in free:
+            t = w[c]
+            for x, row in terms:
+                t -= x * row[c]
+            if t % p:
+                return False
+        return True
+    return inside
+
+
+def _within(M: Subspace):
+    """leq(T): is T <= M, for subspaces of one F_p^n?  Each pivot column of
+    a subspace of M is one of M's, and then T <= M exactly when T's rows
+    pass M's _span_test."""
+    pivots, rows = set(M.pivots), M.scaled_rows
+    inside = _span_test(M.pivots, M.ambient_dim, M.field.modulus)
+    return lambda T: (pivots.issuperset(T.pivots)
+                      and all(inside(r, rows) for r in T.scaled_rows))
 
 
 def _subalgebras_and_ideals(L: LeibnizAlgebra) -> tuple:
@@ -157,111 +193,102 @@ def _subalgebras_and_ideals(L: LeibnizAlgebra) -> tuple:
     vector on both sides.  The products of a row with the basis are the
     algebra's (LeibnizAlgebra.products), and the product of rows a, b is
     sum_j b_j [a, e_j], kept for the call in an LRU of at most
-    MEMO_CAP // n products.  A product w lies in the span of RREF rows
-    row_m with pivot columns p_m exactly when w - sum_m w[p_m] row_m, zero
-    at the pivot columns, is zero at the others.  Only the subalgebras are
-    built as Subspaces.
+    MEMO_CAP // n products; the nonzero products of a row with the basis on
+    one side are kept as dense vectors, in an LRU of at most MEMO_CAP // n^2
+    rows and sides.  Every product is tested by its pattern's _span_test.
     """
     F, n, p = L.field, L.dim, L.field.modulus
     products, lin = L.products, L.by_linearity
 
-    # rows recur across candidates: the products of two rows are kept, up to
-    # MEMO_CAP integers
+    # rows recur across candidates: their products are kept, up to
+    # MEMO_CAP integers in each LRU
     @lru_cache(maxsize=MEMO_CAP // max(n, 1))
     def pair(a, b):
         return lin(b, products(a, RIGHT))
 
-    def inside(w):
-        # rows, pivots and free: the candidate and its pattern's free columns
-        terms = [(x, row) for x, row in zip(map(w.__getitem__, pivots), rows) if x]
-        for c in free:
-            t = w[c]
-            for x, row in terms:
-                t -= x * row[c]
-            if t % p:
-                return False
-        return True
+    @lru_cache(maxsize=MEMO_CAP // max(n * n, 1))
+    def basis_products(a, side):
+        return [_dense(n, w) for w in products(a, side) if w]
 
     subalgebras, ideals = [], []
     for pivots, choices in _pivot_patterns(n, p):
-        free = [c for c in range(n) if c not in pivots]
+        inside = _span_test(pivots, n, p)
         for rows in product(*choices):
-            if all(inside(pair(a, b)) for a in rows for b in rows):
+            if all(inside(pair(a, b), rows) for a in rows for b in rows):
                 S = Subspace._from_scaled(F, n, rows, pivots)
                 subalgebras.append(S)
-                if all(not w or inside(_dense(n, w))
-                       for a in rows for side in (RIGHT, LEFT) for w in products(a, side)):
+                if all(inside(w, rows) for a in rows for side in (RIGHT, LEFT)
+                       for w in basis_products(a, side)):
                     ideals.append(S)
     return subalgebras, ideals
 
 
-def _holding(L: LeibnizAlgebra, ideals: list, holds, failed: list) -> tuple:
-    """The ideals J with holds(L, J), in their given order, for holds
-    is_nilpotent or is_solvable; `failed` lists ideals on which it is known
-    to be false.
+def _holding(L: LeibnizAlgebra, ideals: list, holds, failed: list) -> list:
+    """The verdicts holds(L, J), one per ideal J in the given order, for
+    holds is_nilpotent or is_solvable; `failed` lists ideals on which it is
+    known to be false.  Verdicts are kept by position, as hashing a Subspace
+    costs more than most containment tests.
 
     J <= K gives J^m <= K^m and J^(m) <= K^(m), so an ideal inside one that
     holds holds, and one that contains one that fails fails.  The ideals
     are walked by descending dimension, from the verdicts known so far (the
     zero ideal holds), and only those that neither rule decides are tested.
+    An ideal that fails in the walk is no smaller than those after it, so
+    only the given failures can decide one.  Each ideal's _within is built
+    once, when no held ideal contains it.
     """
-    held, failed, verdict = [L.zero_space()], list(failed), {}
-    for J in sorted(ideals, key=lambda J: -J.dim):
-        if any(J.leq(K) for K in held):
-            verdict[J] = True
-        elif any(K.leq(J) for K in failed):
-            verdict[J] = False
-        else:
-            verdict[J] = holds(L, J)
-            (held if verdict[J] else failed).append(J)
-    return tuple(J for J in ideals if verdict[J])
+    held, verdict = [_within(L.zero_space())], [False] * len(ideals)
+    for i in sorted(range(len(ideals)), key=lambda i: -ideals[i].dim):
+        J = ideals[i]
+        if any(inside(J) for inside in held):
+            verdict[i] = True
+        elif not any(map(inside_j := _within(J), failed)):
+            verdict[i] = holds(L, J)
+            if verdict[i]:
+                held.append(inside_j)
+    return verdict
 
 
 def _maximal(L: LeibnizAlgebra, subalgebras: list) -> tuple:
     """The maximal proper subalgebras, in enumeration order.
 
     Every proper subalgebra lies in a maximal one, so in descending dimension
-    a subalgebra is maximal exactly when no maximum found so far contains it.
+    a subalgebra is maximal exactly when no maximum found so far contains it
+    (each maximum's _within, built once).
     """
     proper = [S for S in subalgebras if S.dim < L.dim]
-    maxima = []
-    for S in sorted(proper, key=lambda S: -S.dim):
-        if not any(S.leq(M) for M in maxima):
-            maxima.append(S)
-    found = set(maxima)
-    return tuple(S for S in proper if S in found)
+    maximal, tests = [False] * len(proper), []
+    for i in sorted(range(len(proper)), key=lambda i: -proper[i].dim):
+        if not any(inside(proper[i]) for inside in tests):
+            maximal[i] = True
+            tests.append(_within(proper[i]))
+    return tuple(compress(proper, maximal))
 
 
-def _asserted_sum(L: LeibnizAlgebra, ideals: list, holds, adjective: str) -> Subspace:
-    """Sum of the ideals, asserted to be an ideal on which `holds` is true."""
-    total = L.zero_space()
-    for J in ideals:
-        total = total + J
-    if not is_ideal(L, total):
-        raise TheoremViolation(f"sum of {adjective} ideals is not an ideal")
-    if not holds(L, total):
-        raise TheoremViolation(f"sum of {adjective} ideals is not {adjective}")
-    return total
+def _largest(ideals, adjective: str) -> Subspace:
+    """The listed ideal of largest dimension, asserted to contain every
+    other: then it is their sum.  The list holds every nilpotent (solvable)
+    ideal, so their sum is in it exactly when Theorem 1 holds on L."""
+    top = max(ideals, key=lambda J: J.dim)
+    if not all(map(_within(top), ideals)):
+        raise TheoremViolation(f"the {adjective} ideals have no largest element")
+    return top
 
 
 def nilradical_from_scan(s: LatticeScan) -> Subspace:
-    # Theorem-1 / maximal-nilpotent-ideal assertions, on concrete data
-    total = _asserted_sum(s.algebra, s.nilpotent_ideals, is_nilpotent, "nilpotent")
-    for J in s.nilpotent_ideals:
-        if not J.leq(total):
-            raise TheoremViolation("nilpotent ideal not contained in the sum")
-    return total
+    return _largest(s.nilpotent_ideals, "nilpotent")
 
 
 def nilradical_oracle(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
-    """Sum of all nilpotent ideals, with the maximality assertions of the scan."""
+    """The nilpotent ideal of the scan that contains every other (_largest):
+    the sum of all nilpotent ideals."""
     return nilradical_from_scan(scan(L, budget))
 
 
 def radical_oracle(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
-    """Sum of all solvable ideals, asserted to be a solvable ideal."""
-    s = scan(L, budget)
-    return _asserted_sum(L, s.solvable_ideals, is_solvable, "solvable")
+    """The solvable ideal of the scan that contains every other (_largest):
+    the sum of all solvable ideals."""
+    return _largest(scan(L, budget).solvable_ideals, "solvable")
 
 
 def frattini_oracle(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:

@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from dense import dense_basis
 from lattice_reference import reference_scan
-from leibnizalg import corpus, direct_sum, oracle
+from leibnizalg import corpus, direct_sum, exactlin, oracle
 from leibnizalg.core import (
     LeibnizAlgebra,
     bracket_span,
@@ -15,7 +16,7 @@ from leibnizalg.core import (
     leibniz_kernel,
     restrict,
 )
-from leibnizalg.errors import BudgetExceeded, Unsupported, UnsupportedField
+from leibnizalg.errors import BudgetExceeded, TheoremViolation, Unsupported, UnsupportedField
 from leibnizalg.exactlin import QQ, Field, Subspace, subspace_count
 from leibnizalg.oracle import (
     enumerate_subspaces,
@@ -121,6 +122,59 @@ def test_scan_runs_once_per_algebra(monkeypatch):
     with pytest.raises(BudgetExceeded):
         scan(L, budget=subspace_count(L.dim, 2) - 1)
     assert len(enumerations) == 1
+
+
+def test_the_scan_containment_test_is_leq():
+    # every ordered pair of subspaces of F_2^4 and F_3^3
+    for n, p in [(4, 2), (3, 3)]:
+        subspaces = list(enumerate_subspaces(n, p))
+        for M in subspaces:
+            inside = oracle._within(M)
+            assert [inside(T) for T in subspaces] == [T.leq(M) for T in subspaces], M
+
+
+def test_the_largest_ideal_must_contain_every_other():
+    # span(e1) and span(e2) are both largest and neither contains the other
+    F = Field(2)
+    Lp = reduce_mod_p(corpus.abelian(2).algebra, 2)
+    zero, e1, e2 = (Subspace.span(F, 2, rows) for rows in ([], [(1, 0)], [(0, 1)]))
+    with pytest.raises(TheoremViolation):
+        oracle.nilradical_from_scan(oracle.LatticeScan(Lp, 5, nilpotent_ideals=(zero, e1, e2)))
+    with pytest.raises(TheoremViolation):
+        oracle._largest([zero, e1, e2], "solvable")
+    assert oracle._largest([zero, e1, e1 + e2], "solvable") == Lp.full_space()
+
+
+def test_the_scan_makes_no_leq_call(monkeypatch):
+    # Subspace.leq raises when the scan's own code calls it; the series of the
+    # ideals (core) still call it, and are counted: to_dict runs none
+    real, from_core = Subspace.leq, []
+
+    def leq(self, other):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == exactlin.__file__:
+            frame = frame.f_back
+        if frame.f_code.co_filename == oracle.__file__:
+            raise AssertionError("the scan called Subspace.leq")
+        from_core.append(frame.f_code.co_name)
+        return real(self, other)
+
+    cases = [(name, p, Lp) for p in (2, 3)
+             for name, Lp in reducible_corpus(p, 6) if subspace_count(Lp.dim, p) <= 3_000]
+    expected = {(name, p): (nilradical(Lp).subspace, radical(Lp).subspace)
+                for name, p, Lp in cases}
+    oracle._scan_cached.cache_clear()
+    monkeypatch.setattr(Subspace, "leq", leq)
+    for name, p, Lp in cases:
+        s = scan(Lp)
+        series = len(from_core)
+        answer = s.to_dict()
+        assert len(from_core) == series, (name, p)
+        N, R = expected[name, p]
+        assert answer["nilradical"].subspace == N == nilradical_oracle(Lp), (name, p)
+        assert radical_oracle(Lp) == R, (name, p)
+    assert "_series" in from_core
+    oracle._scan_cached.cache_clear()
 
 
 def test_find_complement_b_matches_enumeration_reference():

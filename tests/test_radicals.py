@@ -203,11 +203,14 @@ def test_nilradical_refinement_cuts_what_trace_forms_miss(lie):
 
 def test_q_nilradical_falls_back_to_the_right_mult_radical(monkeypatch):
     # were the certificates of the trace-form cut to fail, N is taken inside it
-    # as { x : R_x in Rad(A) }, which over Q is its first level alone
+    # as { x : R_x in Rad(A) }, which over Q is its first level alone; the
+    # first cut of example1 is N, so only the patch sends it there
     from leibnizalg import radicals
 
-    L = four_cycle(True)
-    N = nilradical(L).subspace
+    L = corpus.example1().algebra
+    first = nilradical(L)
+    assert first.method == "trace-form"
+    N = first.subspace
     failed, real = [], radicals._certificates
 
     def fail_once(*args):
