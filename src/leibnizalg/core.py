@@ -523,24 +523,11 @@ def is_ideal(L: LeibnizAlgebra, A: Subspace) -> bool:
 
 
 def ideal_closure(L: LeibnizAlgebra, S: Subspace) -> Subspace:
-    """Smallest ideal containing S: the fixed point of V -> V + [V,L] + [L,V].
-    Each round brackets only the vectors the last round added (first S's
-    rows) with every basis vector on both sides, in scaled form, and the
-    closure stops as soon as it is L, also in the middle of a round."""
+    """Smallest ideal containing S: the fixed point of V -> V + [V,L] + [L,V],
+    a spin of S (Subspace.spin) under the brackets with every basis vector
+    on both sides, in scaled form."""
     _check_ambient(L, S)
-    n = L.dim
-    V, new = S, S.scaled_rows
-    while new and V.dim < n:
-        grown = []
-        for u in new:
-            for w in _basis_products(L, u):
-                if not V.contains(w):
-                    V = V._insert((w,))
-                    if V.dim == n:
-                        return V
-                    grown.append(w)
-        new = grown
-    return V
+    return S.spin(lambda u: _basis_products(L, u))
 
 
 def leibniz_kernel(L: LeibnizAlgebra) -> Subspace:

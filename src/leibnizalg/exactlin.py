@@ -12,6 +12,8 @@ Nullspaces, intersections and every other cut of a subspace by a linear map
 (Subspace.where_zero) are spans of this kind.  Every linear system is a list
 of integer rows: nullspace takes the rows of a system and returns integer
 kernel vectors, and where_zero takes the images of a subspace's scaled rows.
+All closure is one routine too, Subspace.spin: it grows a subspace under
+linear maps, inserting each image it lacks, until no image is new.
 
 Over Q the elimination runs on scaled integers, not on Fractions.  A vector
 v in scaled form is (ints, den) with v = ints / den (to_scaled and
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AmbientMismatch, FieldMismatch
 
@@ -413,6 +415,25 @@ class Subspace:
 
     def __add__(self, other):
         return self.sum(other)
+
+    def spin(self, images: Callable[[Sequence], Iterable[Sequence]]) -> "Subspace":
+        """The smallest subspace containing this one that is closed under the
+        linear maps whose images of a vector v images(v) yields.  Each round
+        maps only the vectors the last round added, first the scaled rows,
+        and the closure stops as soon as it is the whole space, also in the
+        middle of a round: images(v) may be a generator, read no further."""
+        V, new, n = self, self.scaled_rows, self.ambient_dim
+        while new and V.dim < n:
+            grown = []
+            for u in new:
+                for w in images(u):
+                    if not V.contains(w):
+                        V = V._insert((w,))
+                        if V.dim == n:
+                            return V
+                        grown.append(w)
+            new = grown
+        return V
 
     def where_zero(self, images: Sequence[Sequence[int]]) -> "Subspace":
         """{ sum_i c_i scaled_rows[i] : sum_i c_i images[i] = 0 }: the subspace

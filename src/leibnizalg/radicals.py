@@ -149,11 +149,11 @@ def _cut(C: Subspace, functionals) -> Subspace:
     images f . r of C's scaled rows r are integers, and the scale of one
     functional does not change where it vanishes.  Over F_p the images are
     taken mod p where they are reduced, in the nullspace, so f may hold any
-    ints.  On the whole of L the scaled rows are the unit vectors and f . e_i
-    is f[i], so the images are the functionals transposed, and no dot
-    product is formed; a proper C takes one per row and functional."""
+    ints.  On the whole of L the cut is the nullspace of the functionals
+    themselves, and no dot product is formed; a proper C takes one per row
+    and functional."""
     if C.dim == C.ambient_dim:
-        return C.where_zero(list(zip(*functionals)) or [()] * C.dim)
+        return Subspace.span(C.field, C.dim, nullspace(C.field, C.dim, functionals))
     return C.where_zero([[sum(map(mul, f, r)) for f in functionals] for r in C.scaled_rows])
 
 
@@ -174,22 +174,14 @@ def _stable_image(L: LeibnizAlgebra, V: Subspace, *xs) -> Subspace:
 
 def _right_mult_algebra(L: LeibnizAlgebra) -> Subspace:
     """The unital associative algebra A^1 that the R_{e_i} generate, over Q
-    or F_p, in F^(n^2), a matrix by its columns in turn: span(1) closed
-    under a -> R_{e_i} a (column m is [a e_m, e_i]), each round on what the
-    last added."""
+    or F_p, in F^(n^2), a matrix by its columns in turn: span(1) spun
+    (Subspace.spin) under a -> R_{e_i} a (column m is [a e_m, e_i]).  The
+    products are formed lazily, so none is formed once A^1 is all of M_n."""
     n, lin = L.dim, L.by_linearity
     lefts = [L.products(e, LEFT) for e in L.full_space().scaled_rows]
-    new = [[int(k == m) for m in range(n) for k in range(n)]]
-    A = Subspace.span(L.field, n * n, new)
-    while new:
-        grown = []
-        for w in ([c for m in range(0, n * n, n) for c in lin(a[m:m + n], left)]
-                  for a in new for left in lefts):
-            if not A.contains(w):
-                A = A._insert((w,))
-                grown.append(w)
-        new = grown
-    return A
+    one = Subspace.span(L.field, n * n, [[int(k == m) for m in range(n) for k in range(n)]])
+    return one.spin(lambda a: ([c for m in range(0, n * n, n) for c in lin(a[m:m + n], left)]
+                               for left in lefts))
 
 
 def _g(M, q: int, p: int) -> int:

@@ -560,3 +560,96 @@ def test_leq_is_containment_in_the_sum(case):
     S, T = case
     assert S.leq(T) == (S + T == T)
     assert (S <= T) == S.leq(T)
+
+
+# ---------------------------------------------------------------- spin
+
+spin_fields = [QQ, Field(2), F5]
+
+
+def units(n, *indices):
+    return [tuple(int(j == i) for j in range(n)) for i in indices]
+
+
+@pytest.mark.parametrize("F", spin_fields, ids=str)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_spin_under_the_cyclic_shift_takes_n_minus_1_rounds(F, n):
+    # from e_1 each round adds the next unit vector, and the last one fills
+    # the space: the shift is applied to e_1 .. e_(n-1), one per round
+    mapped = []
+
+    def shift(v):
+        mapped.append(tuple(v))
+        return [tuple(v[-1:]) + tuple(v[:-1])]
+
+    assert Subspace.span(F, n, units(n, 0)).spin(shift) == Subspace.full(F, n)
+    assert mapped == units(n, *range(n - 1))
+
+
+@pytest.mark.parametrize("F", spin_fields, ids=str)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_spin_under_a_nilpotent_shift_stops_short_of_the_space(F, n):
+    # e_i -> e_(i+1), e_n -> 0: from e_2 the closure is span(e_2 .. e_n)
+    def shift(v):
+        return [(0,) + tuple(v[:-1])]
+
+    V = Subspace.span(F, n, units(n, 1)).spin(shift)
+    assert V == Subspace.span(F, n, units(n, *range(1, n))) and V.dim == n - 1
+
+
+@pytest.mark.parametrize("F", spin_fields, ids=str)
+def test_spin_stops_in_the_middle_of_a_round_once_the_space_is_full(F):
+    n = 4
+
+    def every_unit(v):
+        # a generator resumed after its last unit vector filled the space raises
+        yield from units(n, *range(n))
+        raise AssertionError("images read after the span was full")
+
+    assert Subspace.span(F, n, units(n, 0)).spin(every_unit) == Subspace.full(F, n)
+
+    # two starting rows: the image of the first fills the space, and the
+    # second is never mapped
+    calls = []
+
+    def to_the_rest(v):
+        if calls:
+            raise AssertionError("images called after the span was full")
+        calls.append(v)
+        return units(n, 2, 3)
+
+    assert Subspace.span(F, n, units(n, 0, 1)).spin(to_the_rest) == Subspace.full(F, n)
+    assert calls == units(n, 0)
+
+
+@given(span_case())
+def test_spin_under_maps_with_no_new_images_is_the_subspace(case):
+    F, n, vecs = case
+    S = Subspace.span(F, n, vecs)
+    assert S.spin(lambda v: ()) == S
+    assert S.spin(lambda v: [(0,) * n, v]) == S
+
+
+def test_spin_refuses_an_image_of_the_wrong_length():
+    S = Subspace.span(QQ, 3, units(3, 0))
+    for image in [(1, 0), (0, 0), (0, 0, 0, 1)]:
+        with pytest.raises(AmbientMismatch):
+            S.spin(lambda v: [image])
+
+
+@given(span_case(max_n=4), st.data())
+@settings(max_examples=60)
+def test_spin_is_the_fixed_point_of_the_maps(case, data):
+    # the reference adds every image of the whole basis until the span stops
+    # growing, by Gauss-Jordan on field elements
+    F, n, vecs = case
+    maps = [[[data.draw(_scalars(F)) for _ in range(n)] for _ in range(n)]
+            for _ in range(data.draw(st.integers(0, 2)))]
+    ref = _ref_span(F, n, vecs)
+    while True:
+        grown = _ref_span(F, n, [*ref, *[matrices.matvec(F, M, v) for M in maps for v in ref]])
+        if len(grown) == len(ref):
+            break
+        ref = grown
+    V = Subspace.span(F, n, vecs).spin(lambda v: [matrices.matvec(F, M, v) for M in maps])
+    assert V == Subspace.span(F, n, ref)

@@ -33,6 +33,7 @@ from leibnizalg.errors import InternalInconsistency, Unsupported
 from leibnizalg.exactlin import QQ, Field, Subspace, nullspace, scaled_comb, unit_vec
 from leibnizalg.radicals import (
     _cut,
+    _right_mult_algebra,
     find_complement_B,
     frattini_ideal,
     nilradical,
@@ -1305,6 +1306,59 @@ def test_fp_nilradical_keeping_the_cut_is_caught(monkeypatch, build):
     monkeypatch.setattr(radicals, "_radical_cut", lambda L, C: C)
     with pytest.raises(InternalInconsistency):
         nilradical(L)
+
+
+def _right_mult_algebra_reference(L):
+    """A^1 by textbook matrices: span(1) in F^(n^2), a matrix by its columns
+    in turn, with R_{e_i} a added for every i until the span stops growing.
+    Each round multiplies the RREF rows at the pivot columns the last round
+    added: they span a complement of the span before it, and the products
+    of the rest lie in the span already."""
+    F, n = L.field, L.dim
+    Rs = [matrices.right_mult(L, L.basis_vector(i)) for i in range(n)]
+
+    def flat(M):
+        return [M[k][m] for m in range(n) for k in range(n)]
+
+    def square(a):
+        return [[a[m * n + k] for m in range(n)] for k in range(n)]
+
+    def lead(a):
+        return next(c for c, x in enumerate(a) if x)
+
+    basis, old = matrices.rref(F, [flat(matrices.identity(F, n))], n * n), set()
+    while len(basis) > len(old):
+        fresh = [a for a in basis if lead(a) not in old]
+        old = {lead(a) for a in basis}
+        basis = matrices.rref(F, basis + [flat(matrices.matmul(F, R, square(a)))
+                                          for R in Rs for a in fresh], n * n)
+    return Subspace.span(F, n * n, basis)
+
+
+def dense_c4_example1_sl2():
+    L = direct_sum(direct_sum(four_cycle(False), corpus.example1().algebra),
+                   corpus.sl2().algebra)
+    return dense_basis(L, random.Random(0))
+
+
+RIGHT_MULT_ALGEBRA_CASES = {
+    "4-cycle": partial(four_cycle, False), "4-cycle lie": partial(four_cycle, True),
+    "sl2": lambda: corpus.sl2().algebra, "example1": lambda: corpus.example1().algebra,
+    "L_3": partial(stalled_cut_algebra, 3), "L_5": partial(stalled_cut_algebra, 5),
+    "W(1) mod 3": partial(witt_algebra, 3), "W(1) mod 5": partial(witt_algebra, 5),
+    "example2-3-1 mod 2": partial(fp_direct_sum, "example2-3-1", p=2),
+    "C4+example1+sl2 dense": dense_c4_example1_sl2,
+}
+
+
+@pytest.mark.parametrize("name", list(RIGHT_MULT_ALGEBRA_CASES))
+def test_right_mult_algebra_matches_the_matrix_reference(name):
+    # sl2 has A^1 = M_3, and the spin stops as soon as it is full
+    L = RIGHT_MULT_ALGEBRA_CASES[name]()
+    A = _right_mult_algebra(L)
+    assert A == _right_mult_algebra_reference(L)
+    if name == "sl2":
+        assert A.dim == 9
 
 
 def test_fp_radical_aborts_when_a_quotient_nilradical_is_all_of_it(monkeypatch):
