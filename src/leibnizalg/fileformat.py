@@ -34,7 +34,7 @@ class ParseError(ValueError):
 def field_from_str(s: str) -> Field:
     if s == "Q":
         return Field()
-    m = re.fullmatch(r"F([0-9]+)", s)
+    m = isinstance(s, str) and re.fullmatch(r"F([0-9]+)", s)
     if not m:
         raise ParseError(f"bad field {s!r}: expected 'Q' or 'F<p>'")
     try:

@@ -83,8 +83,7 @@ def radical(L: LeibnizAlgebra) -> CertifiedIdeal:
     """
     if L.field.modulus is None:
         G = _gram(L)
-        R = _cut(L.full_space(), [[sum(map(mul, g, d)) for g in G]
-                                  for d in L.derived_space().scaled_rows])
+        R = _cut(L, [[sum(map(mul, g, d)) for g in G] for d in L.derived_space().scaled_rows])
         return _certify(L, R, "trace-form-char0", derived_series)
     series = derived_series(L)
     if series[-1].dim == 0:
@@ -143,18 +142,13 @@ def _traces(L: LeibnizAlgebra, cols) -> list:
     return f
 
 
-def _cut(C: Subspace, functionals) -> Subspace:
-    """{ x in C : f . x = 0 for every functional f } over Q and F_p, each f an
+def _cut(L: LeibnizAlgebra, functionals) -> Subspace:
+    """{ x in L : f . x = 0 for every functional f } over Q and F_p, each f an
     integer vector of coefficients on the basis of L, known up to scale: the
-    images f . r of C's scaled rows r are integers, and the scale of one
-    functional does not change where it vanishes.  Over F_p the images are
-    taken mod p where they are reduced, in the nullspace, so f may hold any
-    ints.  On the whole of L the cut is the nullspace of the functionals
-    themselves, and no dot product is formed; a proper C takes one per row
-    and functional."""
-    if C.dim == C.ambient_dim:
-        return Subspace.span(C.field, C.dim, nullspace(C.field, C.dim, functionals))
-    return C.where_zero([[sum(map(mul, f, r)) for f in functionals] for r in C.scaled_rows])
+    nullspace of the functionals themselves, so no dot product is formed.
+    The scale of a functional does not change where it vanishes, and over F_p
+    the nullspace reduces the functionals mod p, so f may hold any ints."""
+    return Subspace.span(L.field, L.dim, nullspace(L.field, L.dim, functionals))
 
 
 def _stable_image(L: LeibnizAlgebra, V: Subspace, *xs) -> Subspace:
@@ -204,25 +198,31 @@ def _g(M, q: int, p: int) -> int:
     return t // q
 
 
-def _radical_cut(L: LeibnizAlgebra, C: Subspace) -> Subspace:
-    """{ x in C : R_x in Rad(A) }, A the associative algebra of the right
-    multiplications, over Q or F_p: Rad(A) = Rad(A^1) (_right_mult_algebra)
-    is I_l of I_-1 = A^1, I_i = { a in I_(i-1) : g_i(a b) = 0 for all b in
-    A^1 }.  Over Q, l = 0 and g_0 = tr (Dickson's criterion: each a in the
-    ideal I_0 has tr(a^k) = 0 for k >= 1, so it is nilpotent).  Over F_p
-    (Cohen, Ivanyos and Wales 1997, "Finding the radical of an algebra of
-    linear transformations", J. Pure Appl. Algebra 117/118) l is the last
-    with p^l <= n, and g_i(M) = (tr(M'^(p^i)) mod p^(i+1)) / p^i for the
-    lift M' of M to [0, p) (_g); g_i is linear on I_(i-1).  So C is cut to
-    { x : R_x in I_0 } by the functionals tr(R_x b) (_traces), then to
-    { x : R_x in I_i } by g_i(R_x b) on its scaled rows x.  R_x b lies in
-    I_(i-1), and its coordinates on A^1's monic RREF rows are its entries
-    at their pivot columns, so g_i is taken once per RREF row of the span
-    of the R_x b and read off on each by linearity."""
+def _radical_cut(L: LeibnizAlgebra) -> Subspace:
+    """N(L) = { x in L : R_x in Rad(A) } (nilradical()), over Q or F_p:
+    Rad(A) = Rad(A^1) (_right_mult_algebra) is I_l of I_-1 = A^1,
+    I_i = { a in I_(i-1) : g_i(a b) = 0 for all b in A^1 }.  Over Q, l = 0
+    and g_0 = tr (Dickson's criterion: each a in the ideal I_0 has
+    tr(a^k) = 0 for k >= 1, so it is nilpotent).  Over F_p (Cohen, Ivanyos
+    and Wales 1997, "Finding the radical of an algebra of linear
+    transformations", J. Pure Appl. Algebra 117/118) l is the last with
+    p^l <= n, and g_i(M) = (tr(M'^(p^i)) mod p^(i+1)) / p^i for the lift M'
+    of M to [0, p) (_g); g_i is linear on I_(i-1).  So level 0 cuts L to
+    { x : R_x in I_0 } by the functionals tr(R_x b) for A^1's scaled rows b
+    (_traces), and level i cuts that to { x : R_x in I_i } by g_i(R_x b) on
+    its scaled rows x.  R_x b lies in I_(i-1), and its coordinates on A^1's
+    monic RREF rows are its entries at their pivot columns, so g_i is taken
+    once per RREF row of the span of the R_x b and read off on each by
+    linearity.
+
+    Level 0 lies in nilradical()'s first cut C, so it needs no C to start
+    from: b -> tr(R_x b) is linear, and A^1 holds 1 and R_{e_y} = R_{e_y} 1,
+    so C's functionals tr(R_x) and tr(R_x R_{e_y}) lie in the span of level
+    0's, and the level-0 cut of L is the level-0 cut of C."""
     F, n, p, lin = L.field, L.dim, L.field.modulus, L.by_linearity
     A = _right_mult_algebra(L)
     rows, cols, held = A.scaled_rows, range(0, n * n, n), {pc - pc % n for pc in A.pivots}
-    X, q = _cut(C, [_traces(L, [b[m:m + n] for m in cols]) for b in rows]), p
+    X, q = _cut(L, [_traces(L, [b[m:m + n] for m in cols]) for b in rows]), p
     while p is not None and q <= n and X.dim:
         lefts = [L.products(x, LEFT) for x in X.scaled_rows]
         # each R_x b's entries at A^1's pivot columns, from the columns holding them
@@ -295,10 +295,9 @@ def nilradical(L: LeibnizAlgebra) -> CertifiedIdeal:
     x acts on Q^4 by a cyclic permutation, tr(R_x) = tr(R_x^2) = 0; on
     span(x, v_1..v_p) over F_p with [v_i, x] = v_i and [x, v_i] = -v_i,
     R_x is the identity on span(v) and every tr(R_x^k) is p = 0.  Then the
-    second step takes N = { x in C : R_x in Rad(A) } for the associative
-    algebra A that the right multiplications generate (_radical_cut), the
-    method "right-mult-radical".  In every characteristic
-    N = J = { x : R_x in Rad(A) }: J is an ideal, as
+    second step takes N = J = { x in L : R_x in Rad(A) } (_radical_cut), the
+    method "right-mult-radical", for the associative algebra A that the right
+    multiplications generate.  In every characteristic J is an ideal, as
     R_[x,y] = R_y R_x - R_x R_y, and nilpotent, as J^(k+1) = R_J(J^k) lies
     in Rad(A)^k(L).  By the above, the ideal of A that R_N generates lowers
     the filtration L >= N >= N^2 >= ... by one step, so it lies in Rad(A).
@@ -311,10 +310,10 @@ def nilradical(L: LeibnizAlgebra) -> CertifiedIdeal:
     """
     full = L.full_space()
     # tr(R_x), and tr(R_x R_y) for the basis y of L: the columns of G
-    N, method = _cut(full, [_traces(L, full.scaled_rows), *zip(*_gram(L))]), "trace-form"
+    N, method = _cut(L, [_traces(L, full.scaled_rows), *zip(*_gram(L))]), "trace-form"
     certs = _certificates(L, N, lower_central_series)
     if not all(certs.values()):
-        N, method = _radical_cut(L, N), "right-mult-radical"
+        N, method = _radical_cut(L), "right-mult-radical"
         certs = _certify(L, N, method, lower_central_series).certificates
     if any(_stable_image(L, full, v).dim for v in N.scaled_rows):
         raise InternalInconsistency(

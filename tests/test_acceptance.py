@@ -209,7 +209,7 @@ def test_criterion_11_fp_verify_on_2825_subspaces(tmp_path, capsys):
     # example2-2-1+sl2 mod 2: dim 6, 2,825 subspaces; `verify` cuts N(L) and
     # N(L/I) by the trace form, and the kernel has a complement, so nothing is
     # scanned.  The trace-form cut of example2-3-1 mod 2 keeps y, as
-    # tr(R_y^k) = 2 = 0, so its N(L) is taken inside the cut from the radical
+    # tr(R_y^k) = 2 = 0, so its N(L) is taken from all of L by the radical
     # of the associative algebra of right multiplications
     from leibnizalg import cli, oracle
     from leibnizalg.fileformat import save_algebra

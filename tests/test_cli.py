@@ -291,6 +291,8 @@ def test_verify_text_prints_the_theorem2_witness_matrix_by_rows(capsys):
     ["info", {**GOOD, "table": [[0, 0, [1, 1, 0], [5, 1, 1]]]}],          # the first failure
     ["info", {**GOOD, "table": [[0, 0, [0, 1, 1], [1, 1], [0, 1, 1]]]}],  # counts, in order
     ["info", {**GOOD, "field": "F\uff13"}],                    # was read as F3
+    ["info", {**GOOD, "field": 3}],                            # was Python's TypeError text
+    ["info", {**GOOD, "field": None}],                         # was Python's TypeError text
     ["quotient", "--by", "\u0660,\u0660,\u0661", "heisenberg"],  # was read as (0, 0, 1)
     ["info", {**GOOD, "dim": -1}],                             # was "basis has 2 labels"
     ["info", {k: v for k, v in GOOD.items() if k != "table"}],  # no table
@@ -304,7 +306,8 @@ def test_verify_text_prints_the_theorem2_witness_matrix_by_rows(capsys):
         "duplicate-component", "deeply-nested-json", "empty-b", "empty-by", "big-int-literal",
         "exponent-component", "bool-component", "negative-k", "k-at-dim", "i-at-dim",
         "negative-j", "duplicate-entry", "den-zero-mod-p", "bad-den-before-bad-k",
-        "short-component-after-good", "non-ascii-field", "non-ascii-component",
+        "short-component-after-good", "non-ascii-field", "field-int", "field-null",
+        "non-ascii-component",
         "negative-dim", "missing-key", "table-not-list", "top-level-list", "by-wrong-length",
         "unknown-corpus-name"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, request, args):
@@ -340,6 +343,8 @@ LOADER_MESSAGES = {
     "by-wrong-length": "vector '1,0,0' has 3 components, need 2",
     "unknown-corpus-name": "unknown corpus name 'nosuch'",
     "non-ascii-field": "bad field 'F\uff13': expected 'Q' or 'F<p>'",
+    "field-int": "bad field 3: expected 'Q' or 'F<p>'",
+    "field-null": "bad field None: expected 'Q' or 'F<p>'",
     "non-ascii-component": "bad component '\u0660' in vector '\u0660,\u0660,\u0661'",
     "zero-den": "denominator 0 is not invertible over Q: component [1, 1, 0] of table "
                 "entry [0, 0, [1, 1, 0]]",

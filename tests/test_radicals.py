@@ -156,14 +156,11 @@ def test_whole_space_cut_matches_the_dot_product_cut(case):
         functionals = []
     elif kind == "zeros":
         functionals = [[0] * n for _ in functionals]
-    full = Subspace.full(QQ, n)
-    cut = _cut(full, functionals)
-    assert cut == _dot_product_cut(full, functionals)
+    L = LeibnizAlgebra.from_products(QQ, n, {})
+    cut = _cut(L, functionals)
+    assert cut == _dot_product_cut(L.full_space(), functionals)
     if kind != "random":
-        assert cut == full
-    # a proper subspace takes the dot-product path, with the same answer
-    C = Subspace.span(QQ, n, [[1] * n]) if n else full
-    assert _cut(C, functionals) == _dot_product_cut(C, functionals)
+        assert cut == L.full_space()
 
 
 def test_radical_of_an_abelian_algebra_cuts_with_no_functionals():
@@ -194,7 +191,7 @@ def hemisemidirect():
 @pytest.mark.parametrize("lie", [False, True])
 def test_nilradical_refinement_cuts_what_trace_forms_miss(lie):
     # tr(A) = tr(A^2) = 0 although A is invertible, so the trace-form cut
-    # keeps x; the radical of the right multiplications, inside the cut,
+    # keeps x; the radical of the right multiplications, taken on all of L,
     # removes it.  The nilradical is V.
     L = four_cycle(lie)
     res = nilradical(L)
@@ -203,9 +200,9 @@ def test_nilradical_refinement_cuts_what_trace_forms_miss(lie):
 
 
 def test_q_nilradical_falls_back_to_the_right_mult_radical(monkeypatch):
-    # were the certificates of the trace-form cut to fail, N is taken inside it
-    # as { x : R_x in Rad(A) }, which over Q is its first level alone; the
-    # first cut of example1 is N, so only the patch sends it there
+    # were the certificates of the trace-form cut to fail, N is taken from all
+    # of L as { x : R_x in Rad(A) }, which over Q is its first level alone;
+    # the first cut of example1 is N, so only the patch sends it there
     from leibnizalg import radicals
 
     L = corpus.example1().algebra
@@ -230,7 +227,7 @@ def test_q_nilradical_falls_back_to_the_right_mult_radical(monkeypatch):
 def test_nilradical_refinement_decides_a_dense_sum_with_simple_summands(monkeypatch, lie):
     # the cut of C4 + example1 + 3 sl2 in a dense basis keeps a vector whose
     # R_v is not nilpotent, and the radical of the right multiplications,
-    # taken once, cuts it down to N
+    # taken once on all of L, is N
     from leibnizalg import radicals
 
     L = direct_sum(four_cycle(lie), corpus.example1().algebra)
@@ -357,7 +354,7 @@ def test_q_radical_cut_from_the_whole_space_is_the_nilradical():
     from leibnizalg import radicals
 
     for name, L in nilradical_reference_cases():
-        assert radicals._radical_cut(L, L.full_space()) == nilradical(L).subspace, name
+        assert radicals._radical_cut(L) == nilradical(L).subspace, name
 
 
 def _radical_reference(L):
@@ -1303,7 +1300,7 @@ def test_fp_nilradical_keeping_the_cut_is_caught(monkeypatch, build):
 
     L = build()
     assert nilradical(L).method == "right-mult-radical"
-    monkeypatch.setattr(radicals, "_radical_cut", lambda L, C: C)
+    monkeypatch.setattr(radicals, "_radical_cut", lambda L: L.full_space())
     with pytest.raises(InternalInconsistency):
         nilradical(L)
 
@@ -1461,8 +1458,8 @@ def test_fp_nilradical_equals_the_oracle(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_radical_cut_from_the_whole_space_equals_the_oracle(p):
-    # { x in L : R_x in Rad(A) } is N(L) whatever the cut it is taken in, so
-    # taken in all of L it equals the oracle on every input of
+    # { x in L : R_x in Rad(A) } is N(L), taken in all of L with no first
+    # cut, so it equals the oracle on every input of
     # fp_nilradical_cases, on h + M over F_2 in both bases, and on W(1) mod
     # 5 and 7, which is simple, so N = 0 (the oracle confirms it mod 5)
     from leibnizalg import radicals
@@ -1476,7 +1473,29 @@ def test_radical_cut_from_the_whole_space_equals_the_oracle(p):
         cases += [("W(1) mod 5", witt_algebra(5), nilradical_oracle(witt_algebra(5))),
                   ("W(1) mod 7", witt_algebra(7), witt_algebra(7).zero_space())]
     for name, L, N in cases:
-        assert radicals._radical_cut(L, L.full_space()) == N, name
+        assert radicals._radical_cut(L) == N, name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p, dim_N", [(2, 8), (3, 5)])
+def test_fp_dense_nilradical_runs_the_right_mult_levels(p, dim_N, seed):
+    # C4 + example1 + sl2 mod p in a dense basis (dim 10): N is the sum of the
+    # summands' nilradicals, V + span(x2), and sl2 too mod 2, where it is
+    # nilpotent.  The trace-form cut keeps more, and the levels g_i of the
+    # radical of the right multiplications (q up to 8 mod 2, 9 mod 3) run on
+    # a dense table.  dim N does not depend on the basis, and a certified
+    # nilpotent ideal of that dim is N
+    from leibnizalg import radicals
+    from leibnizalg.oracle import reduce_mod_p
+
+    sparse = reduce_mod_p(direct_sum(direct_sum(four_cycle(False), corpus.example1().algebra),
+                                     corpus.sl2().algebra), p)
+    assert nilradical(sparse).subspace.dim == dim_N
+    L = dense_basis(sparse, random.Random(seed))
+    res = nilradical(L)
+    assert res.method == "right-mult-radical" and all(res.certificates.values())
+    assert res.subspace.dim == dim_N
+    assert radicals._radical_cut(L) == res.subspace
 
 
 def found_semidirect():
@@ -1611,7 +1630,7 @@ def test_fp_budget_bounds_the_projective_points():
     Lp = reduce_mod_p(corpus.example2(2, 1).algebra, 3)
     assert radical(Lp).method == "nilradicals"
     # the cut of L_3 + affine2 mod 3 removes one vector of affine2 and stalls
-    # at dim 5, and N is taken inside it with no point searched
+    # at dim 5, and N is taken from all of L with no point searched
     L = stalled_cut_plus_affine2()
     res = nilradical(L)
     assert res.method == "right-mult-radical" and all(res.certificates.values())
