@@ -155,8 +155,9 @@ def _stable_image(L: LeibnizAlgebra, V: Subspace, *xs) -> Subspace:
     """The stable image of the right multiplications by xs on V: the last
     term of V, [V, X], [[V, X], X], ..., X = span(xs), which stops once a
     term keeps its dimension.  V must be invariant under each R_x, so each
-    term lies in the one before.  For one x the result is zero exactly when
-    R_x is nilpotent on V."""
+    term lies in the one before.  The k-th term is V A^k, A the algebra the
+    R_x generate, so the result is zero exactly when A acts nilpotently on
+    V; over F_p that is more than each R_x being nilpotent."""
     lefts, lin = [L.products(x, LEFT) for x in xs], L.by_linearity
     while True:
         # [v, x] = sum_i v_i [e_i, x], from the left products of x
@@ -238,29 +239,18 @@ def _radical_cut(L: LeibnizAlgebra) -> Subspace:
     return X
 
 
-def _certificates(L: LeibnizAlgebra, S: Subspace, series, terms=None) -> dict:
-    """The certificates of _certify on S, in order, up to the first false one:
-    S is an ideal, then `series` reaches zero on it; terms, when given, are
-    that series of S, already taken."""
-    certs = {"is_ideal": is_ideal(L, S)}
-    if certs["is_ideal"]:
-        terms = series(L, S) if terms is None else terms
-        certs[f"{series.__name__}_reaches_zero"] = terms[-1].dim == 0
-    return certs
-
-
 def _certify(L: LeibnizAlgebra, S: Subspace, method: str, series, terms=None) -> CertifiedIdeal:
-    """Certify that S is an ideal on which `series` (derived_series for the
-    radical, lower_central_series for the nilradical), taken inside L,
-    reaches zero; the series certificate is named after the series function.
-    terms, when given, are that series of S, already taken."""
-    certs = _certificates(L, S, series, terms)
-    if not certs["is_ideal"]:
+    """S as a CertifiedIdeal once it passes, in order, is_ideal and `series`
+    (derived_series for the radical, lower_central_series for the
+    nilradical, the certificate named after it) reaching zero on S inside L;
+    terms, when given, are that series of S, already taken.  A failing check
+    raises InternalInconsistency, so every returned certificate is true."""
+    if not is_ideal(L, S):
         raise InternalInconsistency(f"{method}: the computed subspace is not an ideal")
     key = f"{series.__name__}_reaches_zero"
-    if not certs[key]:
+    if (series(L, S) if terms is None else terms)[-1].dim:
         raise InternalInconsistency(f"{method}: certificate {key} failed")
-    return CertifiedIdeal(S, method, certs)
+    return CertifiedIdeal(S, method, {"is_ideal": True, key: True})
 
 
 def nilradical(L: LeibnizAlgebra) -> CertifiedIdeal:
@@ -302,23 +292,25 @@ def nilradical(L: LeibnizAlgebra) -> CertifiedIdeal:
     in Rad(A)^k(L).  By the above, the ideal of A that R_N generates lowers
     the filtration L >= N >= N^2 >= ... by one step, so it lies in Rad(A).
 
-    Either way every basis vector of N has nilpotent R_v, the certificate
-    right_mult_nilpotent_per_basis_vector, checked after the certificates
-    that N is an ideal and that its lower central series reaches zero;
-    R_v is nilpotent exactly when the image chain L, [L, v], [[L, v], v], ...
-    reaches zero (_stable_image).
+    One image chain L, [L, N], [[L, N], N], ... (_stable_image) decides:
+    for an ideal N and the algebra A_N the R_n (n in N) generate,
+    N^(k+1) <= L A_N^k <= N^k, so it reaches zero exactly when N is
+    nilpotent, and then each R_v (v in N) is nilpotent.  The checks run in
+    order: C's chain; if it is not zero, N = _radical_cut(L), whose chain
+    must be zero; then _certify; the zero chain is recorded last, as
+    right_mult_nilpotent_per_basis_vector.
     """
     full = L.full_space()
     # tr(R_x), and tr(R_x R_y) for the basis y of L: the columns of G
     N, method = _cut(L, [_traces(L, full.scaled_rows), *zip(*_gram(L))]), "trace-form"
-    certs = _certificates(L, N, lower_central_series)
-    if not all(certs.values()):
+    if _stable_image(L, full, *N.scaled_rows).dim:
         N, method = _radical_cut(L), "right-mult-radical"
-        certs = _certify(L, N, method, lower_central_series).certificates
-    if any(_stable_image(L, full, v).dim for v in N.scaled_rows):
-        raise InternalInconsistency(
-            "computed nilradical has a basis vector with non-nilpotent right multiplication")
-    return CertifiedIdeal(N, method, {**certs, "right_mult_nilpotent_per_basis_vector": True})
+        if _stable_image(L, full, *N.scaled_rows).dim:
+            raise InternalInconsistency(
+                "computed nilradical has a basis vector with non-nilpotent right multiplication")
+    res = _certify(L, N, method, lower_central_series)
+    res.certificates["right_mult_nilpotent_per_basis_vector"] = True
+    return res
 
 
 def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET,
@@ -368,11 +360,20 @@ def _complement_B(qp: QuotientPresentation, S, budget: int):
 
     The complement subalgebra of I (B cap I = 0) always qualifies, and is
     tried before these.  If Q = L/I is nilpotent, the candidate is the
-    complement subalgebra of the Fitting one component I_1 of I
-    (_fitting_one); for a nilpotent L, I_1 = 0 and this is L.  Nothing else
-    can qualify.  A B meeting I qualifies over Q only if B is nilpotent;
-    then Q = B/(I cap B) is nilpotent, I = I_0 + I_1 into the Fitting
-    components of its right action, I cap B lies in I_0, and
+    complement subalgebra of the Fitting one component I_1 of I (the sum of
+    its nonzero generalized weight spaces under the right multiplications);
+    for a nilpotent L, I_1 = 0 and this is L.  I_1 is the stable image W of
+    I under all of L (_stable_image), in every characteristic.  W is an
+    ideal, as [L, I] = 0 and [W, L] = W.  The R_y act on I through the
+    nilpotent Lie algebra Q (R_i = 0 for i in I), so I = I_0 + I_1, both
+    invariant, with every R_y nilpotent on I_0; by Jacobson's theorem on
+    weakly closed sets they generate a nilpotent algebra there, and the
+    chain kills I_0.  On each nonzero weight space some R_y, not always a
+    basis vector, acts invertibly, so W = I_1; over F_2 a sum over L's basis
+    of single-vector stable images can be 0 when I_1 = I.  Nothing else can
+    qualify.  A B meeting I qualifies over Q only if B is nilpotent; then
+    Q = B/(I cap B) is nilpotent, I = I_0 + I_1 into the Fitting components
+    of its right action, I cap B lies in I_0, and
     I = span{[v,v]} = (I cap B) + [I,B]
     forces I cap B = I_0, since the action on I_0 is nilpotent: B is a
     complement of I_1.  Conversely a complement B of I_1 is nilpotent with
@@ -390,24 +391,12 @@ def _complement_B(qp: QuotientPresentation, S, budget: int):
         candidates = sorted(oracle.scan(L, budget).subalgebras,
                             key=lambda S: (S.dim, S.scaled_rows))
     else:
-        candidates = ([_complement_subalgebra(L, _fitting_one(L, I))]
+        # I_1, the stable image of I under all of L
+        candidates = ([_complement_subalgebra(L, _stable_image(L, I, *L.full_space().scaled_rows))]
                       if is_nilpotent(qp.quotient) else [])
     # every candidate is a subalgebra: closed in the scan, or solved to be one
     return next((B for B in candidates
                  if B is not None and _theorem2_failure(L, I, B, budget) is None), None)
-
-
-def _fitting_one(L: LeibnizAlgebra, I: Subspace) -> Subspace:
-    """The sum over the basis y of L of the stable images R_y^d(I), d = dim I,
-    of the ideal I (_stable_image).  When L/I is
-    nilpotent this is the Fitting one component I_1 of I under the right
-    multiplications (the sum of the nonzero generalized weight spaces), an
-    ideal with I = I_0 + I_1, where I_0 is the part on which every R_y is
-    nilpotent."""
-    I1 = L.zero_space()
-    for y in L.full_space().scaled_rows:
-        I1 = I1 + _stable_image(L, I, y)
-    return I1
 
 
 def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):

@@ -200,7 +200,7 @@ def test_nilradical_refinement_cuts_what_trace_forms_miss(lie):
 
 
 def test_q_nilradical_falls_back_to_the_right_mult_radical(monkeypatch):
-    # were the certificates of the trace-form cut to fail, N is taken from all
+    # were the image chain of the trace-form cut to stall, N is taken from all
     # of L as { x : R_x in Rad(A) }, which over Q is its first level alone;
     # the first cut of example1 is N, so only the patch sends it there
     from leibnizalg import radicals
@@ -209,15 +209,15 @@ def test_q_nilradical_falls_back_to_the_right_mult_radical(monkeypatch):
     first = nilradical(L)
     assert first.method == "trace-form"
     N = first.subspace
-    failed, real = [], radicals._certificates
+    failed, real = [], radicals._stable_image
 
-    def fail_once(*args):
+    def stall_once(L, V, *xs):
         if failed:
-            return real(*args)
+            return real(L, V, *xs)
         failed.append(True)
-        return {"is_ideal": False}
+        return V
 
-    monkeypatch.setattr(radicals, "_certificates", fail_once)
+    monkeypatch.setattr(radicals, "_stable_image", stall_once)
     res = nilradical(L)
     assert failed and res.subspace == N
     assert res.method == "right-mult-radical" and all(res.certificates.values())
@@ -266,9 +266,8 @@ def test_first_nilradical_cut_is_an_ideal(monkeypatch):
     cases = nilradical_reference_cases() + small_reductions() + [
         (f"{family.__name__}({p})", family(p))
         for family in (stalled_cut_algebra, witt_algebra) for p in (2, 3, 5, 7)]
-    cuts, real = [], radicals._certificates
-    monkeypatch.setattr(radicals, "_certificates",
-                        lambda L, S, *rest: cuts.append(S) or real(L, S, *rest))
+    cuts, real = [], radicals._cut
+    monkeypatch.setattr(radicals, "_cut", lambda *args: cuts.append(real(*args)) or cuts[-1])
     for name, L in cases:
         cuts.clear()
         nilradical(L)
@@ -620,6 +619,53 @@ def test_find_b_builds_the_quotient_by_the_kernel_once(monkeypatch):
     assert calls == [leibniz_kernel(L)]
 
 
+def test_fitting_one_over_f2_is_the_stable_image_and_no_sum_over_a_basis():
+    # h3 + F_2[t]/(t^2) over F_2, basis D, T, W = Z + D + T, m0, m1: L/I is
+    # h3, and on I = span(m0, m1) R_D, R_T and R_W are nilpotent while
+    # R_Z = R_D + R_T + R_W is the identity.  So I_1 = I is the stable image
+    # of I under all of L, but every single-vector stable image is 0
+    from leibnizalg.radicals import _stable_image
+
+    D, T, W, m0, m1 = range(5)
+    products = {(m1, D): {m0: 1}, (m0, T): {m1: 1},
+                (m0, W): {m0: 1, m1: 1}, (m1, W): {m0: 1, m1: 1}}
+    for a, b in ((D, T), (D, W), (T, W)):
+        products[a, b] = products[b, a] = {D: 1, T: 1, W: 1}
+    L = LeibnizAlgebra.from_products(Field(2), 5, products)
+    assert check_leibniz(L).passed
+    qp = quotient(L, leibniz_kernel(L))
+    I, basis = qp.ideal, L.full_space().scaled_rows
+    assert I == span_of(L, L.basis_vector(m0), L.basis_vector(m1))
+    assert is_nilpotent(qp.quotient)
+    assert _stable_image(L, I, *basis) == I
+    assert all(_stable_image(L, I, y).dim == 0 for y in basis)
+    assert _stable_image(L, I, [1, 1, 1, 0, 0]) == I
+
+
+def test_fitting_one_over_q_is_the_sum_of_the_basis_powers():
+    # over Q, wherever L/I is nilpotent, the stable image of I under all of
+    # L is sum_y R_y^d(I) over the basis y of L, d = dim I, with each R_y a
+    # matrix formed from the table
+    from leibnizalg.radicals import _stable_image
+
+    seen = []
+    for name, L in nilradical_reference_cases():
+        qp = quotient(L, leibniz_kernel(L))
+        if not is_nilpotent(qp.quotient):
+            continue
+        F, I, images = L.field, qp.ideal, []
+        for y in L.full_space().rows:
+            R = matrices.right_mult(L, y)
+            for v in I.rows:
+                for _ in range(I.dim):
+                    v = matrices.matvec(F, R, v)
+                images.append(v)
+        I1 = span_of(L, *images)
+        assert _stable_image(L, I, *L.full_space().scaled_rows) == I1, name
+        seen.append(I1.dim > 0)
+    assert (len(seen), sum(seen)) == (29, 17)
+
+
 def theorem2_meeting_cases():
     """Inputs whose B meets I and is nilpotent: the Fitting example above, the
     table with denominators [x, x] = 1/2 y + 1/3 z, [y, x] = 5/6 y, and
@@ -790,7 +836,8 @@ def test_complement_solve_matches_the_dense_reference():
         qp = quotient(L, leibniz_kernel(L))
         cases.append((name, L, qp))
         if is_nilpotent(qp.quotient):
-            cases.append((f"{name} by I_1", L, quotient(L, radicals._fitting_one(L, qp.ideal))))
+            I1 = radicals._stable_image(L, qp.ideal, *L.full_space().scaled_rows)
+            cases.append((f"{name} by I_1", L, quotient(L, I1)))
     for e in corpus.standard_entries():
         for p in (2, 3, 5):
             Lp = reduce_mod_p(e.algebra, p)
@@ -1588,7 +1635,7 @@ def test_fp_radical_with_a_stalled_first_cut_takes_no_budget(monkeypatch):
     assert seen == [7, 4, 3]
 
 
-def test_fp_nilradical_falls_back_when_the_cut_is_no_ideal(monkeypatch):
+def test_fp_nilradical_falls_back_when_the_cut_is_not_nilpotent(monkeypatch):
     # W(1) mod 5 is simple, so N = 0, but the trace-form cut keeps all of
     # W(1), an ideal that is not nilpotent
     from leibnizalg import radicals
@@ -1596,11 +1643,10 @@ def test_fp_nilradical_falls_back_when_the_cut_is_no_ideal(monkeypatch):
 
     L = witt_algebra(5)
     assert check_leibniz(L).passed
-    certificates, real = [], radicals._certificates
-    monkeypatch.setattr(radicals, "_certificates",
-                        lambda *args: certificates.append(real(*args)) or certificates[-1])
+    cuts, real = [], radicals._cut
+    monkeypatch.setattr(radicals, "_cut", lambda *args: cuts.append(real(*args)) or cuts[-1])
     res = nilradical(L)
-    assert certificates[0] == {"is_ideal": True, "lower_central_series_reaches_zero": False}
+    assert cuts[0] == L.full_space() and not is_nilpotent(L)
     assert res.subspace == nilradical_oracle(L) == L.zero_space()
     assert res.method == "right-mult-radical" and all(res.certificates.values())
 
