@@ -307,7 +307,7 @@ def nilradical(L: LeibnizAlgebra) -> CertifiedIdeal:
         N, method = _radical_cut(L), "right-mult-radical"
         if _stable_image(L, full, *N.scaled_rows).dim:
             raise InternalInconsistency(
-                "computed nilradical has a basis vector with non-nilpotent right multiplication")
+                "computed nilradical: the image chain of L under N does not reach zero")
     res = _certify(L, N, method, lower_central_series)
     res.certificates["right_mult_nilpotent_per_basis_vector"] = True
     return res
@@ -335,68 +335,68 @@ def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET,
 
 
 def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
-    """A subalgebra B with L = I + B and I cap B inside the Frattini ideal of B.
-
-    The complement subalgebra of I (B cap I = 0), solved as one linear
-    system, comes first: it always qualifies, and no B has a smaller
-    dimension.  Only when there is none are other candidates searched.  Over
-    a prime field the search is then exhaustive over the subalgebras of the
-    lattice scan of L, smallest dimension first, under the oracle budget.
-    Over Q the one other candidate is the complement subalgebra of the
-    Fitting one component of I (_complement_B), and None means that L has
-    neither a complement subalgebra of I nor a nilpotent subalgebra B with
-    L = I + B and I cap B inside [B,B] = phi(B): no B whose Frattini ideal is
-    computable over Q meets the premises.
+    """A subalgebra B with L = I + B and I cap B inside the Frattini ideal of
+    B: the supplement of I (_supplement), over Q and F_p alike.  Without one
+    (L/I is not nilpotent), over F_p the lattice scan of L is searched under
+    the oracle budget, and over Q there is none (_complement_B).
     """
     qp = quotient(L, leibniz_kernel(L))
-    return _complement_B(qp, _complement_subalgebra(L, qp.ideal), budget)
+    return _complement_B(qp, _supplement(L, qp), budget)
+
+
+def _supplement(L: LeibnizAlgebra, qp: QuotientPresentation):
+    """The complement subalgebra of the kernel I = qp.ideal, else, when
+    Q = L/I is nilpotent, that of the Fitting one component I_1 of I (the
+    sum of its nonzero generalized weight spaces under the R_y), else None:
+    a subalgebra B with B + I = L, which is L only if I = 0 or L is nilpotent.
+
+    I_1 is the stable image W of I under all of L (_stable_image), in every
+    characteristic.  W is an ideal, as [L, I] = 0 and [W, L] = W.  The R_y
+    act on I through the nilpotent Lie algebra Q (R_i = 0 for i in I), so
+    I = I_0 + I_1, both invariant, with every R_y nilpotent on I_0; by
+    Jacobson's theorem on weakly closed sets they generate a nilpotent
+    algebra there, and the chain kills I_0.  On each nonzero weight space
+    some R_y, not always a basis vector, acts invertibly, so W = I_1 (over
+    F_2 every basis vector's stable image can be 0 when I_1 = I).
+    """
+    S = _complement_subalgebra(L, qp.ideal)
+    if S is None and is_nilpotent(qp.quotient):
+        return _complement_subalgebra(L, _stable_image(L, qp.ideal, *L.full_space().scaled_rows))
+    return S
 
 
 def _complement_B(qp: QuotientPresentation, S, budget: int):
-    """find_complement_B on qp.parent, with qp the quotient by the kernel I
-    and S the complement subalgebra of I, or None if I has none; then other
-    candidates are searched, over Q a list of at most one, and the first on
-    which no premise of theorem 2 fails (_theorem2_failure) is returned.
+    """find_complement_B on qp.parent, for the quotient qp by the kernel I
+    and the supplement S of I or None: S, checked by _theorem2_failure when
+    it meets I (dim S + dim I > dim L; else every premise holds); without S,
+    None over Q, and over F_p the first scanned B by (dim, rows) that qualifies.
 
-    The complement subalgebra of I (B cap I = 0) always qualifies, and is
-    tried before these.  If Q = L/I is nilpotent, the candidate is the
-    complement subalgebra of the Fitting one component I_1 of I (the sum of
-    its nonzero generalized weight spaces under the right multiplications);
-    for a nilpotent L, I_1 = 0 and this is L.  I_1 is the stable image W of
-    I under all of L (_stable_image), in every characteristic.  W is an
-    ideal, as [L, I] = 0 and [W, L] = W.  The R_y act on I through the
-    nilpotent Lie algebra Q (R_i = 0 for i in I), so I = I_0 + I_1, both
-    invariant, with every R_y nilpotent on I_0; by Jacobson's theorem on
-    weakly closed sets they generate a nilpotent algebra there, and the
-    chain kills I_0.  On each nonzero weight space some R_y, not always a
-    basis vector, acts invertibly, so W = I_1; over F_2 a sum over L's basis
-    of single-vector stable images can be 0 when I_1 = I.  Nothing else can
-    qualify.  A B meeting I qualifies over Q only if B is nilpotent; then
-    Q = B/(I cap B) is nilpotent, I = I_0 + I_1 into the Fitting components
-    of its right action, I cap B lies in I_0, and
-    I = span{[v,v]} = (I cap B) + [I,B]
-    forces I cap B = I_0, since the action on I_0 is nilpotent: B is a
-    complement of I_1.  Conversely a complement B of I_1 is nilpotent with
-    I cap B = I_0, and the I_0-parts [b,b] of the squares
-    [b+w, b+w] = [b,b] + [w,b] (w in I_1) span I_0 inside [B,B].  This
-    complement is unique: two differ by a linear psi: L/I_1 -> I_1 with
-    [psi(s), t] = psi([s,t]), so long products of right multiplications
-    kill psi(s) (long brackets vanish in the nilpotent L/I_1), and psi(s)
-    lies in I_0 cap I_1 = 0.
+    The complement of I (B cap I = 0) always qualifies, and no B has a
+    smaller dimension.  Without it, with Q = L/I nilpotent, the complement
+    of I_1 is the one qualifying B, so the scan's first, in every
+    characteristic.  B/(I cap B) = Q is nilpotent and I cap B lies in
+    phi(B), so B/phi(B) is nilpotent, and so is B (Barnes 1967; Batten Ray
+    et al. 2013, "A Frattini theory for Leibniz algebras", Comm. Algebra).
+    Then I = I_0 + I_1 into the Fitting components of B's right action,
+    I cap B lies in I_0, and I = span{[v,v]} = (I cap B) + [I,B] forces
+    I cap B = I_0, as B acts nilpotently on I_0: B complements I_1.
+    Conversely a complement B of I_1 is nilpotent with I cap B = I_0, and
+    the I_0-parts [b,b] of the squares [b+w, b+w] = [b,b] + [w,b] (w in I_1)
+    span I_0 inside [B,B] = phi(B).  It is unique: two differ by a linear
+    psi: L/I_1 -> I_1 with [psi(s), t] = psi([s,t]), so long products of
+    right multiplications kill psi(s) (long brackets vanish in the nilpotent
+    L/I_1), and psi(s) lies in I_0 cap I_1 = 0.  Over Q phi(B) is known only
+    for a nilpotent B, so without S (Q not nilpotent) no B meeting I does.
     """
-    if S is not None:
-        return S            # I + S = L and I cap S = 0, so every premise holds
     L, I = qp.parent, qp.ideal
-    if L.field.modulus is not None:
-        candidates = sorted(oracle.scan(L, budget).subalgebras,
-                            key=lambda S: (S.dim, S.scaled_rows))
-    else:
-        # I_1, the stable image of I under all of L
-        candidates = ([_complement_subalgebra(L, _stable_image(L, I, *L.full_space().scaled_rows))]
-                      if is_nilpotent(qp.quotient) else [])
-    # every candidate is a subalgebra: closed in the scan, or solved to be one
-    return next((B for B in candidates
-                 if B is not None and _theorem2_failure(L, I, B, budget) is None), None)
+    if S is not None:
+        if S.dim + I.dim > L.dim and _theorem2_failure(L, I, S, budget) is not None:
+            raise InternalInconsistency("the supplement of the kernel fails theorem 2's premises")
+        return S
+    if L.field.modulus is None:
+        return None
+    scanned = sorted(oracle.scan(L, budget).subalgebras, key=lambda B: (B.dim, B.scaled_rows))
+    return next((B for B in scanned if _theorem2_failure(L, I, B, budget) is None), None)
 
 
 def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
@@ -553,21 +553,21 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
 def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, N_of, S, budget: int):
     """If I is inside the Frattini ideal, then N(L/I) = N(L)/I.  qp is the
     quotient by I, N_of maps an algebra to its nilradical (verify's table)
-    and S is the complement subalgebra of I, or None if I has none.  Returns
+    and S is the supplement of I (_supplement) or None.  Returns
     {"skipped": message} when phi(L) is needed and not computable.
 
     I is an ideal, so it lies in phi(L) exactly when it lies in every maximal
-    subalgebra.  I = 0 does.  For I != 0, S is a proper subalgebra with
-    S + I = L; S lies in a maximal subalgebra M, and I <= M would give
-    M >= S + I = L, so the premise fails, with S as the witness.  phi(L) is
-    computed only when neither rule decides, and N(L/I) only when the
-    premise holds.
+    subalgebra.  I = 0 does.  A proper S lies in a maximal subalgebra M, and
+    I <= M would give M >= S + I = L: the premise fails, with S as witness.
+    Else phi(L) is computed: for S = L, L is nilpotent and phi(L) = [L,L];
+    for S = None, L/I is not nilpotent, and phi(L) is scanned over F_p and
+    skipped over Q.  N(L/I) is computed only when the premise holds.
     """
     I = qp.ideal
     name = "nilradical-of-quotient-under-frattini-premise"
     details = {"kernel": I}
     if I.dim:
-        if S is not None:
+        if S is not None and S != L.full_space():
             details["complement"] = S
             details["notice"] = ("the complement S is a proper subalgebra with S + I = L, "
                                  "so premise I <= phi(L) fails; statement not applicable")
@@ -624,23 +624,23 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
            budget: int = oracle.DEFAULT_BUDGET) -> dict:
     """The paper's checks on L combined into one verdict.
 
-    I, L/I and the complement subalgebra S of I, and over Q the radical
+    I, L/I and the supplement S of I (_supplement), and over Q the radical
     R(L), are computed once.  Nilradicals are kept in one table for the
     call, keyed by the algebra (its field and scaled table), so N(L), N(L/I)
     and N(B) are computed once per distinct table, N(L) first and the others
-    when a step reads them.  Lemma 1 (which reads S as its witness), theorem
-    2 (for B, or else for the B that find_complement_B finds, S when there
-    is one), proposition 3 and the corollary then run in that order.  A B
-    given here is checked against theorem 2's premises first.  A step whose
-    premise fails or that cannot be computed is reported as
-    {"skipped": message}, and so are proposition 3 and the corollary over
-    F_p; every step that ran as its VerificationReport.  The verdict is
-    "fail" when a check that ran did not pass, else "pass".
+    when a step reads them.  Lemma 1 (S is its witness), theorem 2 (for B,
+    else for find_complement_B's: S, or over F_p with no S the scan's),
+    proposition 3 and the corollary then run in that order.  A B given here
+    is checked against theorem 2's premises first.  A step whose premise
+    fails or that cannot be computed is reported as {"skipped": message},
+    and so are proposition 3 and the corollary over F_p; every step that ran
+    as its VerificationReport.  The verdict is "fail" when a check that ran
+    did not pass, else "pass".
     """
     N_of = cache(lambda M: nilradical(M).subspace)
     qp = quotient(L, leibniz_kernel(L))
     NL = N_of(L)
-    S = _complement_subalgebra(L, qp.ideal)
+    S = _supplement(L, qp)
     report = {"lemma1": verify_lemma1(L, qp, N_of, S, budget)}
     if B is None:
         B = _complement_B(qp, S, budget)

@@ -282,7 +282,7 @@ def test_nilradical_raises_on_a_basis_vector_with_non_nilpotent_right_mult(monke
 
     L = corpus.example1().algebra if lie is None else four_cycle(lie)
     monkeypatch.setattr(radicals, "_stable_image", lambda L, V, *xs: V)
-    with pytest.raises(InternalInconsistency, match="non-nilpotent right multiplication"):
+    with pytest.raises(InternalInconsistency, match="image chain of L under N does not reach zero"):
         nilradical(L)
 
 
@@ -601,6 +601,21 @@ def test_find_b_meets_the_kernel_in_its_fitting_null_component():
         assert verify(D, B)["theorem2"].passed, seed
 
 
+def test_find_b_aborts_when_the_supplement_fails_theorem2(monkeypatch):
+    # the complement of I_1 meets I and is checked against theorem 2's
+    # premises, over Q and F_p, and a failing check aborts; a complement of I
+    # meets them by construction and is not checked
+    from leibnizalg import radicals
+
+    monkeypatch.setattr(radicals, "_theorem2_failure", lambda *args: "forced")
+    for L in (direct_sum(corpus.nilcyclic2().algebra, corpus.example1().algebra),
+              fp_direct_sum("nilcyclic2", "example1", p=2)):
+        with pytest.raises(InternalInconsistency, match="supplement of the kernel"):
+            find_complement_B(L)
+    L = corpus.example1().algebra
+    assert find_complement_B(L) == span_of(L, (1, -1))
+
+
 def test_find_b_builds_the_quotient_by_the_kernel_once(monkeypatch):
     # the L of the test above: one quotient by I = span(i1, i2) for the
     # nilpotency of L/I; the complements of I and of I_1 = span(i2) are
@@ -619,19 +634,25 @@ def test_find_b_builds_the_quotient_by_the_kernel_once(monkeypatch):
     assert calls == [leibniz_kernel(L)]
 
 
-def test_fitting_one_over_f2_is_the_stable_image_and_no_sum_over_a_basis():
-    # h3 + F_2[t]/(t^2) over F_2, basis D, T, W = Z + D + T, m0, m1: L/I is
-    # h3, and on I = span(m0, m1) R_D, R_T and R_W are nilpotent while
-    # R_Z = R_D + R_T + R_W is the identity.  So I_1 = I is the stable image
-    # of I under all of L, but every single-vector stable image is 0
-    from leibnizalg.radicals import _stable_image
-
+def h3_on_dual_numbers():
+    """h3 + F_2[t]/(t^2) over F_2, basis D, T, W = Z + D + T, m0, m1: L/I is
+    h3, and on I = span(m0, m1) R_D, R_T and R_W are nilpotent while
+    R_Z = R_D + R_T + R_W is the identity."""
     D, T, W, m0, m1 = range(5)
     products = {(m1, D): {m0: 1}, (m0, T): {m1: 1},
                 (m0, W): {m0: 1, m1: 1}, (m1, W): {m0: 1, m1: 1}}
     for a, b in ((D, T), (D, W), (T, W)):
         products[a, b] = products[b, a] = {D: 1, T: 1, W: 1}
-    L = LeibnizAlgebra.from_products(Field(2), 5, products)
+    return LeibnizAlgebra.from_products(Field(2), 5, products)
+
+
+def test_fitting_one_over_f2_is_the_stable_image_and_no_sum_over_a_basis():
+    # on h3_on_dual_numbers(), I_1 = I is the stable image of I under all of
+    # L, but every single-vector stable image is 0
+    from leibnizalg.radicals import _stable_image
+
+    m0, m1 = 3, 4
+    L = h3_on_dual_numbers()
     assert check_leibniz(L).passed
     qp = quotient(L, leibniz_kernel(L))
     I, basis = qp.ideal, L.full_space().scaled_rows
@@ -640,6 +661,77 @@ def test_fitting_one_over_f2_is_the_stable_image_and_no_sum_over_a_basis():
     assert _stable_image(L, I, *basis) == I
     assert all(_stable_image(L, I, y).dim == 0 for y in basis)
     assert _stable_image(L, I, [1, 1, 1, 0, 0]) == I
+
+
+def fp_cases_under_the_oracle_caps():
+    """(name, L) for the F_p inputs of dim at most 5 over F_2 and 4 over F_3
+    among the small corpus reductions, the sums of a corpus entry and
+    nilcyclic2 in either order, the x, i1, i2 algebra and
+    h3_on_dual_numbers()."""
+    from leibnizalg.oracle import reduce_mod_p
+
+    xi = LeibnizAlgebra.from_products(QQ, 3, {(0, 0): {1: 1}, (2, 0): {2: 1}})
+    cases = small_reductions() + [("h3 on F_2[t]/(t^2)", h3_on_dual_numbers())]
+    for p, cap in ((2, 5), (3, 4)):
+        cases.append((f"x, i1, i2 mod {p}", reduce_mod_p(xi, p)))
+        for name in corpus.BUILDERS:
+            if corpus.build(name).algebra.dim + 2 > cap:
+                continue
+            for names in dict.fromkeys([(name, "nilcyclic2"), ("nilcyclic2", name)]):
+                L = fp_direct_sum(*names, p=p)
+                if L is not None:
+                    cases.append((f"{' + '.join(names)} mod {p}", L))
+    return cases
+
+
+def supplemented_fp_cases():
+    """The inputs of fp_cases_under_the_oracle_caps() with no complement of I
+    and a nilpotent L/I."""
+    from leibnizalg.radicals import _complement_subalgebra
+
+    out = []
+    for name, L in fp_cases_under_the_oracle_caps():
+        qp = quotient(L, leibniz_kernel(L))
+        if _complement_subalgebra(L, qp.ideal) is None and is_nilpotent(qp.quotient):
+            out.append((name, L))
+    return out
+
+
+def test_fp_supplement_is_the_smallest_B_of_the_scan():
+    # with no complement of I and a nilpotent L/I, the supplement (the
+    # complement of I_1) is the first qualifying B of the sorted scan
+    from leibnizalg import oracle
+    from leibnizalg.radicals import _supplement, _theorem2_failure
+
+    cases = supplemented_fp_cases()
+    for name, L in cases:
+        qp = quotient(L, leibniz_kernel(L))
+        scanned = sorted(oracle.scan(L).subalgebras, key=lambda S: (S.dim, S.rows))
+        reference = next(B for B in scanned
+                         if _theorem2_failure(L, qp.ideal, B, oracle.DEFAULT_BUDGET) is None)
+        assert _supplement(L, qp) == reference, name
+        assert find_complement_B(L) == reference, name
+    assert len(cases) == 22
+    assert sum(_supplement(L, quotient(L, leibniz_kernel(L))) != L.full_space()
+               for _, L in cases) == 12
+
+
+def test_verify_and_find_b_scan_nothing_where_there_is_a_supplement(monkeypatch):
+    # the corpus, its admissible reductions mod 2, 3 and 5, and the inputs
+    # above: lemma 1 and theorem 2 read the supplement, and no scan starts
+    from leibnizalg import oracle
+    from leibnizalg.oracle import reduce_mod_p
+
+    oracle._scan_cached.cache_clear()
+    scans = []
+    monkeypatch.setattr(oracle, "_pivot_patterns", counting(scans, oracle._pivot_patterns))
+    cases = [(e.name, e.algebra) for e in corpus.standard_entries()]
+    cases += [(f"{name} mod {p}", reduce_mod_p(L, p)) for name, L in cases for p in (2, 3, 5)]
+    cases = [(name, L) for name, L in cases if L is not None] + supplemented_fp_cases()
+    for name, L in cases:
+        assert verify(L)["verdict"] == "pass", name
+        assert find_complement_B(L) is not None, name
+    assert scans == [] and len(cases) == 66
 
 
 def test_fitting_one_over_q_is_the_sum_of_the_basis_powers():
@@ -1016,12 +1108,18 @@ def test_lemma1_example1_decided_by_the_complement_witness():
 
 
 def test_lemma1_runs_everywhere_and_its_witness_supplements_the_kernel():
-    # lemma 1 is skipped on no corpus entry and no small reduction; a witness
-    # S is a proper subalgebra with S + I = L, and over F_p the decision is
-    # the one the exhaustive Frattini ideal gives
+    # lemma 1 is skipped on no corpus entry, no small reduction and none of
+    # the sums of example1 and nilcyclic2, whose I has no complement and
+    # whose L/I is nilpotent; a witness S is a proper subalgebra with
+    # S + I = L, and over F_p the decision is the one the exhaustive Frattini
+    # ideal gives
     from leibnizalg.oracle import frattini_oracle
 
     cases = [(e.name, e.algebra) for e in corpus.standard_entries()] + small_reductions()
+    cases += [(f"example1 + nilcyclic2 mod {p}", fp_direct_sum("example1", "nilcyclic2", p=p))
+              for p in (2, 3)]
+    cases.append(("nilcyclic2 + example1", direct_sum(corpus.nilcyclic2().algebra,
+                                                      corpus.example1().algebra)))
     witnesses = 0
     for name, L in cases:
         rep = verify(L)["lemma1"]
@@ -1046,12 +1144,12 @@ def test_lemma1_example1_premise_fails_over_fp():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_lemma1_premise_fails_on_the_frattini_ideal(p):
-    # example1 + nilcyclic2 mod p, basis e1..e4: I = span(e2, e4) has no
-    # complement subalgebra, so phi(L) = span(e4) is computed, and I is not
-    # inside it
+    # example1 + nilcyclic2 + affine2 mod p, basis e1..e6: I = span(e2, e4)
+    # has no complement subalgebra and L/I is not nilpotent, so there is no
+    # supplement; phi(L) = span(e4) is computed, and I is not inside it
     from leibnizalg.oracle import frattini_oracle
 
-    L = fp_direct_sum("example1", "nilcyclic2", p=p)
+    L = fp_direct_sum("example1", "nilcyclic2", "affine2", p=p)
     report = verify(L)
     rep = report["lemma1"]
     assert "complement" not in rep.details

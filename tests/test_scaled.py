@@ -42,9 +42,9 @@ from leibnizalg.exactlin import QQ, Field, Subspace, from_scaled, to_scaled
 from leibnizalg.oracle import reduce_mod_p
 from leibnizalg.radicals import (
     _complement_B,
-    _complement_subalgebra,
     _right_action_on_kernel_nilpotent,
     _stable_image,
+    _supplement,
     _traces,
     nilradical,
     radical,
@@ -496,7 +496,8 @@ def reference_cases():
 def _verify_B(L, I):
     """The B that verify runs theorem 2 on, or None."""
     try:
-        return _complement_B(quotient(L, I), _complement_subalgebra(L, I), BUDGET)
+        qp = quotient(L, I)
+        return _complement_B(qp, _supplement(L, qp), BUDGET)
     except BudgetExceeded:
         return None
 
