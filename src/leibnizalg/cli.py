@@ -252,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="output format")
     p.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
-                   help="subspaces for the scans of frattini, oracle-scan and "
-                        "verify's fallbacks")
+                   help="subspaces for the lattice scans of frattini, oracle-scan, "
+                        "find-b and verify")
     sub = p.add_subparsers(dest="verb", required=True)
     for name, (help_, arguments, handler) in VERBS.items():
         sp = sub.add_parser(name, help=help_)

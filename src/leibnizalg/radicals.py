@@ -336,19 +336,43 @@ def frattini_ideal(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET,
 
 def find_complement_B(L: LeibnizAlgebra, budget: int = oracle.DEFAULT_BUDGET):
     """A subalgebra B with L = I + B and I cap B inside the Frattini ideal of
-    B: the supplement of I (_supplement), over Q and F_p alike.  Without one
-    (L/I is not nilpotent), over F_p the lattice scan of L is searched under
-    the oracle budget, and over Q there is none (_complement_B).
+    B: the minimal supplement of I (_supplement), or None over Q when only
+    the lattice scan would find one.
     """
-    qp = quotient(L, leibniz_kernel(L))
-    return _complement_B(qp, _supplement(L, qp), budget)
+    return _supplement(L, quotient(L, leibniz_kernel(L)), budget)
 
 
-def _supplement(L: LeibnizAlgebra, qp: QuotientPresentation):
-    """The complement subalgebra of the kernel I = qp.ideal, else, when
-    Q = L/I is nilpotent, that of the Fitting one component I_1 of I (the
-    sum of its nonzero generalized weight spaces under the R_y), else None:
-    a subalgebra B with B + I = L, which is L only if I = 0 or L is nilpotent.
+def _supplement(L: LeibnizAlgebra, qp: QuotientPresentation, budget: int):
+    """A minimal supplement of the kernel I = qp.ideal (a subalgebra B with
+    B + I = L and no smaller subalgebra B' < B with B' + I = L), else None:
+    the first found of the complement subalgebra of I; when Q = L/I is
+    nilpotent, the complement of the Fitting one component I_1 of I (the
+    sum of its nonzero generalized weight spaces under the R_y); over F_p,
+    the first subalgebra of the lattice scan of L by (dim, rows) with
+    B + I = L; over Q, None.  A B that meets I is checked by
+    _theorem2_failure.
+
+    A minimal B meets theorem 2's premises: I cap B is an ideal of B, so
+    it lies in phi(B) unless a maximal subalgebra M of B misses it, and
+    then M + (I cap B) = B gives M + I = L with M < B.  It decides lemma 1:
+    I <= phi(L) exactly when B = L.  A proper B lies in a maximal M, and
+    I <= M would give M >= B + I = L; a maximal M missing the ideal I has
+    M + I = L, and a minimal supplement inside M is proper.  Each B found
+    is minimal.  A complement of I is, as B' + I = L needs
+    dim B' >= dim L - dim I = dim B; so is the scan's first, as a B' < B
+    comes before it.  With Q nilpotent, some minimal B exists (descend from
+    L), and each is the unique complement of I_1:
+
+    B/(I cap B) = Q is nilpotent and I cap B lies in phi(B), so B/phi(B)
+    is nilpotent, and so is B (Barnes 1967; Batten Ray et al. 2013, "A
+    Frattini theory for Leibniz algebras", Comm. Algebra).  Then
+    I = I_0 + I_1 into the Fitting components of B's right action,
+    I cap B lies in I_0, and I = span{[v,v]} = (I cap B) + [I,B] forces
+    I cap B = I_0, as B acts nilpotently on I_0: B complements I_1.  A
+    complement of I_1 is unique: two differ by a linear
+    psi: L/I_1 -> I_1 with [psi(s), t] = psi([s,t]), so long products of
+    right multiplications kill psi(s) (long brackets vanish in the
+    nilpotent L/I_1), and psi(s) lies in I_0 cap I_1 = 0.
 
     I_1 is the stable image W of I under all of L (_stable_image), in every
     characteristic.  W is an ideal, as [L, I] = 0 and [W, L] = W.  The R_y
@@ -359,44 +383,16 @@ def _supplement(L: LeibnizAlgebra, qp: QuotientPresentation):
     some R_y, not always a basis vector, acts invertibly, so W = I_1 (over
     F_2 every basis vector's stable image can be 0 when I_1 = I).
     """
-    S = _complement_subalgebra(L, qp.ideal)
-    if S is None and is_nilpotent(qp.quotient):
-        return _complement_subalgebra(L, _stable_image(L, qp.ideal, *L.full_space().scaled_rows))
-    return S
-
-
-def _complement_B(qp: QuotientPresentation, S, budget: int):
-    """find_complement_B on qp.parent, for the quotient qp by the kernel I
-    and the supplement S of I or None: S, checked by _theorem2_failure when
-    it meets I (dim S + dim I > dim L; else every premise holds); without S,
-    None over Q, and over F_p the first scanned B by (dim, rows) that qualifies.
-
-    The complement of I (B cap I = 0) always qualifies, and no B has a
-    smaller dimension.  Without it, with Q = L/I nilpotent, the complement
-    of I_1 is the one qualifying B, so the scan's first, in every
-    characteristic.  B/(I cap B) = Q is nilpotent and I cap B lies in
-    phi(B), so B/phi(B) is nilpotent, and so is B (Barnes 1967; Batten Ray
-    et al. 2013, "A Frattini theory for Leibniz algebras", Comm. Algebra).
-    Then I = I_0 + I_1 into the Fitting components of B's right action,
-    I cap B lies in I_0, and I = span{[v,v]} = (I cap B) + [I,B] forces
-    I cap B = I_0, as B acts nilpotently on I_0: B complements I_1.
-    Conversely a complement B of I_1 is nilpotent with I cap B = I_0, and
-    the I_0-parts [b,b] of the squares [b+w, b+w] = [b,b] + [w,b] (w in I_1)
-    span I_0 inside [B,B] = phi(B).  It is unique: two differ by a linear
-    psi: L/I_1 -> I_1 with [psi(s), t] = psi([s,t]), so long products of
-    right multiplications kill psi(s) (long brackets vanish in the nilpotent
-    L/I_1), and psi(s) lies in I_0 cap I_1 = 0.  Over Q phi(B) is known only
-    for a nilpotent B, so without S (Q not nilpotent) no B meeting I does.
-    """
-    L, I = qp.parent, qp.ideal
-    if S is not None:
-        if S.dim + I.dim > L.dim and _theorem2_failure(L, I, S, budget) is not None:
-            raise InternalInconsistency("the supplement of the kernel fails theorem 2's premises")
-        return S
-    if L.field.modulus is None:
-        return None
-    scanned = sorted(oracle.scan(L, budget).subalgebras, key=lambda B: (B.dim, B.scaled_rows))
-    return next((B for B in scanned if _theorem2_failure(L, I, B, budget) is None), None)
+    I, full = qp.ideal, L.full_space()
+    B = _complement_subalgebra(L, I)
+    if B is None and is_nilpotent(qp.quotient):
+        B = _complement_subalgebra(L, _stable_image(L, I, *full.scaled_rows))
+    if B is None and L.field.modulus is not None:
+        B = min((S for S in oracle.scan(L, budget).subalgebras if S + I == full),
+                key=lambda S: (S.dim, S.scaled_rows))
+    if B is not None and B.dim + I.dim > L.dim and _theorem2_failure(L, I, B, budget):
+        raise InternalInconsistency("the supplement of the kernel fails theorem 2's premises")
+    return B
 
 
 def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
@@ -471,8 +467,8 @@ def _complement_subalgebra(L: LeibnizAlgebra, I: Subspace):
 def _theorem2_failure(L: LeibnizAlgebra, I: Subspace, B: Subspace, budget: int):
     """The message of the first of theorem 2's premises after the first that
     fails on the subalgebra B of L, in order: I + B = L, and I cap B lies in
-    phi(B); None when both hold.  That B is a subalgebra is checked only for
-    a B that verify is given: a searched one is closed by construction."""
+    phi(B); None when both hold.  verify runs it on a B it is given, after
+    checking that B is a subalgebra, and _supplement on the B it found."""
     if I + B != L.full_space():
         return "I + B is not all of L"
     IB = I & B
@@ -550,35 +546,24 @@ def _right_action_on_kernel_nilpotent(L, I: Subspace, NB_in_L: Subspace):
     return False, witnesses or [{"stalled_term": V}]
 
 
-def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, N_of, S, budget: int):
+def verify_lemma1(L: LeibnizAlgebra, qp: QuotientPresentation, N_of, S):
     """If I is inside the Frattini ideal, then N(L/I) = N(L)/I.  qp is the
     quotient by I, N_of maps an algebra to its nilradical (verify's table)
-    and S is the supplement of I (_supplement) or None.  Returns
-    {"skipped": message} when phi(L) is needed and not computable.
-
-    I is an ideal, so it lies in phi(L) exactly when it lies in every maximal
-    subalgebra.  I = 0 does.  A proper S lies in a maximal subalgebra M, and
-    I <= M would give M >= S + I = L: the premise fails, with S as witness.
-    Else phi(L) is computed: for S = L, L is nilpotent and phi(L) = [L,L];
-    for S = None, L/I is not nilpotent, and phi(L) is scanned over F_p and
-    skipped over Q.  N(L/I) is computed only when the premise holds.
+    and S is the minimal supplement of I (_supplement) or None.  The
+    premise holds exactly when S = L; a proper S is the witness that it
+    fails.  Returns {"skipped": message} without S, over Q with L/I not
+    nilpotent.  N(L/I) is computed only when the premise holds.
     """
     I = qp.ideal
     name = "nilradical-of-quotient-under-frattini-premise"
     details = {"kernel": I}
-    if I.dim:
-        if S is not None and S != L.full_space():
-            details["complement"] = S
-            details["notice"] = ("the complement S is a proper subalgebra with S + I = L, "
-                                 "so premise I <= phi(L) fails; statement not applicable")
-            return VerificationReport(name=name, passed=True, applicable=False, details=details)
-        try:
-            details["frattini"] = phi = frattini_ideal(L, budget)
-        except Unsupported:
-            return {"skipped": "Frattini ideal of L not computable"}
-        if not I <= phi:
-            details["notice"] = "premise I <= phi(L) fails; statement not applicable"
-            return VerificationReport(name=name, passed=True, applicable=False, details=details)
+    if S is None:
+        return {"skipped": "Frattini ideal of L not computable"}
+    if S != L.full_space():
+        details["complement"] = S
+        details["notice"] = ("the complement S is a proper subalgebra with S + I = L, "
+                             "so premise I <= phi(L) fails; statement not applicable")
+        return VerificationReport(name=name, passed=True, applicable=False, details=details)
     NQ, rhs = N_of(qp.quotient), qp.project_subspace(N_of(L))
     return VerificationReport(
         name=name,
@@ -624,26 +609,25 @@ def verify(L: LeibnizAlgebra, B: Subspace | None = None,
            budget: int = oracle.DEFAULT_BUDGET) -> dict:
     """The paper's checks on L combined into one verdict.
 
-    I, L/I and the supplement S of I (_supplement), and over Q the radical
-    R(L), are computed once.  Nilradicals are kept in one table for the
-    call, keyed by the algebra (its field and scaled table), so N(L), N(L/I)
-    and N(B) are computed once per distinct table, N(L) first and the others
-    when a step reads them.  Lemma 1 (S is its witness), theorem 2 (for B,
-    else for find_complement_B's: S, or over F_p with no S the scan's),
-    proposition 3 and the corollary then run in that order.  A B given here
-    is checked against theorem 2's premises first.  A step whose premise
-    fails or that cannot be computed is reported as {"skipped": message},
-    and so are proposition 3 and the corollary over F_p; every step that ran
-    as its VerificationReport.  The verdict is "fail" when a check that ran
-    did not pass, else "pass".
+    I, L/I and the minimal supplement S of I (_supplement), and over Q the
+    radical R(L), are computed once.  Nilradicals are kept in one table for
+    the call, keyed by the algebra (its field and scaled table), so N(L),
+    N(L/I) and N(B) are computed once per distinct table, N(L) first and
+    the others when a step reads them.  Lemma 1 (decided by S), theorem 2
+    (for B, else for S), proposition 3 and the corollary then run in that
+    order.  A B given here is checked against theorem 2's premises first.
+    A step whose premise fails or that cannot be computed is reported as
+    {"skipped": message}, and so are proposition 3 and the corollary over
+    F_p; every step that ran as its VerificationReport.  The verdict is
+    "fail" when a check that ran did not pass, else "pass".
     """
     N_of = cache(lambda M: nilradical(M).subspace)
     qp = quotient(L, leibniz_kernel(L))
     NL = N_of(L)
-    S = _supplement(L, qp)
-    report = {"lemma1": verify_lemma1(L, qp, N_of, S, budget)}
+    S = _supplement(L, qp, budget)
+    report = {"lemma1": verify_lemma1(L, qp, N_of, S)}
     if B is None:
-        B = _complement_B(qp, S, budget)
+        B = S
         failure = None if B is not None else "no complement subalgebra B found"
     else:
         failure = ("B is not a subalgebra" if not is_subalgebra(L, B)

@@ -3,14 +3,17 @@
 Every subspace of F_p^n is built with Subspace(F, n, rows), in the order of
 oracle.enumerate_subspaces; subalgebras and ideals are tested by product
 spans, and every ideal runs is_nilpotent and is_solvable, with no verdict
-inherited from another ideal.
+inherited from another ideal.  theorem2_premises_hold tests theorem 2's
+premises on one subalgebra from their definition.
 """
 
 from itertools import combinations, product
 
-from leibnizalg.core import bracket_span, is_nilpotent, is_solvable
+from leibnizalg.core import bracket_span, embed_subspace, is_nilpotent, is_solvable, restrict
+from leibnizalg.errors import Unsupported
 from leibnizalg.exactlin import Field, Subspace
 from leibnizalg.oracle import LatticeScan
+from leibnizalg.radicals import frattini_ideal
 
 
 def all_subspaces(n, p):
@@ -43,3 +46,18 @@ def reference_scan(L):
     return LatticeScan(L, len(subspaces), tuple(subalgebras), tuple(ideals),
                        tuple(J for J in ideals if is_nilpotent(L, J)),
                        tuple(J for J in ideals if is_solvable(L, J)), tuple(maximal))
+
+
+def theorem2_premises_hold(L, I, B):
+    """I + B = L and I cap B inside the Frattini ideal of the restricted
+    algebra on B, embedded back into L; False where it is not computable."""
+    if I + B != L.full_space():
+        return False
+    IB = I & B
+    if IB.dim == 0:
+        return True
+    try:
+        phi = frattini_ideal(restrict(L, B))
+    except Unsupported:
+        return False
+    return IB <= embed_subspace(B, phi)

@@ -4,19 +4,17 @@ import sys
 import pytest
 
 from dense import dense_basis
-from lattice_reference import reference_scan
+from lattice_reference import reference_scan, theorem2_premises_hold
 from leibnizalg import corpus, direct_sum, exactlin, oracle
 from leibnizalg.core import (
     LeibnizAlgebra,
     bracket_span,
     check_leibniz,
-    embed_subspace,
     is_ideal,
     is_nilpotent,
     leibniz_kernel,
-    restrict,
 )
-from leibnizalg.errors import BudgetExceeded, TheoremViolation, Unsupported, UnsupportedField
+from leibnizalg.errors import BudgetExceeded, TheoremViolation, UnsupportedField
 from leibnizalg.exactlin import QQ, Field, Subspace, subspace_count
 from leibnizalg.oracle import (
     enumerate_subspaces,
@@ -178,18 +176,6 @@ def test_the_scan_makes_no_leq_call(monkeypatch):
 
 
 def test_find_complement_b_matches_enumeration_reference():
-    def conditions_hold(Lp, I, B):
-        if I + B != Lp.full_space():
-            return False
-        IB = I & B
-        if IB.dim == 0:
-            return True
-        try:
-            phi = frattini_ideal(restrict(Lp, B))
-        except Unsupported:
-            return False
-        return IB <= embed_subspace(B, phi)
-
     # g = span(E11, E12) in gl_2 acting on the right of M = F^2, as g + M with
     # [x + m, y + n] = [x, y] + m y: I = M, and over F_2 and F_3 several
     # 2-dim subalgebras complement it, so the search order decides B
@@ -200,7 +186,7 @@ def test_find_complement_b_matches_enumeration_reference():
         for name, Lp in reducible_corpus(p, cap) + extra:
             I = leibniz_kernel(Lp)
             candidates = sorted(_subalgebras_by_span(Lp), key=lambda S: (S.dim, S.rows))
-            reference = next((B for B in candidates if conditions_hold(Lp, I, B)), None)
+            reference = next((B for B in candidates if theorem2_premises_hold(Lp, I, B)), None)
             assert find_complement_B(Lp) == reference, (name, p)
 
 

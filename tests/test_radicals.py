@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import matrices
 from dense import dense_basis
+from lattice_reference import theorem2_premises_hold
 from leibnizalg import corpus
 from leibnizalg.core import (
     LeibnizAlgebra,
@@ -697,23 +698,80 @@ def supplemented_fp_cases():
     return out
 
 
+def supplement_cases():
+    """The inputs of fp_cases_under_the_oracle_caps() and the sums
+    nilcyclic2 + sl2, nilcyclic2 + affine2 and example1 + nilcyclic2 +
+    affine2 mod 2 and 3, each once."""
+    cases = dict(fp_cases_under_the_oracle_caps())
+    for names in (("nilcyclic2", "sl2"), ("nilcyclic2", "affine2"),
+                  ("example1", "nilcyclic2", "affine2")):
+        for p in (2, 3):
+            cases.setdefault(f"{' + '.join(names)} mod {p}", fp_direct_sum(*names, p=p))
+    return list(cases.items())
+
+
 def test_fp_supplement_is_the_smallest_B_of_the_scan():
     # with no complement of I and a nilpotent L/I, the supplement (the
     # complement of I_1) is the first qualifying B of the sorted scan
     from leibnizalg import oracle
-    from leibnizalg.radicals import _supplement, _theorem2_failure
+    from leibnizalg.radicals import _supplement
 
     cases = supplemented_fp_cases()
     for name, L in cases:
         qp = quotient(L, leibniz_kernel(L))
         scanned = sorted(oracle.scan(L).subalgebras, key=lambda S: (S.dim, S.rows))
-        reference = next(B for B in scanned
-                         if _theorem2_failure(L, qp.ideal, B, oracle.DEFAULT_BUDGET) is None)
-        assert _supplement(L, qp) == reference, name
+        reference = next(B for B in scanned if theorem2_premises_hold(L, qp.ideal, B))
+        assert _supplement(L, qp, oracle.DEFAULT_BUDGET) == reference, name
         assert find_complement_B(L) == reference, name
     assert len(cases) == 22
-    assert sum(_supplement(L, quotient(L, leibniz_kernel(L))) != L.full_space()
-               for _, L in cases) == 12
+    assert sum(find_complement_B(L) != L.full_space() for _, L in cases) == 12
+
+
+def test_supplement_is_minimal_and_as_small_as_the_reference():
+    # the minimal supplement B of I: a subalgebra with B + I = L, no scanned
+    # subalgebra strictly inside it also supplements I, and its dimension is
+    # that of the first scanned B by (dim, rows) that meets theorem 2's
+    # premises by their definition; that B is it where I has no complement
+    from leibnizalg import oracle
+    from leibnizalg.radicals import _complement_subalgebra, _supplement
+
+    for name, L in supplement_cases():
+        full, qp = L.full_space(), quotient(L, leibniz_kernel(L))
+        I, B = qp.ideal, _supplement(L, qp, oracle.DEFAULT_BUDGET)
+        assert is_subalgebra(L, B) and B + I == full, name
+        scanned = sorted(oracle.scan(L).subalgebras, key=lambda S: (S.dim, S.rows))
+        assert not any(S + I == full for S in scanned if S <= B and S != B), name
+        reference = next(S for S in scanned if theorem2_premises_hold(L, I, S))
+        assert B.dim == reference.dim, name
+        if _complement_subalgebra(L, I) is None:
+            assert B == reference, name
+
+
+def test_lemma1_and_the_supplement_read_phi_at_most_once(monkeypatch):
+    # lemma 1 reads the supplement and computes no Frattini ideal; verify
+    # and find_complement_B scan for phi only in the self-check of the
+    # supplement B, on restrict(L, B)
+    from leibnizalg import oracle, radicals
+    from leibnizalg.oracle import frattini_oracle
+
+    calls = []
+
+    def counted(M, *args):
+        calls.append(M)
+        return frattini_oracle(M, *args)
+
+    monkeypatch.setattr(oracle, "frattini_oracle", counted)
+    N_of = lambda M: nilradical(M).subspace
+    for name, L in supplement_cases():
+        qp = quotient(L, leibniz_kernel(L))
+        B = radicals._supplement(L, qp, oracle.DEFAULT_BUDGET)
+        del calls[:]
+        radicals.verify_lemma1(L, qp, N_of, B)
+        assert calls == [], name
+        for run in (verify, find_complement_B):
+            run(L)
+            assert calls in ([], [restrict(L, B)]), name
+            del calls[:]
 
 
 def test_verify_and_find_b_scan_nothing_where_there_is_a_supplement(monkeypatch):
@@ -1142,21 +1200,30 @@ def test_lemma1_example1_premise_fails_over_fp():
     assert not rep.applicable and rep.passed
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_lemma1_premise_fails_on_the_frattini_ideal(p):
-    # example1 + nilcyclic2 + affine2 mod p, basis e1..e6: I = span(e2, e4)
-    # has no complement subalgebra and L/I is not nilpotent, so there is no
-    # supplement; phi(L) = span(e4) is computed, and I is not inside it
+def test_lemma1_is_decided_by_the_minimal_supplement():
+    # the premise I <= phi(L) holds exactly when the minimal supplement S of
+    # I is L, as the exhaustive Frattini ideal confirms; a proper S is the
+    # witness that it fails, and theorem 2 runs on the same B.  On
+    # example1 + nilcyclic2 + affine2 mod p, I = span(e2, e4) has no
+    # complement and L/I is not nilpotent, so S comes from the scan
     from leibnizalg.oracle import frattini_oracle
 
-    L = fp_direct_sum("example1", "nilcyclic2", "affine2", p=p)
-    report = verify(L)
-    rep = report["lemma1"]
-    assert "complement" not in rep.details
-    assert not rep.applicable and rep.passed
-    assert rep.details["frattini"] == frattini_oracle(L)
-    assert not rep.details["kernel"] <= rep.details["frattini"]
-    assert report["verdict"] == "pass"
+    failing = []
+    for name, L in supplement_cases():
+        full = L.full_space()
+        report = verify(L)
+        rep, I = report["lemma1"], leibniz_kernel(L)
+        assert report["verdict"] == "pass" and rep.passed, name
+        assert rep.applicable == (I <= frattini_oracle(L)), name
+        if rep.applicable:
+            assert "complement" not in rep.details, name
+            continue
+        failing.append(name)
+        S = rep.details["complement"]
+        assert is_subalgebra(L, S) and S != full and S + I == full, name
+        assert report["theorem2"].details["B"] == S, name
+    assert {"example1 + nilcyclic2 + affine2 mod 2",
+            "example1 + nilcyclic2 + affine2 mod 3"} <= set(failing)
 
 
 # ---------------------------------------------------------------- prop 3 / corollary

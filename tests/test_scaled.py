@@ -41,7 +41,6 @@ from leibnizalg.errors import AmbientMismatch, BudgetExceeded
 from leibnizalg.exactlin import QQ, Field, Subspace, from_scaled, to_scaled
 from leibnizalg.oracle import reduce_mod_p
 from leibnizalg.radicals import (
-    _complement_B,
     _right_action_on_kernel_nilpotent,
     _stable_image,
     _supplement,
@@ -496,8 +495,7 @@ def reference_cases():
 def _verify_B(L, I):
     """The B that verify runs theorem 2 on, or None."""
     try:
-        qp = quotient(L, I)
-        return _complement_B(qp, _supplement(L, qp), BUDGET)
+        return _supplement(L, quotient(L, I), BUDGET)
     except BudgetExceeded:
         return None
 
